@@ -98,8 +98,11 @@ def _frame_source(args, cfg: Optional[ExperimentConfig]):
 def cmd_correlate(args) -> int:
     cfg = None if args.stack else _load_config(args)
     camera, seed, checksum, frames = _frame_source(args, cfg)
-    ref_angle = Angle2D(args.ref_x, args.ref_y)
-    reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
+    try:
+        ref_angle = Angle2D(args.ref_x, args.ref_y)
+        reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
+    except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
+        raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
     cmap = _correlate_frames(frames, camera, reference, seed, checksum)
 
     prefix = args.out
@@ -291,7 +294,7 @@ def _write_steer_report(path, rows, slope, intercept, seed, checksum, target: An
 
 def cmd_herald(args) -> int:
     cfg = _load_config(args)
-    sweep = [int(m) for m in args.sweep_m.split(",")] if args.sweep_m else [cfg.herald.modes]
+    sweep = args.sweep_m or [cfg.herald.modes]
     rows = []
     for modes in sweep:
         hc = dataclasses.replace(cfg.herald, modes=modes)
@@ -326,6 +329,26 @@ def cmd_herald(args) -> int:
 # parser
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _mode_counts(text: str) -> list[int]:
+    return [_positive_int(m) for m in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramanmem",
@@ -336,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, frames: bool = True) -> None:
         p.add_argument("--config", help="INI-style config file (defaults built in)")
-        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="override the run seed")
         if frames:
-            p.add_argument("--frames", type=int, help="override the frame count")
+            p.add_argument("--frames", type=_positive_int, help="override the frame count")
 
     p_sim = sub.add_parser("simulate", help="render a frame stack to a binary file")
     common(p_sim)
@@ -385,8 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_her = sub.add_parser("herald", help="Monte Carlo herald statistics")
     common(p_her, frames=False)
-    p_her.add_argument("--shots", type=int, default=100_000, help="number of shots")
-    p_her.add_argument("--sweep-m", help="comma-separated mode counts, e.g. 10,100,1000")
+    p_her.add_argument("--shots", type=_positive_int, default=100_000, help="number of shots")
+    p_her.add_argument(
+        "--sweep-m", type=_mode_counts, help="comma-separated mode counts, e.g. 10,100,1000"
+    )
     p_her.add_argument("--out", help="statistics CSV")
     p_her.set_defaults(func=cmd_herald)
 

@@ -299,51 +299,49 @@ def run_herald_protocol(
 ) -> HeraldStats:
     """Monte Carlo of herald / route / retrieve over independent shots.
 
-    Each mode draws a thermal excitation number; detections thin them by
-    eta_detect; the switch routes the lowest-index detected mode; a success is
-    at least one retrieved photon from the routed mode.  A switch slower than
-    the memory lifetime voids every success but leaves herald statistics
-    untouched.  Chunks use independent counter-based streams keyed by
-    (seed, chunk index), so results do not depend on chunk_size scheduling
-    only through the fixed chunk partition.
+    Each mode holds a thermal excitation number; detection thins it by
+    eta_detect, the switch routes the lowest-index mode with a detection, and
+    a success is at least one retrieved photon from the routed mode.  A switch
+    slower than the memory lifetime voids every success but leaves the herald
+    statistics untouched.
+
+    The modes are i.i.d., so a shot needs no per-mode draws.  With
+    q = zeta*eta_detect / (1 + zeta*eta_detect) the per-mode chance of a
+    detection, the first firing mode is K ~ Geometric(q) and the shot heralds
+    iff K <= modes.  The routed mode's detected count is then
+    D ~ Geometric(1 - q) (the thermal law given D >= 1), its undetected count
+    U ~ NegBinomial(D + 1, 1 - s(1 - eta_detect)) with s = zeta / (1 + zeta),
+    and its excitation number n = D + U.  Cost is O(shots) and memory
+    O(chunk_size), whatever the mode count.
+
+    Chunks of chunk_size shots draw from counter-based streams keyed by
+    (seed, chunk index), so results depend on (seed, chunk_size); chunk_size
+    sets only that partition and the memory held at once.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
 
-    geo_p = 1.0 / (1.0 + cfg.zeta)  # numpy geometric parameter, support k >= 1
-    heralds = 0
-    successes = 0
-    multis = 0
+    zeta_d = cfg.zeta * cfg.eta_detect
+    q = zeta_d / (1.0 + zeta_d)
+    undetected_p = 1.0 - cfg.p * (1.0 - cfg.eta_detect)
     switch_dead = cfg.switch_latency_s > cfg.memory_lifetime_s
+    heralds = successes = multis = 0
 
-    n_chunks = (shots + chunk_size - 1) // chunk_size
+    # q == 0 (no excitation or a blind detector) never heralds; geometric(0) raises
+    n_chunks = (shots + chunk_size - 1) // chunk_size if q > 0.0 else 0
     for chunk in range(n_chunks):
-        lo = chunk * chunk_size
-        size = min(chunk_size, shots - lo)
+        size = min(chunk_size, shots - chunk * chunk_size)
         rng = shot_rng(seed, chunk)
-        # excitation number per (shot, mode): geometric support shifted to n >= 0
-        n_exc = rng.geometric(geo_p, size=(size, cfg.modes)) - 1
+        n_heralded = int(np.count_nonzero(rng.geometric(q, size) <= cfg.modes))
+        heralds += n_heralded
+        n_exc = rng.geometric(1.0 - q, n_heralded)
         if cfg.eta_detect < 1.0:
-            detected = rng.binomial(n_exc, cfg.eta_detect)
-        else:
-            detected = n_exc
-        fired = detected > 0
-        heralded = fired.any(axis=1)
-        heralds += int(np.count_nonzero(heralded))
-        if not heralded.any():
-            continue
-        routed = np.argmax(fired, axis=1)
-        rows = np.flatnonzero(heralded)
-        routed_n = n_exc[rows, routed[rows]]
-        multis += int(np.count_nonzero(routed_n >= 2))
+            n_exc += rng.negative_binomial(n_exc + 1, undetected_p)
+        multis += int(np.count_nonzero(n_exc >= 2))
         if not switch_dead:
-            if cfg.eta_retrieve < 1.0:
-                retrieved = rng.binomial(routed_n, cfg.eta_retrieve)
-            else:
-                retrieved = routed_n
-            successes += int(np.count_nonzero(retrieved > 0))
+            successes += int(np.count_nonzero(rng.binomial(n_exc, cfg.eta_retrieve)))
 
     return HeraldStats(
         shots=shots,

@@ -129,14 +129,17 @@ def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
     """Header plus a lazy frame iterator, for streaming consumers.
 
     Returns (camera, n_frames, seed, config_checksum, frames).  Readout angles
-    are not part of the format, so iterated frames carry (0, 0) there.
+    are not part of the format, so iterated frames carry (0, 0) there.  The
+    iterator opens the file only when iteration starts, so a caller that never
+    iterates holds no open handle.
     """
-    fh = open(path, "rb")
-    camera, count, seed, checksum = _read_header(fh, path)
+    with open(path, "rb") as fh:
+        camera, count, seed, checksum = _read_header(fh, path)
     pane = camera.height_px * camera.width_px
 
     def frames() -> Iterator[Frame]:
-        try:
+        with open(path, "rb") as fh:
+            fh.seek(_HEADER.size)
             for i in range(count):
                 data = np.fromfile(fh, dtype="<f4", count=2 * pane)
                 if data.size != 2 * pane:
@@ -148,8 +151,6 @@ def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
                     shot_index=i,
                     readout_angle_urad=(0.0, 0.0),
                 )
-        finally:
-            fh.close()
 
     return camera, count, seed, checksum, frames()
 

@@ -1,8 +1,14 @@
 """End-to-end runs of the console entry point, in process via main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ramanmem
 from ramanmem.cli import main
 from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame
@@ -43,7 +49,7 @@ def test_simulate_seed_determinism(tmp_path, cfg_path):
     assert main(base + ["--out", a]) == 0
     assert main(base + ["--out", b]) == 0
     assert main(base + ["--seed", "8", "--out", c]) == 0
-    raw_a, raw_b, raw_c = (open(p, "rb").read() for p in (a, b, c))
+    raw_a, raw_b, raw_c = (Path(p).read_bytes() for p in (a, b, c))
     assert raw_a == raw_b
     assert raw_a != raw_c
 
@@ -165,6 +171,46 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
     for r in rows:
         rate = int(r[3]) / int(r[2])
         assert rate == pytest.approx(float(r[-1]), abs=0.02)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["herald", "--shots", "0"],
+        ["herald", "--sweep-m", "0"],
+        ["herald", "--sweep-m", "10,abc"],
+        ["simulate", "--frames", "0", "--out", "{tmp}/x.rmns"],
+        ["correlate", "--frames", "5", "--ref-x", "3000", "--out", "{tmp}/off"],
+        ["herald", "--seed", "-1"],
+    ],
+    ids=["shots-0", "sweep-m-0", "sweep-m-not-int", "frames-0", "ref-x-off-pane", "seed-neg"],
+)
+def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", cfg_path]
+    assert _exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.rmns").exists()
+
+
+def test_bad_reference_on_a_stack_closes_the_file(tmp_path, cfg_path):
+    stack = str(tmp_path / "run.rmns")
+    assert main(["simulate", "--config", cfg_path, "--frames", "5", "--out", stack]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(ramanmem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "ramanmem", "correlate",
+         "--stack", stack, "--ref-x", "3000", "--out", str(tmp_path / "off")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --ref-x/--ref-y: ")
+    assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_requires_a_subcommand():

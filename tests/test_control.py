@@ -1,12 +1,14 @@
 """Steering solver, feasibility regions and the herald Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanmem import control
 from ramanmem.control import (
     HeraldConfig,
     HeraldStats,
@@ -246,6 +248,96 @@ def test_herald_stats_validation():
         HeraldStats(10, 5, 6, 0, 0.0, 0.0)
     with pytest.raises(ValueError):
         HeraldStats(10, 5, 2, 1, 1.5, 0.0)
+
+
+def test_protocol_stream_is_pinned():
+    # digest of the sampler's random stream: a change here is a stream change
+    hc = HeraldConfig(modes=20, zeta=0.05, eta_detect=0.55, eta_retrieve=0.6)
+    stats = run_herald_protocol(hc, 30_000, seed=11)
+    assert stats == HeraldStats(
+        shots=30_000,
+        heralds=12_678,
+        routed_successes=7_877,
+        multi_excitation_events=875,
+        success_prob=7_877 / 30_000,
+        multi_given_herald=875 / 12_678,
+    )
+    # the streams are keyed per chunk, so the partition is part of the result
+    assert run_herald_protocol(hc, 30_000, seed=11, chunk_size=4096) != stats
+
+
+@pytest.mark.parametrize("kwargs", [{"zeta": 0.0}, {"zeta": 0.5, "eta_detect": 0.0}])
+def test_protocol_without_detections_never_heralds(kwargs):
+    stats = run_herald_protocol(HeraldConfig(modes=10, **kwargs), 1_000, seed=1)
+    assert (stats.heralds, stats.routed_successes, stats.multi_excitation_events) == (0, 0, 0)
+    assert stats.success_prob == 0.0 and stats.multi_given_herald == 0.0
+
+
+class _CallRecorder:
+    """Generator stand-in that records which distributions the sampler draws."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.add(name)
+        return getattr(self._rng, name)
+
+
+def test_unit_detection_skips_undetected_draw(monkeypatch):
+    calls = set()
+    real = control.shot_rng
+    monkeypatch.setattr(control, "shot_rng", lambda seed, i: _CallRecorder(real(seed, i), calls))
+    zeta, shots = 0.3, 60_000
+    stats = run_herald_protocol(HeraldConfig(modes=5, zeta=zeta), shots, seed=21)
+    assert "negative_binomial" not in calls
+    exact = multi_given_herald_exact(zeta)
+    se = math.sqrt(exact * (1 - exact) / stats.heralds)
+    assert abs(stats.multi_given_herald - exact) < 3 * se
+
+    calls.clear()
+    run_herald_protocol(HeraldConfig(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
+    assert "negative_binomial" in calls
+
+
+def _success_given_herald_series(zeta, eta_detect, eta_retrieve, terms=400):
+    """P(>= 1 retrieved | >= 1 detected) for one thermal mode, summed over n."""
+    pn = [zeta**n / (1 + zeta) ** (n + 1) for n in range(terms)]
+    fire = [p * (1 - (1 - eta_detect) ** n) for n, p in enumerate(pn)]
+    both = [f * (1 - (1 - eta_retrieve) ** n) for n, f in enumerate(fire)]
+    return sum(both) / sum(fire)
+
+
+def test_protocol_laws_at_imperfect_efficiencies():
+    zeta, eta_d, eta_r, modes, shots = 0.2, 0.55, 0.6, 8, 200_000
+    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
+    stats = run_herald_protocol(hc, shots, seed=31)
+    h = stats.heralds
+
+    q = zeta * eta_d / (1 + zeta * eta_d)
+    rate = herald_probability(modes, q)
+    assert abs(h / shots - rate) < 3 * math.sqrt(rate * (1 - rate) / shots)
+
+    multi = multi_given_herald_exact(zeta, eta_d)
+    assert abs(stats.multi_given_herald - multi) < 3 * math.sqrt(multi * (1 - multi) / h)
+
+    success = _success_given_herald_series(zeta, eta_d, eta_r)
+    got = stats.routed_successes / h
+    assert abs(got - success) < 3 * math.sqrt(success * (1 - success) / h)
+
+
+def test_protocol_memory_does_not_grow_with_modes():
+    modes, shots = 10**6, 20_000
+    hc = HeraldConfig(modes=modes, zeta=1e-6, eta_detect=0.5, eta_retrieve=0.5)
+    tracemalloc.start()
+    try:
+        stats = run_herald_protocol(hc, shots, seed=41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    rate = herald_probability(modes, 0.5e-6 / (1 + 0.5e-6))
+    assert abs(stats.heralds / shots - rate) < 3 * math.sqrt(rate * (1 - rate) / shots)
 
 
 def test_protocol_argument_validation():
