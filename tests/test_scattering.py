@@ -1,5 +1,6 @@
 """Mode grid construction, thermal sampling and frame rendering."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanmem.cli import main
 from ramanmem.config import default_config
 from ramanmem.geometry import Angle2D, BeamGeometry, CameraGeometry
 from ramanmem.scattering import (
@@ -282,3 +284,34 @@ def test_frames_independent_of_history(idx):
             from_stream = candidate
     np.testing.assert_array_equal(fr.stokes, from_stream.stokes)
     np.testing.assert_array_equal(fr.anti_stokes, from_stream.anti_stokes)
+
+
+# --- pinned output ------------------------------------------------------------
+
+# sha256 of the .rmns files the renderer wrote when these digests were pinned.
+# A renderer change that moves even one Poisson count changes a digest; such a
+# change is an output change and must be recorded as one, never re-seeded away.
+PINNED_DEFAULT_DIGEST = "d382b3fed89d68c78ae5b6a4422043aed47ff6b86af923da6d8044df4492c6f8"
+PINNED_SCHEDULE_DIGEST = "ce9b017f8de74258bae5016c83a2df3ccd58fc3434e8ec8c693e1a8a09aa853c"
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_stack_digest_is_pinned(tmp_path):
+    out = tmp_path / "run.rmns"
+    assert main(["simulate", "--frames", "6", "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_DEFAULT_DIGEST
+
+
+def test_scheduled_stack_digest_is_pinned(tmp_path):
+    # three AOD drive tones, 0.25 MHz apart around the 80 MHz base, cycled
+    tones = (79.75e6, 80.0e6, 80.25e6)
+    sched = tmp_path / "sched.csv"
+    sched.write_text(
+        "shot,drive_freq_hz\n" + "".join(f"{i},{tones[i % 3]!r}\n" for i in range(6))
+    )
+    out = tmp_path / "sched.rmns"
+    assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_SCHEDULE_DIGEST
