@@ -40,17 +40,13 @@ from .analysis import (
     GaussianSpotFit,
     MomentAccumulator,
     Reference,
-    VirtualFiber,
     accumulate,
-    accumulate_stack,
     correlation_map,
     count_modes,
     cross_section,
-    fiber_series,
     fit_gaussian_spot,
     locate_twin_spot,
     merge,
-    virtual_fiber_intensity,
 )
 from .control import (
     FeasibleRegion,

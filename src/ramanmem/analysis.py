@@ -15,13 +15,13 @@ a Levenberg damping fallback and a numeric Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import FWHM_PER_SIGMA, Angle2D, CameraGeometry
-from .scattering import Frame, FrameStack
+from .scattering import Frame
 
 __all__ = [
     "PANES",
@@ -30,18 +30,14 @@ __all__ = [
     "CorrelationMap",
     "CrossSection",
     "GaussianSpotFit",
-    "VirtualFiber",
     "accumulate",
     "accumulate_many",
-    "accumulate_stack",
     "merge",
     "correlation_map",
     "cross_section",
     "fit_gaussian_spot",
     "locate_twin_spot",
     "count_modes",
-    "virtual_fiber_intensity",
-    "fiber_series",
     "map_to_csv",
     "map_to_pgm",
     "fit_to_csv",
@@ -174,30 +170,6 @@ def accumulate_many(accs: Sequence[MomentAccumulator], frame: Frame) -> None:
         acc.sum_ref += ref
         acc.sum_ref2 += ref * ref
         acc.n += 1
-
-
-def accumulate_stack(
-    stack: FrameStack, reference: Reference, block: int = 256
-) -> MomentAccumulator:
-    """Accumulate a whole in-memory stack (blocked, same exact sums)."""
-    acc = MomentAccumulator.empty(stack.camera, reference)
-    pidx = _pane_index(reference.pane)
-    panes = (stack.stokes, stack.anti_stokes)
-    for lo in range(0, stack.n_frames, block):
-        hi = min(lo + block, stack.n_frames)
-        s = panes[0][lo:hi].astype(np.float64)
-        a = panes[1][lo:hi].astype(np.float64)
-        both = np.stack([s, a], axis=1)  # (B, 2, H, W)
-        ref = panes[pidx][lo:hi][:, reference.pixel_rows, reference.pixel_cols].astype(
-            np.float64
-        ).sum(axis=1)
-        acc.sum_i += both.sum(axis=0)
-        acc.sum_i2 += (both * both).sum(axis=0)
-        acc.sum_ii_ref += np.tensordot(ref, both, axes=([0], [0]))
-        acc.sum_ref += float(ref.sum())
-        acc.sum_ref2 += float((ref * ref).sum())
-        acc.n += hi - lo
-    return acc
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
@@ -362,8 +334,10 @@ def fit_gaussian_spot(
     """Least-squares 2-d Gaussian (amplitude, centre, widths, offset).
 
     NaN pixels are ignored.  Gauss-Newton steps with Levenberg damping as the
-    fallback; the Jacobian is numeric (forward differences).  Non-convergence
-    is reported on the result, not raised.
+    fallback; the Jacobian is numeric (forward differences).  The fit has
+    converged once a step is below rel_step_tol of the parameters or moves the
+    cost by no more than rounding (1e-12 of it).  Non-convergence is reported
+    on the result, not raised.
     """
     z2d = np.asarray(values, dtype=float)
     gx2d, gy2d = np.meshgrid(np.asarray(x_axis_urad, float), np.asarray(y_axis_urad, float))
@@ -440,20 +414,23 @@ def fit_gaussian_spot(
             trial[4] = abs(trial[4])
             r_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
+            # a proposal that moves the cost only by rounding cannot be told
+            # apart from the current point: we are at the minimum
+            at_minimum = abs(cost_trial - cost) <= 1e-12 * cost
             if math.isfinite(cost_trial) and cost_trial <= cost:
                 step = dp
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-12)
                 break
-            if float(np.max(np.abs(dp) / np.maximum(np.abs(p), scale))) < rel_step_tol:
-                # the damped proposal is already below the step tolerance and
+            tiny_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p), scale))) < rel_step_tol
+            if at_minimum or tiny_step:
                 # the cost cannot be reduced further: we are at the minimum
                 return succeeded(p, iters)
             lam *= 10.0
         if step is None:
             return failed(p, iters)
         rel = float(np.max(np.abs(step) / np.maximum(np.abs(p), scale)))
-        if rel < rel_step_tol:
+        if rel < rel_step_tol or at_minimum:
             return succeeded(p, iters)
     return failed(p, max_iterations)
 
@@ -486,7 +463,7 @@ def locate_twin_spot(
 
 
 # ---------------------------------------------------------------------------
-# mode counting and virtual fibers
+# mode counting
 
 
 def count_modes(envelope_fwhm_urad, spot_fwhm_urad) -> int:
@@ -503,36 +480,6 @@ def count_modes(envelope_fwhm_urad, spot_fwhm_urad) -> int:
     if np.any(env < spot):
         raise ValueError("envelope narrower than a single spot")
     return int(round(2.0 * float(env[0] * env[1]) / float(spot[0] * spot[1])))
-
-
-@dataclass(frozen=True)
-class VirtualFiber:
-    """Software detection disc on one pane."""
-
-    pane: str
-    center: Angle2D
-    radius_urad: float
-
-    def __post_init__(self) -> None:
-        _pane_index(self.pane)
-        if self.radius_urad < 0.0 or not math.isfinite(self.radius_urad):
-            raise ValueError(f"fiber radius must be >= 0, got {self.radius_urad!r}")
-
-
-def virtual_fiber_intensity(frame: Frame, camera: CameraGeometry, fiber: VirtualFiber) -> float:
-    """Total counts inside the fiber disc for one frame (0 if it covers no pixel)."""
-    mask = _fiber_pixel_mask(camera, fiber.center, fiber.radius_urad)
-    pane = frame.stokes if fiber.pane == "stokes" else frame.anti_stokes
-    return float(pane[mask].sum())
-
-
-def fiber_series(stack: FrameStack, fiber: VirtualFiber) -> np.ndarray:
-    """Per-shot fiber intensities over a stack."""
-    mask = _fiber_pixel_mask(stack.camera, fiber.center, fiber.radius_urad)
-    pane = stack.stokes if fiber.pane == "stokes" else stack.anti_stokes
-    if not mask.any():
-        return np.zeros(stack.n_frames)
-    return pane[:, mask].astype(np.float64).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,13 @@ EXIT_FIT_FAILED = 4
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     run = cfg.run
-    if getattr(args, "seed", None) is not None:
-        run = dataclasses.replace(run, seed=args.seed)
-    if getattr(args, "frames", None) is not None:
-        run = dataclasses.replace(run, n_frames=args.frames)
+    try:
+        if getattr(args, "seed", None) is not None:
+            run = dataclasses.replace(run, seed=args.seed)
+        if getattr(args, "frames", None) is not None:
+            run = dataclasses.replace(run, n_frames=args.frames)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path="--seed/--frames") from None
     return dataclasses.replace(cfg, run=run)
 
 
@@ -149,15 +152,20 @@ def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
 
 def cmd_steer(args) -> int:
     cfg = _load_config(args)
-    target = Angle2D(args.target_x, args.target_y)
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)
-    fibers = _fiber_grid(args, cfg)
     checksum = cfg.checksum()
+    try:
+        target = Angle2D(args.target_x, args.target_y)
+        fibers = _fiber_grid(args, cfg)
+        refs = [_make_reference(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers]
+    except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
+        raise ConfigError(str(exc), path="--target-*/--fiber-*") from None
+    try:  # each compensated pass runs on its own seed
+        run_cfgs = [cfg.with_seed(cfg.run.seed + 1000 * (i + 1)) for i in range(len(fibers))]
+    except ValueError as exc:
+        raise ConfigError(f"per-fiber seed out of range: {exc}", path="--seed") from None
 
     # baseline pass, no compensation: one run, every fiber as a reference
-    refs = [
-        _make_reference(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers
-    ]
     accs = [analysis.MomentAccumulator.empty(cfg.camera, r) for r in refs]
     for frame in scattering.iter_simulated_frames(cfg):
         analysis.accumulate_many(accs, frame)
@@ -203,7 +211,7 @@ def cmd_steer(args) -> int:
             any_unreachable = True
             rows.append(row)
             continue
-        run_cfg = cfg.with_seed(cfg.run.seed + 1000 * (i + 1))
+        run_cfg = run_cfgs[i]
         acc = analysis.MomentAccumulator.empty(cfg.camera, refs[i])
         for frame in scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read):
             analysis.accumulate(acc, frame)
@@ -345,6 +353,16 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (0.0 <= value < float("inf")):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _mode_counts(text: str) -> list[int]:
     return [_positive_int(m) for m in text.split(",")]
 
@@ -378,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ref-pane", choices=analysis.PANES, default="stokes", help="pane holding the reference"
     )
     p_cor.add_argument(
-        "--ref-radius", type=float, default=0.0,
+        "--ref-radius", type=_radius, default=0.0,
         help="virtual fiber radius in urad (0 = single pixel)",
     )
     p_cor.add_argument("--out", required=True, help="output prefix for CSV/PGM/fit files")
@@ -390,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_steer)
     p_steer.add_argument("--target-x", type=float, default=54.0, help="target angle x, urad")
     p_steer.add_argument("--target-y", type=float, default=6.0, help="target angle y, urad")
-    p_steer.add_argument("--fibers", type=int, default=5, help="number of Stokes fibers")
+    p_steer.add_argument(
+        "--fibers", type=_positive_int, default=5, help="number of Stokes fibers"
+    )
     p_steer.add_argument(
         "--fiber-span", type=float, default=300.0,
         help="spread of fiber y positions, urad (centred on 0)",
@@ -400,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fiber column x, urad (default: the column the y axis can serve)",
     )
     p_steer.add_argument(
-        "--fiber-radius", type=float, default=0.0,
+        "--fiber-radius", type=_radius, default=0.0,
         help="reference fiber radius in urad (0 = single pixel)",
     )
     p_steer.add_argument("--out", help="per-fiber report CSV")

@@ -56,14 +56,18 @@ class ModeGridParams:
     grid_margin_sigma: float = 3.0
 
 
+# seeds key counter-based Philox streams and are stored as u64 in stack headers
+SEED_MAX = 2**64 - 1
+
+
 @dataclass(frozen=True)
 class RunParams:
     seed: int = 12345
     n_frames: int = 10000
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
 

@@ -266,13 +266,14 @@ def sample_shot(
 
 def _separable_basis(
     centers_urad: np.ndarray, sigma_urad: np.ndarray, camera: CameraGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode pixel deposit patterns on one pane.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Per-mode pixel deposit patterns on one pane, as per-axis factors.
 
-    Returns (basis, in_pane) where basis[m] is an (H, W) array integrating to
-    ~1 over an unbounded pane and in_pane[m] flags modes whose centre lands on
-    the pane.  Off-pane modes get an all-zero row; the caller accounts for
-    their energy separately.
+    Returns ((wy, wx_alpha), in_pane).  Mode m deposits the (H, W) pattern
+    outer(wy[m], wx_alpha[m]), which integrates to ~1 over an unbounded pane;
+    the (M, H, W) stack of patterns is never built.  in_pane[m] flags modes
+    whose centre lands on the pane.  Off-pane modes get all-zero rows; the
+    caller accounts for their energy separately.
     """
     ax, ay = camera.pixel_angle_axes()
     cx = centers_urad[:, 0][:, None]
@@ -282,7 +283,7 @@ def _separable_basis(
     wx = np.exp(-0.5 * ((ax[None, :] - cx) / sig) ** 2)
     wy = np.exp(-0.5 * ((ay[None, :] - cy) / sig) ** 2)
     alpha = camera.pitch_urad**2 / (2.0 * math.pi * sigma_urad**2)
-    basis = np.einsum("mh,mw->mhw", wy, wx * alpha[:, None])
+    wx_alpha = wx * alpha[:, None]
 
     ox, oy = camera.origin_px
     lo_x, hi_x = -ox * camera.pitch_urad, (camera.width_px - 1 - ox) * camera.pitch_urad
@@ -294,17 +295,20 @@ def _separable_basis(
         & (centers_urad[:, 1] >= lo_y - half_px)
         & (centers_urad[:, 1] < hi_y + half_px)
     )
-    basis[~in_pane] = 0.0
-    return basis, in_pane
+    wy[~in_pane] = 0.0
+    wx_alpha[~in_pane] = 0.0
+    return (wy, wx_alpha), in_pane
 
 
-def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> tuple[np.ndarray, np.ndarray]:
+def stokes_basis(
+    ms: ModeSet, camera: CameraGeometry
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return _separable_basis(ms.centers_urad, ms.sigma_urad, camera)
 
 
 def anti_stokes_basis(
     ms: ModeSet, theta_read_urad: Sequence[float], camera: CameraGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     centers = ms.anti_stokes_centers_urad(theta_read_urad)
     return _separable_basis(centers, ms.sigma_urad, camera)
 
@@ -336,7 +340,7 @@ class Frame:
 
 def _render_with_bases(
     intensities: tuple[np.ndarray, np.ndarray],
-    bases: tuple[np.ndarray, np.ndarray],
+    bases: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     masks: tuple[np.ndarray, np.ndarray],
     shot_index: int,
     theta_read_urad: Sequence[float],
@@ -344,8 +348,9 @@ def _render_with_bases(
     noise_floor: float,
 ) -> Frame:
     i_s, i_as = intensities
-    mean_s = np.tensordot(i_s, bases[0], axes=1) + noise_floor
-    mean_a = np.tensordot(i_as, bases[1], axes=1) + noise_floor
+    (wy_s, wxa_s), (wy_a, wxa_a) = bases
+    mean_s = wy_s.T @ (i_s[:, None] * wxa_s) + noise_floor
+    mean_a = wy_a.T @ (i_as[:, None] * wxa_a) + noise_floor
     counts = rng.poisson(np.stack([mean_s, mean_a]))
     tr = np.asarray(theta_read_urad, dtype=float)
     n_clip = int(np.sum(~masks[0]) + np.sum(~masks[1]))
@@ -461,12 +466,14 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     sched = _normalize_schedule(schedule, n)
 
     b_s, m_s = stokes_basis(ms, camera)
-    as_cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+    # only the current tilt's factors are held: a schedule whose every frame
+    # has its own tilt rebuilds them (M * (H + W) exponentials) each frame
+    tr_built = None
     for i in range(n):
         tr = (float(sched[i, 0]), float(sched[i, 1]))
-        if tr not in as_cache:
-            as_cache[tr] = anti_stokes_basis(ms, tr, camera)
-        b_a, m_a = as_cache[tr]
+        if tr != tr_built:
+            b_a, m_a = anti_stokes_basis(ms, tr, camera)
+            tr_built = tr
         rng = shot_rng(s, i)
         intensities = sample_shot(ms, rm, tr, rng)
         yield _render_with_bases(

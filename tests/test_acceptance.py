@@ -226,9 +226,10 @@ def test_criterion_6_estimator_correctness():
     cfg = default_config()
     stack = scattering.simulate_stack(cfg, n_frames=100, seed=61)
     ref = analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    streamed = analysis.correlation_map(
-        analysis.accumulate_stack(stack, ref), cfg.camera
-    )
+    acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
+    for frame in stack:
+        analysis.accumulate(acc, frame)
+    streamed = analysis.correlation_map(acc, cfg.camera)
 
     # naive two-pass oracle in float64
     ry, rx = int(ref.pixel_rows[0]), int(ref.pixel_cols[0])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from ramanmem import analysis as an
 from ramanmem.config import default_config
+from ramanmem.control import compensating_readout
 from ramanmem.geometry import Angle2D, CameraGeometry
-from ramanmem.scattering import Frame, simulate_stack
+from ramanmem.scattering import Frame, iter_simulated_frames, simulate_stack
 
 CAM4 = CameraGeometry(width_px=4, height_px=4, pixel_pitch_m=7.5e-6, f3_m=0.5)
 
@@ -23,6 +24,13 @@ def make_frame(stokes, anti, i=0):
         shot_index=i,
         readout_angle_urad=(0.0, 0.0),
     )
+
+
+def accumulate_all(camera, ref, frames):
+    acc = an.MomentAccumulator.empty(camera, ref)
+    for fr in frames:
+        an.accumulate(acc, fr)
+    return acc
 
 
 def proportional_frames(values=(1.0, 2.0, 3.0), gain=2.0):
@@ -110,7 +118,7 @@ def test_correlation_bound_on_simulated_data():
     cfg = default_config()
     stack = simulate_stack(cfg, n_frames=120, seed=77)
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 150.0))
-    cmap = an.correlation_map(an.accumulate_stack(stack, ref), cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, stack), cfg.camera)
     finite = cmap.values[np.isfinite(cmap.values)]
     assert finite.size > 0
     assert np.abs(finite).max() <= 1.0 + 1e-9
@@ -120,7 +128,7 @@ def test_streaming_equals_two_pass():
     cfg = default_config()
     stack = simulate_stack(cfg, n_frames=60, seed=13)
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    cmap = an.correlation_map(an.accumulate_stack(stack, ref), cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, stack), cfg.camera)
 
     # naive two-pass estimator straight from the definition
     data = np.stack([stack.stokes, stack.anti_stokes], axis=1).astype(np.float64)
@@ -132,22 +140,6 @@ def test_streaming_equals_two_pass():
 
     both = np.isfinite(cmap.values)
     np.testing.assert_allclose(cmap.values[both], naive[both], rtol=1e-12, atol=1e-13)
-
-
-def test_accumulate_stack_equals_frame_loop():
-    cfg = default_config()
-    stack = simulate_stack(cfg, n_frames=23, seed=41)
-    ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    blocked = an.accumulate_stack(stack, ref, block=7)
-    looped = an.MomentAccumulator.empty(cfg.camera, ref)
-    for fr in stack:
-        an.accumulate(looped, fr)
-    # integer counts make the sums exact, so any order gives identical floats
-    np.testing.assert_array_equal(blocked.sum_i, looped.sum_i)
-    np.testing.assert_array_equal(blocked.sum_i2, looped.sum_i2)
-    np.testing.assert_array_equal(blocked.sum_ii_ref, looped.sum_ii_ref)
-    assert blocked.sum_ref == looped.sum_ref
-    assert blocked.sum_ref2 == looped.sum_ref2
 
 
 def test_merge_is_bit_stable_under_partitioning():
@@ -290,6 +282,25 @@ def test_fit_survives_noise():
     assert fit.rms_residual == pytest.approx(0.02, rel=0.3)
 
 
+def test_fit_converges_when_only_rounding_moves_the_cost():
+    # steer's compensated pass of fiber 3 at seed 62873276 (300 frames): the
+    # fit reaches the minimum while its steps are still just above the step
+    # tolerance, and every damped proposal moves the cost only by rounding
+    cfg = default_config().with_seed(62873276 + 4000)
+    ratio = cfg.geometry.lambda_read_m / cfg.geometry.lambda_write_m
+    fiber = Angle2D(-54.0 / ratio, 75.0)
+    cmd = compensating_readout(
+        fiber, Angle2D(0.0, 0.0), Angle2D(54.0, 6.0), cfg.chain, cfg.geometry
+    )
+    ref = an.Reference.pixel(cfg.camera, "stokes", fiber)
+    frames = iter_simulated_frames(cfg, n_frames=300, schedule=cmd.theta_read)
+    acc = accumulate_all(cfg.camera, ref, frames)
+    fit = an.locate_twin_spot(an.correlation_map(acc, cfg.camera))
+    assert fit.converged
+    assert fit.center_x_urad == pytest.approx(53.9253, abs=1e-3)
+    assert fit.center_y_urad == pytest.approx(2.4207, abs=1e-3)
+
+
 def test_fit_reports_failure_on_empty_window():
     z = np.full((9, 9), np.nan)
     ax = np.arange(9.0)
@@ -375,38 +386,6 @@ def test_count_modes_quadratic_scaling(scale):
     assert scaled == round(base * scale * scale) or abs(
         scaled - base * scale * scale
     ) <= 1.0
-
-
-# --- virtual fibers ---------------------------------------------------------------
-
-
-def test_virtual_fiber_intensity():
-    fr = make_frame(np.arange(16.0).reshape(4, 4), np.zeros((4, 4)))
-    center = CAM4.pixel_to_angle(2, 2)
-    fiber = an.VirtualFiber("stokes", center, CAM4.pitch_urad)
-    assert an.virtual_fiber_intensity(fr, CAM4, fiber) == 10.0
-    wide = an.VirtualFiber("stokes", center, CAM4.pitch_urad * 1.01)
-    assert an.virtual_fiber_intensity(fr, CAM4, wide) == 10.0 + 6.0 + 14.0 + 9.0 + 11.0
-    nothing = an.VirtualFiber("stokes", center, 0.0)
-    assert an.virtual_fiber_intensity(fr, CAM4, nothing) == 0.0
-
-
-def test_fiber_series_over_stack():
-    cfg = default_config()
-    stack = simulate_stack(cfg, n_frames=5, seed=2)
-    fiber = an.VirtualFiber("anti_stokes", Angle2D(0.0, 0.0), 30.0)
-    series = an.fiber_series(stack, fiber)
-    assert series.shape == (5,)
-    assert (series >= 0).all()
-    # spot check one frame against the scalar path
-    assert series[3] == an.virtual_fiber_intensity(stack.frame(3), cfg.camera, fiber)
-
-
-def test_virtual_fiber_validation():
-    with pytest.raises(ValueError):
-        an.VirtualFiber("stokes", Angle2D(0, 0), -1.0)
-    with pytest.raises(ValueError):
-        an.VirtualFiber("neither", Angle2D(0, 0), 1.0)
 
 
 # --- exports -----------------------------------------------------------------------

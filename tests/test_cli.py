@@ -189,8 +189,26 @@ def _exit_code(argv):
         ["simulate", "--frames", "0", "--out", "{tmp}/x.rmns"],
         ["correlate", "--frames", "5", "--ref-x", "3000", "--out", "{tmp}/off"],
         ["herald", "--seed", "-1"],
+        ["steer", "--fibers", "0"],
+        ["steer", "--fibers", "-2"],
+        ["steer", "--fiber-span", "3000"],
+        ["steer", "--fiber-span", "30000"],
+        ["herald", "--seed", str(2**64)],
+        ["correlate", "--frames", "5", "--seed", str(2**64), "--out", "{tmp}/big"],
+        ["simulate", "--frames", "5", "--seed", str(2**64), "--out", "{tmp}/x.rmns"],
+        ["steer", "--frames", "5", "--seed", str(2**64 - 1000)],
+        ["correlate", "--frames", "5", "--ref-radius", "-5", "--out", "{tmp}/neg"],
+        ["correlate", "--frames", "5", "--ref-radius", "nan", "--out", "{tmp}/nan"],
+        ["steer", "--frames", "5", "--fiber-radius", "-5"],
+        ["steer", "--frames", "5", "--fiber-radius", "nan"],
     ],
-    ids=["shots-0", "sweep-m-0", "sweep-m-not-int", "frames-0", "ref-x-off-pane", "seed-neg"],
+    ids=[
+        "shots-0", "sweep-m-0", "sweep-m-not-int", "frames-0", "ref-x-off-pane", "seed-neg",
+        "fibers-0", "fibers-neg", "fibers-off-pane", "fibers-past-paraxial",
+        "herald-seed-2^64", "correlate-seed-2^64", "simulate-seed-2^64",
+        "steer-fiber-seed-past-2^64", "ref-radius-neg", "ref-radius-nan",
+        "fiber-radius-neg", "fiber-radius-nan",
+    ],
 )
 def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", cfg_path]

@@ -113,6 +113,15 @@ def test_semantic_errors_become_config_errors():
         parse_config("[herald]\nzeta = 0.25\np = 0.5\n")
 
 
+def test_seed_must_fit_in_64_bits():
+    assert parse_config(f"[run]\nseed = {2**64 - 1}\n").run.seed == 2**64 - 1
+    for bad in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must lie in"):
+            parse_config(f"[run]\nseed = {bad}\n")
+    with pytest.raises(ValueError, match="seed must lie in"):
+        default_config().with_seed(2**64)
+
+
 def test_herald_zeta_override_recomputes_p():
     cfg = parse_config("[herald]\nzeta = 0.25\n")
     assert cfg.herald.zeta == 0.25

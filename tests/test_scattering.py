@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ramanmem.scattering import (
     sample_shot,
     shot_rng,
     simulate_stack,
+    stokes_basis,
 )
 
 GEOM = BeamGeometry(3.5e-3, 3.5e-3, 6.0e-3, 0.1, 795e-9, 780e-9)
@@ -165,6 +167,25 @@ def test_sample_shot_scales_by_eta():
 # --- rendering --------------------------------------------------------------
 
 
+def test_factored_mean_matches_per_mode_gaussians():
+    # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
+    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    cam = small_camera(24)
+    (wy, wx_alpha), in_pane = stokes_basis(ms, cam)
+    assert wy.shape == (ms.n_modes, cam.height_px)
+    assert wx_alpha.shape == (ms.n_modes, cam.width_px)
+    assert 0 < in_pane.sum() < ms.n_modes
+    i_s = np.random.default_rng(4).exponential(1000.0, ms.n_modes)
+    gx, gy = np.meshgrid(*cam.pixel_angle_axes())
+    expected = np.zeros((cam.height_px, cam.width_px))
+    for m in np.flatnonzero(in_pane):
+        (cx, cy), sig = ms.centers_urad[m], ms.sigma_urad[m]
+        r2 = (gx - cx) ** 2 + (gy - cy) ** 2
+        area = cam.pitch_urad**2 / (2 * math.pi * sig**2)
+        expected += i_s[m] * area * np.exp(-r2 / (2 * sig**2))
+    np.testing.assert_allclose(wy.T @ (i_s[:, None] * wx_alpha), expected, rtol=1e-12)
+
+
 def test_render_dark_frame():
     ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
     zeros = np.zeros(ms.n_modes)
@@ -264,6 +285,20 @@ def test_schedule_shape_mismatch_raises():
     cfg = default_config()
     with pytest.raises(ValueError, match="schedule"):
         list(iter_simulated_frames(cfg, n_frames=3, schedule=np.zeros((2, 2)), seed=5))
+
+
+def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
+    cfg = default_config()
+    n = 200
+    sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
+    tracemalloc.start()
+    try:
+        for _ in iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=3):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @given(st.integers(min_value=0, max_value=50))
