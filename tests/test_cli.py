@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point, in process via main()."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -152,6 +153,21 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
     assert len(rows) == 5
     reachable = [r for r in rows if r[3] == "1"]
     assert 1 <= len(reachable) < 5
+
+
+def test_steer_report_digest_is_pinned(tmp_path, capsys):
+    """A small default-config steer writes the same report bytes on every run.
+
+    The digest was recorded before the conjugate law moved to angle form and
+    before steer's ingest loops were folded into one helper; any byte that
+    moves is an output change to document, not to re-pin silently.
+    """
+    report = tmp_path / "steer.csv"
+    rc = main(["steer", "--frames", "200", "--fibers", "2", "--seed", "50", "--out", str(report)])
+    assert rc == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "f0fa4b15cddcea1a87fb9cedaedfa25cdbd63bed0aaca4104b7185f3335342c6"
+    )
 
 
 def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
