@@ -12,13 +12,10 @@ from .geometry import (
     BeamGeometry,
     CameraGeometry,
     OpticalChain,
-    TransverseWavevector,
-    angle_to_k,
     aod_chain_angle,
     conjugate_angles,
     drive_frequency_for,
     fresnel_number,
-    k_to_angle,
     phase_match,
     spinwave_angular_precision_urad,
 )

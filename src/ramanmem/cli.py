@@ -42,14 +42,20 @@ def _make_reference(camera, pane: str, angle: Angle2D, radius_urad: float) -> an
     return analysis.Reference.pixel(camera, pane, angle)
 
 
+def _require_map_frames(count: int, source: str) -> None:
+    if count < 2:
+        raise ConfigError(f"a correlation map needs at least 2 frames, got {count}", path=source)
+
+
 def _correlate_frames(
-    frames: Iterable[scattering.Frame], camera, reference: analysis.Reference,
+    frames: Iterable[scattering.Frame], camera, references: list[analysis.Reference],
     seed: int, checksum: int,
-) -> analysis.CorrelationMap:
-    acc = analysis.MomentAccumulator.empty(camera, reference)
+) -> list[analysis.CorrelationMap]:
+    """One pass over the frames, one correlation map per reference."""
+    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
     for frame in frames:
-        analysis.accumulate(acc, frame)
-    return analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum)
+        analysis.accumulate_many(accs, frame)
+    return [analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum) for acc in accs]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +66,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     schedule = None
     if args.schedule:
-        schedule = control.load_schedule(args.schedule, cfg.chain)
+        try:
+            schedule = control.load_schedule(args.schedule, cfg.chain)
+        except ValueError as exc:  # unknown columns, a bad cell or a tone outside the band
+            raise ConfigError(str(exc), path=args.schedule) from None
         if len(schedule) != cfg.run.n_frames:
             raise ConfigError(
                 f"schedule has {len(schedule)} rows but the run asks for "
@@ -84,14 +93,30 @@ def cmd_simulate(args) -> int:
 # correlate
 
 
+def _stack_source(path: str):
+    """iter_stack with a bad header or a truncated body reported as a ConfigError."""
+    try:
+        camera, count, seed, checksum, frames = stackio.iter_stack(path)
+    except ValueError as exc:  # bad magic or version, or a truncated header
+        raise ConfigError(str(exc), path=path) from None
+
+    def checked() -> Iterator[scattering.Frame]:
+        try:
+            yield from frames
+        except ValueError as exc:  # truncated body
+            raise ConfigError(str(exc), path=path) from None
+
+    return camera, count, seed, checksum, checked()
+
+
 def _frame_source(args, cfg: Optional[ExperimentConfig]):
-    """Yields (camera, seed, checksum, frame iterator) from a file or a fresh run."""
+    """(camera, frame count, seed, checksum, frame iterator) from a file or a fresh run."""
     if args.stack:
-        camera, _count, seed, checksum, frames = stackio.iter_stack(args.stack)
-        return camera, seed, checksum, frames
+        return _stack_source(args.stack)
     assert cfg is not None
     return (
         cfg.camera,
+        cfg.run.n_frames,
         cfg.run.seed,
         cfg.checksum(),
         scattering.iter_simulated_frames(cfg),
@@ -100,13 +125,14 @@ def _frame_source(args, cfg: Optional[ExperimentConfig]):
 
 def cmd_correlate(args) -> int:
     cfg = None if args.stack else _load_config(args)
-    camera, seed, checksum, frames = _frame_source(args, cfg)
+    camera, count, seed, checksum, frames = _frame_source(args, cfg)
+    _require_map_frames(count, args.stack or "--frames")
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
         reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
-    cmap = _correlate_frames(frames, camera, reference, seed, checksum)
+    (cmap,) = _correlate_frames(frames, camera, [reference], seed, checksum)
 
     prefix = args.out
     for pane in analysis.PANES:
@@ -152,6 +178,7 @@ def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
 
 def cmd_steer(args) -> int:
     cfg = _load_config(args)
+    _require_map_frames(cfg.run.n_frames, "--frames")
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)
     checksum = cfg.checksum()
     try:
@@ -166,13 +193,10 @@ def cmd_steer(args) -> int:
         raise ConfigError(f"per-fiber seed out of range: {exc}", path="--seed") from None
 
     # baseline pass, no compensation: one run, every fiber as a reference
-    accs = [analysis.MomentAccumulator.empty(cfg.camera, r) for r in refs]
-    for frame in scattering.iter_simulated_frames(cfg):
-        analysis.accumulate_many(accs, frame)
-    baseline_fits = []
-    for acc in accs:
-        cmap = analysis.correlation_map(acc, cfg.camera, cfg.run.seed, checksum)
-        baseline_fits.append(analysis.locate_twin_spot(cmap))
+    baseline_maps = _correlate_frames(
+        scattering.iter_simulated_frames(cfg), cfg.camera, refs, cfg.run.seed, checksum
+    )
+    baseline_fits = [analysis.locate_twin_spot(cmap) for cmap in baseline_maps]
     fit_failed = any(not f.converged for f in baseline_fits)
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
@@ -212,10 +236,10 @@ def cmd_steer(args) -> int:
             rows.append(row)
             continue
         run_cfg = run_cfgs[i]
-        acc = analysis.MomentAccumulator.empty(cfg.camera, refs[i])
-        for frame in scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read):
-            analysis.accumulate(acc, frame)
-        cmap = analysis.correlation_map(acc, cfg.camera, run_cfg.run.seed, checksum)
+        (cmap,) = _correlate_frames(
+            scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read),
+            cfg.camera, [refs[i]], run_cfg.run.seed, checksum,
+        )
         fit = analysis.locate_twin_spot(cmap)
         if not fit.converged:
             fit_failed = True

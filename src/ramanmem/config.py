@@ -58,6 +58,8 @@ class ModeGridParams:
 
 # seeds key counter-based Philox streams and are stored as u64 in stack headers
 SEED_MAX = 2**64 - 1
+# stack headers store the frame count as u32
+N_FRAMES_MAX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class RunParams:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= SEED_MAX:
             raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+        if not 1 <= self.n_frames <= N_FRAMES_MAX:
+            raise ValueError(f"n_frames must lie in [1, 2**32 - 1], got {self.n_frames}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .geometry import (
     BeamGeometry,
     OpticalChain,
     aod_chain_angle,
+    conjugate_angles,
     drive_frequency_for,
     phase_match,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "run_herald_protocol",
     "load_schedule",
     "save_schedule",
-    "herald_stats_to_csv",
 ]
 
 # tolerance (urad) for readout components the chain cannot actuate; these must
@@ -80,11 +80,15 @@ def _deflection_band_urad(chain: OpticalChain) -> tuple[float, float]:
 def _required_readout(
     theta_s: Angle2D, theta_w: Angle2D, target_as: Angle2D, geom: BeamGeometry
 ) -> Angle2D:
-    """Solve k_as = k_w - k_s + k_r for theta_r, all in urad."""
-    ratio = geom.lambda_read_m / geom.lambda_write_m
-    tx = target_as.theta_x - ratio * (theta_w.theta_x - theta_s.theta_x)
-    ty = target_as.theta_y - ratio * (theta_w.theta_y - theta_s.theta_y)
-    return Angle2D(tx, ty)
+    """Readout tilt (urad) whose conjugate of theta_s lands on target_as.
+
+    The conjugate law is theta_r plus a term free of theta_r, so the tilt is
+    the target minus the law evaluated at zero readout.
+    """
+    shift = conjugate_angles(
+        theta_w.as_array(), theta_s.as_array(), np.zeros(2), geom.lambda_write_m, geom.lambda_read_m
+    )
+    return Angle2D.from_array(target_as.as_array() - shift)
 
 
 def compensating_readout(
@@ -373,32 +377,21 @@ def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if any(len(r) != len(header) for r in rows):
+        raise ValueError(f"every schedule row needs {len(header)} cells, one per header column")
     cols = {name: idx for idx, name in enumerate(header)}
     if "theta_read_x_urad" in cols and "theta_read_y_urad" in cols:
-        out = np.array(
-            [[float(r[cols["theta_read_x_urad"]]), float(r[cols["theta_read_y_urad"]])] for r in rows]
-        )
-        return out
-    if "drive_freq_hz" in cols:
+        # Angle2D rejects NaN, infinite and super-paraxial tilts
+        angles = [
+            Angle2D(float(r[cols["theta_read_x_urad"]]), float(r[cols["theta_read_y_urad"]]))
+            for r in rows
+        ]
+    elif "drive_freq_hz" in cols:
         if chain is None:
             raise ValueError("schedule gives drive frequencies; an OpticalChain is required")
         angles = [aod_chain_angle(float(r[cols["drive_freq_hz"]]), chain) for r in rows]
-        return np.array([[a.theta_x, a.theta_y] for a in angles])
-    raise ValueError(
-        "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column"
-    )
-
-
-def herald_stats_to_csv(stats: HeraldStats, path, seed: int, config_checksum: int) -> None:
-    """Single-line CSV export with provenance comments."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# seed={seed} config_checksum={config_checksum:016x}\n")
-        fh.write(
-            "shots,heralds,routed_successes,multi_excitation_events,"
-            "success_prob,multi_given_herald\n"
+    else:
+        raise ValueError(
+            "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column"
         )
-        fh.write(
-            f"{stats.shots},{stats.heralds},{stats.routed_successes},"
-            f"{stats.multi_excitation_events},{stats.success_prob!r},"
-            f"{stats.multi_given_herald!r}\n"
-        )
+    return np.array([[a.theta_x, a.theta_y] for a in angles])

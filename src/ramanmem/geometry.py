@@ -3,7 +3,6 @@
 Conventions used across the package:
 
 * user-facing angles are in microradians (urad), stored as (theta_x, theta_y)
-* transverse wavevectors are in rad/m
 * everything else is SI
 
 All functions here are deterministic, closed form and stateless, so they are
@@ -53,30 +52,6 @@ class Angle2D:
 
     def norm(self) -> float:
         return math.hypot(self.theta_x, self.theta_y)
-
-
-@dataclass(frozen=True)
-class TransverseWavevector:
-    """Transverse wavevector (rad/m) tagged with its optical carrier."""
-
-    k_x: float
-    k_y: float
-    wavelength_m: float
-
-    def __post_init__(self) -> None:
-        _require_finite("wavevector component", self.k_x, self.k_y)
-        if not (self.wavelength_m > 0.0 and math.isfinite(self.wavelength_m)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_m!r}")
-        # same paraxial guard as Angle2D, expressed in k space
-        k_limit = 2.0 * math.pi / self.wavelength_m * PARAXIAL_LIMIT_URAD * RAD_PER_URAD
-        if max(abs(self.k_x), abs(self.k_y)) >= k_limit:
-            raise ValueError(
-                f"|k_perp| = {max(abs(self.k_x), abs(self.k_y)):g} rad/m exceeds the "
-                f"paraxial bound {k_limit:g} rad/m for wavelength {self.wavelength_m:g} m"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k_x, self.k_y], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -196,53 +171,7 @@ class CameraGeometry:
 
 
 # ---------------------------------------------------------------------------
-# angle <-> wavevector maps
-
-
-def angle_to_k(angle: Angle2D, wavelength_m: float) -> TransverseWavevector:
-    """Small-angle map theta -> k_perp = 2*pi*theta / wavelength."""
-    scale = 2.0 * math.pi * RAD_PER_URAD / wavelength_m
-    return TransverseWavevector(angle.theta_x * scale, angle.theta_y * scale, wavelength_m)
-
-
-def k_to_angle(k: TransverseWavevector) -> Angle2D:
-    """Inverse small-angle map at the wavevector's own carrier."""
-    scale = k.wavelength_m / (2.0 * math.pi * RAD_PER_URAD)
-    return Angle2D(k.k_x * scale, k.k_y * scale)
-
-
-def angle_to_k_array(theta_urad: np.ndarray, wavelength_m: float) -> np.ndarray:
-    """Vectorised angle -> k_perp for (..., 2) arrays of urad angles."""
-    return np.asarray(theta_urad, dtype=float) * (2.0 * math.pi * RAD_PER_URAD / wavelength_m)
-
-
-def k_to_angle_array(k: np.ndarray, wavelength_m: float) -> np.ndarray:
-    return np.asarray(k, dtype=float) * (wavelength_m / (2.0 * math.pi * RAD_PER_URAD))
-
-
-# ---------------------------------------------------------------------------
 # phase matching
-
-
-def phase_match(
-    theta_w: Angle2D, theta_s: Angle2D, theta_r: Angle2D, geom: BeamGeometry
-) -> Angle2D:
-    """Anti-Stokes emission direction from transverse wavevector conservation.
-
-    The spin wave stores k_w - k_S (write carrier); readout adds k_r (read
-    carrier), so k_aS = k_w - k_S + k_r with each angle converted at its own
-    carrier.  Conservation holds exactly in k space; the returned angle is the
-    anti-Stokes k mapped back at the read carrier.
-    """
-    k_w = angle_to_k(theta_w, geom.lambda_write_m)
-    k_s = angle_to_k(theta_s, geom.lambda_write_m)
-    k_r = angle_to_k(theta_r, geom.lambda_read_m)
-    k_as = TransverseWavevector(
-        k_w.k_x - k_s.k_x + k_r.k_x,
-        k_w.k_y - k_s.k_y + k_r.k_y,
-        geom.lambda_read_m,
-    )
-    return k_to_angle(k_as)
 
 
 def conjugate_angles(
@@ -252,13 +181,32 @@ def conjugate_angles(
     lambda_write_m: float,
     lambda_read_m: float,
 ) -> np.ndarray:
-    """Array form of :func:`phase_match` for (..., 2) angle stacks (urad)."""
-    k = (
-        angle_to_k_array(theta_w_urad, lambda_write_m)
-        - angle_to_k_array(theta_s_urad, lambda_write_m)
-        + angle_to_k_array(theta_r_urad, lambda_read_m)
+    """Anti-Stokes emission direction (urad) from transverse phase matching.
+
+    The spin wave stores k_w - k_S (write carrier); readout adds k_r (read
+    carrier), so k_aS = k_w - k_S + k_r.  With k = 2*pi*theta / lambda at each
+    angle's own carrier and k_aS mapped back at the read carrier this is
+
+        theta_aS = theta_r + (lambda_read / lambda_write) * (theta_w - theta_S)
+
+    for (..., 2) angle stacks.  This is the only statement of the law.
+    """
+    return theta_r_urad + (lambda_read_m / lambda_write_m) * (theta_w_urad - theta_s_urad)
+
+
+def phase_match(
+    theta_w: Angle2D, theta_s: Angle2D, theta_r: Angle2D, geom: BeamGeometry
+) -> Angle2D:
+    """:func:`conjugate_angles` for one Stokes direction."""
+    return Angle2D.from_array(
+        conjugate_angles(
+            theta_w.as_array(),
+            theta_s.as_array(),
+            theta_r.as_array(),
+            geom.lambda_write_m,
+            geom.lambda_read_m,
+        )
     )
-    return k_to_angle_array(k, lambda_read_m)
 
 
 # ---------------------------------------------------------------------------

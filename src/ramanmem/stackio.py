@@ -1,4 +1,4 @@
-"""Binary frame-stack format and per-frame CSV export.
+"""Binary frame-stack format.
 
 Layout (all little endian):
 
@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import CameraGeometry
 from .scattering import Frame, FrameStack
 
-__all__ = ["MAGIC", "VERSION", "StackWriter", "write_stack", "read_stack", "iter_stack", "export_frame_csv"]
+__all__ = ["MAGIC", "VERSION", "StackWriter", "write_stack", "read_stack", "iter_stack"]
 
 MAGIC = b"RMNS"
 VERSION = 1
@@ -40,23 +40,23 @@ class StackWriter:
     def __init__(self, path, camera: CameraGeometry, n_frames: int, seed: int, config_checksum: int):
         if n_frames < 1:
             raise ValueError("n_frames must be >= 1")
+        # packed before the open: a value the header cannot hold leaves no file behind
+        header = _HEADER.pack(
+            MAGIC,
+            VERSION,
+            camera.width_px,
+            camera.height_px,
+            n_frames,
+            camera.pixel_pitch_m,
+            camera.f3_m,
+            seed,
+            config_checksum,
+        )
         self._fh = open(path, "wb")
         self._camera = camera
         self._expected = n_frames
         self._written = 0
-        self._fh.write(
-            _HEADER.pack(
-                MAGIC,
-                VERSION,
-                camera.width_px,
-                camera.height_px,
-                n_frames,
-                camera.pixel_pitch_m,
-                camera.f3_m,
-                seed,
-                config_checksum,
-            )
-        )
+        self._fh.write(header)
 
     def append(self, frame: Frame) -> None:
         shape = (self._camera.height_px, self._camera.width_px)
@@ -93,15 +93,15 @@ def write_stack(path, stack: FrameStack) -> None:
             w.append(frame)
 
 
-def _read_header(fh, path):
+def _read_header(fh):
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError("truncated header")
     magic, version, width, height, count, pitch, f3, seed, checksum = _HEADER.unpack(raw)
     if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise ValueError(f"unsupported version {version}")
     camera = CameraGeometry(width_px=width, height_px=height, pixel_pitch_m=pitch, f3_m=f3)
     return camera, count, seed, checksum
 
@@ -109,11 +109,11 @@ def _read_header(fh, path):
 def read_stack(path) -> FrameStack:
     """Load a whole stack into memory."""
     with open(path, "rb") as fh:
-        camera, count, seed, checksum = _read_header(fh, path)
+        camera, count, seed, checksum = _read_header(fh)
         pane = camera.height_px * camera.width_px
         data = np.fromfile(fh, dtype="<f4", count=count * 2 * pane)
     if data.size != count * 2 * pane:
-        raise ValueError(f"{path}: truncated body ({data.size} of {count * 2 * pane} values)")
+        raise ValueError(f"truncated body ({data.size} of {count * 2 * pane} values)")
     frames = data.reshape(count, 2, camera.height_px, camera.width_px)
     return FrameStack(
         stokes=np.ascontiguousarray(frames[:, 0]),
@@ -134,7 +134,7 @@ def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
     iterates holds no open handle.
     """
     with open(path, "rb") as fh:
-        camera, count, seed, checksum = _read_header(fh, path)
+        camera, count, seed, checksum = _read_header(fh)
     pane = camera.height_px * camera.width_px
 
     def frames() -> Iterator[Frame]:
@@ -143,7 +143,7 @@ def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
             for i in range(count):
                 data = np.fromfile(fh, dtype="<f4", count=2 * pane)
                 if data.size != 2 * pane:
-                    raise ValueError(f"{path}: truncated frame {i}")
+                    raise ValueError(f"truncated frame {i}")
                 both = data.reshape(2, camera.height_px, camera.width_px)
                 yield Frame(
                     stokes=both[0],
@@ -153,15 +153,3 @@ def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
                 )
 
     return camera, count, seed, checksum, frames()
-
-
-def export_frame_csv(frame: Frame, camera: CameraGeometry, path, seed: int, config_checksum: int) -> None:
-    """One frame as CSV rows (pane, theta_x_urad, theta_y_urad, count)."""
-    ax, ay = camera.pixel_angle_axes()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# seed={seed} config_checksum={config_checksum:016x} shot={frame.shot_index}\n")
-        fh.write("pane,theta_x_urad,theta_y_urad,count\n")
-        for name, pane in (("stokes", frame.stokes), ("anti_stokes", frame.anti_stokes)):
-            for iy in range(camera.height_px):
-                for ix in range(camera.width_px):
-                    fh.write(f"{name},{float(ax[ix])!r},{float(ay[iy])!r},{pane[iy, ix]:.0f}\n")

@@ -158,9 +158,7 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
 def test_steer_report_digest_is_pinned(tmp_path, capsys):
     """A small default-config steer writes the same report bytes on every run.
 
-    The digest was recorded before the conjugate law moved to angle form and
-    before steer's ingest loops were folded into one helper; any byte that
-    moves is an output change to document, not to re-pin silently.
+    A byte that moves is an output change to document, not to re-pin silently.
     """
     report = tmp_path / "steer.csv"
     rc = main(["steer", "--frames", "200", "--fibers", "2", "--seed", "50", "--out", str(report)])
@@ -217,13 +215,17 @@ def _exit_code(argv):
         ["correlate", "--frames", "5", "--ref-radius", "nan", "--out", "{tmp}/nan"],
         ["steer", "--frames", "5", "--fiber-radius", "-5"],
         ["steer", "--frames", "5", "--fiber-radius", "nan"],
+        ["simulate", "--frames", str(2**32), "--out", "{tmp}/x.rmns"],
+        ["correlate", "--frames", "1", "--out", "{tmp}/one"],
+        ["steer", "--frames", "1"],
     ],
     ids=[
         "shots-0", "sweep-m-0", "sweep-m-not-int", "frames-0", "ref-x-off-pane", "seed-neg",
         "fibers-0", "fibers-neg", "fibers-off-pane", "fibers-past-paraxial",
         "herald-seed-2^64", "correlate-seed-2^64", "simulate-seed-2^64",
         "steer-fiber-seed-past-2^64", "ref-radius-neg", "ref-radius-nan",
-        "fiber-radius-neg", "fiber-radius-nan",
+        "fiber-radius-neg", "fiber-radius-nan", "frames-past-u32",
+        "correlate-one-frame", "steer-one-frame",
     ],
 )
 def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
@@ -231,6 +233,47 @@ def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
     assert _exit_code(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.rmns").exists()
+
+
+_SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
+
+
+@pytest.mark.parametrize(
+    "kind, make",
+    [
+        ("stack", lambda raw: b"WAT?" + raw[4:]),
+        ("stack", lambda raw: raw[:10]),
+        ("stack", lambda raw: raw[:-100]),
+        ("stack", None),
+        ("schedule", "shot,tilt_urad\n0,1.0\n"),
+        ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
+        ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
+        ("schedule", _SCHEDULE_HEAD + "0,0.0,nan\n"),
+        ("schedule", "shot,drive_freq_hz\n0,1e9\n"),
+    ],
+    ids=[
+        "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
+        "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
+        "schedule-tone-outside-band",
+    ],
+)
+def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "stack":
+        frames = "1" if make is None else "3"
+        assert main(["simulate", "--config", cfg_path, "--frames", frames, "--out", str(bad)]) == 0
+        if make is not None:
+            bad.write_bytes(make(bad.read_bytes()))
+        argv = ["correlate", "--stack", str(bad), "--out", str(tmp_path / "map")]
+    else:
+        bad.write_text(make)
+        argv = ["simulate", "--config", cfg_path, "--frames", "1", "--schedule", str(bad),
+                "--out", str(tmp_path / "x.rmns")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.rmns").exists() and not (tmp_path / "map_fit.csv").exists()
 
 
 def test_bad_reference_on_a_stack_closes_the_file(tmp_path, cfg_path):

@@ -122,6 +122,13 @@ def test_seed_must_fit_in_64_bits():
         default_config().with_seed(2**64)
 
 
+def test_frame_count_must_fit_in_32_bits():
+    assert parse_config(f"[run]\nn_frames = {2**32 - 1}\n").run.n_frames == 2**32 - 1
+    for bad in (0, 2**32):
+        with pytest.raises(ConfigError, match="n_frames must lie in"):
+            parse_config(f"[run]\nn_frames = {bad}\n")
+
+
 def test_herald_zeta_override_recomputes_p():
     cfg = parse_config("[herald]\nzeta = 0.25\n")
     assert cfg.herald.zeta == 0.25

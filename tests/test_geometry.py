@@ -1,4 +1,4 @@
-"""Geometry layer: angle/wavevector maps, the AOD chain and camera projection."""
+"""Geometry layer: the conjugate law, the AOD chain and camera projection."""
 
 import math
 
@@ -13,13 +13,10 @@ from ramanmem.geometry import (
     BeamGeometry,
     CameraGeometry,
     OpticalChain,
-    TransverseWavevector,
-    angle_to_k,
     aod_chain_angle,
     conjugate_angles,
     drive_frequency_for,
     fresnel_number,
-    k_to_angle,
     phase_match,
     spinwave_angular_precision_urad,
 )
@@ -48,30 +45,7 @@ CAMERA = CameraGeometry(width_px=128, height_px=64, pixel_pitch_m=7.5e-6, f3_m=0
 angles = st.floats(min_value=-5000.0, max_value=5000.0, allow_nan=False)
 
 
-# --- angle <-> k ---------------------------------------------------------
-
-
-def test_angle_to_k_frozen_value():
-    k = angle_to_k(Angle2D(100.0, 0.0), 795e-9)
-    assert k.k_x == pytest.approx(790.3377744879982, rel=1e-12)
-    assert k.k_y == 0.0
-    assert k.wavelength_m == 795e-9
-
-
-def test_k_reinterpreted_at_other_carrier():
-    # the same transverse wavevector seen at 780 nm is a smaller angle
-    k = angle_to_k(Angle2D(100.0, 0.0), 795e-9)
-    moved = k_to_angle(TransverseWavevector(k.k_x, k.k_y, 780e-9))
-    assert moved.theta_x == pytest.approx(98.11320754716981, rel=1e-12)
-    assert moved.theta_y == 0.0
-
-
-@given(angles, angles)
-def test_angle_k_round_trip(tx, ty):
-    a = Angle2D(tx, ty)
-    back = k_to_angle(angle_to_k(a, 795e-9))
-    assert back.theta_x == pytest.approx(tx, abs=1e-9)
-    assert back.theta_y == pytest.approx(ty, abs=1e-9)
+# --- angles --------------------------------------------------------------
 
 
 def test_angle_validation():
@@ -79,8 +53,6 @@ def test_angle_validation():
         Angle2D(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Angle2D(0.0, 1.2e4)
-    with pytest.raises(ValueError):
-        TransverseWavevector(1e9, 0.0, 795e-9)
 
 
 # --- phase matching ------------------------------------------------------

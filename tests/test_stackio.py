@@ -1,6 +1,7 @@
 """Binary stack format: round trips, streaming reads and corruption errors."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from ramanmem.stackio import (
     MAGIC,
     VERSION,
     StackWriter,
-    export_frame_csv,
     iter_stack,
     read_stack,
     write_stack,
@@ -96,6 +96,13 @@ def test_writer_requires_at_least_one_frame(tmp_path):
         StackWriter(tmp_path / "x.rmns", CAM, 0, seed=0, config_checksum=0)
 
 
+def test_header_the_format_cannot_hold_leaves_no_file(tmp_path):
+    # the frame count is a u32 in the header
+    with pytest.raises(struct.error):
+        StackWriter(tmp_path / "x.rmns", CAM, 2**32, seed=0, config_checksum=0)
+    assert not (tmp_path / "x.rmns").exists()
+
+
 def test_truncated_header(tmp_path):
     p = tmp_path / "short.rmns"
     p.write_bytes(b"RM")
@@ -138,21 +145,3 @@ def test_truncated_body(tmp_path):
     with pytest.raises(ValueError, match="truncated frame 2"):
         _, _, _, _, frames = iter_stack(p)
         list(frames)
-
-
-def test_export_frame_csv(tmp_path):
-    stack = small_stack(n=1, seed=9)
-    frame = next(iter(stack))
-    p = tmp_path / "frame.csv"
-    export_frame_csv(frame, stack.camera, p, seed=9, config_checksum=stack.config_checksum)
-    lines = p.read_text().splitlines()
-    assert lines[0].startswith("# seed=9 config_checksum=")
-    assert lines[1] == "pane,theta_x_urad,theta_y_urad,count"
-    body = lines[2:]
-    assert len(body) == 2 * CAM.width_px * CAM.height_px
-    first = body[0].split(",")
-    assert first[0] == "stokes"
-    # counts are integers rendered without a decimal point
-    assert all("." not in row.rsplit(",", 1)[1] for row in body)
-    total_csv = sum(float(row.rsplit(",", 1)[1]) for row in body)
-    assert total_csv == pytest.approx(float(frame.stokes.sum() + frame.anti_stokes.sum()))
