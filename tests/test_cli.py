@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,51 @@ def test_steer_report_digest_is_pinned(tmp_path, capsys):
     )
 
 
+# (name, correlate options): a pixel, a 20 urad virtual fiber, a reverse map
+_STACK_DIGEST_REFS = (
+    ("pixel", ["--ref-x", "40.0", "--ref-y", "-30.0"]),
+    ("disc", ["--ref-x", "-60.0", "--ref-y", "50.0", "--ref-radius", "20"]),
+    ("reverse", ["--ref-x", "30.0", "--ref-y", "20.0", "--ref-pane", "anti_stokes"]),
+)
+_MAP_SUFFIXES = ("_stokes.csv", "_stokes.pgm", "_anti_stokes.csv", "_anti_stokes.pgm", "_fit.csv")
+_PINNED_STACK_MAP_DIGESTS = {
+    "pixel_stokes.csv": "50431bccceb334e6e894e258ce213e796cd4590416df3eb5acf0f633c43d46e9",
+    "pixel_stokes.pgm": "bfd73ffc3919274908dc8f6a29b4fb9aed67e9284127291134d8660ee7396f86",
+    "pixel_anti_stokes.csv": "2ffa46ff7b6bdd0b27ff3a080176be07682241dfe71ea48ed387b1bd0a3b22ba",
+    "pixel_anti_stokes.pgm": "6198102122fbbc0187cc0ecf48a4d187d7332c49360538e65599e84db57e6d99",
+    "pixel_fit.csv": "868e2d8ee8eafa886a2f3e71c32d67759168a4262dabb4fa931aebbafa6bbff1",
+    "disc_stokes.csv": "dc6a72572ac3fcaecf1f09b67dd47cb5a10d88d55f84b67f16423ada22601bc3",
+    "disc_stokes.pgm": "4a72be7b3478e42a01589b36c0b7cd989ede35851e12d755ed5e2d905ac7b2c9",
+    "disc_anti_stokes.csv": "1a8aee0a0751bb1b60dfd30b2f1ec36ed67773b57b91745b5d64f38910a2ba54",
+    "disc_anti_stokes.pgm": "ed4ccfc727a40bf47b0061f06a8b5206aee910ec2d023331f7d3d40f3b14a100",
+    "disc_fit.csv": "8283e005ff24f86176c4c2d1922fb877a387c42ee9360c3076dd9f56ce802387",
+    "reverse_stokes.csv": "969741837c6c73ec483c7ca4dc4c4a41dcf1d630f0164fb4e354c1d869be6166",
+    "reverse_stokes.pgm": "82e24259091e64a1ba890eca758b6c2faed7c4fd00ed7c64393504e825e8ead0",
+    "reverse_anti_stokes.csv": "5600286cfef96612c47ac12bfbabb3ee88c3393c05a6398f8c93c2a1943a3447",
+    "reverse_anti_stokes.pgm": "1b65c7114a3505374c3b10b0cfd07c5b10326cde1eafdf84757da5e60a4a0f76",
+    "reverse_fit.csv": "48449122b8d4169ff3a8921c18e977e4e8e790f136a86024d4d1a9bba9b460ed",
+}
+
+
+def test_correlate_stack_digest_is_pinned(tmp_path, capsys):
+    """`correlate --stack` writes the same map and fit bytes on every run.
+
+    203 frames: the count is not a multiple of the ingest block, so a short
+    last block is folded too.  A byte that moves is an output change to
+    document, not to re-pin silently.
+    """
+    stack = str(tmp_path / "run.rmns")
+    assert main(["simulate", "--frames", "203", "--seed", "11", "--out", stack]) == 0
+    digests = {}
+    for name, options in _STACK_DIGEST_REFS:
+        prefix = tmp_path / name
+        assert main(["correlate", "--stack", stack, *options, "--out", str(prefix)]) == 0
+        for suffix in _MAP_SUFFIXES:
+            raw = Path(f"{prefix}{suffix}").read_bytes()
+            digests[f"{name}{suffix}"] = hashlib.sha256(raw).hexdigest()
+    assert digests == _PINNED_STACK_MAP_DIGESTS
+
+
 def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
     out = tmp_path / "herald.csv"
     rc = main(
@@ -245,6 +291,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("stack", lambda raw: raw[:10]),
         ("stack", lambda raw: raw[:-100]),
         ("stack", None),
+        ("stack", lambda raw: raw[:-4] + struct.pack("<f", -1.0)),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
@@ -253,6 +300,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
+        "stack-negative-count",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band",
     ],
