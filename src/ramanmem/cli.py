@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,15 +47,48 @@ def _require_map_frames(count: int, source: str) -> None:
         raise ConfigError(f"a correlation map needs at least 2 frames, got {count}", path=source)
 
 
+# A block source is a function of one (B, 2, H, W) float64 buffer: it fills
+# buf[:n] with the next n <= B frames and yields n, block after block.
+_BlockSource = Callable[[np.ndarray], Iterator[int]]
+
+
+def _simulated_blocks(frames: Iterable[scattering.Frame]) -> _BlockSource:
+    """Block source that packs rendered frames into the buffer."""
+
+    def fill(buf: np.ndarray) -> Iterator[int]:
+        n = 0
+        for frame in frames:
+            buf[n, 0] = frame.stokes
+            buf[n, 1] = frame.anti_stokes
+            n += 1
+            if n == len(buf):
+                yield n
+                n = 0
+        if n:
+            yield n
+
+    return fill
+
+
+def _ingest(
+    source: _BlockSource, camera, references: list[analysis.Reference]
+) -> list[analysis.MomentAccumulator]:
+    """One pass over the frames, block by block, one accumulator per reference."""
+    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
+    buf = np.empty((stackio._BLOCK, 2, camera.height_px, camera.width_px))
+    for n in source(buf):
+        analysis.accumulate_block(accs, buf[:n])
+    return accs
+
+
 def _correlate_frames(
-    frames: Iterable[scattering.Frame], camera, references: list[analysis.Reference],
-    seed: int, checksum: int,
+    source: _BlockSource, camera, references: list[analysis.Reference], seed: int, checksum: int,
 ) -> list[analysis.CorrelationMap]:
     """One pass over the frames, one correlation map per reference."""
-    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
-    for frame in frames:
-        analysis.accumulate_many(accs, frame)
-    return [analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum) for acc in accs]
+    return [
+        analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum)
+        for acc in _ingest(source, camera, references)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +127,27 @@ def cmd_simulate(args) -> int:
 
 
 def _stack_source(path: str):
-    """iter_stack with a bad header or a truncated body reported as a ConfigError."""
+    """iter_stack_blocks as a block source; a bad header or body is a ConfigError."""
     try:
-        camera, count, seed, checksum, frames = stackio.iter_stack(path)
+        camera, count, seed, checksum, blocks = stackio.iter_stack_blocks(path)
     except ValueError as exc:  # bad magic or version, or a truncated header
         raise ConfigError(str(exc), path=path) from None
 
-    def checked() -> Iterator[scattering.Frame]:
+    def fill(buf: np.ndarray) -> Iterator[int]:
         try:
-            yield from frames
-        except ValueError as exc:  # truncated body
+            for block in blocks:
+                n = len(block)
+                buf[:n] = block
+                del block  # only the copy is folded: freeing the block first lowers peak memory
+                yield n
+        except ValueError as exc:  # truncated body or a negative count
             raise ConfigError(str(exc), path=path) from None
 
-    return camera, count, seed, checksum, checked()
+    return camera, count, seed, checksum, fill
 
 
 def _frame_source(args, cfg: Optional[ExperimentConfig]):
-    """(camera, frame count, seed, checksum, frame iterator) from a file or a fresh run."""
+    """(camera, frame count, seed, checksum, block source) from a file or a fresh run."""
     if args.stack:
         return _stack_source(args.stack)
     assert cfg is not None
@@ -119,20 +156,20 @@ def _frame_source(args, cfg: Optional[ExperimentConfig]):
         cfg.run.n_frames,
         cfg.run.seed,
         cfg.checksum(),
-        scattering.iter_simulated_frames(cfg),
+        _simulated_blocks(scattering.iter_simulated_frames(cfg)),
     )
 
 
 def cmd_correlate(args) -> int:
     cfg = None if args.stack else _load_config(args)
-    camera, count, seed, checksum, frames = _frame_source(args, cfg)
+    camera, count, seed, checksum, source = _frame_source(args, cfg)
     _require_map_frames(count, args.stack or "--frames")
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
         reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
-    (cmap,) = _correlate_frames(frames, camera, [reference], seed, checksum)
+    (cmap,) = _correlate_frames(source, camera, [reference], seed, checksum)
 
     prefix = args.out
     for pane in analysis.PANES:
@@ -194,7 +231,8 @@ def cmd_steer(args) -> int:
 
     # baseline pass, no compensation: one run, every fiber as a reference
     baseline_maps = _correlate_frames(
-        scattering.iter_simulated_frames(cfg), cfg.camera, refs, cfg.run.seed, checksum
+        _simulated_blocks(scattering.iter_simulated_frames(cfg)),
+        cfg.camera, refs, cfg.run.seed, checksum,
     )
     baseline_fits = [analysis.locate_twin_spot(cmap) for cmap in baseline_maps]
     fit_failed = any(not f.converged for f in baseline_fits)
@@ -236,9 +274,9 @@ def cmd_steer(args) -> int:
             rows.append(row)
             continue
         run_cfg = run_cfgs[i]
+        frames = scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read)
         (cmap,) = _correlate_frames(
-            scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read),
-            cfg.camera, [refs[i]], run_cfg.run.seed, checksum,
+            _simulated_blocks(frames), cfg.camera, [refs[i]], run_cfg.run.seed, checksum
         )
         fit = analysis.locate_twin_spot(cmap)
         if not fit.converged:

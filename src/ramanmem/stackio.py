@@ -20,6 +20,7 @@ Writing the same stack twice produces byte-identical files.
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +28,10 @@ import numpy as np
 from .geometry import CameraGeometry
 from .scattering import Frame, FrameStack
 
-__all__ = ["MAGIC", "VERSION", "StackWriter", "write_stack", "read_stack", "iter_stack"]
+__all__ = [
+    "MAGIC", "VERSION", "StackWriter", "write_stack", "read_stack", "iter_stack_blocks",
+    "iter_stack",
+]
 
 MAGIC = b"RMNS"
 VERSION = 1
@@ -106,6 +110,21 @@ def _read_header(fh):
     return camera, count, seed, checksum
 
 
+# frames per body read: the unit `iter_stack_blocks` hands out and the CLI folds
+_BLOCK = 4
+
+
+def _read_frames(fh, camera: CameraGeometry, first: int, n: int) -> np.ndarray:
+    """Frames first .. first + n - 1 of the body as one (n, 2, H, W) float32 array."""
+    size = 2 * camera.height_px * camera.width_px
+    data = np.fromfile(fh, dtype="<f4", count=n * size)
+    if data.size != n * size:
+        raise ValueError(f"truncated frame {first + data.size // size}")
+    if (data < 0).any():
+        raise ValueError("pane intensities must be non-negative")
+    return data.reshape(n, 2, camera.height_px, camera.width_px)
+
+
 def read_stack(path) -> FrameStack:
     """Load a whole stack into memory."""
     with open(path, "rb") as fh:
@@ -125,31 +144,46 @@ def read_stack(path) -> FrameStack:
     )
 
 
-def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
-    """Header plus a lazy frame iterator, for streaming consumers.
+def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.ndarray]]:
+    """Header plus a lazy iterator over (n, 2, H, W) float32 blocks of frames.
 
-    Returns (camera, n_frames, seed, config_checksum, frames).  Readout angles
-    are not part of the format, so iterated frames carry (0, 0) there.  The
-    iterator opens the file only when iteration starts, so a caller that never
-    iterates holds no open handle.
+    Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
+    holds `_BLOCK` frames but the last, read with one call; each is a fresh
+    array.  A body that ends early raises "truncated frame i" for its first
+    incomplete frame; a negative count raises too.  The iterator opens the
+    file only when iteration starts, so a caller that never iterates holds no
+    open handle.
     """
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)
-    pane = camera.height_px * camera.width_px
 
-    def frames() -> Iterator[Frame]:
+    def blocks() -> Iterator[np.ndarray]:
         with open(path, "rb") as fh:
             fh.seek(_HEADER.size)
-            for i in range(count):
-                data = np.fromfile(fh, dtype="<f4", count=2 * pane)
-                if data.size != 2 * pane:
-                    raise ValueError(f"truncated frame {i}")
-                both = data.reshape(2, camera.height_px, camera.width_px)
-                yield Frame(
-                    stokes=both[0],
-                    anti_stokes=both[1],
-                    shot_index=i,
-                    readout_angle_urad=(0.0, 0.0),
-                )
+            for start in range(0, count, _BLOCK):
+                yield _read_frames(fh, camera, start, min(_BLOCK, count - start))
+
+    return camera, count, seed, checksum, blocks()
+
+
+def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
+    """Header plus a lazy frame iterator, for streaming consumers.
+
+    Returns (camera, n_frames, seed, config_checksum, frames).  Frames are
+    views of the blocks `iter_stack_blocks` reads.  Readout angles are not
+    part of the format, so iterated frames carry (0, 0) there.  The iterator
+    opens the file only when iteration starts, so a caller that never
+    iterates holds no open handle.
+    """
+    camera, count, seed, checksum, blocks = iter_stack_blocks(path)
+
+    def frames() -> Iterator[Frame]:
+        for i, both in enumerate(chain.from_iterable(blocks)):
+            yield Frame(
+                stokes=both[0],
+                anti_stokes=both[1],
+                shot_index=i,
+                readout_angle_urad=(0.0, 0.0),
+            )
 
     return camera, count, seed, checksum, frames()

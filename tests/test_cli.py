@@ -5,14 +5,17 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ramanmem
+from ramanmem import analysis, cli, scattering
 from ramanmem.cli import main
-from ramanmem.geometry import CameraGeometry
+from ramanmem.config import load_config
+from ramanmem.geometry import Angle2D, CameraGeometry
 from ramanmem.scattering import Frame
 from ramanmem.stackio import StackWriter, read_stack
 
@@ -212,6 +215,67 @@ def test_correlate_stack_digest_is_pinned(tmp_path, capsys):
             raw = Path(f"{prefix}{suffix}").read_bytes()
             digests[f"{name}{suffix}"] = hashlib.sha256(raw).hexdigest()
     assert digests == _PINNED_STACK_MAP_DIGESTS
+
+
+def _block_refs(camera):
+    """K = 3 references: a Stokes pixel, a Stokes disc and an anti-Stokes pixel."""
+    return [
+        analysis.Reference.pixel(camera, "stokes", Angle2D(40.0, -30.0)),
+        analysis.Reference.disc(camera, "stokes", Angle2D(-60.0, 50.0), 20.0),
+        analysis.Reference.pixel(camera, "anti_stokes", Angle2D(30.0, 20.0)),
+    ]
+
+
+@pytest.mark.parametrize("source", ["stack", "simulated"])
+def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
+    """7 frames are one full and one short block; the sums match a frame loop bit for bit."""
+    cfg = load_config(cfg_path).with_seed(21)
+    frames = list(scattering.iter_simulated_frames(cfg, n_frames=7))
+    path = tmp_path / "run.rmns"
+    with StackWriter(path, cfg.camera, 7, seed=21, config_checksum=0) as w:
+        for frame in frames:
+            w.append(frame)
+    if source == "stack":
+        blocks = cli._stack_source(str(path))[-1]
+    else:
+        blocks = cli._simulated_blocks(iter(frames))
+    refs = _block_refs(cfg.camera)
+    got = cli._ingest(blocks, cfg.camera, refs)
+    for acc, ref in zip(got, refs):
+        want = analysis.MomentAccumulator.empty(cfg.camera, ref)
+        for frame in frames:
+            analysis.accumulate(want, frame)
+        assert acc.n == want.n == 7
+        for name in ("sum_i", "sum_i2", "sum_ii_ref"):
+            assert np.array_equal(getattr(acc, name), getattr(want, name)), name
+        assert acc.sum_ref == want.sum_ref and acc.sum_ref2 == want.sum_ref2
+
+
+def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
+    """Ingest holds one block at a time: the same peak at 64 and at 640 frames.
+
+    "The same" allows 8 KB, half of one frame's float32 panes, for one-off
+    interpreter allocations; a peak that grew with the stack would be MBs.
+    """
+    cam = CameraGeometry(width_px=64, height_px=32, pixel_pitch_m=7.5e-6, f3_m=0.5)
+    rng = np.random.default_rng(5)
+    refs = _block_refs(cam)
+    peaks = []
+    for count in (64, 640):
+        path = tmp_path / f"run{count}.rmns"
+        with StackWriter(path, cam, count, seed=0, config_checksum=0) as w:
+            for i in range(count):
+                panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.float32)
+                w.append(Frame(panes[0], panes[1], shot_index=i, readout_angle_urad=(0.0, 0.0)))
+        blocks = cli._stack_source(str(path))[-1]
+        tracemalloc.start()
+        try:
+            accs = cli._ingest(blocks, cam, refs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert accs[0].n == count
+    assert abs(peaks[1] - peaks[0]) < 8192, peaks
 
 
 def test_herald_sweep_csv(tmp_path, cfg_path, capsys):

@@ -10,10 +10,12 @@ from ramanmem.config import default_config
 from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame, simulate_stack
 from ramanmem.stackio import (
+    _BLOCK,
     MAGIC,
     VERSION,
     StackWriter,
     iter_stack,
+    iter_stack_blocks,
     read_stack,
     write_stack,
 )
@@ -134,14 +136,47 @@ def test_unsupported_version(tmp_path):
 
 
 def test_truncated_body(tmp_path):
-    stack = small_stack(n=3)
+    stack = small_stack(n=3)  # one short read block: every cut below falls inside it
     p = tmp_path / "cut.rmns"
     write_stack(p, stack)
     raw = p.read_bytes()
-    p.write_bytes(raw[: len(raw) - 100])
-    with pytest.raises(ValueError, match="truncated body"):
-        read_stack(p)
-    # streaming reader anchors the error to the frame it died in
-    with pytest.raises(ValueError, match="truncated frame 2"):
+    frame_bytes = 2 * 4 * CAM.width_px * CAM.height_px
+    for cut in (100, frame_bytes):  # inside frame 2, and all of frame 2
+        p.write_bytes(raw[: len(raw) - cut])
+        with pytest.raises(ValueError, match="truncated body"):
+            read_stack(p)
+        # streaming readers anchor the error to the first incomplete frame
+        with pytest.raises(ValueError, match="truncated frame 2"):
+            _, _, _, _, frames = iter_stack(p)
+            list(frames)
+        with pytest.raises(ValueError, match="truncated frame 2"):
+            _, _, _, _, blocks = iter_stack_blocks(p)
+            list(blocks)
+
+
+def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
+    stack = small_stack(n=_BLOCK + 3)
+    path = tmp_path / "run.rmns"
+    write_stack(path, stack)
+    _, count, _, _, blocks = iter_stack_blocks(path)
+    blocks = list(blocks)
+    assert count == _BLOCK + 3
+    assert [b.shape for b in blocks] == [(_BLOCK, 2, 8, 16), (3, 2, 8, 16)]
+    joined = np.concatenate(blocks)
+    np.testing.assert_array_equal(joined[:, 0], stack.stokes)
+    np.testing.assert_array_equal(joined[:, 1], stack.anti_stokes)
+
+
+def test_negative_count_is_rejected(tmp_path):
+    stack = small_stack(n=_BLOCK + 2)
+    p = tmp_path / "neg.rmns"
+    write_stack(p, stack)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = struct.pack("<f", -1.0)  # last anti-Stokes pixel of the short last block
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="non-negative"):
+        _, _, _, _, blocks = iter_stack_blocks(p)
+        list(blocks)
+    with pytest.raises(ValueError, match="non-negative"):
         _, _, _, _, frames = iter_stack(p)
         list(frames)
