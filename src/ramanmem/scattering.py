@@ -9,14 +9,19 @@ of a uniform noise floor, so every rendered pixel is integer valued.
 
 Randomness is counter based: shot i of a run seeded with s draws exclusively
 from Philox streamed with key (s, i), which makes stacks bit-reproducible and
-independent of any worker scheduling.
+independent of any worker scheduling.  `iter_simulated_frames` relies on that
+to render frames on every usable core while handing them out in frame order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -244,19 +249,16 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
 
 
 def sample_shot(
-    ms: ModeSet,
-    rm: RetrievalModel,
-    theta_read_urad: Sequence[float],
-    rng: np.random.Generator,
+    ms: ModeSet, eta: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one shot of per-mode intensities (photons).
 
     Returns (I_stokes, I_anti_stokes).  Stokes intensities are independent
     exponentials; the retrieved intensity is the deterministic fraction
-    eta_m of its twin, so with eta == 1 the pair is exactly equal.
+    eta_m of its twin (`retrieval_efficiencies` at the shot's readout tilt),
+    so with eta == 1 the pair is exactly equal.
     """
     i_s = rng.exponential(ms.mean_photons)
-    eta = retrieval_efficiencies(ms, rm, theta_read_urad)
     return i_s, eta * i_s
 
 
@@ -279,11 +281,20 @@ def _separable_basis(
     cx = centers_urad[:, 0][:, None]
     cy = centers_urad[:, 1][:, None]
     sig = sigma_urad[:, None]
-    # separable Gaussian, peak-normalised per axis, area-normalised overall
-    wx = np.exp(-0.5 * ((ax[None, :] - cx) / sig) ** 2)
-    wy = np.exp(-0.5 * ((ay[None, :] - cy) / sig) ** 2)
+    # separable Gaussian, peak-normalised per axis, area-normalised overall.
+    # Each factor is built in place in one buffer: the calling thread rebuilds
+    # the anti-Stokes factors at every new tilt while frames render elsewhere
+    def gauss(axis, c):
+        w = axis[None, :] - c
+        w /= sig
+        w **= 2
+        w *= -0.5
+        return np.exp(w, out=w)
+
+    wx_alpha = gauss(ax, cx)
+    wy = gauss(ay, cy)
     alpha = camera.pitch_urad**2 / (2.0 * math.pi * sigma_urad**2)
-    wx_alpha = wx * alpha[:, None]
+    wx_alpha *= alpha[:, None]
 
     ox, oy = camera.origin_px
     lo_x, hi_x = -ox * camera.pitch_urad, (camera.width_px - 1 - ox) * camera.pitch_urad
@@ -351,12 +362,14 @@ def _render_with_bases(
     (wy_s, wxa_s), (wy_a, wxa_a) = bases
     mean_s = wy_s.T @ (i_s[:, None] * wxa_s) + noise_floor
     mean_a = wy_a.T @ (i_as[:, None] * wxa_a) + noise_floor
-    counts = rng.poisson(np.stack([mean_s, mean_a]))
+    # one pane after the other: the same draws as one call on both panes stacked
+    counts_s = rng.poisson(mean_s)
+    counts_a = rng.poisson(mean_a)
     tr = np.asarray(theta_read_urad, dtype=float)
     n_clip = int(np.sum(~masks[0]) + np.sum(~masks[1]))
     return Frame(
-        stokes=counts[0].astype(np.float32),
-        anti_stokes=counts[1].astype(np.float32),
+        stokes=counts_s.astype(np.float32),
+        anti_stokes=counts_a.astype(np.float32),
         shot_index=shot_index,
         readout_angle_urad=(float(tr[0]), float(tr[1])),
         budget_stokes=float(np.sum(i_s)),
@@ -454,8 +467,70 @@ def _normalize_schedule(schedule, n_frames: int) -> np.ndarray:
     return arr.copy()
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: the number of render threads, before the cap at n_frames."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _take(done: queue.SimpleQueue):
+    result, exc = done.get()
+    if exc is not None:
+        raise exc
+    return result
+
+
+def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
+    """Yield render(*job) for each job, in job order, computed on `threads` helper threads.
+
+    The jobs iterator runs on the calling thread.  At most threads + 1 jobs
+    are in flight, so memory does not grow with the number of jobs.  An
+    exception raised by `render` reaches the caller at its job.  The helpers
+    stop and are joined when the generator finishes, fails or is closed.
+    """
+    tasks = queue.SimpleQueue()
+
+    def work() -> None:
+        while (task := tasks.get()) is not None:
+            job, done = task
+            try:
+                done.put((render(*job), None))
+            except BaseException as exc:  # handed to the caller, which re-raises it
+                done.put((None, exc))
+
+    # daemon: a generator dropped unclosed at interpreter exit must not hold the exit up
+    helpers = [threading.Thread(target=work, name="ramanmem-render", daemon=True)
+               for _ in range(threads)]
+    for t in helpers:
+        t.start()
+    pending = deque()
+    try:
+        for job in jobs:
+            done = queue.SimpleQueue()
+            tasks.put((job, done))
+            pending.append(done)
+            if len(pending) > threads:
+                yield _take(pending.popleft())
+        while pending:
+            yield _take(pending.popleft())
+    finally:
+        for _ in helpers:
+            tasks.put(None)
+        for t in helpers:
+            t.join()
+
+
 def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Iterator[Frame]:
-    """Generate frames one at a time without holding the stack in memory."""
+    """Generate frames one at a time, in frame order, without holding the stack in memory.
+
+    The calling thread draws every shot in frame order (tilt factors, shot
+    stream, mode intensities); the mean-field gemms and the Poisson draw run
+    on one helper thread per usable core, capped at the frame count.  Frame i
+    draws only from shot_rng(seed, i), so the frames do not depend on the
+    number of threads.  One usable core renders on the calling thread alone.
+    """
     n = int(cfg.run.n_frames if n_frames is None else n_frames)
     s = int(cfg.run.seed if seed is None else seed)
     if n < 1:
@@ -466,19 +541,28 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     sched = _normalize_schedule(schedule, n)
 
     b_s, m_s = stokes_basis(ms, camera)
-    # only the current tilt's factors are held: a schedule whose every frame
-    # has its own tilt rebuilds them (M * (H + W) exponentials) each frame
-    tr_built = None
-    for i in range(n):
-        tr = (float(sched[i, 0]), float(sched[i, 1]))
-        if tr != tr_built:
-            b_a, m_a = anti_stokes_basis(ms, tr, camera)
-            tr_built = tr
-        rng = shot_rng(s, i)
-        intensities = sample_shot(ms, rm, tr, rng)
-        yield _render_with_bases(
-            intensities, (b_s, b_a), (m_s, m_a), i, tr, rng, rm.noise_floor
-        )
+
+    def jobs() -> Iterator[tuple]:
+        # only the current tilt's factors are kept (and those of the frames in
+        # flight): a schedule whose every frame has its own tilt rebuilds them
+        # (M * (H + W) exponentials) each frame
+        tr_built = None
+        for i in range(n):
+            tr = (float(sched[i, 0]), float(sched[i, 1]))
+            if tr != tr_built:
+                b_a, m_a = anti_stokes_basis(ms, tr, camera)
+                eta = retrieval_efficiencies(ms, rm, tr)
+                tr_built = tr
+            rng = shot_rng(s, i)
+            intensities = sample_shot(ms, eta, rng)
+            yield intensities, (b_s, b_a), (m_s, m_a), i, tr, rng, rm.noise_floor
+
+    threads = min(_usable_cores(), n)
+    if threads == 1:
+        for job in jobs():
+            yield _render_with_bases(*job)
+    else:
+        yield from _in_order(_render_with_bases, jobs(), threads)
 
 
 def simulate_stack(cfg, n_frames=None, schedule=None, seed=None) -> FrameStack:

@@ -68,8 +68,9 @@ class StackWriter:
             raise ValueError(f"frame pane shape {frame.stokes.shape} does not match header {shape}")
         if self._written >= self._expected:
             raise ValueError("stack already holds the declared number of frames")
-        self._fh.write(np.ascontiguousarray(frame.stokes, dtype="<f4").tobytes())
-        self._fh.write(np.ascontiguousarray(frame.anti_stokes, dtype="<f4").tobytes())
+        # written through the buffer protocol: a float32 pane is not copied
+        self._fh.write(np.ascontiguousarray(frame.stokes, dtype="<f4"))
+        self._fh.write(np.ascontiguousarray(frame.anti_stokes, dtype="<f4"))
         self._written += 1
 
     def close(self) -> None:
@@ -126,14 +127,10 @@ def _read_frames(fh, camera: CameraGeometry, first: int, n: int) -> np.ndarray:
 
 
 def read_stack(path) -> FrameStack:
-    """Load a whole stack into memory."""
+    """Load a whole stack into memory; the body is checked as `iter_stack_blocks` checks it."""
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)
-        pane = camera.height_px * camera.width_px
-        data = np.fromfile(fh, dtype="<f4", count=count * 2 * pane)
-    if data.size != count * 2 * pane:
-        raise ValueError(f"truncated body ({data.size} of {count * 2 * pane} values)")
-    frames = data.reshape(count, 2, camera.height_px, camera.width_px)
+        frames = _read_frames(fh, camera, 0, count)
     return FrameStack(
         stokes=np.ascontiguousarray(frames[:, 0]),
         anti_stokes=np.ascontiguousarray(frames[:, 1]),

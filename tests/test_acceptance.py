@@ -302,10 +302,11 @@ def test_criterion_7_statistics_oracles():
         eta0=0.85, d_diff_m2_s=0.0, tau_storage_s=1e-6,
         aberration_scale_urad=600.0, noise_floor=0.0,
     )
+    eta = scattering.retrieval_efficiencies(ms4, rm, (0.0, 0.0))
     n_draws = 100_000
     draws = np.concatenate(
         [
-            scattering.sample_shot(ms4, rm, (0.0, 0.0), scattering.shot_rng(71, i))[0]
+            scattering.sample_shot(ms4, eta, scattering.shot_rng(71, i))[0]
             for i in range(n_draws // 4)
         ]
     )

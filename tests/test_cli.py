@@ -159,17 +159,19 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
     assert 1 <= len(reachable) < 5
 
 
+_PINNED_STEER_ARGS = ["steer", "--frames", "200", "--fibers", "2", "--seed", "50"]
+_PINNED_STEER_DIGEST = "f0fa4b15cddcea1a87fb9cedaedfa25cdbd63bed0aaca4104b7185f3335342c6"
+
+
 def test_steer_report_digest_is_pinned(tmp_path, capsys):
     """A small default-config steer writes the same report bytes on every run.
 
     A byte that moves is an output change to document, not to re-pin silently.
     """
     report = tmp_path / "steer.csv"
-    rc = main(["steer", "--frames", "200", "--fibers", "2", "--seed", "50", "--out", str(report)])
+    rc = main([*_PINNED_STEER_ARGS, "--out", str(report)])
     assert rc == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "f0fa4b15cddcea1a87fb9cedaedfa25cdbd63bed0aaca4104b7185f3335342c6"
-    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == _PINNED_STEER_DIGEST
 
 
 # (name, correlate options): a pixel, a 20 urad virtual fiber, a reverse map
@@ -400,6 +402,57 @@ def test_bad_reference_on_a_stack_closes_the_file(tmp_path, cfg_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --ref-x/--ref-y: ")
     assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _use_threads(monkeypatch, threads):
+    """Render on `threads` threads: the private seam that stands in for the core count."""
+    monkeypatch.setattr(scattering, "_usable_cores", lambda: threads)
+
+
+def test_fresh_outputs_do_not_depend_on_thread_count(tmp_path, monkeypatch, capsys):
+    """All 5 files of a fresh correlate and the pinned steer report, on 1, 2 and 3 threads."""
+    outputs = {}
+    for threads in (1, 2, 3):
+        _use_threads(monkeypatch, threads)
+        prefix = tmp_path / f"map{threads}"
+        argv = ["correlate", "--frames", "120", "--ref-x", "40", "--ref-y", "-30"]
+        assert main([*argv, "--out", str(prefix)]) == 0
+        outputs[threads] = [Path(f"{prefix}{suffix}").read_bytes() for suffix in _MAP_SUFFIXES]
+        report = tmp_path / f"steer{threads}.csv"
+        assert main([*_PINNED_STEER_ARGS, "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == _PINNED_STEER_DIGEST
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+_FAILING_RENDER = """\
+import sys
+from ramanmem import cli, scattering
+
+scattering._usable_cores = lambda: int(sys.argv[1])
+render = scattering._render_with_bases
+
+def failing(*job):
+    if job[3] == 4:  # the shot index
+        raise RuntimeError("render failed at frame 4")
+    return render(*job)
+
+scattering._render_with_bases = failing
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_render_error_exits_as_it_does_on_one_thread(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ramanmem.__file__).parents[1]))
+    runs = {}
+    for threads in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAILING_RENDER, str(threads), "simulate", "--frames", "10",
+             "--out", str(tmp_path / f"run{threads}.rmns")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        runs[threads] = (proc.returncode, proc.stderr.splitlines()[-1])
+    assert runs[1] == (1, "RuntimeError: render failed at frame 4")
+    assert runs[2] == runs[1]
 
 
 def test_requires_a_subcommand():

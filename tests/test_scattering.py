@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanmem import scattering
 from ramanmem.cli import main
 from ramanmem.config import default_config
 from ramanmem.geometry import Angle2D, BeamGeometry, CameraGeometry
@@ -152,7 +155,8 @@ def test_shot_rng_is_counter_based():
 
 def test_sample_shot_unit_efficiency_gives_equal_twins():
     ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
-    i_s, i_as = sample_shot(ms, flat_model(eta0=1.0), (0.0, 0.0), shot_rng(1, 0))
+    eta = retrieval_efficiencies(ms, flat_model(eta0=1.0), (0.0, 0.0))
+    i_s, i_as = sample_shot(ms, eta, shot_rng(1, 0))
     np.testing.assert_array_equal(i_s, i_as)
     assert (i_s >= 0).all()
 
@@ -160,7 +164,7 @@ def test_sample_shot_unit_efficiency_gives_equal_twins():
 def test_sample_shot_scales_by_eta():
     ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
     rm = RetrievalModel(0.5, 0.0, 1e-6, 0.0, 0.0)
-    i_s, i_as = sample_shot(ms, rm, (0.0, 0.0), shot_rng(1, 0))
+    i_s, i_as = sample_shot(ms, retrieval_efficiencies(ms, rm, (0.0, 0.0)), shot_rng(1, 0))
     np.testing.assert_allclose(i_as, 0.5 * i_s, rtol=1e-12)
 
 
@@ -308,7 +312,7 @@ def test_frames_independent_of_history(idx):
     cfg = default_config()
     ms = mode_set_from_config(cfg)
     rng = shot_rng(cfg.run.seed, idx)
-    i_s, i_as = sample_shot(ms, cfg.retrieval, (0.0, 0.0), rng)
+    i_s, i_as = sample_shot(ms, retrieval_efficiencies(ms, cfg.retrieval, (0.0, 0.0)), rng)
     fr = render_frame(
         (i_s, i_as), ms, (0.0, 0.0), cfg.camera, rng,
         noise_floor=cfg.retrieval.noise_floor, shot_index=idx,
@@ -340,13 +344,141 @@ def test_default_stack_digest_is_pinned(tmp_path):
     assert _digest(out) == PINNED_DEFAULT_DIGEST
 
 
-def test_scheduled_stack_digest_is_pinned(tmp_path):
+def _three_tone_schedule(tmp_path):
     # three AOD drive tones, 0.25 MHz apart around the 80 MHz base, cycled
     tones = (79.75e6, 80.0e6, 80.25e6)
     sched = tmp_path / "sched.csv"
     sched.write_text(
         "shot,drive_freq_hz\n" + "".join(f"{i},{tones[i % 3]!r}\n" for i in range(6))
     )
+    return sched
+
+
+def test_scheduled_stack_digest_is_pinned(tmp_path):
+    sched = _three_tone_schedule(tmp_path)
     out = tmp_path / "sched.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
     assert _digest(out) == PINNED_SCHEDULE_DIGEST
+
+
+# --- render threads -----------------------------------------------------------
+
+
+def _use_threads(monkeypatch, threads):
+    """Render on `threads` threads: the private seam that stands in for the core count."""
+    monkeypatch.setattr(scattering, "_usable_cores", lambda: threads)
+
+
+def _render_threads():
+    return sum(t.name == "ramanmem-render" for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_stack_digests_do_not_depend_on_thread_count(tmp_path, monkeypatch, threads):
+    _use_threads(monkeypatch, threads)
+    out = tmp_path / "run.rmns"
+    assert main(["simulate", "--frames", "6", "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_DEFAULT_DIGEST
+    sched = _three_tone_schedule(tmp_path)
+    out = tmp_path / "sched.rmns"
+    assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_SCHEDULE_DIGEST
+
+
+@pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 0), (3, 5, 3), (3, 2, 2)])
+def test_one_render_thread_per_core_capped_at_frame_count(monkeypatch, cores, frames, started):
+    _use_threads(monkeypatch, cores)
+    it = iter_simulated_frames(default_config(), n_frames=frames, seed=1)
+    next(it)
+    assert _render_threads() == started
+    it.close()
+    assert _render_threads() == 0
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_render_threads_stop_when_the_run_ends_or_is_closed(monkeypatch, threads):
+    _use_threads(monkeypatch, threads)
+    cfg = default_config()
+    start = threading.active_count()
+    frames = list(iter_simulated_frames(cfg, n_frames=8, seed=1))
+    assert [fr.shot_index for fr in frames] == list(range(8))
+    assert threading.active_count() == start
+
+    it = iter_simulated_frames(cfg, n_frames=20, seed=1)
+    assert [next(it).shot_index for _ in range(3)] == [0, 1, 2]
+    assert threading.active_count() == start + threads
+    it.close()
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_render_error_reaches_the_caller_at_its_frame(monkeypatch, threads):
+    _use_threads(monkeypatch, threads)
+    render = scattering._render_with_bases
+
+    def failing(*job):
+        if job[3] == 4:  # the shot index
+            raise RuntimeError("render failed at frame 4")
+        return render(*job)
+
+    monkeypatch.setattr(scattering, "_render_with_bases", failing)
+    start = threading.active_count()
+    got = []
+    with pytest.raises(RuntimeError, match="frame 4"):
+        for fr in iter_simulated_frames(default_config(), n_frames=10, seed=1):
+            got.append(fr.shot_index)
+    assert got == [0, 1, 2, 3]
+    assert threading.active_count() == start
+
+
+def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
+    """More render threads than cores and a 1 us switch interval: the serial frames, in order."""
+    cfg = default_config()
+    n = 24
+    sched = np.column_stack([np.zeros(n), np.linspace(-100.0, 100.0, n)])
+    _use_threads(monkeypatch, 1)
+    want = list(iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=8))
+    _use_threads(monkeypatch, 8)
+    got = []
+    consumer = threading.Thread(
+        target=lambda: got.extend(iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=8))
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer.start()
+        consumer.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert [fr.shot_index for fr in got] == list(range(n))
+    for a, b in zip(want, got):
+        assert a.readout_angle_urad == b.readout_angle_urad
+        np.testing.assert_array_equal(a.stokes, b.stokes)
+        np.testing.assert_array_equal(a.anti_stokes, b.anti_stokes)
+
+
+def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
+    """At most threads + 1 frames are in flight: the same peak at 64 and at 640 frames.
+
+    Every frame has its own tilt, so each job carries fresh anti-Stokes factors
+    (~190 KB) besides its two panes.  "The same" allows 1 MB for thread timing,
+    which moves the peak by up to ~0.25 MB; a pipeline that queued every job
+    or kept every frame would grow by tens of MB.
+    """
+    _use_threads(monkeypatch, 2)
+    cfg = default_config()
+
+    def peak(n):
+        sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
+        tracemalloc.start()
+        try:
+            for _ in iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=3):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # one-off allocations of the first run stay out of the comparison
+    peaks = [peak(64), peak(640)]
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks

@@ -143,9 +143,9 @@ def test_truncated_body(tmp_path):
     frame_bytes = 2 * 4 * CAM.width_px * CAM.height_px
     for cut in (100, frame_bytes):  # inside frame 2, and all of frame 2
         p.write_bytes(raw[: len(raw) - cut])
-        with pytest.raises(ValueError, match="truncated body"):
+        # every reader anchors the error to the first incomplete frame
+        with pytest.raises(ValueError, match="truncated frame 2"):
             read_stack(p)
-        # streaming readers anchor the error to the first incomplete frame
         with pytest.raises(ValueError, match="truncated frame 2"):
             _, _, _, _, frames = iter_stack(p)
             list(frames)
@@ -180,3 +180,5 @@ def test_negative_count_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="non-negative"):
         _, _, _, _, frames = iter_stack(p)
         list(frames)
+    with pytest.raises(ValueError, match="non-negative"):
+        read_stack(p)
