@@ -15,9 +15,7 @@ from .geometry import (
     aod_chain_angle,
     conjugate_angles,
     drive_frequency_for,
-    fresnel_number,
     phase_match,
-    spinwave_angular_precision_urad,
 )
 from .scattering import (
     Frame,
@@ -40,18 +38,15 @@ from .analysis import (
     accumulate,
     correlation_map,
     count_modes,
-    cross_section,
     fit_gaussian_spot,
     locate_twin_spot,
     merge,
 )
 from .control import (
-    FeasibleRegion,
     HeraldConfig,
     HeraldStats,
     SteeringCommand,
     compensating_readout,
-    feasible_region,
     herald_probability,
     multi_given_herald_exact,
     run_herald_protocol,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +28,12 @@ __all__ = [
     "Reference",
     "MomentAccumulator",
     "CorrelationMap",
-    "CrossSection",
     "GaussianSpotFit",
     "accumulate",
     "accumulate_many",
     "accumulate_block",
     "merge",
     "correlation_map",
-    "cross_section",
     "fit_gaussian_spot",
     "locate_twin_spot",
     "count_modes",
@@ -102,13 +100,6 @@ class Reference:
                 f"disc reference of radius {radius_urad:g} urad at {center} covers no pixels"
             )
         return cls(pane=pane, pixel_rows=rows, pixel_cols=cols, angle_urad=(center.theta_x, center.theta_y))
-
-    def same_as(self, other: "Reference") -> bool:
-        return (
-            self.pane == other.pane
-            and np.array_equal(self.pixel_rows, other.pixel_rows)
-            and np.array_equal(self.pixel_cols, other.pixel_cols)
-        )
 
 
 @dataclass(eq=False)
@@ -186,7 +177,12 @@ def accumulate_many(accs: Sequence[MomentAccumulator], frame: Frame) -> None:
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
     """Combine two partial accumulations over disjoint frame sets."""
-    if not a.reference.same_as(b.reference):
+    ra, rb = a.reference, b.reference
+    if not (
+        ra.pane == rb.pane
+        and np.array_equal(ra.pixel_rows, rb.pixel_rows)
+        and np.array_equal(ra.pixel_cols, rb.pixel_cols)
+    ):
         raise ValueError("cannot merge accumulators with different references")
     return MomentAccumulator(
         reference=a.reference,
@@ -249,35 +245,6 @@ def correlation_map(
     )
 
 
-@dataclass(frozen=True)
-class CrossSection:
-    axis: str
-    positions_urad: np.ndarray
-    values: np.ndarray
-    fixed_urad: float
-
-
-def cross_section(
-    cmap: CorrelationMap, pane: str, axis: str, through: Angle2D
-) -> CrossSection:
-    """1-d cut through the map at the row/column nearest to `through`.
-
-    axis='y' varies theta_y at the fixed theta_x of `through`, and vice versa.
-    """
-    values = cmap.pane(pane)
-    ax, ay = cmap.camera.pixel_angle_axes()
-    px, py = cmap.camera.angle_to_pixel(through)
-    if not cmap.camera.contains(px, py):
-        raise ValueError(f"cross-section anchor {through} is off the pane")
-    if axis == "y":
-        col = round(px)
-        return CrossSection("y", ay.copy(), values[:, col].copy(), float(ax[col]))
-    if axis == "x":
-        row = round(py)
-        return CrossSection("x", ax.copy(), values[row, :].copy(), float(ay[row]))
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
 # ---------------------------------------------------------------------------
 # Gaussian spot fitting
 
@@ -335,21 +302,23 @@ def _initial_guess(
     return np.array([amp, x0, y0, sx, sy, floor])
 
 
+# Gauss-Newton iteration cap and the relative step that counts as converged
+_MAX_ITERATIONS = 100
+_REL_STEP_TOL = 1e-8
+
+
 def fit_gaussian_spot(
     values: np.ndarray,
     x_axis_urad: np.ndarray,
     y_axis_urad: np.ndarray,
-    initial_guess: Optional[np.ndarray] = None,
-    max_iterations: int = 100,
-    rel_step_tol: float = 1e-8,
 ) -> GaussianSpotFit:
     """Least-squares 2-d Gaussian (amplitude, centre, widths, offset).
 
     NaN pixels are ignored.  Gauss-Newton steps with Levenberg damping as the
     fallback; the Jacobian is numeric (forward differences).  The fit has
-    converged once a step is below rel_step_tol of the parameters or moves the
-    cost by no more than rounding (1e-12 of it).  Non-convergence is reported
-    on the result, not raised.
+    converged once a step is below _REL_STEP_TOL of the parameters or moves
+    the cost by no more than rounding (1e-12 of it).  Non-convergence is
+    reported on the result, not raised.
     """
     z2d = np.asarray(values, dtype=float)
     gx2d, gy2d = np.meshgrid(np.asarray(x_axis_urad, float), np.asarray(y_axis_urad, float))
@@ -357,38 +326,12 @@ def fit_gaussian_spot(
     gx, gy, z = gx2d[valid], gy2d[valid], z2d[valid]
     pitch = float(abs(x_axis_urad[1] - x_axis_urad[0])) if len(x_axis_urad) > 1 else 1.0
 
-    def failed(p, iters) -> GaussianSpotFit:
-        return GaussianSpotFit(
-            amplitude=float(p[0]),
-            center_x_urad=float(p[1]),
-            center_y_urad=float(p[2]),
-            sigma_x_urad=abs(float(p[3])),
-            sigma_y_urad=abs(float(p[4])),
-            offset=float(p[5]),
-            rms_residual=float("nan") if z.size == 0 else _rms(p),
-            n_iterations=iters,
-            converged=False,
-        )
-
-    def _rms(p) -> float:
-        r = _gauss_model(p, gx, gy) - z
-        return float(np.sqrt(np.mean(r * r)))
-
-    if z.size < 7:
-        p = initial_guess if initial_guess is not None else np.full(6, np.nan)
-        return failed(np.asarray(p, float), 0)
-
-    p = (
-        np.asarray(initial_guess, dtype=float)
-        if initial_guess is not None
-        else _initial_guess(gx, gy, z, pitch)
-    )
-    scale = np.array([abs(p[0]) + 1e-9, pitch, pitch, pitch, pitch, abs(p[0]) + 1e-9])
-
     def residual(q):
         return _gauss_model(q, gx, gy) - z
 
-    def succeeded(p, iters) -> GaussianSpotFit:
+    def result(p, iters, converged: bool) -> GaussianSpotFit:
+        r = residual(p)
+        rms = float(np.sqrt(np.mean(r * r))) if z.size else float("nan")
         return GaussianSpotFit(
             amplitude=float(p[0]),
             center_x_urad=float(p[1]),
@@ -396,16 +339,22 @@ def fit_gaussian_spot(
             sigma_x_urad=abs(float(p[3])),
             sigma_y_urad=abs(float(p[4])),
             offset=float(p[5]),
-            rms_residual=_rms(p),
+            rms_residual=rms,
             n_iterations=iters,
-            converged=True,
+            converged=converged,
         )
+
+    if z.size < 7:
+        return result(np.full(6, np.nan), 0, False)
+
+    p = _initial_guess(gx, gy, z, pitch)
+    scale = np.array([abs(p[0]) + 1e-9, pitch, pitch, pitch, pitch, abs(p[0]) + 1e-9])
 
     r = residual(p)
     cost = float(r @ r)
     lam = 1e-3
     iters = 0
-    for iters in range(1, max_iterations + 1):
+    for iters in range(1, _MAX_ITERATIONS + 1):
         jac = np.empty((z.size, 6))
         for j in range(6):
             h = 1e-6 * max(abs(p[j]), scale[j])
@@ -434,17 +383,17 @@ def fit_gaussian_spot(
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-12)
                 break
-            tiny_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p), scale))) < rel_step_tol
+            tiny_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p), scale))) < _REL_STEP_TOL
             if at_minimum or tiny_step:
                 # the cost cannot be reduced further: we are at the minimum
-                return succeeded(p, iters)
+                return result(p, iters, True)
             lam *= 10.0
         if step is None:
-            return failed(p, iters)
+            return result(p, iters, False)
         rel = float(np.max(np.abs(step) / np.maximum(np.abs(p), scale)))
-        if rel < rel_step_tol or at_minimum:
-            return succeeded(p, iters)
-    return failed(p, max_iterations)
+        if rel < _REL_STEP_TOL or at_minimum:
+            return result(p, iters, True)
+    return result(p, _MAX_ITERATIONS, False)
 
 
 def locate_twin_spot(

@@ -161,6 +161,10 @@ def _frame_source(args, cfg: Optional[ExperimentConfig]):
 
 
 def cmd_correlate(args) -> int:
+    if args.stack:  # the stack fixes its own frames, seed and config checksum
+        for flag in ("seed", "frames", "config"):
+            if getattr(args, flag) is not None:
+                raise ConfigError("does not apply to a recorded --stack", path=f"--{flag}")
     cfg = None if args.stack else _load_config(args)
     camera, count, seed, checksum, source = _frame_source(args, cfg)
     _require_map_frames(count, args.stack or "--frames")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from .control import HeraldConfig
 from .geometry import BeamGeometry, CameraGeometry, OpticalChain
@@ -303,18 +303,20 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
             herald_kw.setdefault("zeta", None)
             herald_kw.setdefault("p", None)
         herald = replace(base.herald, **herald_kw)
+        cfg = ExperimentConfig(
+            geometry=geometry,
+            chain=chain,
+            modes=modes,
+            retrieval=retrieval,
+            camera=camera,
+            run=run,
+            herald=herald,
+            metadata=metadata,
+        )
+        mode_set_from_config(cfg)  # [modes] values the mode grid rejects
     except ValueError as exc:
         raise ConfigError(str(exc), path) from None
-    return ExperimentConfig(
-        geometry=geometry,
-        chain=chain,
-        modes=modes,
-        retrieval=retrieval,
-        camera=camera,
-        run=run,
-        herald=herald,
-        metadata=metadata,
-    )
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -323,6 +325,8 @@ def load_config(path) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}", str(path)) from None
     return parse_config(text, str(path))
 
 

@@ -31,16 +31,13 @@ from .scattering import shot_rng
 
 __all__ = [
     "SteeringCommand",
-    "FeasibleRegion",
     "HeraldConfig",
     "HeraldStats",
     "compensating_readout",
-    "feasible_region",
     "herald_probability",
     "multi_given_herald_exact",
     "run_herald_protocol",
     "load_schedule",
-    "save_schedule",
 ]
 
 # tolerance (urad) for readout components the chain cannot actuate; these must
@@ -138,70 +135,6 @@ def compensating_readout(
         reachable=reachable,
         note="; ".join(notes),
     )
-
-
-@dataclass(frozen=True)
-class FeasibleRegion:
-    """Axis-aligned description of the Stokes directions a target can serve.
-
-    Steered axes get a real interval; non-steered axes collapse to the single
-    compatible value (within the actuation tolerance).
-    """
-
-    x_urad: tuple[float, float]
-    y_urad: tuple[float, float]
-
-    def contains(self, theta_s: Angle2D) -> bool:
-        return (
-            self.x_urad[0] <= theta_s.theta_x <= self.x_urad[1]
-            and self.y_urad[0] <= theta_s.theta_y <= self.y_urad[1]
-        )
-
-    def diameter_urad(self, axis: str) -> float:
-        lo, hi = self.x_urad if axis == "x" else self.y_urad
-        return hi - lo
-
-    @property
-    def is_everything(self) -> bool:
-        return all(
-            math.isinf(v) for v in (*self.x_urad, *self.y_urad)
-        )
-
-    @property
-    def is_point(self) -> bool:
-        return self.x_urad[0] == self.x_urad[1] and self.y_urad[0] == self.y_urad[1]
-
-
-def feasible_region(
-    chain: OpticalChain,
-    geom: BeamGeometry,
-    theta_w: Angle2D,
-    target_as: Angle2D,
-) -> FeasibleRegion:
-    """Set of Stokes directions whose twin can be steered onto target_as.
-
-    Solving theta_r = target - (lr/lw)(theta_w - theta_s) for theta_s, each
-    steered axis contributes an interval of width span * lambda_write /
-    lambda_read; a non-steered axis pins theta_s to one value.
-    """
-    ratio = geom.lambda_read_m / geom.lambda_write_m
-    lo_defl, hi_defl = _deflection_band_urad(chain)
-
-    intervals = {}
-    for axis, t_w, t_t in (
-        ("x", theta_w.theta_x, target_as.theta_x),
-        ("y", theta_w.theta_y, target_as.theta_y),
-    ):
-        # theta_s = theta_w + (theta_r - target)/ratio, theta_r in [lo, hi]
-        center = t_w - t_t / ratio
-        if axis in chain.steer_axes:
-            a = center + lo_defl / ratio
-            b = center + hi_defl / ratio
-        else:
-            a = center - OFF_AXIS_TOL_URAD
-            b = center + OFF_AXIS_TOL_URAD
-        intervals[axis] = (min(a, b), max(a, b))
-    return FeasibleRegion(x_urad=intervals["x"], y_urad=intervals["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +292,6 @@ def run_herald_protocol(
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def save_schedule(path, schedule_urad: np.ndarray) -> None:
-    """Write a per-shot readout schedule as CSV (angles in urad)."""
-    arr = np.asarray(schedule_urad, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("schedule must be an (n, 2) array")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("shot,theta_read_x_urad,theta_read_y_urad\n")
-        for i, (tx, ty) in enumerate(arr):
-            fh.write(f"{i},{float(tx)!r},{float(ty)!r}\n")
 
 
 def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:

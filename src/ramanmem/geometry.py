@@ -50,9 +50,6 @@ class Angle2D:
     def as_array(self) -> np.ndarray:
         return np.array([self.theta_x, self.theta_y], dtype=float)
 
-    def norm(self) -> float:
-        return math.hypot(self.theta_x, self.theta_y)
-
 
 @dataclass(frozen=True)
 class BeamGeometry:
@@ -115,11 +112,6 @@ class OpticalChain:
         """Readout-angle change at the cell per Hz of drive detuning."""
         return self.aod_slope_rad_per_hz * self.f1_m / self.f2_m
 
-    @property
-    def deflection_span_urad(self) -> float:
-        """Full steering span at the cell over the configured AOD band."""
-        return (self.freq_max_hz - self.freq_min_hz) * self.cell_slope_rad_per_hz / RAD_PER_URAD
-
 
 @dataclass(frozen=True)
 class CameraGeometry:
@@ -153,10 +145,21 @@ class CameraGeometry:
         return self.pixel_pitch_m / self.f3_m / RAD_PER_URAD
 
     def angle_to_pixel(self, angle: Angle2D) -> tuple[float, float]:
-        return angle_to_pixel(angle, self.f3_m, self.pixel_pitch_m, self.origin_px)
+        """Far-field projection x = f3 * theta, in fractional pixel coordinates.
+
+        Off-pane directions still map to coordinates; bounds are the caller's
+        concern (see contains), going off pane is not a fault.
+        """
+        ox, oy = self.origin_px
+        px = ox + angle.theta_x * RAD_PER_URAD * self.f3_m / self.pixel_pitch_m
+        py = oy + angle.theta_y * RAD_PER_URAD * self.f3_m / self.pixel_pitch_m
+        return (px, py)
 
     def pixel_to_angle(self, px: float, py: float) -> Angle2D:
-        return pixel_to_angle(px, py, self.f3_m, self.pixel_pitch_m, self.origin_px)
+        ox, oy = self.origin_px
+        tx = (px - ox) * self.pixel_pitch_m / self.f3_m / RAD_PER_URAD
+        ty = (py - oy) * self.pixel_pitch_m / self.f3_m / RAD_PER_URAD
+        return Angle2D(tx, ty)
 
     def contains(self, px: float, py: float) -> bool:
         """True when (px, py) rounds onto a physical pixel of the pane."""
@@ -243,53 +246,3 @@ def drive_frequency_for(deflection_urad: float, chain: OpticalChain) -> float:
     """
     _require_finite("deflection", deflection_urad)
     return chain.base_freq_hz + deflection_urad * RAD_PER_URAD / chain.cell_slope_rad_per_hz
-
-
-# ---------------------------------------------------------------------------
-# camera projection
-
-
-def angle_to_pixel(
-    angle: Angle2D,
-    f3_m: float,
-    pixel_pitch_m: float,
-    pane_origin_px: tuple[float, float],
-) -> tuple[float, float]:
-    """Far-field projection x = f3 * theta, in fractional pixel coordinates.
-
-    Off-pane directions still map to coordinates; bounds are the caller's
-    concern (see CameraGeometry.contains), going off pane is not a fault.
-    """
-    px = pane_origin_px[0] + angle.theta_x * RAD_PER_URAD * f3_m / pixel_pitch_m
-    py = pane_origin_px[1] + angle.theta_y * RAD_PER_URAD * f3_m / pixel_pitch_m
-    return (px, py)
-
-
-def pixel_to_angle(
-    px: float,
-    py: float,
-    f3_m: float,
-    pixel_pitch_m: float,
-    pane_origin_px: tuple[float, float],
-) -> Angle2D:
-    tx = (px - pane_origin_px[0]) * pixel_pitch_m / f3_m / RAD_PER_URAD
-    ty = (py - pane_origin_px[1]) * pixel_pitch_m / f3_m / RAD_PER_URAD
-    return Angle2D(tx, ty)
-
-
-# ---------------------------------------------------------------------------
-# derived beam quantities
-
-
-def fresnel_number(geom: BeamGeometry) -> float:
-    """w0^2 / (lambda L) for the write beam over the cell length."""
-    return geom.w0_write_m**2 / (geom.lambda_write_m * geom.cell_length_m)
-
-
-def spinwave_angular_precision_urad(geom: BeamGeometry) -> float:
-    """Angular uncertainty (+/-) of the stored spin-wave wavevector.
-
-    A spin wave clipped to the write-beam aperture has its transverse
-    wavevector defined only to ~ lambda/w0 in angle.
-    """
-    return geom.lambda_write_m / geom.w0_write_m / RAD_PER_URAD

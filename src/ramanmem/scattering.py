@@ -448,18 +448,12 @@ class FrameStack:
 
 
 def _normalize_schedule(schedule, n_frames: int) -> np.ndarray:
+    """None (no tilt), one Angle2D for every frame, or an (n_frames, 2) array."""
     if schedule is None:
         return np.zeros((n_frames, 2), dtype=float)
     if isinstance(schedule, Angle2D):
         return np.tile(schedule.as_array(), (n_frames, 1))
-    arr = np.asarray(
-        [a.as_array() if isinstance(a, Angle2D) else a for a in np.atleast_1d(schedule)]
-        if not isinstance(schedule, np.ndarray)
-        else schedule,
-        dtype=float,
-    )
-    if arr.shape == (2,):
-        return np.tile(arr, (n_frames, 1))
+    arr = np.asarray(schedule, dtype=float)
     if arr.shape != (n_frames, 2):
         raise ValueError(
             f"schedule must be one angle or an (n_frames, 2) array, got shape {arr.shape}"

@@ -1,6 +1,5 @@
 """Correlation maps, accumulator algebra, spot fitting and exports."""
 
-import math
 import struct
 
 import numpy as np
@@ -211,22 +210,6 @@ def ramp_map():
         ref_angle_urad=(0.0, 0.0),
         n_frames=10,
     )
-
-
-def test_cross_section_axes():
-    cmap = ramp_map()
-    cut_x = an.cross_section(cmap, "anti_stokes", "x", CAM4.pixel_to_angle(0, 1))
-    np.testing.assert_allclose(cut_x.values, cmap.values[1][1, :])
-    assert len(cut_x.positions_urad) == 4
-    assert cut_x.fixed_urad == pytest.approx(CAM4.pixel_to_angle(0, 1).theta_y)
-
-    cut_y = an.cross_section(cmap, "anti_stokes", "y", CAM4.pixel_to_angle(3, 0))
-    np.testing.assert_allclose(cut_y.values, cmap.values[1][:, 3])
-
-    with pytest.raises(ValueError, match="axis"):
-        an.cross_section(cmap, "anti_stokes", "z", Angle2D(0, 0))
-    with pytest.raises(ValueError, match="off the pane"):
-        an.cross_section(cmap, "anti_stokes", "x", Angle2D(0, 4000.0))
 
 
 def test_value_at():

@@ -330,6 +330,9 @@ def _exit_code(argv):
         ["simulate", "--frames", str(2**32), "--out", "{tmp}/x.rmns"],
         ["correlate", "--frames", "1", "--out", "{tmp}/one"],
         ["steer", "--frames", "1"],
+        ["correlate", "--stack", "{stack}", "--seed", "9", "--out", "{tmp}/s"],
+        ["correlate", "--stack", "{stack}", "--frames", "3", "--out", "{tmp}/s"],
+        ["correlate", "--stack", "{stack}", "--out", "{tmp}/s"],
     ],
     ids=[
         "shots-0", "sweep-m-0", "sweep-m-not-int", "frames-0", "ref-x-off-pane", "seed-neg",
@@ -338,13 +341,22 @@ def _exit_code(argv):
         "steer-fiber-seed-past-2^64", "ref-radius-neg", "ref-radius-nan",
         "fiber-radius-neg", "fiber-radius-nan", "frames-past-u32",
         "correlate-one-frame", "steer-one-frame",
+        "correlate-stack-seed", "correlate-stack-frames", "correlate-stack-config",
     ],
 )
 def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
-    argv = [a.format(tmp=tmp_path) for a in argv] + ["--config", cfg_path]
+    stack = tmp_path / "s.rmns"
+    if "{stack}" in argv:
+        assert main(["simulate", "--config", cfg_path, "--frames", "3", "--out", str(stack)]) == 0
+    argv = [a.format(tmp=tmp_path, stack=stack) for a in argv] + ["--config", cfg_path]
     assert _exit_code(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
     assert not (tmp_path / "x.rmns").exists()
+    if "--stack" in argv:  # one line, naming the first run flag a recorded stack cannot take
+        flag = next(f for f in ("--seed", "--frames", "--config") if f in argv)
+        assert err == f"error: {flag}: does not apply to a recorded --stack\n"
+        assert not list(tmp_path.glob("s_*"))
 
 
 _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
@@ -363,12 +375,18 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,nan\n"),
         ("schedule", "shot,drive_freq_hz\n0,1e9\n"),
+        ("config", b"[modes]\ngain_shrink = -1\n"),
+        ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
+        ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
+        ("config", b"[metadata]\nlab = caf\xe9\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band",
+        "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
+        "config-not-utf8",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -379,6 +397,9 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
         if make is not None:
             bad.write_bytes(make(bad.read_bytes()))
         argv = ["correlate", "--stack", str(bad), "--out", str(tmp_path / "map")]
+    elif kind == "config":
+        bad.write_bytes(make)
+        argv = ["simulate", "--config", str(bad), "--frames", "1", "--out", str(tmp_path / "x.rmns")]
     else:
         bad.write_text(make)
         argv = ["simulate", "--config", cfg_path, "--frames", "1", "--schedule", str(bad),

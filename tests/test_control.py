@@ -1,4 +1,4 @@
-"""Steering solver, feasibility regions and the herald Monte Carlo."""
+"""Steering solver, readout schedules and the herald Monte Carlo."""
 
 import math
 import tracemalloc
@@ -13,12 +13,10 @@ from ramanmem.control import (
     HeraldConfig,
     HeraldStats,
     compensating_readout,
-    feasible_region,
     herald_probability,
     load_schedule,
     multi_given_herald_exact,
     run_herald_protocol,
-    save_schedule,
 )
 from ramanmem.geometry import Angle2D, BeamGeometry, OpticalChain, aod_chain_angle, phase_match
 
@@ -102,37 +100,6 @@ def test_two_axis_chain_reaches_diagonal_targets():
     assert cmd.reachable
     assert cmd.theta_read.theta_x == pytest.approx(54.0)
     assert cmd.theta_read.theta_y == pytest.approx(6.0)
-
-
-# --- feasible region -------------------------------------------------------------
-
-
-def test_feasible_stripe_diameter():
-    region = feasible_region(CHAIN, GEOM, Angle2D(0, 0), Angle2D(0, 0))
-    # the 400 urad readout span maps to Stokes angles through the carrier ratio
-    assert region.diameter_urad("y") == pytest.approx(407.6923076923077, rel=1e-9)
-    assert region.contains(Angle2D(0.0, 150.0))
-    assert region.contains(Angle2D(0.0, -200.0))
-    assert not region.contains(Angle2D(0.0, 210.0))
-    assert not region.contains(Angle2D(50.0, 0.0))
-
-
-def test_feasible_region_everything_and_point():
-    wide = OpticalChain(
-        0.05, 0.75, 0.5, 80e6, 3e-10, -math.inf, math.inf, steer_axes=("x", "y")
-    )
-    assert feasible_region(wide, GEOM, Angle2D(0, 0), Angle2D(0, 0)).is_everything
-
-    frozen = OpticalChain(0.05, 0.75, 0.5, 80e6, 3e-10, 80e6, 80e6, steer_axes=("x", "y"))
-    region = feasible_region(frozen, GEOM, Angle2D(0, 0), Angle2D(0, 0))
-    assert region.is_point
-    assert region.contains(Angle2D(0.0, 0.0))
-
-
-def test_feasible_region_centre_tracks_target():
-    region = feasible_region(CHAIN, GEOM, Angle2D(0, 0), Angle2D(0.0, 100.0))
-    lo, hi = region.y_urad
-    assert (lo + hi) / 2.0 == pytest.approx(-100.0 / RATIO, rel=1e-12)
 
 
 # --- herald config and closed forms ------------------------------------------------
@@ -354,7 +321,10 @@ def test_protocol_argument_validation():
 def test_schedule_round_trip(tmp_path):
     sched = np.array([[0.0, -120.0], [0.0, 0.0], [12.5, 87.5]])
     path = tmp_path / "sched.csv"
-    save_schedule(path, sched)
+    path.write_text(
+        "shot,theta_read_x_urad,theta_read_y_urad\n"
+        + "".join(f"{i},{tx!r},{ty!r}\n" for i, (tx, ty) in enumerate(sched.tolist()))
+    )
     back = load_schedule(path)
     np.testing.assert_allclose(back, sched, rtol=1e-15)
 
@@ -374,7 +344,3 @@ def test_schedule_rejects_unknown_columns(tmp_path):
     with pytest.raises(ValueError, match="schedule needs"):
         load_schedule(path)
 
-
-def test_save_schedule_validates_shape(tmp_path):
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        save_schedule(tmp_path / "x.csv", np.zeros((3, 3)))

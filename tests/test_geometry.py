@@ -16,9 +16,7 @@ from ramanmem.geometry import (
     aod_chain_angle,
     conjugate_angles,
     drive_frequency_for,
-    fresnel_number,
     phase_match,
-    spinwave_angular_precision_urad,
 )
 
 GEOM = BeamGeometry(
@@ -101,7 +99,6 @@ def test_conjugate_angles_matches_scalar_form():
 
 def test_chain_derived_quantities():
     assert CHAIN.cell_slope_rad_per_hz == pytest.approx(2e-11, rel=1e-12)
-    assert CHAIN.deflection_span_urad == pytest.approx(400.0, rel=1e-12)
 
 
 def test_aod_chain_angle_at_key_frequencies():
@@ -194,17 +191,7 @@ def test_pixel_angle_axes():
     assert ay[32 + 20] == pytest.approx(300.0)
 
 
-# --- derived beam quantities ----------------------------------------------
-
-
-def test_fresnel_number_frozen():
-    assert fresnel_number(GEOM) == pytest.approx(154.08805031446542, rel=1e-12)
-
-
-def test_spinwave_precision_frozen():
-    assert spinwave_angular_precision_urad(GEOM) == pytest.approx(
-        227.14285714285717, rel=1e-12
-    )
+# --- constants ------------------------------------------------------------
 
 
 def test_fwhm_sigma_constant():
