@@ -332,6 +332,7 @@ def test_frames_independent_of_history(idx):
 # change is an output change and must be recorded as one, never re-seeded away.
 PINNED_DEFAULT_DIGEST = "d382b3fed89d68c78ae5b6a4422043aed47ff6b86af923da6d8044df4492c6f8"
 PINNED_SCHEDULE_DIGEST = "ce9b017f8de74258bae5016c83a2df3ccd58fc3434e8ec8c693e1a8a09aa853c"
+PINNED_BOTH_AXIS_DIGEST = "b12f09a097d1c2e99ec2bc752460c59d652f831363fd459ff93f59862f000cad"
 
 
 def _digest(path):
@@ -361,6 +362,28 @@ def test_scheduled_stack_digest_is_pinned(tmp_path):
     assert _digest(out) == PINNED_SCHEDULE_DIGEST
 
 
+# readout tilts (x, y) that change y alone, x alone, neither and both; at
+# x = 450 urad some anti-Stokes modes leave the pane on x, at y = -330 on y
+BOTH_AXIS_TILTS = ((0.0, 0.0), (0.0, 150.0), (-120.0, 150.0), (450.0, 150.0),
+                   (450.0, 150.0), (-200.0, -330.0))
+
+
+def _both_axis_schedule(tmp_path):
+    sched = tmp_path / "both.csv"
+    sched.write_text(
+        "shot,theta_read_x_urad,theta_read_y_urad\n"
+        + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(BOTH_AXIS_TILTS))
+    )
+    return sched
+
+
+def test_both_axis_schedule_digest_is_pinned(tmp_path):
+    sched = _both_axis_schedule(tmp_path)
+    out = tmp_path / "both.rmns"
+    assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_BOTH_AXIS_DIGEST
+
+
 # --- render threads -----------------------------------------------------------
 
 
@@ -383,6 +406,10 @@ def test_stack_digests_do_not_depend_on_thread_count(tmp_path, monkeypatch, thre
     out = tmp_path / "sched.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
     assert _digest(out) == PINNED_SCHEDULE_DIGEST
+    sched = _both_axis_schedule(tmp_path)
+    out = tmp_path / "both.rmns"
+    assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
+    assert _digest(out) == PINNED_BOTH_AXIS_DIGEST
 
 
 @pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 0), (3, 5, 3), (3, 2, 2)])
