@@ -21,6 +21,7 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -117,6 +118,22 @@ class ModeSet:
         tw = np.asarray(self.write_angle_urad, dtype=float)
         tr = np.asarray(theta_read_urad, dtype=float)
         return conjugate_angles(tw, self.centers_urad, tr, self.lambda_write_m, self.lambda_read_m)
+
+    @cached_property
+    def axis_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Per axis (x, y): (first, inverse) over the distinct (centre, sigma) pairs.
+
+        first[g] is a mode holding pair g and inverse[m] is the pair of mode
+        m, so a per-mode row built once per pair is rows[inverse].  The
+        conjugate law maps each axis on its own, so modes that share a pair
+        here share it in the anti-Stokes direction at every readout tilt.
+        """
+        groups = []
+        for axis in (0, 1):
+            pairs = np.column_stack([self.centers_urad[:, axis], self.sigma_urad])
+            _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+            groups.append((first, inverse.ravel()))
+        return tuple(groups)
 
 
 def build_mode_set(
@@ -224,20 +241,29 @@ class RetrievalModel:
             raise ValueError(f"noise_floor must be >= 0, got {self.noise_floor!r}")
 
 
-def retrieval_efficiencies(
-    ms: ModeSet, rm: RetrievalModel, theta_read_urad: Sequence[float]
-) -> np.ndarray:
-    """Per-mode anti-Stokes/Stokes intensity ratio for one steering angle."""
-    tr = np.asarray(theta_read_urad, dtype=float)
+def _diffusion_efficiencies(ms: ModeSet, rm: RetrievalModel) -> np.ndarray:
+    """eta0 * exp(-d_diff |K_m|^2 tau_storage): the part of eta_m no readout tilt changes."""
     k_mag = (
         np.linalg.norm(ms.centers_urad, axis=1)
         * (2.0 * math.pi * RAD_PER_URAD / ms.lambda_write_m)
     )
-    eta = rm.eta0 * np.exp(-rm.d_diff_m2_s * k_mag**2 * rm.tau_storage_s)
+    return rm.eta0 * np.exp(-rm.d_diff_m2_s * k_mag**2 * rm.tau_storage_s)
+
+
+def _aberration_rolloff(rm: RetrievalModel, theta_read_urad: Sequence[float]) -> float:
+    """A(theta_read) of the retrieval model; 1.0 when the roll-off is disabled."""
+    tr = np.asarray(theta_read_urad, dtype=float)
     scale = rm.aberration_scale_urad
     if scale > 0.0 and math.isfinite(scale):
-        eta = eta * math.exp(-float(tr @ tr) / (2.0 * scale * scale))
-    return eta
+        return math.exp(-float(tr @ tr) / (2.0 * scale * scale))
+    return 1.0
+
+
+def retrieval_efficiencies(
+    ms: ModeSet, rm: RetrievalModel, theta_read_urad: Sequence[float]
+) -> np.ndarray:
+    """Per-mode anti-Stokes/Stokes intensity ratio for one steering angle."""
+    return _diffusion_efficiencies(ms, rm) * _aberration_rolloff(rm, theta_read_urad)
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
@@ -266,35 +292,65 @@ def sample_shot(
 # rendering
 
 
-def _separable_basis(
-    centers_urad: np.ndarray, sigma_urad: np.ndarray, camera: CameraGeometry
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class PaneFactors:
     """Per-mode pixel deposit patterns on one pane, as per-axis factors.
 
-    Returns ((wy, wx_alpha), in_pane).  Mode m deposits the (H, W) pattern
-    outer(wy[m], wx_alpha[m]), which integrates to ~1 over an unbounded pane;
-    the (M, H, W) stack of patterns is never built.  in_pane[m] flags modes
-    whose centre lands on the pane.  Off-pane modes get all-zero rows; the
-    caller accounts for their energy separately.
+    Mode m deposits the (H, W) pattern outer(wy[m], wx_alpha[m]), which
+    integrates to ~1 over an unbounded pane; the (M, H, W) stack of patterns
+    is never built.  off_pane[m] flags modes whose centre misses the pane;
+    only their wy rows are zeroed, which removes them from every product
+    while wx_alpha stays shareable between tilts with the same theta_x.  The
+    caller accounts for their energy separately.  tilt is the readout tilt
+    of the anti-Stokes pane (None on the Stokes pane) and wy_rows the
+    unzeroed y factor per distinct (centre, sigma) pair.
+    """
+
+    tilt: Optional[tuple[float, float]]
+    wy_rows: np.ndarray
+    wy: np.ndarray
+    wx_alpha: np.ndarray
+    off_pane: np.ndarray
+    n_off: int
+
+
+def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """exp(-(axis - c)^2 / (2 sigma^2)), one row per (c, sigma), built in place in one buffer."""
+    w = axis[None, :] - centers[:, None]
+    w /= sigma[:, None]
+    w **= 2
+    w *= -0.5
+    return np.exp(w, out=w)
+
+
+def _pane_factors(
+    ms: ModeSet,
+    centers_urad: np.ndarray,
+    camera: CameraGeometry,
+    tilt: Optional[tuple[float, float]] = None,
+    previous: Optional[PaneFactors] = None,
+) -> PaneFactors:
+    """Factors of the modes centred at centers_urad; previous lends each unmoved axis's factor.
+
+    Each factor is built once per distinct (centre, sigma) pair of its axis
+    and gathered per mode: the same operations on the same inputs as one row
+    per mode, so the same bits.
     """
     ax, ay = camera.pixel_angle_axes()
-    cx = centers_urad[:, 0][:, None]
-    cy = centers_urad[:, 1][:, None]
-    sig = sigma_urad[:, None]
-    # separable Gaussian, peak-normalised per axis, area-normalised overall.
-    # Each factor is built in place in one buffer: the calling thread rebuilds
-    # the anti-Stokes factors at every new tilt while frames render elsewhere
-    def gauss(axis, c):
-        w = axis[None, :] - c
-        w /= sig
-        w **= 2
-        w *= -0.5
-        return np.exp(w, out=w)
-
-    wx_alpha = gauss(ax, cx)
-    wy = gauss(ay, cy)
-    alpha = camera.pitch_urad**2 / (2.0 * math.pi * sigma_urad**2)
-    wx_alpha *= alpha[:, None]
+    (first_x, inv_x), (first_y, inv_y) = ms.axis_groups
+    sigma = ms.sigma_urad
+    # separable Gaussian, peak-normalised per axis, area-normalised overall
+    if previous is not None and previous.tilt[0] == tilt[0]:
+        wx_alpha = previous.wx_alpha
+    else:
+        rows = _gauss_rows(ax, centers_urad[first_x, 0], sigma[first_x])
+        alpha = camera.pitch_urad**2 / (2.0 * math.pi * sigma[first_x] ** 2)
+        rows *= alpha[:, None]
+        wx_alpha = rows[inv_x]
+    if previous is not None and previous.tilt[1] == tilt[1]:
+        wy_rows = previous.wy_rows
+    else:
+        wy_rows = _gauss_rows(ay, centers_urad[first_y, 1], sigma[first_y])
 
     ox, oy = camera.origin_px
     lo_x, hi_x = -ox * camera.pitch_urad, (camera.width_px - 1 - ox) * camera.pitch_urad
@@ -306,22 +362,30 @@ def _separable_basis(
         & (centers_urad[:, 1] >= lo_y - half_px)
         & (centers_urad[:, 1] < hi_y + half_px)
     )
-    wy[~in_pane] = 0.0
-    wx_alpha[~in_pane] = 0.0
-    return (wy, wx_alpha), in_pane
+    off_pane = ~in_pane
+    wy = wy_rows[inv_y]
+    wy[off_pane] = 0.0
+    return PaneFactors(tilt, wy_rows, wy, wx_alpha, off_pane, int(np.count_nonzero(off_pane)))
 
 
-def stokes_basis(
-    ms: ModeSet, camera: CameraGeometry
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    return _separable_basis(ms.centers_urad, ms.sigma_urad, camera)
+def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> PaneFactors:
+    return _pane_factors(ms, ms.centers_urad, camera)
 
 
 def anti_stokes_basis(
-    ms: ModeSet, theta_read_urad: Sequence[float], camera: CameraGeometry
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    centers = ms.anti_stokes_centers_urad(theta_read_urad)
-    return _separable_basis(centers, ms.sigma_urad, camera)
+    ms: ModeSet,
+    theta_read_urad: Sequence[float],
+    camera: CameraGeometry,
+    previous: Optional[PaneFactors] = None,
+) -> PaneFactors:
+    """Anti-Stokes factors at one readout tilt.
+
+    `previous`, this pane's factors at an earlier tilt, lends the factor of
+    each axis whose tilt component is unchanged.
+    """
+    tilt = (float(theta_read_urad[0]), float(theta_read_urad[1]))
+    centers = ms.anti_stokes_centers_urad(tilt)
+    return _pane_factors(ms, centers, camera, tilt, previous)
 
 
 @dataclass(eq=False)
@@ -351,22 +415,20 @@ class Frame:
 
 def _render_with_bases(
     intensities: tuple[np.ndarray, np.ndarray],
-    bases: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    masks: tuple[np.ndarray, np.ndarray],
+    stokes: PaneFactors,
+    anti_stokes: PaneFactors,
     shot_index: int,
     theta_read_urad: Sequence[float],
     rng: np.random.Generator,
     noise_floor: float,
 ) -> Frame:
     i_s, i_as = intensities
-    (wy_s, wxa_s), (wy_a, wxa_a) = bases
-    mean_s = wy_s.T @ (i_s[:, None] * wxa_s) + noise_floor
-    mean_a = wy_a.T @ (i_as[:, None] * wxa_a) + noise_floor
+    mean_s = stokes.wy.T @ (i_s[:, None] * stokes.wx_alpha) + noise_floor
+    mean_a = anti_stokes.wy.T @ (i_as[:, None] * anti_stokes.wx_alpha) + noise_floor
     # one pane after the other: the same draws as one call on both panes stacked
     counts_s = rng.poisson(mean_s)
     counts_a = rng.poisson(mean_a)
     tr = np.asarray(theta_read_urad, dtype=float)
-    n_clip = int(np.sum(~masks[0]) + np.sum(~masks[1]))
     return Frame(
         stokes=counts_s.astype(np.float32),
         anti_stokes=counts_a.astype(np.float32),
@@ -374,9 +436,9 @@ def _render_with_bases(
         readout_angle_urad=(float(tr[0]), float(tr[1])),
         budget_stokes=float(np.sum(i_s)),
         budget_anti_stokes=float(np.sum(i_as)),
-        clipped_stokes=float(np.sum(i_s[~masks[0]])),
-        clipped_anti_stokes=float(np.sum(i_as[~masks[1]])),
-        n_clipped_modes=n_clip,
+        clipped_stokes=float(np.sum(i_s[stokes.off_pane])),
+        clipped_anti_stokes=float(np.sum(i_as[anti_stokes.off_pane])),
+        n_clipped_modes=stokes.n_off + anti_stokes.n_off,
     )
 
 
@@ -399,10 +461,11 @@ def render_frame(
         raise ValueError("intensities must be two (M,) vectors matching the mode set")
     if np.any(i_s < 0) or np.any(i_as < 0):
         raise ValueError("mode intensities must be non-negative")
-    b_s, m_s = stokes_basis(ms, camera)
-    b_a, m_a = anti_stokes_basis(ms, theta_read_urad, camera)
     return _render_with_bases(
-        (i_s, i_as), (b_s, b_a), (m_s, m_a), shot_index, theta_read_urad, rng, noise_floor
+        (i_s, i_as),
+        stokes_basis(ms, camera),
+        anti_stokes_basis(ms, theta_read_urad, camera),
+        shot_index, theta_read_urad, rng, noise_floor,
     )
 
 
@@ -476,13 +539,21 @@ def _take(done: queue.SimpleQueue):
     return result
 
 
+# jobs in flight per render thread.  With one more job than threads, a helper
+# that finishes before the oldest frame is collected finds no queued job, and
+# none is queued while the consumer handles a frame; a deeper window keeps the
+# helpers busy through both, and memory stays bounded by the window
+_IN_FLIGHT_PER_THREAD = 4
+
+
 def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
     """Yield render(*job) for each job, in job order, computed on `threads` helper threads.
 
-    The jobs iterator runs on the calling thread.  At most threads + 1 jobs
-    are in flight, so memory does not grow with the number of jobs.  An
-    exception raised by `render` reaches the caller at its job.  The helpers
-    stop and are joined when the generator finishes, fails or is closed.
+    The jobs iterator runs on the calling thread.  At most
+    _IN_FLIGHT_PER_THREAD * threads jobs are in flight, so memory does not
+    grow with the number of jobs.  An exception raised by `render` reaches
+    the caller at its job.  The helpers stop and are joined when the
+    generator finishes, fails or is closed.
     """
     tasks = queue.SimpleQueue()
 
@@ -505,7 +576,7 @@ def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator
             done = queue.SimpleQueue()
             tasks.put((job, done))
             pending.append(done)
-            if len(pending) > threads:
+            if len(pending) >= _IN_FLIGHT_PER_THREAD * threads:
                 yield _take(pending.popleft())
         while pending:
             yield _take(pending.popleft())
@@ -534,22 +605,22 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     camera = cfg.camera
     sched = _normalize_schedule(schedule, n)
 
-    b_s, m_s = stokes_basis(ms, camera)
+    stokes = stokes_basis(ms, camera)
+    diffusion = _diffusion_efficiencies(ms, rm)
 
     def jobs() -> Iterator[tuple]:
         # only the current tilt's factors are kept (and those of the frames in
-        # flight): a schedule whose every frame has its own tilt rebuilds them
-        # (M * (H + W) exponentials) each frame
-        tr_built = None
+        # flight); a tilt change rebuilds the factor of each axis it moves, so
+        # a drive-tone schedule on one axis shares the other axis's factor
+        anti = None
         for i in range(n):
             tr = (float(sched[i, 0]), float(sched[i, 1]))
-            if tr != tr_built:
-                b_a, m_a = anti_stokes_basis(ms, tr, camera)
-                eta = retrieval_efficiencies(ms, rm, tr)
-                tr_built = tr
+            if anti is None or tr != anti.tilt:
+                anti = anti_stokes_basis(ms, tr, camera, anti)
+                eta = diffusion * _aberration_rolloff(rm, tr)
             rng = shot_rng(s, i)
             intensities = sample_shot(ms, eta, rng)
-            yield intensities, (b_s, b_a), (m_s, m_a), i, tr, rng, rm.noise_floor
+            yield intensities, stokes, anti, i, tr, rng, rm.noise_floor
 
     threads = min(_usable_cores(), n)
     if threads == 1:

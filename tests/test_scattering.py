@@ -175,7 +175,8 @@ def test_factored_mean_matches_per_mode_gaussians():
     # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
     ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
     cam = small_camera(24)
-    (wy, wx_alpha), in_pane = stokes_basis(ms, cam)
+    factors = stokes_basis(ms, cam)
+    wy, wx_alpha, in_pane = factors.wy, factors.wx_alpha, ~factors.off_pane
     assert wy.shape == (ms.n_modes, cam.height_px)
     assert wx_alpha.shape == (ms.n_modes, cam.width_px)
     assert 0 < in_pane.sum() < ms.n_modes
@@ -188,6 +189,32 @@ def test_factored_mean_matches_per_mode_gaussians():
         area = cam.pitch_urad**2 / (2 * math.pi * sig**2)
         expected += i_s[m] * area * np.exp(-r2 / (2 * sig**2))
     np.testing.assert_allclose(wy.T @ (i_s[:, None] * wx_alpha), expected, rtol=1e-12)
+
+
+def test_factors_at_a_new_tilt_share_the_unmoved_axis_and_keep_the_bits():
+    """Reused factors equal fresh ones, and both equal a one-row-per-mode build bit for bit."""
+    cfg = default_config()
+    ms, cam = mode_set_from_config(cfg), cfg.camera
+    ax, ay = cam.pixel_angle_axes()
+    sig = ms.sigma_urad[:, None]
+    previous = None
+    for tilt in BOTH_AXIS_TILTS:
+        got = scattering.anti_stokes_basis(ms, tilt, cam, previous)
+        fresh = scattering.anti_stokes_basis(ms, tilt, cam)
+        centers = ms.anti_stokes_centers_urad(tilt)
+        wx = np.exp(-0.5 * ((ax[None, :] - centers[:, :1]) / sig) ** 2)
+        wx *= (cam.pitch_urad**2 / (2.0 * math.pi * ms.sigma_urad**2))[:, None]
+        wy = np.exp(-0.5 * ((ay[None, :] - centers[:, 1:]) / sig) ** 2)
+        wy[got.off_pane] = 0.0
+        for factors in (got, fresh):
+            np.testing.assert_array_equal(factors.wx_alpha, wx)
+            np.testing.assert_array_equal(factors.wy, wy)
+        np.testing.assert_array_equal(got.off_pane, fresh.off_pane)
+        if previous is not None:
+            assert (got.wx_alpha is previous.wx_alpha) == (tilt[0] == previous.tilt[0])
+            assert (got.wy_rows is previous.wy_rows) == (tilt[1] == previous.tilt[1])
+        previous = got
+    assert got.n_off > 0
 
 
 def test_render_dark_frame():
@@ -486,12 +513,13 @@ def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
 
 
 def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
-    """At most threads + 1 frames are in flight: the same peak at 64 and at 640 frames.
+    """At most 4 * threads frames are in flight: the same peak at 64 and at 640 frames.
 
-    Every frame has its own tilt, so each job carries fresh anti-Stokes factors
-    (~190 KB) besides its two panes.  "The same" allows 1 MB for thread timing,
-    which moves the peak by up to ~0.25 MB; a pipeline that queued every job
-    or kept every frame would grow by tens of MB.
+    Every frame has its own theta_y, so each job carries a fresh anti-Stokes
+    y factor (~62 KB) and shares the x factor, besides its two panes.  "The
+    same" allows 1 MB for thread timing, which moves the peak by up to
+    ~0.25 MB; a pipeline that queued every job or kept every frame would grow
+    by tens of MB.
     """
     _use_threads(monkeypatch, 2)
     cfg = default_config()
