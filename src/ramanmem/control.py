@@ -295,13 +295,26 @@ def run_herald_protocol(
 
 
 def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
-    """Read a schedule CSV; drive_freq_hz rows need the chain to convert."""
+    """Read a schedule CSV; drive_freq_hz rows need the chain to convert.
+
+    Blank lines and lines starting with '#' are skipped, before the header
+    and between rows.  A shot column, when present, must read 0..n-1 in file
+    order: row i is frame i.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    rows = [line.split(",") for line in lines[1:]]
     if any(len(r) != len(header) for r in rows):
         raise ValueError(f"every schedule row needs {len(header)} cells, one per header column")
     cols = {name: idx for idx, name in enumerate(header)}
+    if "shot" in cols:
+        for i, r in enumerate(rows):
+            if r[cols["shot"]].strip() != str(i):
+                raise ValueError(
+                    f"the shot column must read 0..{len(rows) - 1} in file order; "
+                    f"row {i + 1} reads {r[cols['shot']]!r}"
+                )
     if "theta_read_x_urad" in cols and "theta_read_y_urad" in cols:
         # Angle2D rejects NaN, infinite and super-paraxial tilts
         angles = [

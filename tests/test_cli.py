@@ -375,6 +375,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,nan\n"),
         ("schedule", "shot,drive_freq_hz\n0,1e9\n"),
+        ("schedule", _SCHEDULE_HEAD + "2,0.0,30.0\n0,0.0,10.0\n1,0.0,20.0\n"),
         ("config", b"[modes]\ngain_shrink = -1\n"),
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
@@ -384,7 +385,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
-        "schedule-tone-outside-band",
+        "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8",
     ],

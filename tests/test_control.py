@@ -329,6 +329,20 @@ def test_schedule_round_trip(tmp_path):
     np.testing.assert_allclose(back, sched, rtol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# plan\nshot,theta_read_x_urad,theta_read_y_urad\n0,0.0,30.0\n1,0.0,10.0\n",
+        "shot,theta_read_x_urad,theta_read_y_urad\n0,0.0,30.0\n# second tone\n1,0.0,10.0\n",
+    ],
+    ids=["before-header", "between-rows"],
+)
+def test_schedule_skips_comment_lines(tmp_path, text):
+    path = tmp_path / "sched.csv"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
+
+
 def test_schedule_from_drive_frequencies(tmp_path):
     path = tmp_path / "freqs.csv"
     path.write_text("shot,drive_freq_hz\n0,80e6\n1,90e6\n2,75e6\n")
