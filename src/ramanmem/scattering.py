@@ -120,7 +120,7 @@ class ModeSet:
         return conjugate_angles(tw, self.centers_urad, tr, self.lambda_write_m, self.lambda_read_m)
 
     @cached_property
-    def axis_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    def _axis_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Per axis (x, y): (first, inverse) over the distinct (centre, sigma) pairs.
 
         first[g] is a mode holding pair g and inverse[m] is the pair of mode
@@ -337,7 +337,7 @@ def _pane_factors(
     per mode, so the same bits.
     """
     ax, ay = camera.pixel_angle_axes()
-    (first_x, inv_x), (first_y, inv_y) = ms.axis_groups
+    (first_x, inv_x), (first_y, inv_y) = ms._axis_groups
     sigma = ms.sigma_urad
     # separable Gaussian, peak-normalised per axis, area-normalised overall
     if previous is not None and previous.tilt[0] == tilt[0]:
