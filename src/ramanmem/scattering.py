@@ -130,9 +130,14 @@ class ModeSet:
         """
         groups = []
         for axis in (0, 1):
-            pairs = np.column_stack([self.centers_urad[:, axis], self.sigma_urad])
-            _, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-            groups.append((first, inverse.ravel()))
+            group_of, first, inverse = {}, [], []
+            for m, pair in enumerate(zip(self.centers_urad[:, axis].tolist(),
+                                         self.sigma_urad.tolist())):
+                if pair not in group_of:
+                    group_of[pair] = len(first)
+                    first.append(m)
+                inverse.append(group_of[pair])
+            groups.append((np.array(first), np.array(inverse)))
         return tuple(groups)
 
 
