@@ -297,11 +297,11 @@ def run_herald_protocol(
 def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
     """Read a schedule CSV; drive_freq_hz rows need the chain to convert.
 
-    Blank lines and lines starting with '#' are skipped, before the header
-    and between rows.  A shot column, when present, must read 0..n-1 in file
-    order: row i is frame i.
+    The file is UTF-8 text.  Blank lines and lines starting with '#' are
+    skipped, before the header and between rows.  A shot column, when
+    present, must read 0..n-1 in file order: row i is frame i.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
     header = lines[0].split(",") if lines else []
     rows = [line.split(",") for line in lines[1:]]
@@ -310,10 +310,11 @@ def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
     cols = {name: idx for idx, name in enumerate(header)}
     if "shot" in cols:
         for i, r in enumerate(rows):
-            if r[cols["shot"]].strip() != str(i):
+            shot = r[cols["shot"]].strip()
+            if shot != str(i):
                 raise ValueError(
                     f"the shot column must read 0..{len(rows) - 1} in file order; "
-                    f"row {i + 1} reads {r[cols['shot']]!r}"
+                    f"row {i + 1} reads {shot!r}"
                 )
     if "theta_read_x_urad" in cols and "theta_read_y_urad" in cols:
         # Angle2D rejects NaN, infinite and super-paraxial tilts

@@ -332,14 +332,15 @@ def test_schedule_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "text",
     [
-        "# plan\nshot,theta_read_x_urad,theta_read_y_urad\n0,0.0,30.0\n1,0.0,10.0\n",
+        "# plan: 80 MHz \u00b1 0.25 MHz\nshot,theta_read_x_urad,theta_read_y_urad\n"
+        "0,0.0,30.0\n1,0.0,10.0\n",
         "shot,theta_read_x_urad,theta_read_y_urad\n0,0.0,30.0\n# second tone\n1,0.0,10.0\n",
     ],
     ids=["before-header", "between-rows"],
 )
 def test_schedule_skips_comment_lines(tmp_path, text):
     path = tmp_path / "sched.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
 
 
