@@ -1,5 +1,8 @@
 """Config parsing, normalization round trip and checksum behaviour."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from ramanmem.config import (
@@ -168,3 +171,60 @@ def test_load_config_reads_file(tmp_path):
     cfg = load_config(p)
     assert cfg.run.seed == 33
     assert cfg.run.n_frames == 12
+
+
+def test_shipped_default_config_is_the_dump_of_the_defaults():
+    shipped = Path(__file__).parents[1] / "configs" / "default.ini"
+    assert shipped.read_bytes() == dump_config(default_config()).encode("utf-8")
+
+
+# overrides at least one key in every section, both renamed camera keys, a
+# two-axis chain, the herald p side of the zeta/p lock and a metadata key
+_EVERY_SECTION = """\
+[geometry]
+cell_length_m = 0.08
+
+[chain]
+f3_m = 0.4
+steer_axes = x,y
+
+[modes]
+mean_photons_per_mode = 500.0
+
+[retrieval]
+noise_floor = 1.5
+
+[camera]
+pane_width_px = 96
+pane_height_px = 48
+pixel_pitch_m = 6e-06
+
+[run]
+seed = 77
+n_frames = 250
+
+[herald]
+p = 0.02
+
+[metadata]
+pump_power_mw = 65.0
+operator = rk
+"""
+
+
+@pytest.mark.parametrize(
+    "text, dump_sha256, checksum",
+    [
+        (_EVERY_SECTION,
+         "0b8674ac6177a64d63a080ee7125f25379c31548c15f4f36a609a4c5453c23ab", 0x4DA67761AC74860B),
+        ("[herald]\nzeta = 0.25\n",
+         "2353b71f8212fc09d27bc984d627750ee570a138a95f4baba41a4fa572e72b31", 0x09FC12821FB75323),
+    ],
+    ids=["every-section", "herald-zeta"],
+)
+def test_config_dump_and_checksum_are_pinned(text, dump_sha256, checksum):
+    """The normalized text is hashed into every output header: a moved byte is an output change."""
+    cfg = parse_config(text)
+    assert hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest() == dump_sha256
+    assert cfg.checksum() == checksum
+    assert parse_config(dump_config(cfg)) == cfg
