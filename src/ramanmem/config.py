@@ -6,8 +6,8 @@ Grammar (documented here and in the README):
 * sections are '[name]', keys are 'key = value'
 * every key outside [metadata] is validated against the schema below and
   unknown keys are rejected with a file:line anchored error
-* [metadata] is free-form and carried verbatim into output headers; it never
-  influences the simulation
+* [metadata] is free-form UTF-8 text; it never influences the simulation and
+  is written to no output, but it enters the config checksum
 
 Every value has a default, so a config file only needs the keys it overrides.
 The checksum of the normalized dump travels in every output file header.
@@ -180,7 +180,8 @@ def _axes(raw: str) -> tuple[str, ...]:
     return axes
 
 
-# section -> key -> converter
+# section -> key -> converter; each section fills the ExperimentConfig field of
+# its name, and each key the dataclass field of its name unless _FIELD renames it
 _SCHEMA: dict[str, dict[str, Callable]] = {
     "geometry": {
         "w0_write_m": _float,
@@ -236,6 +237,9 @@ _SCHEMA: dict[str, dict[str, Callable]] = {
     },
 }
 
+# a pane key names the pane it sizes; CameraGeometry describes one pane
+_FIELD = {"pane_width_px": "width_px", "pane_height_px": "height_px"}
+
 
 def _tokenize(text: str, path: str):
     """Yield (line_no, section, key, raw_value) entries, validating shape."""
@@ -267,7 +271,6 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
     """Parse and validate a config, starting from built-in defaults."""
     values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
     metadata = dict(_DEFAULT_METADATA)
-    seen: set[tuple[str, str]] = set()
 
     for line_no, section, key, raw in _tokenize(text, path):
         if section == "metadata":
@@ -276,42 +279,23 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         schema = _SCHEMA[section]
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in [{section}]", path, line_no)
-        if (section, key) in seen:
+        name = _FIELD.get(key, key)
+        if name in values[section]:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", path, line_no)
-        seen.add((section, key))
         try:
-            values[section][key] = schema[key](raw)
+            values[section][name] = schema[key](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for '{key}': {exc}", path, line_no) from None
 
     base = default_config()
+    # the camera's far-field lens is the chain's last lens, so it has no key of its own
+    values["camera"]["f3_m"] = values["chain"].get("f3_m", base.chain.f3_m)
+    # zeta and p are locked: a value given for one must not meet the default of the other
+    if values["herald"].keys() & {"zeta", "p"}:
+        values["herald"] = {"zeta": None, "p": None, **values["herald"]}
     try:
-        geometry = replace(base.geometry, **values["geometry"])
-        chain = replace(base.chain, **values["chain"])
-        modes = replace(base.modes, **values["modes"])
-        retrieval = replace(base.retrieval, **values["retrieval"])
-        cam_kw = {
-            "width_px": values["camera"].get("pane_width_px", base.camera.width_px),
-            "height_px": values["camera"].get("pane_height_px", base.camera.height_px),
-            "pixel_pitch_m": values["camera"].get("pixel_pitch_m", base.camera.pixel_pitch_m),
-            "f3_m": chain.f3_m,
-        }
-        camera = CameraGeometry(**cam_kw)
-        run = replace(base.run, **values["run"])
-        herald_kw = values["herald"]
-        if "zeta" in herald_kw or "p" in herald_kw:
-            herald_kw.setdefault("zeta", None)
-            herald_kw.setdefault("p", None)
-        herald = replace(base.herald, **herald_kw)
         cfg = ExperimentConfig(
-            geometry=geometry,
-            chain=chain,
-            modes=modes,
-            retrieval=retrieval,
-            camera=camera,
-            run=run,
-            herald=herald,
-            metadata=metadata,
+            **{s: replace(getattr(base, s), **values[s]) for s in _SCHEMA}, metadata=metadata
         )
         mode_set_from_config(cfg)  # [modes] values the mode grid rejects
     except ValueError as exc:
@@ -340,46 +324,11 @@ def _fmt(value) -> str:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Emit the normalized full config; parse(dump(cfg)) == cfg."""
-    g, ch, mo, rt, cam, run, he = (
-        cfg.geometry,
-        cfg.chain,
-        cfg.modes,
-        cfg.retrieval,
-        cfg.camera,
-        cfg.run,
-        cfg.herald,
-    )
-    lines = ["[geometry]"]
-    for key in _SCHEMA["geometry"]:
-        lines.append(f"{key} = {_fmt(getattr(g, key))}")
-    lines.append("")
-    lines.append("[chain]")
-    for key in _SCHEMA["chain"]:
-        lines.append(f"{key} = {_fmt(getattr(ch, key))}")
-    lines.append("")
-    lines.append("[modes]")
-    for key in _SCHEMA["modes"]:
-        lines.append(f"{key} = {_fmt(getattr(mo, key))}")
-    lines.append("")
-    lines.append("[retrieval]")
-    for key in _SCHEMA["retrieval"]:
-        lines.append(f"{key} = {_fmt(getattr(rt, key))}")
-    lines.append("")
-    lines.append("[camera]")
-    lines.append(f"pane_width_px = {cam.width_px}")
-    lines.append(f"pane_height_px = {cam.height_px}")
-    lines.append(f"pixel_pitch_m = {_fmt(cam.pixel_pitch_m)}")
-    lines.append("")
-    lines.append("[run]")
-    for key in _SCHEMA["run"]:
-        lines.append(f"{key} = {_fmt(getattr(run, key))}")
-    lines.append("")
-    lines.append("[herald]")
-    for key in _SCHEMA["herald"]:
-        lines.append(f"{key} = {_fmt(getattr(he, key))}")
-    lines.append("")
-    lines.append("[metadata]")
-    for key, value in cfg.metadata.items():
-        lines.append(f"{key} = {value}")
-    lines.append("")
+    lines = []
+    for section, keys in _SCHEMA.items():
+        part = getattr(cfg, section)
+        lines += [f"[{section}]"]
+        lines += [f"{key} = {_fmt(getattr(part, _FIELD.get(key, key)))}" for key in keys]
+        lines += [""]
+    lines += ["[metadata]", *(f"{key} = {value}" for key, value in cfg.metadata.items()), ""]
     return "\n".join(lines)
