@@ -368,6 +368,7 @@ def _write_steer_report(path, rows, slope, intercept, seed, checksum, target: An
 
 def cmd_herald(args) -> int:
     cfg = _load_config(args)
+    checksum = cfg.checksum()
     sweep = args.sweep_m or [cfg.herald.modes]
     rows = []
     for modes in sweep:
@@ -385,7 +386,7 @@ def cmd_herald(args) -> int:
         )
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(f"# seed={cfg.run.seed} config_checksum={cfg.checksum():016x}\n")
+            fh.write(f"# seed={cfg.run.seed} config_checksum={checksum:016x}\n")
             fh.write(
                 "modes,p,shots,heralds,routed_successes,multi_excitation_events,"
                 "success_prob,multi_given_herald,closed_form_herald_prob\n"

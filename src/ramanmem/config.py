@@ -87,7 +87,7 @@ class ExperimentConfig:
 
     def checksum(self) -> int:
         """64-bit checksum of the normalized config text."""
-        digest = hashlib.sha256(dump_config(self).encode("ascii")).digest()
+        digest = hashlib.sha256(dump_config(self).encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
 
     def mode_set(self):

@@ -21,7 +21,7 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,10 @@ __all__ = [
     "simulate_stack",
     "shot_rng",
 ]
+
+# Upper bound on the photon scales (mean photons per mode, noise floor): a pixel's
+# Poisson mean sums them, and numpy's Poisson draw fails above ~9.2e18.
+PHOTON_SCALE_MAX = 1e12
 
 
 def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float:
@@ -163,8 +167,11 @@ def build_mode_set(
     env = np.broadcast_to(np.asarray(envelope_fwhm_urad, dtype=float), (2,)).copy()
     if np.any(~np.isfinite(env)) or np.any(env <= 0.0):
         raise ValueError(f"envelope FWHM must be positive, got {envelope_fwhm_urad!r}")
-    if not (mean_photons_per_mode >= 0.0 and math.isfinite(mean_photons_per_mode)):
-        raise ValueError(f"mean photons per mode must be >= 0, got {mean_photons_per_mode!r}")
+    if not 0.0 <= mean_photons_per_mode <= PHOTON_SCALE_MAX:
+        raise ValueError(
+            f"mean photons per mode must lie in [0, {PHOTON_SCALE_MAX:g}], "
+            f"got {mean_photons_per_mode!r}"
+        )
     if not (spot_constant > 0.0 and math.isfinite(spot_constant)):
         raise ValueError(f"spot_constant must be positive, got {spot_constant!r}")
     if grid_spacing_sigma < 1.0:
@@ -206,10 +213,16 @@ def build_mode_set(
 
 
 def mode_set_from_config(cfg) -> ModeSet:
-    """Assemble the default ModeSet of an ExperimentConfig."""
-    mp = cfg.modes
+    """The default ModeSet of an ExperimentConfig, built once per (geometry, modes)."""
+    return _mode_set(cfg.geometry, cfg.modes)
+
+
+# one entry: a run parses, validates and renders one config, and a ModeSet is
+# read-only, so every caller can share the one built for its config
+@lru_cache(maxsize=1)
+def _mode_set(geom: BeamGeometry, mp) -> ModeSet:
     return build_mode_set(
-        cfg.geometry,
+        geom,
         mp.gain_shrink,
         mp.envelope_fwhm_urad,
         mp.mean_photons_per_mode,
@@ -242,8 +255,10 @@ class RetrievalModel:
             raise ValueError(f"d_diff must be >= 0, got {self.d_diff_m2_s!r}")
         if self.tau_storage_s < 0.0 or not math.isfinite(self.tau_storage_s):
             raise ValueError(f"tau_storage must be >= 0, got {self.tau_storage_s!r}")
-        if self.noise_floor < 0.0 or not math.isfinite(self.noise_floor):
-            raise ValueError(f"noise_floor must be >= 0, got {self.noise_floor!r}")
+        if not 0.0 <= self.noise_floor <= PHOTON_SCALE_MAX:
+            raise ValueError(
+                f"noise_floor must lie in [0, {PHOTON_SCALE_MAX:g}], got {self.noise_floor!r}"
+            )
 
 
 def _diffusion_efficiencies(ms: ModeSet, rm: RetrievalModel) -> np.ndarray:

@@ -380,6 +380,8 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
         ("config", b"[metadata]\nlab = caf\xe9\n"),
+        ("config", b"[modes]\nmean_photons_per_mode = 1e30\n"),
+        ("config", b"[retrieval]\nnoise_floor = 1e30\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
@@ -387,7 +389,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
-        "config-not-utf8",
+        "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -410,6 +412,35 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.rmns").exists() and not (tmp_path / "map_fit.csv").exists()
+
+
+def test_non_ascii_metadata_runs(tmp_path, capsys):
+    """Metadata is UTF-8 text, and the config checksum hashes it as such."""
+    cfg = tmp_path / "warm.ini"
+    cfg.write_text(SMALL_CFG + "\n[metadata]\nnote = cell at 70\u00b0C\n", encoding="utf-8")
+    stack = tmp_path / "x.rmns"
+    assert main(["simulate", "--config", str(cfg), "--out", str(stack)]) == 0
+    report = tmp_path / "herald.csv"
+    assert main(["herald", "--config", str(cfg), "--shots", "100", "--out", str(report)]) == 0
+    checksum = load_config(cfg).checksum()
+    assert read_stack(stack).config_checksum == checksum
+    assert report.read_text().startswith(f"# seed=7 config_checksum={checksum:016x}\n")
+
+
+def test_one_mode_grid_per_config(tmp_path, cfg_path, monkeypatch, capsys):
+    """Parsing a config and a 2-fiber steer on it lay the mode grid out once."""
+    calls = []
+    build = scattering.build_mode_set
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "build_mode_set", counted)
+    scattering._mode_set.cache_clear()
+    load_config(cfg_path)
+    assert main(["steer", "--config", cfg_path, "--frames", "20", "--fibers", "2"]) in (0, 4)
+    assert len(calls) == 1
 
 
 def test_bad_reference_on_a_stack_closes_the_file(tmp_path, cfg_path):

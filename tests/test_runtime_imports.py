@@ -1,0 +1,30 @@
+"""The runtime depends on numpy alone: every import in the package is stdlib, numpy or ramanmem."""
+
+import ast
+import sys
+from pathlib import Path
+
+_ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ramanmem"}
+
+
+def _imported_packages(tree: ast.AST):
+    """(line, top-level package) of every import; a relative import is ramanmem itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            name = "ramanmem" if node.level else node.module.partition(".")[0]
+            yield node.lineno, name
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    sources = sorted((Path(__file__).parents[1] / "src" / "ramanmem").glob("*.py"))
+    assert len(sources) > 1
+    outside = [
+        f"{src.name}:{line}: {name}"
+        for src in sources
+        for line, name in _imported_packages(ast.parse(src.read_text(encoding="utf-8")))
+        if name not in _ALLOWED
+    ]
+    assert outside == []
