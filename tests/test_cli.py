@@ -439,7 +439,7 @@ def test_one_mode_grid_per_config(tmp_path, cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(scattering, "build_mode_set", counted)
     scattering._mode_set.cache_clear()
     load_config(cfg_path)
-    assert main(["steer", "--config", cfg_path, "--frames", "20", "--fibers", "2"]) in (0, 4)
+    assert main(["steer", "--config", cfg_path, "--frames", "20", "--fibers", "2"]) == 0
     assert len(calls) == 1
 
 
