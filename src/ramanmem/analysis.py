@@ -462,9 +462,11 @@ def map_to_csv(cmap: CorrelationMap, pane: str, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {_provenance_line(cmap)} pane={pane}\n")
         fh.write("angle_x_urad,angle_y_urad,C\n")
-        xs = [repr(x) for x in ax.tolist()]
+        # each coordinate is formatted once: x with its comma per pane, y per row
+        xs = [f"{x!r}," for x in ax.tolist()]
         for y, row in zip(ay.tolist(), values):
-            fh.write("".join(f"{x},{y!r},{v!r}\n" for x, v in zip(xs, row.tolist())))
+            yc = f"{y!r},"
+            fh.write("".join([f"{x}{yc}{v!r}\n" for x, v in zip(xs, row.tolist())]))
 
 
 def map_to_pgm(cmap: CorrelationMap, pane: str, path) -> None:

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .control import HeraldConfig
 from .geometry import BeamGeometry, CameraGeometry, OpticalChain
-from .scattering import RetrievalModel, mode_set_from_config
+from .scattering import RetrievalModel, check_pixel_photons, mode_set_from_config
 
 __all__ = [
     "ConfigError",
@@ -297,7 +297,8 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         cfg = ExperimentConfig(
             **{s: replace(getattr(base, s), **values[s]) for s in _SCHEMA}, metadata=metadata
         )
-        mode_set_from_config(cfg)  # [modes] values the mode grid rejects
+        # values the mode grid rejects, and pixels too coarse for its modes
+        check_pixel_photons(mode_set_from_config(cfg), cfg.camera)
     except ValueError as exc:
         raise ConfigError(str(exc), path) from None
     return cfg

@@ -177,6 +177,9 @@ class HeraldConfig:
                 raise ValueError(
                     f"inconsistent pair: p={p!r} vs zeta/(1+zeta)={zeta / (1.0 + zeta)!r}"
                 )
+        # also for a derived or paired p: past zeta ~ 1e16, zeta / (1 + zeta) rounds to 1
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"p must lie in [0, 1), got {p!r} (zeta={zeta!r})")
         object.__setattr__(self, "zeta", float(zeta))
         object.__setattr__(self, "p", float(p))
         for name in ("eta_retrieve", "eta_detect"):

@@ -43,6 +43,7 @@ __all__ = [
     "effective_source_diameter_m",
     "build_mode_set",
     "mode_set_from_config",
+    "check_pixel_photons",
     "retrieval_efficiencies",
     "sample_shot",
     "render_frame",
@@ -54,6 +55,11 @@ __all__ = [
 # Upper bound on the photon scales (mean photons per mode, noise floor): a pixel's
 # Poisson mean sums them, and numpy's Poisson draw fails above ~9.2e18.
 PHOTON_SCALE_MAX = 1e12
+
+# Upper bound on the mode grid: the renderer keeps (M, H) and (M, W) float64
+# factors per pane and draws M exponentials per shot, so 1e5 modes (~800 times
+# the default 121) already take ~150 MB of factors at 64x128 pixels.
+MODE_COUNT_MAX = 100_000
 
 
 def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float:
@@ -189,7 +195,14 @@ def build_mode_set(
     spacing = grid_spacing_sigma * sigma
 
     half_extent = env / 2.0 + grid_margin_sigma * sigma
-    counts = np.floor(half_extent / spacing).astype(int)
+    counts = np.floor(half_extent / spacing)
+    nx, ny = (2.0 * counts + 1.0).tolist()
+    if not nx * ny <= MODE_COUNT_MAX:
+        raise ValueError(
+            f"mode grid of {nx:g} x {ny:g} modes exceeds {MODE_COUNT_MAX} "
+            f"(modes of {mode_fwhm_urad:g} urad FWHM over a {env.tolist()} urad envelope)"
+        )
+    counts = counts.astype(int)
     xs = spacing * np.arange(-counts[0], counts[0] + 1, dtype=float)
     ys = spacing * np.arange(-counts[1], counts[1] + 1, dtype=float)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
@@ -230,6 +243,25 @@ def _mode_set(geom: BeamGeometry, mp) -> ModeSet:
         grid_spacing_sigma=mp.grid_spacing_sigma,
         grid_margin_sigma=mp.grid_margin_sigma,
     )
+
+
+def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
+    """Reject a pixel so coarse for the modes that one mode's peak pixel passes PHOTON_SCALE_MAX.
+
+    A mode centred on a pixel puts mean_photons * pitch^2 / (2 pi sigma^2) of
+    its mean there (`_pane_factors`); past the bound the Poisson draw fails
+    or that expression overflows.  Computed from pitch / sigma so that an
+    overflow reads as inf, and a NaN (no photons times an infinite ratio) is
+    rejected too.
+    """
+    sigma = float(ms.sigma_urad.min())
+    ratio = camera.pitch_urad / sigma
+    peak = float(ms.mean_photons.max()) * (ratio * ratio) / (2.0 * math.pi)
+    if not peak <= PHOTON_SCALE_MAX:
+        raise ValueError(
+            f"a pixel of {camera.pitch_urad:g} urad would hold {peak:g} mean photons of one "
+            f"mode of {sigma:g} urad sigma, past {PHOTON_SCALE_MAX:g}"
+        )
 
 
 @dataclass(frozen=True)

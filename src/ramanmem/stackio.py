@@ -19,6 +19,7 @@ Writing the same stack twice produces byte-identical files.
 
 from __future__ import annotations
 
+import os
 import struct
 from itertools import chain
 from typing import Iterator
@@ -39,7 +40,12 @@ _HEADER = struct.Struct("<4sHIIIddQQ")
 
 
 class StackWriter:
-    """Incremental writer so large runs never need to sit in memory."""
+    """Incremental writer so large runs never need to sit in memory.
+
+    Used as a context manager, it deletes the file it created when the block
+    exits on an exception, so a failed or interrupted run leaves no truncated
+    stack behind.
+    """
 
     def __init__(self, path, camera: CameraGeometry, n_frames: int, seed: int, config_checksum: int):
         if n_frames < 1:
@@ -56,6 +62,7 @@ class StackWriter:
             seed,
             config_checksum,
         )
+        self._path = path
         self._fh = open(path, "wb")
         self._camera = camera
         self._expected = n_frames
@@ -88,8 +95,14 @@ class StackWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
-        else:
+            return
+        try:
             self._fh.close()
+        finally:
+            try:
+                os.remove(self._path)
+            except OSError:  # already gone, or not removable (a device): the first error matters
+                pass
 
 
 def write_stack(path, stack: FrameStack) -> None:
@@ -111,8 +124,10 @@ def _read_header(fh):
     return camera, count, seed, checksum
 
 
-# frames per body read: the unit `iter_stack_blocks` hands out and the CLI folds
-_BLOCK = 4
+# frames per body read: the unit `iter_stack_blocks` hands out and the CLI folds.
+# 8 frames halve the per-block Python and accumulator-add overhead of 4; 16 gain
+# little more for twice the buffer (0.5 MB float32 read, 1 MB float64 fold at 64x128)
+_BLOCK = 8
 
 
 def _read_frames(fh, camera: CameraGeometry, first: int, n: int) -> np.ndarray:
@@ -121,8 +136,9 @@ def _read_frames(fh, camera: CameraGeometry, first: int, n: int) -> np.ndarray:
     data = np.fromfile(fh, dtype="<f4", count=n * size)
     if data.size != n * size:
         raise ValueError(f"truncated frame {first + data.size // size}")
-    if (data < 0).any():
-        raise ValueError("pane intensities must be non-negative")
+    # min() is NaN if any count is NaN, so one reduction rejects NaN and negatives; max() finds +inf
+    if data.size and not (data.min() >= 0 and data.max() < np.inf):
+        raise ValueError("pane intensities must be finite and non-negative")
     return data.reshape(n, 2, camera.height_px, camera.width_px)
 
 
@@ -147,9 +163,9 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
     holds `_BLOCK` frames but the last, read with one call; each is a fresh
     array.  A body that ends early raises "truncated frame i" for its first
-    incomplete frame; a negative count raises too.  The iterator opens the
-    file only when iteration starts, so a caller that never iterates holds no
-    open handle.
+    incomplete frame; a negative or non-finite count raises too.  The
+    iterator opens the file only when iteration starts, so a caller that
+    never iterates holds no open handle.
     """
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)

@@ -407,6 +407,32 @@ def test_map_to_csv_round_trip(tmp_path):
     assert float(first[2]) == 0.0
 
 
+def test_map_to_csv_bytes(tmp_path):
+    """Every value form writes as the per-pixel f-string formula writes it."""
+    values = np.zeros((2, 3, 4))
+    values[1, 0] = [np.nan, -0.0, -0.25, 1e-05]
+    values[1, 1] = [0.1, 1.0, -1e-300, 12345.678]
+    values[1, 2] = [0.5, -np.inf, 3e20, -7.0]
+    cam = CameraGeometry(4, 3, 7.5e-6, 0.5)
+    cmap = an.CorrelationMap(
+        values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0),
+        n_frames=7, seed=3, config_checksum=0xABC,
+    )
+    path = tmp_path / "m.csv"
+    an.map_to_csv(cmap, "anti_stokes", path)
+    ax, ay = cam.pixel_angle_axes()
+    rows = "".join(
+        f"{x!r},{y!r},{v!r}\n"
+        for y, row in zip(ay.tolist(), values[1]) for x, v in zip(ax.tolist(), row.tolist())
+    )
+    head = (
+        "# seed=3 config_checksum=0000000000000abc n_frames=7 ref_pane=stokes ref=(0.0,0.0) "
+        "pane=anti_stokes\nangle_x_urad,angle_y_urad,C\n"
+    )
+    assert path.read_bytes() == (head + rows).encode("ascii")
+    assert b"nan" in path.read_bytes() and b"-0.0\n" in path.read_bytes() and b"1e-05" in path.read_bytes()
+
+
 def test_fit_to_csv(tmp_path):
     z, ax, ay = synthetic_spot()
     fit = an.fit_gaussian_spot(z, ax, ay)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ramanmem
-from ramanmem import analysis, cli, scattering
+from ramanmem import analysis, cli, scattering, stackio
 from ramanmem.cli import main
 from ramanmem.config import load_config
 from ramanmem.geometry import Angle2D, CameraGeometry
@@ -230,11 +230,12 @@ def _block_refs(camera):
 
 @pytest.mark.parametrize("source", ["stack", "simulated"])
 def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
-    """7 frames are one full and one short block; the sums match a frame loop bit for bit."""
+    """One full and one short block; the sums match a frame loop bit for bit."""
+    n_frames = stackio._BLOCK + 3
     cfg = load_config(cfg_path).with_seed(21)
-    frames = list(scattering.iter_simulated_frames(cfg, n_frames=7))
+    frames = list(scattering.iter_simulated_frames(cfg, n_frames=n_frames))
     path = tmp_path / "run.rmns"
-    with StackWriter(path, cfg.camera, 7, seed=21, config_checksum=0) as w:
+    with StackWriter(path, cfg.camera, n_frames, seed=21, config_checksum=0) as w:
         for frame in frames:
             w.append(frame)
     if source == "stack":
@@ -247,7 +248,7 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
         want = analysis.MomentAccumulator.empty(cfg.camera, ref)
         for frame in frames:
             analysis.accumulate(want, frame)
-        assert acc.n == want.n == 7
+        assert acc.n == want.n == n_frames
         for name in ("sum_i", "sum_i2", "sum_ii_ref"):
             assert np.array_equal(getattr(acc, name), getattr(want, name)), name
         assert acc.sum_ref == want.sum_ref and acc.sum_ref2 == want.sum_ref2
@@ -370,6 +371,9 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("stack", lambda raw: raw[:-100]),
         ("stack", None),
         ("stack", lambda raw: raw[:-4] + struct.pack("<f", -1.0)),
+        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
+        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
+        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
@@ -382,14 +386,18 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[metadata]\nlab = caf\xe9\n"),
         ("config", b"[modes]\nmean_photons_per_mode = 1e30\n"),
         ("config", b"[retrieval]\nnoise_floor = 1e30\n"),
+        ("config", b"[herald]\nzeta = 1e300\n"),
+        ("config", b"[geometry]\nw0_write_m = 1e300\n"),
+        ("config", b"[camera]\npixel_pitch_m = 1e300\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
-        "stack-negative-count",
+        "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
+        "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -412,6 +420,23 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.rmns").exists() and not (tmp_path / "map_fit.csv").exists()
+
+
+def test_failed_simulate_leaves_no_stack(tmp_path, cfg_path, monkeypatch):
+    """A render that fails at frame 4 of 10 deletes the stack it started."""
+    render = scattering.iter_simulated_frames
+
+    def failing(cfg, **kwargs):
+        for frame in render(cfg, **kwargs):
+            if frame.shot_index == 4:
+                raise RuntimeError("render failed at frame 4")
+            yield frame
+
+    monkeypatch.setattr(scattering, "iter_simulated_frames", failing)
+    out = tmp_path / "x.rmns"
+    with pytest.raises(RuntimeError, match="frame 4"):
+        main(["simulate", "--config", cfg_path, "--frames", "10", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_non_ascii_metadata_runs(tmp_path, capsys):

@@ -127,6 +127,13 @@ def test_herald_config_validation():
         HeraldConfig(modes=5, p=0.1, eta_detect=1.2)
     with pytest.raises(ValueError):
         HeraldConfig(modes=5, p=0.1, memory_lifetime_s=0.0)
+    # a zeta so large that p = zeta / (1 + zeta) rounds to 1, alone or paired
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got 1.0"):
+        HeraldConfig(modes=5, zeta=1e300)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got 1.0"):
+        HeraldConfig(modes=5, zeta=1e300, p=1.0)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got -1.0"):
+        HeraldConfig(modes=5, zeta=-0.5, p=-1.0)
 
 
 def test_herald_probability_closed_form():

@@ -182,3 +182,45 @@ def test_negative_count_is_rejected(tmp_path):
         list(frames)
     with pytest.raises(ValueError, match="non-negative"):
         read_stack(p)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_count_is_rejected(tmp_path, value):
+    stack = small_stack(n=_BLOCK + 2)
+    p = tmp_path / "bad.rmns"
+    write_stack(p, stack)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = struct.pack("<f", value)  # last anti-Stokes pixel of the short last block
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        read_stack(p)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _, _, _, _, blocks = iter_stack_blocks(p)
+        list(blocks)
+
+
+def test_negative_zero_count_is_accepted(tmp_path):
+    stack = small_stack(n=2)
+    p = tmp_path / "zero.rmns"
+    write_stack(p, stack)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = struct.pack("<f", -0.0)
+    p.write_bytes(bytes(raw))
+    assert read_stack(p).anti_stokes[-1, -1, -1] == 0.0
+
+
+def test_writer_deletes_a_partial_stack(tmp_path):
+    """A render that fails at frame 4 of 10 leaves no file and no open handle."""
+    path = tmp_path / "x.rmns"
+    frames = iter(small_stack(n=4))
+
+    def render():
+        yield from frames
+        raise RuntimeError("render failed at frame 4")
+
+    with pytest.raises(RuntimeError, match="frame 4"):
+        with StackWriter(path, CAM, 10, seed=0, config_checksum=0) as w:
+            for frame in render():
+                w.append(frame)
+    assert w._fh.closed
+    assert not path.exists()
