@@ -184,7 +184,7 @@ def test_negative_count_is_rejected(tmp_path):
         read_stack(p)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_count_is_rejected(tmp_path, value):
     stack = small_stack(n=_BLOCK + 2)
     p = tmp_path / "bad.rmns"
