@@ -6,7 +6,8 @@ The map follows the intensity-correlation estimator
 
 computed from streaming raw moments held in float64.  Rendered panes are
 integer photon counts, so the moment sums stay exact (every partial sum is an
-integer far below 2**53) and chunk merging is bit-stable in any order.
+integer below 2**53, which each fold and merge checks) and chunk merging is
+bit-stable in any order.
 
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
@@ -132,15 +133,29 @@ class MomentAccumulator:
         )
 
 
-def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> None:
-    """The moment update: fold n frames, a (n, 2, H, W) float64 block, into each accumulator.
+# float64 adds integers exactly while every partial sum stays below 2**53
+_EXACT_LIMIT = 2.0**53
 
+
+def _check_exact(acc: MomentAccumulator) -> None:
+    """Fail once a squared sum reaches 2**53; by Cauchy-Schwarz the other sums are below it too."""
+    if not (acc.sum_ref2 < _EXACT_LIMIT and acc.sum_i2.max() < _EXACT_LIMIT):
+        raise OverflowError(
+            f"moment sums of {acc.n} frames reach 2**53: float64 no longer sums the counts exactly"
+        )
+
+
+def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> None:
+    """The moment update: fold n frames, a (n, 2, H, W) block of counts, into each accumulator.
+
+    The block may be of any float dtype; it is converted to float64 once.
     With X the block as n rows, one gemm [1; r_1 ... r_K] @ X gives the
     intensity sum and every reference's cross moment, and one einsum gives the
-    squared sum all references share.  Photon counts are integers and every
-    partial sum stays below 2**53, so the sums do not depend on how frames are
-    grouped into blocks.
+    squared sum all references share.  Photon counts are integers, so while
+    every partial sum stays below 2**53 the sums do not depend on how frames
+    are grouped into blocks; a fold that reaches 2**53 raises OverflowError.
     """
+    block = np.asarray(block, dtype=np.float64)
     n = block.shape[0]
     x = block.reshape(n, -1)
     weights = np.empty((len(accs) + 1, n))
@@ -158,6 +173,7 @@ def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> No
         acc.sum_ref += float(r.sum())
         acc.sum_ref2 += float(r @ r)
         acc.n += n
+        _check_exact(acc)
 
 
 def _frame_block(frame: Frame) -> np.ndarray:
@@ -184,7 +200,7 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
         and np.array_equal(ra.pixel_cols, rb.pixel_cols)
     ):
         raise ValueError("cannot merge accumulators with different references")
-    return MomentAccumulator(
+    merged = MomentAccumulator(
         reference=a.reference,
         n=a.n + b.n,
         sum_i=a.sum_i + b.sum_i,
@@ -193,6 +209,8 @@ def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
         sum_ref=a.sum_ref + b.sum_ref,
         sum_ref2=a.sum_ref2 + b.sum_ref2,
     )
+    _check_exact(merged)
+    return merged
 
 
 @dataclass(eq=False)

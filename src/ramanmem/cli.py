@@ -1,7 +1,8 @@
 """Command line front end: simulate | correlate | steer | herald.
 
-Exit codes: 0 ok, 2 config problem, 3 at least one unreachable steering
-target, 4 at least one requested spot fit failed to converge.
+Exit codes: 0 ok, 2 config or input problem (counts too large to keep exact
+among them), 3 at least one unreachable steering target, 4 at least one
+requested spot fit failed to converge.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, Iterable, Iterator, Optional
+from contextlib import suppress
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,47 +50,24 @@ def _require_map_frames(count: int, source: str) -> None:
         raise ConfigError(f"a correlation map needs at least 2 frames, got {count}", path=source)
 
 
-# A block source is a function of one (B, 2, H, W) float64 buffer: it fills
-# buf[:n] with the next n <= B frames and yields n, block after block.
-_BlockSource = Callable[[np.ndarray], Iterator[int]]
-
-
-def _simulated_blocks(frames: Iterable[scattering.Frame]) -> _BlockSource:
-    """Block source that packs rendered frames into the buffer."""
-
-    def fill(buf: np.ndarray) -> Iterator[int]:
-        n = 0
-        for frame in frames:
-            buf[n, 0] = frame.stokes
-            buf[n, 1] = frame.anti_stokes
-            n += 1
-            if n == len(buf):
-                yield n
-                n = 0
-        if n:
-            yield n
-
-    return fill
-
-
-def _ingest(
-    source: _BlockSource, camera, references: list[analysis.Reference]
-) -> list[analysis.MomentAccumulator]:
-    """One pass over the frames, block by block, one accumulator per reference."""
-    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
-    buf = np.empty((stackio._BLOCK, 2, camera.height_px, camera.width_px))
-    for n in source(buf):
-        analysis.accumulate_block(accs, buf[:n])
-    return accs
+def _rendered_blocks(frames: Iterable[scattering.Frame]) -> Iterator[np.ndarray]:
+    """Rendered frames packed `stackio._BLOCK` at a time into (n, 2, H, W) count blocks."""
+    frames = iter(frames)
+    while chunk := list(islice(frames, stackio._BLOCK)):
+        yield np.array([(f.stokes, f.anti_stokes) for f in chunk])
 
 
 def _correlate_frames(
-    source: _BlockSource, camera, references: list[analysis.Reference], seed: int, checksum: int,
+    blocks: Iterable[np.ndarray], camera, references: list[analysis.Reference], seed: int, checksum: int,
 ) -> list[analysis.CorrelationMap]:
-    """One pass over the frames, one correlation map per reference."""
+    """One pass over the count blocks, one correlation map per reference."""
+    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
+    blocks = iter(blocks)
+    with suppress(StopIteration):
+        while True:  # passed unbound, so accumulate_block's float64 copy frees the block
+            analysis.accumulate_block(accs, next(blocks))
     return [
-        analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum)
-        for acc in _ingest(source, camera, references)
+        analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum) for acc in accs
     ]
 
 
@@ -126,37 +106,33 @@ def cmd_simulate(args) -> int:
 # correlate
 
 
-def _stack_source(path: str):
-    """iter_stack_blocks as a block source; a bad header or body is a ConfigError."""
+def _stack_blocks(path: str):
+    """iter_stack_blocks with a bad header or body as a ConfigError."""
     try:
         camera, count, seed, checksum, blocks = stackio.iter_stack_blocks(path)
     except ValueError as exc:  # bad magic or version, or a truncated header
         raise ConfigError(str(exc), path=path) from None
 
-    def fill(buf: np.ndarray) -> Iterator[int]:
+    def checked() -> Iterator[np.ndarray]:
         try:
-            for block in blocks:
-                n = len(block)
-                buf[:n] = block
-                del block  # only the copy is folded: freeing the block first lowers peak memory
-                yield n
-        except ValueError as exc:  # truncated body or a negative count
+            yield from blocks
+        except ValueError as exc:  # truncated body, or a negative or non-finite count
             raise ConfigError(str(exc), path=path) from None
 
-    return camera, count, seed, checksum, fill
+    return camera, count, seed, checksum, checked()
 
 
 def _frame_source(args, cfg: Optional[ExperimentConfig]):
-    """(camera, frame count, seed, checksum, block source) from a file or a fresh run."""
+    """(camera, frame count, seed, checksum, count blocks) from a file or a fresh run."""
     if args.stack:
-        return _stack_source(args.stack)
+        return _stack_blocks(args.stack)
     assert cfg is not None
     return (
         cfg.camera,
         cfg.run.n_frames,
         cfg.run.seed,
         cfg.checksum(),
-        _simulated_blocks(scattering.iter_simulated_frames(cfg)),
+        _rendered_blocks(scattering.iter_simulated_frames(cfg)),
     )
 
 
@@ -166,14 +142,14 @@ def cmd_correlate(args) -> int:
             if getattr(args, flag) is not None:
                 raise ConfigError("does not apply to a recorded --stack", path=f"--{flag}")
     cfg = None if args.stack else _load_config(args)
-    camera, count, seed, checksum, source = _frame_source(args, cfg)
+    camera, count, seed, checksum, blocks = _frame_source(args, cfg)
     _require_map_frames(count, args.stack or "--frames")
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
         reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
-    (cmap,) = _correlate_frames(source, camera, [reference], seed, checksum)
+    (cmap,) = _correlate_frames(blocks, camera, [reference], seed, checksum)
 
     prefix = args.out
     for pane in analysis.PANES:
@@ -235,7 +211,7 @@ def cmd_steer(args) -> int:
 
     # baseline pass, no compensation: one run, every fiber as a reference
     baseline_maps = _correlate_frames(
-        _simulated_blocks(scattering.iter_simulated_frames(cfg)),
+        _rendered_blocks(scattering.iter_simulated_frames(cfg)),
         cfg.camera, refs, cfg.run.seed, checksum,
     )
     baseline_fits = [analysis.locate_twin_spot(cmap) for cmap in baseline_maps]
@@ -280,7 +256,7 @@ def cmd_steer(args) -> int:
         run_cfg = run_cfgs[i]
         frames = scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read)
         (cmap,) = _correlate_frames(
-            _simulated_blocks(frames), cfg.camera, [refs[i]], run_cfg.run.seed, checksum
+            _rendered_blocks(frames), cfg.camera, [refs[i]], run_cfg.run.seed, checksum
         )
         fit = analysis.locate_twin_spot(cmap)
         if not fit.converged:
@@ -325,25 +301,6 @@ def cmd_steer(args) -> int:
     return EXIT_OK
 
 
-_STEER_COLUMNS = (
-    "fiber",
-    "stokes_x_urad",
-    "stokes_y_urad",
-    "reachable",
-    "drive_freq_hz",
-    "readout_x_urad",
-    "readout_y_urad",
-    "baseline_twin_y_urad",
-    "twin_x_urad",
-    "twin_y_urad",
-    "fwhm_x_urad",
-    "fwhm_y_urad",
-    "target_dist_urad",
-    "within_quarter_fwhm",
-    "note",
-)
-
-
 def _write_steer_report(path, rows, slope, intercept, seed, checksum, target: Angle2D) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
@@ -351,12 +308,12 @@ def _write_steer_report(path, rows, slope, intercept, seed, checksum, target: An
             f"target=({target.theta_x!r},{target.theta_y!r}) "
             f"baseline_slope={slope!r} baseline_intercept={intercept!r}\n"
         )
-        fh.write(",".join(_STEER_COLUMNS) + "\n")
+        fh.write(",".join(rows[0]) + "\n")  # every row lists its keys in column order
         for row in rows:
             fh.write(
                 ",".join(
                     str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
-                    for v in (row[c] for c in _STEER_COLUMNS)
+                    for v in row.values()
                 )
                 + "\n"
             )
@@ -509,10 +466,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    # OverflowError: a count or moment sum past the range the program keeps exact
+    except (ConfigError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

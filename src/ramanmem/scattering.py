@@ -61,6 +61,9 @@ PHOTON_SCALE_MAX = 1e12
 # the default 121) already take ~150 MB of factors at 64x128 pixels.
 MODE_COUNT_MAX = 100_000
 
+# frames store counts as float32, which holds every integer exactly only below 2**24
+_COUNT_LIMIT = 2**24
+
 
 def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float:
     """Diameter of the emitting region: the write beam shrunk by gain."""
@@ -159,7 +162,6 @@ def build_mode_set(
     spot_constant: float = 0.754212,
     grid_spacing_sigma: float = 1.5,
     grid_margin_sigma: float = 3.0,
-    write_angle_urad: tuple[float, float] = (0.0, 0.0),
 ) -> ModeSet:
     """Lay out the thermal mode grid for one experiment configuration.
 
@@ -207,7 +209,6 @@ def build_mode_set(
     ys = spacing * np.arange(-counts[1], counts[1] + 1, dtype=float)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     centers = np.column_stack([gx.ravel(), gy.ravel()])
-    centers += np.asarray(write_angle_urad, dtype=float)
 
     n = centers.shape[0]
     ratio = geom.lambda_read_m / geom.lambda_write_m
@@ -221,7 +222,6 @@ def build_mode_set(
         spot_fwhm_urad=spot_fwhm,
         lambda_write_m=geom.lambda_write_m,
         lambda_read_m=geom.lambda_read_m,
-        write_angle_urad=(float(write_angle_urad[0]), float(write_angle_urad[1])),
     )
 
 
@@ -353,9 +353,10 @@ class PaneFactors:
     is never built.  off_pane[m] flags modes whose centre misses the pane;
     only their wy rows are zeroed, which removes them from every product
     while wx_alpha stays shareable between tilts with the same theta_x.  The
-    caller accounts for their energy separately.  tilt is the readout tilt
-    of the anti-Stokes pane (None on the Stokes pane) and wy_rows the
-    unzeroed y factor per distinct (centre, sigma) pair.
+    energy clipped from the pane follows from off_pane and the mode means,
+    once per tilt.  tilt is the readout tilt of the anti-Stokes pane (None on
+    the Stokes pane) and wy_rows the unzeroed y factor per distinct (centre,
+    sigma) pair.
     """
 
     tilt: Optional[tuple[float, float]]
@@ -363,7 +364,6 @@ class PaneFactors:
     wy: np.ndarray
     wx_alpha: np.ndarray
     off_pane: np.ndarray
-    n_off: int
 
 
 def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -417,7 +417,7 @@ def _pane_factors(
     off_pane = ~in_pane
     wy = wy_rows[inv_y]
     wy[off_pane] = 0.0
-    return PaneFactors(tilt, wy_rows, wy, wx_alpha, off_pane, int(np.count_nonzero(off_pane)))
+    return PaneFactors(tilt, wy_rows, wy, wx_alpha, off_pane)
 
 
 def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> PaneFactors:
@@ -442,21 +442,12 @@ def anti_stokes_basis(
 
 @dataclass(eq=False)
 class Frame:
-    """One camera exposure: two photon-count panes plus shot bookkeeping.
-
-    Energy metadata is populated by the renderer; frames re-read from disk
-    carry None there.
-    """
+    """One camera exposure: the photon counts of its two panes, its shot index and readout tilt."""
 
     stokes: np.ndarray
     anti_stokes: np.ndarray
     shot_index: int
     readout_angle_urad: tuple[float, float]
-    budget_stokes: Optional[float] = None
-    budget_anti_stokes: Optional[float] = None
-    clipped_stokes: Optional[float] = None
-    clipped_anti_stokes: Optional[float] = None
-    n_clipped_modes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.stokes.shape != self.anti_stokes.shape or self.stokes.ndim != 2:
@@ -480,17 +471,17 @@ def _render_with_bases(
     # one pane after the other: the same draws as one call on both panes stacked
     counts_s = rng.poisson(mean_s)
     counts_a = rng.poisson(mean_a)
+    peak = max(counts_s.max(), counts_a.max())
+    if peak >= _COUNT_LIMIT:
+        raise OverflowError(
+            f"shot {shot_index} renders a count of {peak}, past 2**24: float32 frames would round it"
+        )
     tr = np.asarray(theta_read_urad, dtype=float)
     return Frame(
         stokes=counts_s.astype(np.float32),
         anti_stokes=counts_a.astype(np.float32),
         shot_index=shot_index,
         readout_angle_urad=(float(tr[0]), float(tr[1])),
-        budget_stokes=float(np.sum(i_s)),
-        budget_anti_stokes=float(np.sum(i_as)),
-        clipped_stokes=float(np.sum(i_s[stokes.off_pane])),
-        clipped_anti_stokes=float(np.sum(i_as[anti_stokes.off_pane])),
-        n_clipped_modes=stokes.n_off + anti_stokes.n_off,
     )
 
 
@@ -505,8 +496,8 @@ def render_frame(
 ) -> Frame:
     """Render one shot onto the two panes and Poisson sample the counts.
 
-    Modes whose centre falls off a pane are clipped from that pane; their
-    energy is recorded on the frame rather than silently lost.
+    Modes whose centre falls off a pane are clipped from that pane: they
+    deposit nothing there.
     """
     i_s, i_as = (np.asarray(a, dtype=float) for a in intensities)
     if i_s.shape != (ms.n_modes,) or i_as.shape != (ms.n_modes,):

@@ -158,14 +158,14 @@ def read_stack(path) -> FrameStack:
 
 
 def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.ndarray]]:
-    """Header plus a lazy iterator over (n, 2, H, W) float32 blocks of frames.
+    """Header plus a lazy iterator over (n, 2, H, W) float32 blocks of frame counts.
 
     Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
     holds `_BLOCK` frames but the last, read with one call; each is a fresh
-    array.  A body that ends early raises "truncated frame i" for its first
-    incomplete frame; a negative or non-finite count raises too.  The
-    iterator opens the file only when iteration starts, so a caller that
-    never iterates holds no open handle.
+    array the iterator keeps no reference to.  A body that ends early raises
+    "truncated frame i" for its first incomplete frame; a negative or
+    non-finite count raises too.  The iterator opens the file only when
+    iteration starts, so a caller that never iterates holds no open handle.
     """
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)

@@ -230,7 +230,7 @@ def _block_refs(camera):
 
 @pytest.mark.parametrize("source", ["stack", "simulated"])
 def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
-    """One full and one short block; the sums match a frame loop bit for bit."""
+    """One full and one short block; the maps match a frame loop's bit for bit."""
     n_frames = stackio._BLOCK + 3
     cfg = load_config(cfg_path).with_seed(21)
     frames = list(scattering.iter_simulated_frames(cfg, n_frames=n_frames))
@@ -239,23 +239,22 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
         for frame in frames:
             w.append(frame)
     if source == "stack":
-        blocks = cli._stack_source(str(path))[-1]
+        blocks = cli._stack_blocks(str(path))[-1]
     else:
-        blocks = cli._simulated_blocks(iter(frames))
+        blocks = cli._rendered_blocks(iter(frames))
     refs = _block_refs(cfg.camera)
-    got = cli._ingest(blocks, cfg.camera, refs)
-    for acc, ref in zip(got, refs):
-        want = analysis.MomentAccumulator.empty(cfg.camera, ref)
+    got = cli._correlate_frames(blocks, cfg.camera, refs, seed=21, checksum=0)
+    for cmap, ref in zip(got, refs):
+        acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
         for frame in frames:
-            analysis.accumulate(want, frame)
-        assert acc.n == want.n == n_frames
-        for name in ("sum_i", "sum_i2", "sum_ii_ref"):
-            assert np.array_equal(getattr(acc, name), getattr(want, name)), name
-        assert acc.sum_ref == want.sum_ref and acc.sum_ref2 == want.sum_ref2
+            analysis.accumulate(acc, frame)
+        want = analysis.correlation_map(acc, cfg.camera)
+        assert cmap.n_frames == want.n_frames == n_frames
+        assert np.array_equal(cmap.values, want.values, equal_nan=True)
 
 
 def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
-    """Ingest holds one block at a time: the same peak at 64 and at 640 frames.
+    """Ingest holds one block at a time: the same map-making peak at 64 and at 640 frames.
 
     "The same" allows 8 KB, half of one frame's float32 panes, for one-off
     interpreter allocations; a peak that grew with the stack would be MBs.
@@ -270,14 +269,14 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
             for i in range(count):
                 panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.float32)
                 w.append(Frame(panes[0], panes[1], shot_index=i, readout_angle_urad=(0.0, 0.0)))
-        blocks = cli._stack_source(str(path))[-1]
+        blocks = cli._stack_blocks(str(path))[-1]
         tracemalloc.start()
         try:
-            accs = cli._ingest(blocks, cam, refs)
+            maps = cli._correlate_frames(blocks, cam, refs, seed=0, checksum=0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert accs[0].n == count
+        assert maps[0].n_frames == count
     assert abs(peaks[1] - peaks[0]) < 8192, peaks
 
 
@@ -437,6 +436,48 @@ def test_failed_simulate_leaves_no_stack(tmp_path, cfg_path, monkeypatch):
     with pytest.raises(RuntimeError, match="frame 4"):
         main(["simulate", "--config", cfg_path, "--frames", "10", "--out", str(out)])
     assert not out.exists()
+
+
+def test_counts_past_float32_exactness_exit_2(tmp_path, capsys):
+    """At 1e9 photons per mode counts pass 2**24, which float32 frames round: no run finishes."""
+    cfg = tmp_path / "bright.ini"
+    cfg.write_text("[modes]\nmean_photons_per_mode = 1e9\n")
+    stack = tmp_path / "bright.rmns"
+    for argv in (
+        ["correlate", "--frames", "200", "--seed", "5", "--out", str(tmp_path / "map")],
+        ["simulate", "--frames", "200", "--seed", "5", "--out", str(stack)],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2**24" in err
+    assert not stack.exists() and not list(tmp_path.glob("map_*"))
+
+
+def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
+    """Counts below 2**24 whose squares sum past 2**53 fail the fold and a merge.
+
+    Each count is under 2**24, so any 32 frames keep every squared sum under
+    2**53 and exact; the 64 frames of the stack pass it.
+    """
+    cam = CameraGeometry(width_px=64, height_px=32, pixel_pitch_m=7.5e-6, f3_m=0.5)
+    counts = np.random.default_rng(3).integers(2**23, 2**24, size=(64, 2, 32, 64))
+    counts = counts.astype(np.float32)  # exact: every integer below 2**24 is a float32
+    path = tmp_path / "bright.rmns"
+    with StackWriter(path, cam, len(counts), seed=0, config_checksum=0) as w:
+        for i, panes in enumerate(counts):
+            w.append(Frame(panes[0], panes[1], shot_index=i, readout_angle_urad=(0.0, 0.0)))
+    ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
+    halves = [analysis.MomentAccumulator.empty(cam, ref) for _ in range(2)]
+    analysis.accumulate_block(halves[:1], counts[:32])
+    analysis.accumulate_block(halves[1:], counts[32:])
+    with pytest.raises(OverflowError, match=r"2\*\*53"):
+        analysis.merge(*halves)
+    capsys.readouterr()
+    assert main(["correlate", "--stack", str(path), "--out", str(tmp_path / "map")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2**53" in err
+    assert not list(tmp_path.glob("map_*"))
 
 
 def test_non_ascii_metadata_runs(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_factors_at_a_new_tilt_share_the_unmoved_axis_and_keep_the_bits():
             assert (got.wx_alpha is previous.wx_alpha) == (tilt[0] == previous.tilt[0])
             assert (got.wy_rows is previous.wy_rows) == (tilt[1] == previous.tilt[1])
         previous = got
-    assert got.n_off > 0
+    assert got.off_pane.any()
 
 
 def test_render_dark_frame():
@@ -233,23 +233,25 @@ def test_rendered_counts_are_integers():
     assert fr.stokes.dtype == np.float32
 
 
-def test_render_energy_bookkeeping():
-    ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
-    i_s = np.linspace(1.0, 2.0, ms.n_modes)
-    fr = render_frame((i_s, 0.5 * i_s), ms, (0.0, 0.0), small_camera(64), shot_rng(0, 1))
-    assert fr.budget_stokes == pytest.approx(i_s.sum())
-    assert fr.budget_anti_stokes == pytest.approx(0.5 * i_s.sum())
-    assert fr.n_clipped_modes == 0
-    assert fr.clipped_stokes == 0.0
-
-
 def test_render_clips_off_pane_modes():
+    """A mode centred off a pane deposits nothing on it, whatever its intensity."""
     # an 8x8 pane spans +-60 urad; a 400 urad envelope pushes modes off it
     ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
-    i_s = np.ones(ms.n_modes)
-    fr = render_frame((i_s, i_s), ms, (0.0, 0.0), small_camera(8), shot_rng(0, 2))
-    assert fr.n_clipped_modes > 0
-    assert fr.clipped_stokes > 0.0
+    cam, tilt = small_camera(8), (30.0, -20.0)
+    off_s = stokes_basis(ms, cam).off_pane
+    off_a = scattering.anti_stokes_basis(ms, tilt, cam).off_pane
+    assert 0 < off_s.sum() < ms.n_modes and 0 < off_a.sum() < ms.n_modes
+
+    def render(i_s, i_as):
+        return render_frame((i_s, i_as), ms, tilt, cam, shot_rng(0, 2), noise_floor=0.0)
+
+    lit = np.linspace(1000.0, 2000.0, ms.n_modes)
+    dark = render(lit * off_s, lit * off_a)
+    assert not dark.stokes.any() and not dark.anti_stokes.any()
+    full, in_pane = render(lit, lit), render(lit * ~off_s, lit * ~off_a)
+    assert full.stokes.any() and full.anti_stokes.any()
+    np.testing.assert_array_equal(full.stokes, in_pane.stokes)
+    np.testing.assert_array_equal(full.anti_stokes, in_pane.anti_stokes)
 
 
 def test_render_rejects_bad_intensities():
