@@ -233,6 +233,22 @@ def test_rendered_counts_are_integers():
     assert fr.stokes.dtype == np.float32
 
 
+def test_render_energy_bookkeeping():
+    """On a pane wide enough for every mode, the counts carry each pane's intensity budget."""
+    ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
+    cam = small_camera(64)
+    stokes, anti = stokes_basis(ms, cam), scattering.anti_stokes_basis(ms, (0.0, 0.0), cam)
+    assert not stokes.off_pane.any() and not anti.off_pane.any()
+    i_s = np.linspace(1000.0, 2000.0, ms.n_modes)
+    i_as = 0.5 * i_s
+    fr = render_frame((i_s, i_as), ms, (0.0, 0.0), cam, shot_rng(0, 1))
+    for counts, factors, i in ((fr.stokes, stokes, i_s), (fr.anti_stokes, anti, i_as)):
+        mean = (factors.wy.T @ (i[:, None] * factors.wx_alpha)).sum()
+        # only the Gaussian tails past the pane edge are lost
+        assert 0.98 * i.sum() < mean <= i.sum()
+        assert abs(counts.sum() - mean) < 5.0 * math.sqrt(mean)
+
+
 def test_render_clips_off_pane_modes():
     """A mode centred off a pane deposits nothing on it, whatever its intensity."""
     # an 8x8 pane spans +-60 urad; a 400 urad envelope pushes modes off it
