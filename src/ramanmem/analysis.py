@@ -176,19 +176,15 @@ def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> No
         _check_exact(acc)
 
 
-def _frame_block(frame: Frame) -> np.ndarray:
-    return np.array([[frame.stokes, frame.anti_stokes]], dtype=np.float64)
-
-
 def accumulate(acc: MomentAccumulator, frame: Frame) -> MomentAccumulator:
     """Fold one frame into the accumulator (in place) and return it."""
-    accumulate_block((acc,), _frame_block(frame))
+    accumulate_block((acc,), frame.counts[None])
     return acc
 
 
 def accumulate_many(accs: Sequence[MomentAccumulator], frame: Frame) -> None:
     """Fold one frame into several accumulators, converting the frame once."""
-    accumulate_block(accs, _frame_block(frame))
+    accumulate_block(accs, frame.counts[None])
 
 
 def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:

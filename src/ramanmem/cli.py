@@ -54,7 +54,7 @@ def _rendered_blocks(frames: Iterable[scattering.Frame]) -> Iterator[np.ndarray]
     """Rendered frames packed `stackio._BLOCK` at a time into (n, 2, H, W) count blocks."""
     frames = iter(frames)
     while chunk := list(islice(frames, stackio._BLOCK)):
-        yield np.array([(f.stokes, f.anti_stokes) for f in chunk])
+        yield np.stack([f.counts for f in chunk])
 
 
 def _correlate_frames(
@@ -116,7 +116,7 @@ def _stack_blocks(path: str):
     def checked() -> Iterator[np.ndarray]:
         try:
             yield from blocks
-        except ValueError as exc:  # truncated body, or a negative or non-finite count
+        except (ValueError, OverflowError) as exc:  # a bad body length, or a count check_counts rejects
             raise ConfigError(str(exc), path=path) from None
 
     return camera, count, seed, checksum, checked()
@@ -218,9 +218,9 @@ def cmd_steer(args) -> int:
     fit_failed = any(not f.converged for f in baseline_fits)
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
+    ys = np.array([fibers[i].theta_y for i in good])
     slope = intercept = float("nan")
-    if len(good) >= 2:
-        ys = np.array([fibers[i].theta_y for i in good])
+    if len(np.unique(ys)) >= 2:  # a line needs converged fibers at two heights
         ts = np.array([baseline_fits[i].center_y_urad for i in good])
         coeffs = np.polyfit(ys, ts, 1)
         slope, intercept = float(coeffs[0]), float(coeffs[1])
@@ -377,12 +377,18 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _radius(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (0.0 <= value < float("inf")):
+    if not abs(value) < float("inf"):  # false for inf and nan
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _radius(text: str) -> float:
+    if not (value := _finite(text)) >= 0.0:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fibers", type=_positive_int, default=5, help="number of Stokes fibers"
     )
     p_steer.add_argument(
-        "--fiber-span", type=float, default=300.0,
+        "--fiber-span", type=_finite, default=300.0,
         help="spread of fiber y positions, urad (centred on 0)",
     )
     p_steer.add_argument(

@@ -44,6 +44,7 @@ __all__ = [
     "build_mode_set",
     "mode_set_from_config",
     "check_pixel_photons",
+    "check_counts",
     "retrieval_efficiencies",
     "sample_shot",
     "render_frame",
@@ -440,20 +441,39 @@ def anti_stokes_basis(
     return _pane_factors(ms, centers, camera, tilt, previous)
 
 
-@dataclass(eq=False)
-class Frame:
-    """One camera exposure: the photon counts of its two panes, its shot index and readout tilt."""
+def check_counts(counts: np.ndarray) -> None:
+    """The one count rule: finite and non-negative (else ValueError), below 2**24 (else OverflowError)."""
+    lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
+    if not (lo >= 0 and hi < np.inf):
+        raise ValueError("pane intensities must be finite and non-negative")
+    if hi >= _COUNT_LIMIT:
+        raise OverflowError(f"a count of {hi:.0f} reaches 2**24: float32 frames round it")
 
-    stokes: np.ndarray
-    anti_stokes: np.ndarray
+
+class _Panes:
+    """`stokes` and `anti_stokes`: views of the pane axis of a (..., 2, H, W) `counts` array."""
+
+    @property
+    def stokes(self) -> np.ndarray:
+        return self.counts[..., 0, :, :]
+
+    @property
+    def anti_stokes(self) -> np.ndarray:
+        return self.counts[..., 1, :, :]
+
+
+@dataclass(eq=False)
+class Frame(_Panes):
+    """One camera exposure: (2, H, W) counts, Stokes pane first as in `.rmns`, shot index and tilt."""
+
+    counts: np.ndarray
     shot_index: int
     readout_angle_urad: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.stokes.shape != self.anti_stokes.shape or self.stokes.ndim != 2:
-            raise ValueError("panes must be two 2-d arrays of equal shape")
-        if np.any(self.stokes < 0) or np.any(self.anti_stokes < 0):
-            raise ValueError("pane intensities must be non-negative")
+        if self.counts.ndim != 3 or self.counts.shape[0] != 2:
+            raise ValueError(f"frame counts must be a (2, H, W) array, got {self.counts.shape}")
+        check_counts(self.counts)
 
 
 def _render_with_bases(
@@ -465,23 +485,12 @@ def _render_with_bases(
     rng: np.random.Generator,
     noise_floor: float,
 ) -> Frame:
-    i_s, i_as = intensities
-    mean_s = stokes.wy.T @ (i_s[:, None] * stokes.wx_alpha) + noise_floor
-    mean_a = anti_stokes.wy.T @ (i_as[:, None] * anti_stokes.wx_alpha) + noise_floor
-    # one pane after the other: the same draws as one call on both panes stacked
-    counts_s = rng.poisson(mean_s)
-    counts_a = rng.poisson(mean_a)
-    peak = max(counts_s.max(), counts_a.max())
-    if peak >= _COUNT_LIMIT:
-        raise OverflowError(
-            f"shot {shot_index} renders a count of {peak}, past 2**24: float32 frames would round it"
-        )
-    tr = np.asarray(theta_read_urad, dtype=float)
+    panes = zip((stokes, anti_stokes), intensities)
+    means = np.stack([f.wy.T @ (i[:, None] * f.wx_alpha) + noise_floor for f, i in panes])
     return Frame(
-        stokes=counts_s.astype(np.float32),
-        anti_stokes=counts_a.astype(np.float32),
+        counts=rng.poisson(means).astype(np.float32),
         shot_index=shot_index,
-        readout_angle_urad=(float(tr[0]), float(tr[1])),
+        readout_angle_urad=tuple(map(float, theta_read_urad)),
     )
 
 
@@ -496,8 +505,8 @@ def render_frame(
 ) -> Frame:
     """Render one shot onto the two panes and Poisson sample the counts.
 
-    Modes whose centre falls off a pane are clipped from that pane: they
-    deposit nothing there.
+    One Poisson call draws both panes, Stokes first.  Modes whose centre
+    falls off a pane are clipped from that pane: they deposit nothing there.
     """
     i_s, i_as = (np.asarray(a, dtype=float) for a in intensities)
     if i_s.shape != (ms.n_modes,) or i_as.shape != (ms.n_modes,):
@@ -517,30 +526,28 @@ def render_frame(
 
 
 @dataclass(eq=False)
-class FrameStack:
-    """A simulated (or re-loaded) run: frame arrays plus provenance."""
+class FrameStack(_Panes):
+    """A simulated (or re-loaded) run: (n, 2, H, W) counts, whose rows are its frames, plus provenance."""
 
-    stokes: np.ndarray
-    anti_stokes: np.ndarray
+    counts: np.ndarray
     readout_angles_urad: np.ndarray
     camera: CameraGeometry
     seed: int
     config_checksum: int
 
     def __post_init__(self) -> None:
-        if self.stokes.shape != self.anti_stokes.shape or self.stokes.ndim != 3:
-            raise ValueError("stack panes must be (n, H, W) arrays of equal shape")
-        if self.readout_angles_urad.shape != (self.stokes.shape[0], 2):
+        if self.counts.ndim != 4 or self.counts.shape[1] != 2:
+            raise ValueError(f"stack counts must be an (n, 2, H, W) array, got {self.counts.shape}")
+        if self.readout_angles_urad.shape != (self.counts.shape[0], 2):
             raise ValueError("readout_angles_urad must be (n, 2)")
 
     @property
     def n_frames(self) -> int:
-        return self.stokes.shape[0]
+        return self.counts.shape[0]
 
     def frame(self, i: int) -> Frame:
         return Frame(
-            stokes=self.stokes[i],
-            anti_stokes=self.anti_stokes[i],
+            counts=self.counts[i],
             shot_index=i,
             readout_angle_urad=tuple(self.readout_angles_urad[i]),
         )
@@ -678,16 +685,13 @@ def simulate_stack(cfg, n_frames=None, schedule=None, seed=None) -> FrameStack:
     n = int(cfg.run.n_frames if n_frames is None else n_frames)
     s = int(cfg.run.seed if seed is None else seed)
     camera = cfg.camera
-    stokes = np.empty((n, camera.height_px, camera.width_px), dtype=np.float32)
-    anti = np.empty_like(stokes)
+    counts = np.empty((n, 2, camera.height_px, camera.width_px), dtype=np.float32)
     angles = np.empty((n, 2), dtype=float)
     for frame in iter_simulated_frames(cfg, n, schedule, s):
-        stokes[frame.shot_index] = frame.stokes
-        anti[frame.shot_index] = frame.anti_stokes
+        counts[frame.shot_index] = frame.counts
         angles[frame.shot_index] = frame.readout_angle_urad
     return FrameStack(
-        stokes=stokes,
-        anti_stokes=anti,
+        counts=counts,
         readout_angles_urad=angles,
         camera=camera,
         seed=s,

@@ -12,9 +12,10 @@ Layout (all little endian):
     seed    u64      run seed
     config  u64      config checksum
     body    count frames, each: Stokes pane then anti-Stokes pane,
-            row-major float32
+            row-major float32 (`Frame.counts`); nothing follows them
 
-Writing the same stack twice produces byte-identical files.
+Every count read passes `scattering.check_counts`.  Writing the same stack
+twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .geometry import CameraGeometry
-from .scattering import Frame, FrameStack
+from .scattering import Frame, FrameStack, check_counts
 
 __all__ = [
     "MAGIC", "VERSION", "StackWriter", "write_stack", "read_stack", "iter_stack_blocks",
@@ -70,14 +71,13 @@ class StackWriter:
         self._fh.write(header)
 
     def append(self, frame: Frame) -> None:
-        shape = (self._camera.height_px, self._camera.width_px)
-        if frame.stokes.shape != shape:
-            raise ValueError(f"frame pane shape {frame.stokes.shape} does not match header {shape}")
+        shape = (2, self._camera.height_px, self._camera.width_px)
+        if frame.counts.shape != shape:
+            raise ValueError(f"frame counts shape {frame.counts.shape} does not match header {shape}")
         if self._written >= self._expected:
             raise ValueError("stack already holds the declared number of frames")
-        # written through the buffer protocol: a float32 pane is not copied
-        self._fh.write(np.ascontiguousarray(frame.stokes, dtype="<f4"))
-        self._fh.write(np.ascontiguousarray(frame.anti_stokes, dtype="<f4"))
+        # written through the buffer protocol: contiguous float32 counts are not copied
+        self._fh.write(np.ascontiguousarray(frame.counts, dtype="<f4"))
         self._written += 1
 
     def close(self) -> None:
@@ -130,26 +130,25 @@ def _read_header(fh):
 _BLOCK = 8
 
 
-def _read_frames(fh, camera: CameraGeometry, first: int, n: int) -> np.ndarray:
-    """Frames first .. first + n - 1 of the body as one (n, 2, H, W) float32 array."""
+def _read_frames(fh, camera: CameraGeometry, first: int, n: int, count: int) -> np.ndarray:
+    """Frames first .. first + n - 1 of a count-frame body as (n, 2, H, W) float32, checked."""
     size = 2 * camera.height_px * camera.width_px
     data = np.fromfile(fh, dtype="<f4", count=n * size)
     if data.size != n * size:
         raise ValueError(f"truncated frame {first + data.size // size}")
-    # min() is NaN if any count is NaN, so one reduction rejects NaN and negatives; max() finds +inf
-    if data.size and not (data.min() >= 0 and data.max() < np.inf):
-        raise ValueError("pane intensities must be finite and non-negative")
+    check_counts(data)
+    if first + n == count and fh.read(1):
+        raise ValueError(f"bytes past the {count} declared frames")
     return data.reshape(n, 2, camera.height_px, camera.width_px)
 
 
 def read_stack(path) -> FrameStack:
-    """Load a whole stack into memory; the body is checked as `iter_stack_blocks` checks it."""
+    """Load a whole stack into memory, its counts the body array as read and checked."""
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)
-        frames = _read_frames(fh, camera, 0, count)
+        counts = _read_frames(fh, camera, 0, count, count)
     return FrameStack(
-        stokes=np.ascontiguousarray(frames[:, 0]),
-        anti_stokes=np.ascontiguousarray(frames[:, 1]),
+        counts=counts,
         readout_angles_urad=np.zeros((count, 2)),
         camera=camera,
         seed=seed,
@@ -163,9 +162,10 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
     holds `_BLOCK` frames but the last, read with one call; each is a fresh
     array the iterator keeps no reference to.  A body that ends early raises
-    "truncated frame i" for its first incomplete frame; a negative or
-    non-finite count raises too.  The iterator opens the file only when
-    iteration starts, so a caller that never iterates holds no open handle.
+    "truncated frame i" for its first incomplete frame, bytes past the last
+    frame raise, and so does a count `check_counts` rejects.  The iterator
+    opens the file only when iteration starts, so a caller that never
+    iterates holds no open handle.
     """
     with open(path, "rb") as fh:
         camera, count, seed, checksum = _read_header(fh)
@@ -174,7 +174,7 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
         with open(path, "rb") as fh:
             fh.seek(_HEADER.size)
             for start in range(0, count, _BLOCK):
-                yield _read_frames(fh, camera, start, min(_BLOCK, count - start))
+                yield _read_frames(fh, camera, start, min(_BLOCK, count - start), count)
 
     return camera, count, seed, checksum, blocks()
 
@@ -182,21 +182,15 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
 def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
     """Header plus a lazy frame iterator, for streaming consumers.
 
-    Returns (camera, n_frames, seed, config_checksum, frames).  Frames are
-    views of the blocks `iter_stack_blocks` reads.  Readout angles are not
-    part of the format, so iterated frames carry (0, 0) there.  The iterator
-    opens the file only when iteration starts, so a caller that never
-    iterates holds no open handle.
+    Returns (camera, n_frames, seed, config_checksum, frames).  Each frame's
+    counts are a row of a block `iter_stack_blocks` reads.  Readout angles
+    are not part of the format, so iterated frames carry (0, 0) there.  Like
+    `iter_stack_blocks`, it opens the file only when iteration starts.
     """
     camera, count, seed, checksum, blocks = iter_stack_blocks(path)
 
     def frames() -> Iterator[Frame]:
-        for i, both in enumerate(chain.from_iterable(blocks)):
-            yield Frame(
-                stokes=both[0],
-                anti_stokes=both[1],
-                shot_index=i,
-                readout_angle_urad=(0.0, 0.0),
-            )
+        for i, row in enumerate(chain.from_iterable(blocks)):
+            yield Frame(counts=row, shot_index=i, readout_angle_urad=(0.0, 0.0))
 
     return camera, count, seed, checksum, frames()

@@ -132,10 +132,10 @@ def test_correlate_fresh_simulation_and_flipped_reference(tmp_path, cfg_path, ca
 def test_correlate_dead_reference_fails_fit(tmp_path, capsys):
     cam = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
     stack = tmp_path / "dead.rmns"
-    zeros = np.zeros((8, 16), dtype=np.float32)
+    zeros = np.zeros((2, 8, 16), dtype=np.float32)
     with StackWriter(stack, cam, 4, seed=0, config_checksum=0) as w:
         for i in range(4):
-            w.append(Frame(zeros, zeros, shot_index=i, readout_angle_urad=(0.0, 0.0)))
+            w.append(Frame(zeros, shot_index=i, readout_angle_urad=(0.0, 0.0)))
     rc = main(["correlate", "--stack", str(stack), "--out", str(tmp_path / "dead")])
     assert rc == 4
     assert "did not converge" in capsys.readouterr().err
@@ -268,7 +268,7 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
         with StackWriter(path, cam, count, seed=0, config_checksum=0) as w:
             for i in range(count):
                 panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.float32)
-                w.append(Frame(panes[0], panes[1], shot_index=i, readout_angle_urad=(0.0, 0.0)))
+                w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
         blocks = cli._stack_blocks(str(path))[-1]
         tracemalloc.start()
         try:
@@ -278,6 +278,19 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
             tracemalloc.stop()
         assert maps[0].n_frames == count
     assert abs(peaks[1] - peaks[0]) < 8192, peaks
+
+
+def test_steer_fibers_at_one_height_report_no_slope(tmp_path, capsys):
+    """Converged fibers that share one y give no baseline line: NaN, not a polyfit crash."""
+    report = tmp_path / "steer.csv"
+    argv = ["steer", "--frames", "60", "--fibers", "2", "--fiber-span", "0", "--out", str(report)]
+    assert main(argv) == 0
+    assert "baseline conjugate slope along y: nan (intercept nan urad)" in capsys.readouterr().out
+    header = report.read_text().splitlines()[0]
+    assert header.endswith("baseline_slope=nan baseline_intercept=nan")
+    rows = [ln.split(",") for ln in report.read_text().splitlines()[2:]]
+    assert [r[2] for r in rows] == ["0.0", "0.0"]  # both fibers at y = 0
+    assert all(r[7] != "nan" for r in rows)  # both baseline fits converged
 
 
 def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
@@ -359,6 +372,15 @@ def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
         assert not list(tmp_path.glob("s_*"))
 
 
+@pytest.mark.parametrize("span", ["inf", "-inf", "nan"])
+def test_fiber_span_must_be_finite(capsys, span):
+    """argparse rejects the span itself, before numpy sees it."""
+    assert _exit_code(["steer", "--frames", "5", f"--fiber-span={span}"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument --fiber-span: must be a finite number, got {span}\n")
+    assert "Warning" not in err
+
+
 _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
 
 
@@ -373,6 +395,8 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
         ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
         ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
+        ("stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
+        ("stack", lambda raw: raw + raw),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0\n"),
@@ -392,6 +416,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
+        "stack-count-2^24", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
@@ -466,7 +491,7 @@ def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
     path = tmp_path / "bright.rmns"
     with StackWriter(path, cam, len(counts), seed=0, config_checksum=0) as w:
         for i, panes in enumerate(counts):
-            w.append(Frame(panes[0], panes[1], shot_index=i, readout_angle_urad=(0.0, 0.0)))
+            w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
     ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
     halves = [analysis.MomentAccumulator.empty(cam, ref) for _ in range(2)]
     analysis.accumulate_block(halves[:1], counts[:32])

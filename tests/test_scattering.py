@@ -282,13 +282,27 @@ def test_render_rejects_bad_intensities():
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
-        Frame(
-            stokes=np.zeros((4, 4)),
-            anti_stokes=np.zeros((4, 5)),
-            shot_index=0,
-            readout_angle_urad=(0.0, 0.0),
-        )
+    for shape in ((4, 4), (3, 4, 4), (1, 2, 4, 4)):  # not two panes of one shape
+        with pytest.raises(ValueError, match=r"\(2, H, W\)"):
+            Frame(counts=np.zeros(shape), shot_index=0, readout_angle_urad=(0.0, 0.0))
+
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(np.nan, ValueError), (np.inf, ValueError), (-1.0, ValueError), (2.0**24, OverflowError)],
+    ids=["nan", "inf", "negative", "2^24"],
+)
+def test_frame_rejects_counts_outside_the_exact_range(value, error):
+    """`check_counts` is the one rule: finite, non-negative and below 2**24."""
+    counts = np.zeros((2, 4, 4), dtype=np.float32)
+    counts[1, 3, 3] = 2**24 - 1  # the largest count float32 still holds exactly
+    frame = Frame(counts=counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
+    assert np.shares_memory(frame.anti_stokes, frame.counts)
+    assert frame.anti_stokes[3, 3] == 2**24 - 1 and frame.stokes.shape == (4, 4)
+    counts[1, 3, 3] = value
+    with pytest.raises(error):
+        Frame(counts=counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
 
 
 # --- stacks -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame, simulate_stack
 from ramanmem.stackio import (
     _BLOCK,
+    _HEADER,
     MAGIC,
     VERSION,
     StackWriter,
@@ -41,6 +42,24 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.n_frames == stack.n_frames
 
 
+def test_read_stack_counts_are_the_body_array(tmp_path):
+    """One (n, 2, H, W) array as read; the pane views share its memory and match the file."""
+    stack = small_stack()
+    path = tmp_path / "run.rmns"
+    write_stack(path, stack)
+    back = read_stack(path)
+    body = np.frombuffer(path.read_bytes(), dtype="<f4", offset=_HEADER.size)
+    body = body.reshape(stack.n_frames, 2, CAM.height_px, CAM.width_px)
+    assert back.counts.shape == body.shape and back.counts.flags.c_contiguous
+    np.testing.assert_array_equal(back.counts, body)
+    for view, pane in ((back.stokes, 0), (back.anti_stokes, 1)):
+        assert np.shares_memory(view, back.counts)
+        np.testing.assert_array_equal(view, body[:, pane])
+    for i, frame in enumerate(stack):  # the panes as written
+        np.testing.assert_array_equal(back.stokes[i], frame.stokes)
+        np.testing.assert_array_equal(back.anti_stokes[i], frame.anti_stokes)
+
+
 def test_write_is_byte_deterministic(tmp_path):
     stack = small_stack()
     a, b = tmp_path / "a.rmns", tmp_path / "b.rmns"
@@ -68,8 +87,7 @@ def test_iter_stack_matches_bulk_read(tmp_path):
 def test_writer_rejects_wrong_pane_shape(tmp_path):
     w = StackWriter(tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0)
     bad = Frame(
-        stokes=np.zeros((4, 4), dtype=np.float32),
-        anti_stokes=np.zeros((4, 4), dtype=np.float32),
+        counts=np.zeros((2, 4, 4), dtype=np.float32),
         shot_index=0,
         readout_angle_urad=(0.0, 0.0),
     )
@@ -154,6 +172,24 @@ def test_truncated_body(tmp_path):
             list(blocks)
 
 
+@pytest.mark.parametrize("n", [3, _BLOCK])  # a short last block, and one full block
+def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
+    stack = small_stack(n=n)
+    p = tmp_path / "long.rmns"
+    write_stack(p, stack)
+    raw = p.read_bytes()
+    for extra in (b"\0", raw):  # one stray byte, and a second stack appended
+        p.write_bytes(raw + extra)
+        with pytest.raises(ValueError, match=f"bytes past the {n} declared frames"):
+            read_stack(p)
+        with pytest.raises(ValueError, match="bytes past"):
+            _, _, _, _, blocks = iter_stack_blocks(p)
+            list(blocks)
+        with pytest.raises(ValueError, match="bytes past"):
+            _, _, _, _, frames = iter_stack(p)
+            list(frames)
+
+
 def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
     stack = small_stack(n=_BLOCK + 3)
     path = tmp_path / "run.rmns"
@@ -195,6 +231,24 @@ def test_non_finite_count_is_rejected(tmp_path, value):
     with pytest.raises(ValueError, match="finite and non-negative"):
         read_stack(p)
     with pytest.raises(ValueError, match="finite and non-negative"):
+        _, _, _, _, blocks = iter_stack_blocks(p)
+        list(blocks)
+
+
+def test_count_of_2_24_is_rejected(tmp_path):
+    """float32 holds every integer only below 2**24; a body count there was rounded."""
+    stack = small_stack(n=_BLOCK + 2)
+    p = tmp_path / "big.rmns"
+    write_stack(p, stack)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = struct.pack("<f", 2.0**24 - 1)
+    p.write_bytes(bytes(raw))
+    assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24 - 1
+    raw[-4:] = struct.pack("<f", 2.0**24)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(OverflowError, match=r"2\*\*24"):
+        read_stack(p)
+    with pytest.raises(OverflowError, match=r"2\*\*24"):
         _, _, _, _, blocks = iter_stack_blocks(p)
         list(blocks)
 
