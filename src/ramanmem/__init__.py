@@ -59,6 +59,6 @@ from .config import (
     load_config,
     parse_config,
 )
-from .stackio import StackWriter, iter_stack, read_stack, write_stack
+from .stackio import StackWriter, iter_stack, read_stack
 
 __version__ = "0.1.0"

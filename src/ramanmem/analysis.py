@@ -148,10 +148,10 @@ def _check_exact(acc: MomentAccumulator) -> None:
 def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> None:
     """The moment update: fold n frames, a (n, 2, H, W) block of counts, into each accumulator.
 
-    The block may be of any float dtype; it is converted to float64 once.
-    With X the block as n rows, one gemm [1; r_1 ... r_K] @ X gives the
-    intensity sum and every reference's cross moment, and one einsum gives the
-    squared sum all references share.  Photon counts are integers, so while
+    The block may be of any integer or float dtype; it is converted to
+    float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
+    gives the intensity sum and every reference's cross moment, and one
+    einsum gives the squared sum all references share.  Photon counts are integers, so while
     every partial sum stays below 2**53 the sums do not depend on how frames
     are grouped into blocks; a fold that reaches 2**53 raises OverflowError.
     """

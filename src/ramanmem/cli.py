@@ -90,8 +90,9 @@ def cmd_simulate(args) -> int:
                 path=args.schedule,
             )
     checksum = cfg.checksum()
+    bound = scattering.pixel_count_bound(cfg.mode_set(), cfg.camera, cfg.retrieval.noise_floor)
     with stackio.StackWriter(
-        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum
+        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
     ) as writer:
         for frame in scattering.iter_simulated_frames(cfg, schedule=schedule):
             writer.append(frame)

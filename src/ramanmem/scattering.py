@@ -45,6 +45,7 @@ __all__ = [
     "mode_set_from_config",
     "check_pixel_photons",
     "check_counts",
+    "pixel_count_bound",
     "retrieval_efficiencies",
     "sample_shot",
     "render_frame",
@@ -265,6 +266,25 @@ def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
         )
 
 
+# an exponential (thermal) mode intensity passes THERMAL_TAIL_FACTOR times its
+# mean with probability exp(-THERMAL_TAIL_FACTOR), e^-64 here
+THERMAL_TAIL_FACTOR = 64
+
+
+def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -> float:
+    """THERMAL_TAIL_FACTOR * sum over modes of each one's peak-pixel mean, plus the noise floor.
+
+    Mode m puts at most mean_photons[m] * pitch^2 / (2 pi sigma_m^2) of its
+    intensity's mean on one pixel (`_pane_factors`), and its anti-Stokes twin
+    no more (eta <= 1).  So no pixel's Poisson mean passes the bound unless a
+    mode's intensity passes THERMAL_TAIL_FACTOR times its mean: the width a
+    stack's counts need.
+    """
+    ratio = camera.pitch_urad / ms.sigma_urad
+    peaks = ms.mean_photons * (ratio * ratio) / (2.0 * math.pi)
+    return THERMAL_TAIL_FACTOR * float(peaks.sum()) + noise_floor
+
+
 @dataclass(frozen=True)
 class RetrievalModel:
     """Readout efficiency model and camera noise floor.
@@ -442,8 +462,17 @@ def anti_stokes_basis(
 
 
 def check_counts(counts: np.ndarray) -> None:
-    """The one count rule: finite and non-negative (else ValueError), below 2**24 (else OverflowError)."""
-    lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
+    """The one count rule: finite and non-negative (else ValueError), below 2**24 (else OverflowError).
+
+    Unsigned integers need no minimum, and a dtype whose whole range obeys
+    the rule (u16) no scan at all.
+    """
+    if counts.dtype.kind == "u":
+        if np.iinfo(counts.dtype).max < _COUNT_LIMIT:
+            return
+        lo, hi = 0, (counts.max() if counts.size else 0)
+    else:
+        lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
     if not (lo >= 0 and hi < np.inf):
         raise ValueError("pane intensities must be finite and non-negative")
     if hi >= _COUNT_LIMIT:

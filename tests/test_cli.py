@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from rmns_v1 import v1_bytes
 
 import ramanmem
-from ramanmem import analysis, cli, scattering, stackio
+from ramanmem import analysis, cli, control, scattering, stackio
 from ramanmem.cli import main
 from ramanmem.config import load_config
 from ramanmem.geometry import Angle2D, CameraGeometry
@@ -73,6 +74,56 @@ def test_simulate_honours_schedule(tmp_path, cfg_path):
     a, b = read_stack(flat), read_stack(tilted)
     np.testing.assert_array_equal(a.stokes, b.stokes)  # write side is untouched
     assert not np.array_equal(a.anti_stokes, b.anti_stokes)
+
+
+@pytest.mark.parametrize("columns", ["theta", "drive"])
+def test_scheduled_stack_stores_the_schedule_angles(tmp_path, cfg_path, columns):
+    """Each frame record holds its schedule row's readout angle, bit for bit."""
+    sched = tmp_path / "sched.csv"
+    if columns == "theta":
+        rows = [(0.1, -150.0), (1 / 3, 2.0**-30), (-450.0, 7.7), (0.0, 0.0), (12.345, 1e-9)]
+        sched.write_text(_SCHEDULE_HEAD + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(rows)))
+    else:
+        tones = (79.75e6, 80.0e6, 80.1234567e6, 80.25e6, 79.9e6)
+        sched.write_text("shot,drive_freq_hz\n" + "".join(f"{i},{t!r}\n" for i, t in enumerate(tones)))
+    out = tmp_path / "sched.rmns"
+    argv = ["simulate", "--config", cfg_path, "--frames", "5", "--schedule", str(sched)]
+    assert main([*argv, "--out", str(out)]) == 0
+    want = np.asarray(control.load_schedule(sched, load_config(cfg_path).chain), dtype=float)
+    assert want.any()
+    assert read_stack(out).readout_angles_urad.tobytes() == want.tobytes()
+    _, _, _, _, frames = stackio.iter_stack(out)
+    assert [f.readout_angle_urad for f in frames] == [tuple(row) for row in want.tolist()]
+
+
+@pytest.mark.parametrize(("photons", "width"), [(None, np.uint16), (1e5, np.uint32)])
+def test_simulate_picks_the_count_width_from_the_pixel_bound(tmp_path, photons, width):
+    """The default config's bound (~52 400) fits u16; 100 times the photons need u32."""
+    cfg = tmp_path / "exp.ini"
+    text = SMALL_CFG + ("" if photons is None else f"\n[modes]\nmean_photons_per_mode = {photons!r}\n")
+    cfg.write_text(text)
+    out = tmp_path / "run.rmns"
+    assert main(["simulate", "--config", str(cfg), "--frames", "2", "--out", str(out)]) == 0
+    raw = out.read_bytes()
+    assert stackio._COUNT_WIDTH.unpack_from(raw, stackio._HEADER.size) == (np.dtype(width).itemsize,)
+    assert read_stack(out).counts.dtype == width
+    loaded = load_config(cfg)
+    bound = scattering.pixel_count_bound(loaded.mode_set(), loaded.camera, loaded.retrieval.noise_floor)
+    assert (bound <= 65535) == (width == np.uint16)
+
+
+def test_count_past_the_stack_width_exits_2(tmp_path, monkeypatch, capsys):
+    """A bound that failed to hold is an error with no file left, never a wrapped count."""
+    cfg = tmp_path / "bright.ini"
+    cfg.write_text(SMALL_CFG + "\n[modes]\nmean_photons_per_mode = 1e7\n")
+    monkeypatch.setattr(scattering, "pixel_count_bound", lambda *args: 0.0)
+    out = tmp_path / "run.rmns"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--frames", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a count of ") and err.count("\n") == 1
+    assert "does not fit the stack's uint16 counts" in err
+    assert not out.exists()
 
 
 def test_schedule_length_mismatch_is_config_error(tmp_path, cfg_path, capsys):
@@ -391,11 +442,11 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("stack", lambda raw: raw[:10]),
         ("stack", lambda raw: raw[:-100]),
         ("stack", None),
-        ("stack", lambda raw: raw[:-4] + struct.pack("<f", -1.0)),
-        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
-        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
-        ("stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
-        ("stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", -1.0)),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
         ("stack", lambda raw: raw + raw),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
@@ -426,11 +477,11 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     bad = tmp_path / f"bad.{kind}"
-    if kind == "stack":
+    if kind.endswith("stack"):  # a v1-stack is the simulated stack as float32 (version 1)
         frames = "1" if make is None else "3"
         assert main(["simulate", "--config", cfg_path, "--frames", frames, "--out", str(bad)]) == 0
         if make is not None:
-            bad.write_bytes(make(bad.read_bytes()))
+            bad.write_bytes(make(v1_bytes(bad) if kind == "v1-stack" else bad.read_bytes()))
         argv = ["correlate", "--stack", str(bad), "--out", str(tmp_path / "map")]
     elif kind == "config":
         bad.write_bytes(make)
@@ -489,7 +540,7 @@ def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
     counts = np.random.default_rng(3).integers(2**23, 2**24, size=(64, 2, 32, 64))
     counts = counts.astype(np.float32)  # exact: every integer below 2**24 is a float32
     path = tmp_path / "bright.rmns"
-    with StackWriter(path, cam, len(counts), seed=0, config_checksum=0) as w:
+    with StackWriter(path, cam, len(counts), seed=0, config_checksum=0, count_dtype=np.uint32) as w:
         for i, panes in enumerate(counts):
             w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
     ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))

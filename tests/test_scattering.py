@@ -20,6 +20,7 @@ from ramanmem.scattering import (
     ModeSet,
     RetrievalModel,
     build_mode_set,
+    check_counts,
     effective_source_diameter_m,
     iter_simulated_frames,
     mode_set_from_config,
@@ -303,6 +304,33 @@ def test_frame_rejects_counts_outside_the_exact_range(value, error):
     counts[1, 3, 3] = value
     with pytest.raises(error):
         Frame(counts=counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
+
+
+class _Unscannable(np.ndarray):
+    """An array whose min() fails, and whose max() fails too unless allowed."""
+
+    allow_max = False
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("min() scanned")
+
+    def max(self, *args, **kwargs):
+        if not self.allow_max:
+            raise AssertionError("max() scanned")
+        return super().max(*args, **kwargs)
+
+
+def test_check_counts_scans_only_what_the_dtype_allows():
+    """u16 holds no count the rule rejects: no scan; u32 keeps only the 2**24 test."""
+    u16 = np.full((2, 4, 4), 2**16 - 1, dtype=np.uint16).view(_Unscannable)
+    check_counts(u16)
+    Frame(counts=u16, shot_index=0, readout_angle_urad=(0.0, 0.0))
+    u32 = np.full((2, 4, 4), 2**24 - 1, dtype=np.uint32).view(_Unscannable)
+    u32.allow_max = True
+    check_counts(u32)
+    u32[1, 3, 3] = 2**24
+    with pytest.raises(OverflowError, match=r"2\*\*24"):
+        check_counts(u32)
 
 
 # --- stacks -----------------------------------------------------------------

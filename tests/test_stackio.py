@@ -2,59 +2,90 @@
 
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from rmns_v1 import v1_bytes
 
 from ramanmem.config import default_config
 from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame, simulate_stack
 from ramanmem.stackio import (
     _BLOCK,
+    _COUNT_WIDTH,
     _HEADER,
     MAGIC,
     VERSION,
     StackWriter,
+    _record_dtype,
     iter_stack,
     iter_stack_blocks,
     read_stack,
-    write_stack,
 )
 
 CAM = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
+BODY = _HEADER.size + _COUNT_WIDTH.size  # where a version 2 body starts
+# three frames a version 1 writer wrote: default config at CAM, seed 3
+V1_FIXTURE = Path(__file__).parent / "data" / "v1_3frames_16x8.rmns"
 
 
-def small_stack(n=6, seed=3):
+def small_stack(n=6, seed=3, tilts=None):
     cfg = dataclasses.replace(default_config(), camera=CAM)
-    return simulate_stack(cfg.with_seed(seed), n_frames=n)
+    return simulate_stack(cfg.with_seed(seed), n_frames=n, schedule=tilts)
+
+
+def write(path, stack, count_dtype=np.uint16):
+    with StackWriter(
+        path, stack.camera, stack.n_frames, stack.seed, stack.config_checksum, count_dtype
+    ) as w:
+        for frame in stack:
+            w.append(frame)
+
+
+def v1_stack(path, n):
+    """A version 1 stack of n frames at path; its raw bytes."""
+    write(path, small_stack(n=n))
+    raw = v1_bytes(path)
+    path.write_bytes(raw)
+    return bytearray(raw)
+
+
+# readout tilts (urad) that no short decimal holds exactly
+TILTS = np.array([[0.1, -150.0], [1 / 3, 2.0**-30], [-450.0, 1e-300], [0.0, 0.0]])
 
 
 def test_round_trip_preserves_everything(tmp_path):
-    stack = small_stack()
+    stack = small_stack(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
-    write_stack(path, stack)
+    write(path, stack)
     back = read_stack(path)
     np.testing.assert_array_equal(back.stokes, stack.stokes)
     np.testing.assert_array_equal(back.anti_stokes, stack.anti_stokes)
+    assert back.readout_angles_urad.tobytes() == TILTS.tobytes()  # bit for bit
     assert back.seed == stack.seed
     assert back.config_checksum == stack.config_checksum
     assert back.camera == stack.camera
     assert back.n_frames == stack.n_frames
 
 
-def test_read_stack_counts_are_the_body_array(tmp_path):
-    """One (n, 2, H, W) array as read; the pane views share its memory and match the file."""
-    stack = small_stack()
+@pytest.mark.parametrize("count_dtype", [np.uint16, np.uint32])
+def test_read_stack_counts_are_the_body_array(tmp_path, count_dtype):
+    """Counts and angles are views of the body records as read; the pane views share them."""
+    stack = small_stack(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
-    write_stack(path, stack)
+    write(path, stack, count_dtype)
     back = read_stack(path)
-    body = np.frombuffer(path.read_bytes(), dtype="<f4", offset=_HEADER.size)
-    body = body.reshape(stack.n_frames, 2, CAM.height_px, CAM.width_px)
-    assert back.counts.shape == body.shape and back.counts.flags.c_contiguous
-    np.testing.assert_array_equal(back.counts, body)
+    record = _record_dtype(CAM, np.dtype(count_dtype).newbyteorder("<"))
+    body = np.frombuffer(path.read_bytes(), dtype=record, offset=BODY)
+    assert path.stat().st_size == BODY + stack.n_frames * record.itemsize
+    assert back.counts.dtype == count_dtype and back.counts.shape == body["counts"].shape
+    np.testing.assert_array_equal(back.counts, body["counts"])
+    assert back.readout_angles_urad.tobytes() == body["angle"].tobytes()
+    assert np.shares_memory(back.readout_angles_urad, back.counts.base)
     for view, pane in ((back.stokes, 0), (back.anti_stokes, 1)):
         assert np.shares_memory(view, back.counts)
-        np.testing.assert_array_equal(view, body[:, pane])
+        np.testing.assert_array_equal(view, body["counts"][:, pane])
     for i, frame in enumerate(stack):  # the panes as written
         np.testing.assert_array_equal(back.stokes[i], frame.stokes)
         np.testing.assert_array_equal(back.anti_stokes[i], frame.anti_stokes)
@@ -63,15 +94,15 @@ def test_read_stack_counts_are_the_body_array(tmp_path):
 def test_write_is_byte_deterministic(tmp_path):
     stack = small_stack()
     a, b = tmp_path / "a.rmns", tmp_path / "b.rmns"
-    write_stack(a, stack)
-    write_stack(b, stack)
+    write(a, stack)
+    write(b, stack)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_iter_stack_matches_bulk_read(tmp_path):
-    stack = small_stack()
+    stack = small_stack(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
-    write_stack(path, stack)
+    write(path, stack)
     camera, count, seed, checksum, frames = iter_stack(path)
     assert camera == stack.camera
     assert count == stack.n_frames
@@ -79,9 +110,49 @@ def test_iter_stack_matches_bulk_read(tmp_path):
     assert checksum == stack.config_checksum
     for i, frame in enumerate(frames):
         assert frame.shot_index == i
+        assert frame.readout_angle_urad == tuple(TILTS[i])
         np.testing.assert_array_equal(frame.stokes, stack.stokes[i])
         np.testing.assert_array_equal(frame.anti_stokes, stack.anti_stokes[i])
     assert i == count - 1
+
+
+def test_v1_stack_reads_with_zero_angles(tmp_path):
+    """A committed version 1 stack reads as written, and as the v2 stack of its frames."""
+    v1 = read_stack(V1_FIXTURE)
+    assert v1.counts.dtype == np.float32 and v1.n_frames == 3
+    assert v1.camera == CAM and v1.seed == 3
+    assert not v1.readout_angles_urad.any()
+    _, _, _, _, frames = iter_stack(V1_FIXTURE)
+    assert [f.readout_angle_urad for f in frames] == [(0.0, 0.0)] * 3
+    path = tmp_path / "v2.rmns"
+    write(path, v1)
+    v2 = read_stack(path)
+    assert v2.counts.dtype == np.uint16
+    np.testing.assert_array_equal(v2.counts, v1.counts)
+    assert (v2.camera, v2.seed, v2.config_checksum) == (v1.camera, v1.seed, v1.config_checksum)
+    assert v1_bytes(path) == V1_FIXTURE.read_bytes()
+    _, _, _, _, blocks = iter_stack_blocks(V1_FIXTURE)
+    np.testing.assert_array_equal(np.concatenate(list(blocks)), v1.counts)
+
+
+def test_writer_never_wraps_or_rounds_a_count(tmp_path):
+    counts = np.zeros((2, CAM.height_px, CAM.width_px), dtype=np.float32)
+    counts[1, -1, -1] = 2**16
+    frame = Frame(counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
+    path = tmp_path / "x.rmns"
+    with pytest.raises(OverflowError, match="65536 does not fit the stack's uint16 counts"):
+        with StackWriter(path, CAM, 1, seed=0, config_checksum=0) as w:
+            w.append(frame)
+    assert not path.exists()
+    with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint32) as w:
+        w.append(frame)
+    assert read_stack(path).anti_stokes[0, -1, -1] == 2**16
+    counts[1, -1, -1] = 2.5
+    with pytest.raises(ValueError, match="whole numbers"):
+        with StackWriter(path, CAM, 1, seed=0, config_checksum=0) as w:
+            w.append(frame)
+    with pytest.raises(ValueError, match="u16 or u32"):
+        StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.float32)
 
 
 def test_writer_rejects_wrong_pane_shape(tmp_path):
@@ -128,12 +199,16 @@ def test_truncated_header(tmp_path):
     p.write_bytes(b"RM")
     with pytest.raises(ValueError, match="truncated header"):
         read_stack(p)
+    write(p, small_stack(n=1))
+    p.write_bytes(p.read_bytes()[: BODY - 1])  # the count width cut short
+    with pytest.raises(ValueError, match="truncated header"):
+        read_stack(p)
 
 
 def test_bad_magic(tmp_path):
     stack = small_stack(n=1)
     p = tmp_path / "bad.rmns"
-    write_stack(p, stack)
+    write(p, stack)
     raw = bytearray(p.read_bytes())
     raw[:4] = b"WAT?"
     p.write_bytes(bytes(raw))
@@ -144,21 +219,26 @@ def test_bad_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     stack = small_stack(n=1)
     p = tmp_path / "v9.rmns"
-    write_stack(p, stack)
+    write(p, stack)
     raw = bytearray(p.read_bytes())
     raw[4:6] = (VERSION + 8).to_bytes(2, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="unsupported version"):
         read_stack(p)
     assert MAGIC == b"RMNS"
+    raw[4:6] = VERSION.to_bytes(2, "little")
+    raw[_HEADER.size:BODY] = _COUNT_WIDTH.pack(8)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported count width of 8 bytes"):
+        read_stack(p)
 
 
 def test_truncated_body(tmp_path):
     stack = small_stack(n=3)  # one short read block: every cut below falls inside it
     p = tmp_path / "cut.rmns"
-    write_stack(p, stack)
+    write(p, stack)
     raw = p.read_bytes()
-    frame_bytes = 2 * 4 * CAM.width_px * CAM.height_px
+    frame_bytes = 16 + 2 * 2 * CAM.width_px * CAM.height_px  # angle pair, u16 counts
     for cut in (100, frame_bytes):  # inside frame 2, and all of frame 2
         p.write_bytes(raw[: len(raw) - cut])
         # every reader anchors the error to the first incomplete frame
@@ -172,12 +252,16 @@ def test_truncated_body(tmp_path):
             list(blocks)
 
 
-@pytest.mark.parametrize("n", [3, _BLOCK])  # a short last block, and one full block
+@pytest.mark.parametrize("n", [0, 3, _BLOCK])  # no frame, a short last block, one full block
 def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
-    stack = small_stack(n=n)
     p = tmp_path / "long.rmns"
-    write_stack(p, stack)
+    write(p, small_stack(n=max(n, 1)))
     raw = p.read_bytes()
+    if n == 0:  # the header alone, declaring no frame
+        raw = raw[:14] + struct.pack("<I", 0) + raw[18:BODY]
+        p.write_bytes(raw)
+        assert read_stack(p).n_frames == 0
+        assert list(iter_stack_blocks(p)[-1]) == []
     for extra in (b"\0", raw):  # one stray byte, and a second stack appended
         p.write_bytes(raw + extra)
         with pytest.raises(ValueError, match=f"bytes past the {n} declared frames"):
@@ -193,7 +277,7 @@ def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
 def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
     stack = small_stack(n=_BLOCK + 3)
     path = tmp_path / "run.rmns"
-    write_stack(path, stack)
+    write(path, stack)
     _, count, _, _, blocks = iter_stack_blocks(path)
     blocks = list(blocks)
     assert count == _BLOCK + 3
@@ -204,10 +288,9 @@ def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
 
 
 def test_negative_count_is_rejected(tmp_path):
-    stack = small_stack(n=_BLOCK + 2)
+    """Only a version 1 (float32) body can hold a negative, NaN or infinite count."""
     p = tmp_path / "neg.rmns"
-    write_stack(p, stack)
-    raw = bytearray(p.read_bytes())
+    raw = v1_stack(p, _BLOCK + 2)
     raw[-4:] = struct.pack("<f", -1.0)  # last anti-Stokes pixel of the short last block
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="non-negative"):
@@ -222,10 +305,8 @@ def test_negative_count_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_count_is_rejected(tmp_path, value):
-    stack = small_stack(n=_BLOCK + 2)
     p = tmp_path / "bad.rmns"
-    write_stack(p, stack)
-    raw = bytearray(p.read_bytes())
+    raw = v1_stack(p, _BLOCK + 2)
     raw[-4:] = struct.pack("<f", value)  # last anti-Stokes pixel of the short last block
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="finite and non-negative"):
@@ -236,11 +317,9 @@ def test_non_finite_count_is_rejected(tmp_path, value):
 
 
 def test_count_of_2_24_is_rejected(tmp_path):
-    """float32 holds every integer only below 2**24; a body count there was rounded."""
-    stack = small_stack(n=_BLOCK + 2)
+    """A count of 2**24 or more is rejected in a float32 (v1) body, which rounds it, and in a u32 body."""
     p = tmp_path / "big.rmns"
-    write_stack(p, stack)
-    raw = bytearray(p.read_bytes())
+    raw = v1_stack(p, _BLOCK + 2)
     raw[-4:] = struct.pack("<f", 2.0**24 - 1)
     p.write_bytes(bytes(raw))
     assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24 - 1
@@ -251,13 +330,18 @@ def test_count_of_2_24_is_rejected(tmp_path):
     with pytest.raises(OverflowError, match=r"2\*\*24"):
         _, _, _, _, blocks = iter_stack_blocks(p)
         list(blocks)
+    write(p, small_stack(n=_BLOCK + 2), np.uint32)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = struct.pack("<I", 2**24)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(OverflowError, match=r"2\*\*24"):
+        _, _, _, _, frames = iter_stack(p)
+        list(frames)
 
 
 def test_negative_zero_count_is_accepted(tmp_path):
-    stack = small_stack(n=2)
     p = tmp_path / "zero.rmns"
-    write_stack(p, stack)
-    raw = bytearray(p.read_bytes())
+    raw = v1_stack(p, 2)
     raw[-4:] = struct.pack("<f", -0.0)
     p.write_bytes(bytes(raw))
     assert read_stack(p).anti_stokes[-1, -1, -1] == 0.0
