@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rmns_v1 import v1_bytes
 
 from ramanmem import scattering
 from ramanmem.cli import main
@@ -417,19 +418,32 @@ def test_frames_independent_of_history(idx):
 # sha256 of the .rmns files the renderer wrote when these digests were pinned.
 # A renderer change that moves even one Poisson count changes a digest; such a
 # change is an output change and must be recorded as one, never re-seeded away.
-PINNED_DEFAULT_DIGEST = "d382b3fed89d68c78ae5b6a4422043aed47ff6b86af923da6d8044df4492c6f8"
-PINNED_SCHEDULE_DIGEST = "ce9b017f8de74258bae5016c83a2df3ccd58fc3434e8ec8c693e1a8a09aa853c"
-PINNED_BOTH_AXIS_DIGEST = "b12f09a097d1c2e99ec2bc752460c59d652f831363fd459ff93f59862f000cad"
+PINNED_DEFAULT_DIGEST = "50eef69fbce54a16066e3ca914eeaffbdd932150cf5e3293270304bdb60ee503"
+PINNED_SCHEDULE_DIGEST = "bb2aa19221f12b31e233833ad85a26d9c01bae3519a74efad763feae9fb6e46e"
+PINNED_BOTH_AXIS_DIGEST = "60fbf31cf4eee88b0ae4a673f8453077ccf5bd131248976e52a224484733b186"
+# sha256 of the same stacks as version 1 files (float32 counts, no angles): the
+# digests pinned before version 2.  Each stack, decoded and written as version 1,
+# must match, so the format change moved no count
+PINNED_V1_DIGESTS = {
+    PINNED_DEFAULT_DIGEST: "d382b3fed89d68c78ae5b6a4422043aed47ff6b86af923da6d8044df4492c6f8",
+    PINNED_SCHEDULE_DIGEST: "ce9b017f8de74258bae5016c83a2df3ccd58fc3434e8ec8c693e1a8a09aa853c",
+    PINNED_BOTH_AXIS_DIGEST: "b12f09a097d1c2e99ec2bc752460c59d652f831363fd459ff93f59862f000cad",
+}
 
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _assert_pinned(path, digest):
+    assert _digest(path) == digest
+    assert hashlib.sha256(v1_bytes(path)).hexdigest() == PINNED_V1_DIGESTS[digest]
+
+
 def test_default_stack_digest_is_pinned(tmp_path):
     out = tmp_path / "run.rmns"
     assert main(["simulate", "--frames", "6", "--out", str(out)]) == 0
-    assert _digest(out) == PINNED_DEFAULT_DIGEST
+    _assert_pinned(out, PINNED_DEFAULT_DIGEST)
 
 
 def _three_tone_schedule(tmp_path):
@@ -446,7 +460,7 @@ def test_scheduled_stack_digest_is_pinned(tmp_path):
     sched = _three_tone_schedule(tmp_path)
     out = tmp_path / "sched.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
-    assert _digest(out) == PINNED_SCHEDULE_DIGEST
+    _assert_pinned(out, PINNED_SCHEDULE_DIGEST)
 
 
 # readout tilts (x, y) that change y alone, x alone, neither and both; at
@@ -468,7 +482,7 @@ def test_both_axis_schedule_digest_is_pinned(tmp_path):
     sched = _both_axis_schedule(tmp_path)
     out = tmp_path / "both.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
-    assert _digest(out) == PINNED_BOTH_AXIS_DIGEST
+    _assert_pinned(out, PINNED_BOTH_AXIS_DIGEST)
 
 
 # --- render threads -----------------------------------------------------------
