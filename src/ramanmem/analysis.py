@@ -151,9 +151,10 @@ def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> No
     The block may be of any integer or float dtype; it is converted to
     float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
     gives the intensity sum and every reference's cross moment, and one
-    einsum gives the squared sum all references share.  Photon counts are integers, so while
-    every partial sum stays below 2**53 the sums do not depend on how frames
-    are grouped into blocks; a fold that reaches 2**53 raises OverflowError.
+    einsum gives the squared sum all references share.  Photon counts are
+    integers, so while every partial sum stays below 2**53 the sums do not
+    depend on how frames are grouped into blocks; a fold that reaches 2**53
+    raises OverflowError.
     """
     block = np.asarray(block, dtype=np.float64)
     n = block.shape[0]

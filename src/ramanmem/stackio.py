@@ -186,7 +186,10 @@ def _check_end(fh, count: int) -> None:
 
 
 def _read_frames(fh, record: np.dtype, first: int, n: int, count: int):
-    """Frames first .. first + n - 1 of a count-frame body: (n, 2) angles, (n, 2, H, W) counts, checked."""
+    """Frames first .. first + n - 1 of a count-frame body, checked: (n, 2) angles, (n, 2, H, W) counts.
+
+    A version 1 body stores no angles; its frames read with (0, 0).
+    """
     data = np.fromfile(fh, dtype=record, count=n)
     if data.size != n:
         raise ValueError(f"truncated frame {first + data.size}")

@@ -82,10 +82,12 @@ def test_scheduled_stack_stores_the_schedule_angles(tmp_path, cfg_path, columns)
     sched = tmp_path / "sched.csv"
     if columns == "theta":
         rows = [(0.1, -150.0), (1 / 3, 2.0**-30), (-450.0, 7.7), (0.0, 0.0), (12.345, 1e-9)]
-        sched.write_text(_SCHEDULE_HEAD + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(rows)))
+        lines = [f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(rows)]
+        sched.write_text(_SCHEDULE_HEAD + "".join(lines))
     else:
         tones = (79.75e6, 80.0e6, 80.1234567e6, 80.25e6, 79.9e6)
-        sched.write_text("shot,drive_freq_hz\n" + "".join(f"{i},{t!r}\n" for i, t in enumerate(tones)))
+        lines = [f"{i},{t!r}\n" for i, t in enumerate(tones)]
+        sched.write_text("shot,drive_freq_hz\n" + "".join(lines))
     out = tmp_path / "sched.rmns"
     argv = ["simulate", "--config", cfg_path, "--frames", "5", "--schedule", str(sched)]
     assert main([*argv, "--out", str(out)]) == 0

@@ -69,26 +69,26 @@ def test_round_trip_preserves_everything(tmp_path):
     assert back.n_frames == stack.n_frames
 
 
-@pytest.mark.parametrize("count_dtype", [np.uint16, np.uint32])
-def test_read_stack_counts_are_the_body_array(tmp_path, count_dtype):
+def test_read_stack_counts_are_the_body_array(tmp_path):
     """Counts and angles are views of the body records as read; the pane views share them."""
     stack = small_stack(n=len(TILTS), tilts=TILTS)
-    path = tmp_path / "run.rmns"
-    write(path, stack, count_dtype)
-    back = read_stack(path)
-    record = _record_dtype(CAM, np.dtype(count_dtype).newbyteorder("<"))
-    body = np.frombuffer(path.read_bytes(), dtype=record, offset=BODY)
-    assert path.stat().st_size == BODY + stack.n_frames * record.itemsize
-    assert back.counts.dtype == count_dtype and back.counts.shape == body["counts"].shape
-    np.testing.assert_array_equal(back.counts, body["counts"])
-    assert back.readout_angles_urad.tobytes() == body["angle"].tobytes()
-    assert np.shares_memory(back.readout_angles_urad, back.counts.base)
-    for view, pane in ((back.stokes, 0), (back.anti_stokes, 1)):
-        assert np.shares_memory(view, back.counts)
-        np.testing.assert_array_equal(view, body["counts"][:, pane])
-    for i, frame in enumerate(stack):  # the panes as written
-        np.testing.assert_array_equal(back.stokes[i], frame.stokes)
-        np.testing.assert_array_equal(back.anti_stokes[i], frame.anti_stokes)
+    for count_dtype in (np.uint16, np.uint32):
+        path = tmp_path / f"run-{count_dtype.__name__}.rmns"
+        write(path, stack, count_dtype)
+        back = read_stack(path)
+        record = _record_dtype(CAM, np.dtype(count_dtype).newbyteorder("<"))
+        body = np.frombuffer(path.read_bytes(), dtype=record, offset=BODY)
+        assert path.stat().st_size == BODY + stack.n_frames * record.itemsize
+        assert back.counts.dtype == count_dtype and back.counts.shape == body["counts"].shape
+        np.testing.assert_array_equal(back.counts, body["counts"])
+        assert back.readout_angles_urad.tobytes() == body["angle"].tobytes()
+        assert np.shares_memory(back.readout_angles_urad, back.counts.base)
+        for view, pane in ((back.stokes, 0), (back.anti_stokes, 1)):
+            assert np.shares_memory(view, back.counts)
+            np.testing.assert_array_equal(view, body["counts"][:, pane])
+        for i, frame in enumerate(stack):  # the panes as written
+            np.testing.assert_array_equal(back.stokes[i], frame.stokes)
+            np.testing.assert_array_equal(back.anti_stokes[i], frame.anti_stokes)
 
 
 def test_write_is_byte_deterministic(tmp_path):
