@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import struct
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -245,7 +246,8 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     that never iterates holds no open handle.
     """
     camera, count, seed, checksum, records = _iter_records(path)
-    return camera, count, seed, checksum, (counts for _, counts in records)
+    # map, not a generator expression, whose frame would hold the last block
+    return camera, count, seed, checksum, map(itemgetter(1), records)
 
 
 def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
