@@ -102,16 +102,16 @@ def test_scheduled_stack_stores_the_schedule_angles(tmp_path, cfg_path, columns)
 def test_simulate_picks_the_count_width_from_the_pixel_bound(tmp_path, photons, width):
     """The default config's bound (~52 400) fits u16; 100 times the photons need u32."""
     cfg = tmp_path / "exp.ini"
-    text = SMALL_CFG + ("" if photons is None else f"\n[modes]\nmean_photons_per_mode = {photons!r}\n")
-    cfg.write_text(text)
+    modes = "" if photons is None else f"\n[modes]\nmean_photons_per_mode = {photons!r}\n"
+    cfg.write_text(SMALL_CFG + modes)
     out = tmp_path / "run.rmns"
     assert main(["simulate", "--config", str(cfg), "--frames", "2", "--out", str(out)]) == 0
-    raw = out.read_bytes()
-    assert stackio._COUNT_WIDTH.unpack_from(raw, stackio._HEADER.size) == (np.dtype(width).itemsize,)
+    (count_bytes,) = stackio._COUNT_WIDTH.unpack_from(out.read_bytes(), stackio._HEADER.size)
+    assert count_bytes == np.dtype(width).itemsize
     assert read_stack(out).counts.dtype == width
     loaded = load_config(cfg)
-    bound = scattering.pixel_count_bound(loaded.mode_set(), loaded.camera, loaded.retrieval.noise_floor)
-    assert (bound <= 65535) == (width == np.uint16)
+    ms, noise = loaded.mode_set(), loaded.retrieval.noise_floor
+    assert (scattering.pixel_count_bound(ms, loaded.camera, noise) <= 65535) == (width == np.uint16)
 
 
 def test_count_past_the_stack_width_exits_2(tmp_path, monkeypatch, capsys):

@@ -317,7 +317,7 @@ def test_non_finite_count_is_rejected(tmp_path, value):
 
 
 def test_count_of_2_24_is_rejected(tmp_path):
-    """A count of 2**24 or more is rejected in a float32 (v1) body, which rounds it, and in a u32 body."""
+    """A count of 2**24 or more fails a float32 (v1) body, which rounds it, and a u32 body."""
     p = tmp_path / "big.rmns"
     raw = v1_stack(p, _BLOCK + 2)
     raw[-4:] = struct.pack("<f", 2.0**24 - 1)
