@@ -247,22 +247,28 @@ def _mode_set(geom: BeamGeometry, mp) -> ModeSet:
     )
 
 
+def _peak_pixel_means(ms: ModeSet, camera: CameraGeometry) -> np.ndarray:
+    """Each mode's mean photons on one pixel when centred on it, mean_photons * pitch^2 / (2 pi sigma^2).
+
+    The expression of `_pane_factors`.  Computed from pitch / sigma so that an
+    overflow reads as inf, and no photons times an infinite ratio as NaN.
+    """
+    ratio = camera.pitch_urad / ms.sigma_urad
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ms.mean_photons * (ratio * ratio) / (2.0 * math.pi)
+
+
 def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
     """Reject a pixel so coarse for the modes that one mode's peak pixel passes PHOTON_SCALE_MAX.
 
-    A mode centred on a pixel puts mean_photons * pitch^2 / (2 pi sigma^2) of
-    its mean there (`_pane_factors`); past the bound the Poisson draw fails
-    or that expression overflows.  Computed from pitch / sigma so that an
-    overflow reads as inf, and a NaN (no photons times an infinite ratio) is
-    rejected too.
+    Past the bound the Poisson draw fails or the peak expression overflows;
+    an overflow (inf) or a NaN peak is rejected too.
     """
-    sigma = float(ms.sigma_urad.min())
-    ratio = camera.pitch_urad / sigma
-    peak = float(ms.mean_photons.max()) * (ratio * ratio) / (2.0 * math.pi)
+    peak = float(_peak_pixel_means(ms, camera).max())
     if not peak <= PHOTON_SCALE_MAX:
         raise ValueError(
             f"a pixel of {camera.pitch_urad:g} urad would hold {peak:g} mean photons of one "
-            f"mode of {sigma:g} urad sigma, past {PHOTON_SCALE_MAX:g}"
+            f"mode of {float(ms.sigma_urad.min()):g} urad sigma, past {PHOTON_SCALE_MAX:g}"
         )
 
 
@@ -274,15 +280,12 @@ THERMAL_TAIL_FACTOR = 64
 def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -> float:
     """THERMAL_TAIL_FACTOR * sum over modes of each one's peak-pixel mean, plus the noise floor.
 
-    Mode m puts at most mean_photons[m] * pitch^2 / (2 pi sigma_m^2) of its
-    intensity's mean on one pixel (`_pane_factors`), and its anti-Stokes twin
-    no more (eta <= 1).  So no pixel's Poisson mean passes the bound unless a
+    Mode m puts at most its `_peak_pixel_means` entry of its intensity's mean
+    on one pixel, and its anti-Stokes twin no more (eta <= 1).  So no pixel's Poisson mean passes the bound unless a
     mode's intensity passes THERMAL_TAIL_FACTOR times its mean: the width a
     stack's counts need.
     """
-    ratio = camera.pitch_urad / ms.sigma_urad
-    peaks = ms.mean_photons * (ratio * ratio) / (2.0 * math.pi)
-    return THERMAL_TAIL_FACTOR * float(peaks.sum()) + noise_floor
+    return THERMAL_TAIL_FACTOR * float(_peak_pixel_means(ms, camera).sum()) + noise_floor
 
 
 @dataclass(frozen=True)

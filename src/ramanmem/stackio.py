@@ -40,8 +40,7 @@ from .geometry import CameraGeometry
 from .scattering import Frame, FrameStack, check_counts
 
 __all__ = [
-    "MAGIC", "VERSION", "COUNT_DTYPES", "count_dtype", "StackWriter", "read_stack",
-    "iter_stack_blocks", "iter_stack",
+    "MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks", "iter_stack",
 ]
 
 MAGIC = b"RMNS"
@@ -66,7 +65,8 @@ def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
 class StackWriter:
     """Incremental writer so large runs never need to sit in memory.
 
-    `count_dtype` is the body width, one of COUNT_DTYPES.  Used as a context
+    `count_dtype` is the body width, one of COUNT_DTYPES; `cmd_simulate`
+    picks it with `count_dtype(bound)` from the config's pixel count bound.  Used as a context
     manager, it deletes the file it created when the block exits on an
     exception, so a failed or interrupted run leaves no truncated stack
     behind.
@@ -74,7 +74,7 @@ class StackWriter:
 
     def __init__(
         self, path, camera: CameraGeometry, n_frames: int, seed: int, config_checksum: int,
-        count_dtype=COUNT_DTYPES[0],
+        count_dtype,
     ):
         if n_frames < 1:
             raise ValueError("n_frames must be >= 1")

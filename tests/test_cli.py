@@ -186,7 +186,7 @@ def test_correlate_dead_reference_fails_fit(tmp_path, capsys):
     cam = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
     stack = tmp_path / "dead.rmns"
     zeros = np.zeros((2, 8, 16), dtype=np.float32)
-    with StackWriter(stack, cam, 4, seed=0, config_checksum=0) as w:
+    with StackWriter(stack, cam, 4, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
         for i in range(4):
             w.append(Frame(zeros, shot_index=i, readout_angle_urad=(0.0, 0.0)))
     rc = main(["correlate", "--stack", str(stack), "--out", str(tmp_path / "dead")])
@@ -288,7 +288,9 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
     cfg = load_config(cfg_path).with_seed(21)
     frames = list(scattering.iter_simulated_frames(cfg, n_frames=n_frames))
     path = tmp_path / "run.rmns"
-    with StackWriter(path, cfg.camera, n_frames, seed=21, config_checksum=0) as w:
+    with StackWriter(
+        path, cfg.camera, n_frames, seed=21, config_checksum=0, count_dtype=np.uint16
+    ) as w:
         for frame in frames:
             w.append(frame)
     if source == "stack":
@@ -318,7 +320,7 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
     peaks = []
     for count in (64, 640):
         path = tmp_path / f"run{count}.rmns"
-        with StackWriter(path, cam, count, seed=0, config_checksum=0) as w:
+        with StackWriter(path, cam, count, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             for i in range(count):
                 panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.float32)
                 w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))

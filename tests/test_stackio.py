@@ -141,7 +141,7 @@ def test_writer_never_wraps_or_rounds_a_count(tmp_path):
     frame = Frame(counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
     path = tmp_path / "x.rmns"
     with pytest.raises(OverflowError, match="65536 does not fit the stack's uint16 counts"):
-        with StackWriter(path, CAM, 1, seed=0, config_checksum=0) as w:
+        with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             w.append(frame)
     assert not path.exists()
     with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint32) as w:
@@ -149,14 +149,14 @@ def test_writer_never_wraps_or_rounds_a_count(tmp_path):
     assert read_stack(path).anti_stokes[0, -1, -1] == 2**16
     counts[1, -1, -1] = 2.5
     with pytest.raises(ValueError, match="whole numbers"):
-        with StackWriter(path, CAM, 1, seed=0, config_checksum=0) as w:
+        with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             w.append(frame)
     with pytest.raises(ValueError, match="u16 or u32"):
         StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.float32)
 
 
 def test_writer_rejects_wrong_pane_shape(tmp_path):
-    w = StackWriter(tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0)
+    w = StackWriter(tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16)
     bad = Frame(
         counts=np.zeros((2, 4, 4), dtype=np.float32),
         shot_index=0,
@@ -170,13 +170,15 @@ def test_writer_rejects_wrong_pane_shape(tmp_path):
 def test_writer_rejects_extra_frames(tmp_path):
     stack = small_stack(n=2)
     with pytest.raises(ValueError, match="already holds"):
-        with StackWriter(tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0) as w:
+        with StackWriter(
+            tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16
+        ) as w:
             for frame in stack:
                 w.append(frame)
 
 
 def test_writer_close_checks_count(tmp_path):
-    w = StackWriter(tmp_path / "x.rmns", CAM, 3, seed=0, config_checksum=0)
+    w = StackWriter(tmp_path / "x.rmns", CAM, 3, seed=0, config_checksum=0, count_dtype=np.uint16)
     w.append(next(iter(small_stack(n=1))))
     with pytest.raises(ValueError, match="declared 3 frames but 1"):
         w.close()
@@ -184,13 +186,15 @@ def test_writer_close_checks_count(tmp_path):
 
 def test_writer_requires_at_least_one_frame(tmp_path):
     with pytest.raises(ValueError, match=">= 1"):
-        StackWriter(tmp_path / "x.rmns", CAM, 0, seed=0, config_checksum=0)
+        StackWriter(tmp_path / "x.rmns", CAM, 0, seed=0, config_checksum=0, count_dtype=np.uint16)
 
 
 def test_header_the_format_cannot_hold_leaves_no_file(tmp_path):
     # the frame count is a u32 in the header
     with pytest.raises(struct.error):
-        StackWriter(tmp_path / "x.rmns", CAM, 2**32, seed=0, config_checksum=0)
+        StackWriter(
+            tmp_path / "x.rmns", CAM, 2**32, seed=0, config_checksum=0, count_dtype=np.uint16
+        )
     assert not (tmp_path / "x.rmns").exists()
 
 
@@ -357,7 +361,7 @@ def test_writer_deletes_a_partial_stack(tmp_path):
         raise RuntimeError("render failed at frame 4")
 
     with pytest.raises(RuntimeError, match="frame 4"):
-        with StackWriter(path, CAM, 10, seed=0, config_checksum=0) as w:
+        with StackWriter(path, CAM, 10, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             for frame in render():
                 w.append(frame)
     assert w._fh.closed
