@@ -284,10 +284,6 @@ class GaussianSpotFit:
     def fwhm_y_urad(self) -> float:
         return FWHM_PER_SIGMA * self.sigma_y_urad
 
-    @property
-    def center(self) -> Angle2D:
-        return Angle2D(self.center_x_urad, self.center_y_urad)
-
 
 def _gauss_model(p: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     amp, x0, y0, sx, sy, off = p

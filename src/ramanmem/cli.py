@@ -91,9 +91,13 @@ def cmd_simulate(args) -> int:
             )
     checksum = cfg.checksum()
     bound = scattering.pixel_count_bound(cfg.mode_set(), cfg.camera, cfg.retrieval.noise_floor)
-    with stackio.StackWriter(
-        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
-    ) as writer:
+    try:
+        writer = stackio.StackWriter(
+            args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
+        )
+    except ValueError as exc:  # a pane too large for one frame record
+        raise ConfigError(str(exc), path=args.config or "<config>") from None
+    with writer:
         for frame in scattering.iter_simulated_frames(cfg, schedule=schedule):
             writer.append(frame)
     print(

@@ -4,8 +4,9 @@ Grammar (documented here and in the README):
 
 * full-line comments start with '#' or ';'
 * sections are '[name]', keys are 'key = value'
-* every key outside [metadata] is validated against the schema below and
-  unknown keys are rejected with a file:line anchored error
+* each section but [metadata] is one field of ExperimentConfig, and its keys
+  are the fields of that section's dataclass, parsed by their annotated
+  types; unknown keys are rejected with a file:line anchored error
 * [metadata] is free-form UTF-8 text; it never influences the simulation and
   is written to no output, but it enters the config checksum
 
@@ -18,11 +19,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Optional, get_type_hints
 
 from .control import HeraldConfig
 from .geometry import BeamGeometry, CameraGeometry, OpticalChain
-from .scattering import RetrievalModel, check_pixel_photons, mode_set_from_config
+from .scattering import ModeGridParams, RetrievalModel, check_pixel_photons, mode_set_from_config
 
 __all__ = [
     "ConfigError",
@@ -43,17 +44,6 @@ class ConfigError(Exception):
         self.path = path
         self.line = line
         super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
-
-
-@dataclass(frozen=True)
-class ModeGridParams:
-    gain_shrink: float = 2.0
-    envelope_fwhm_urad: float = 758.946695
-    readout_envelope_fwhm_urad: float = 536.656315
-    mean_photons_per_mode: float = 1000.0
-    spot_constant: float = 0.754212
-    grid_spacing_sigma: float = 1.5
-    grid_margin_sigma: float = 3.0
 
 
 # seeds key counter-based Philox streams and are stored as u64 in stack headers
@@ -180,65 +170,26 @@ def _axes(raw: str) -> tuple[str, ...]:
     return axes
 
 
-# section -> key -> converter; each section fills the ExperimentConfig field of
-# its name, and each key the dataclass field of its name unless _FIELD renames it
-_SCHEMA: dict[str, dict[str, Callable]] = {
-    "geometry": {
-        "w0_write_m": _float,
-        "w0_read_m": _float,
-        "w0_pump_m": _float,
-        "cell_length_m": _float,
-        "lambda_write_m": _float,
-        "lambda_read_m": _float,
-    },
-    "chain": {
-        "f1_m": _float,
-        "f2_m": _float,
-        "f3_m": _float,
-        "base_freq_hz": _float,
-        "aod_slope_rad_per_hz": _float,
-        "freq_min_hz": _float,
-        "freq_max_hz": _float,
-        "steer_axes": _axes,
-    },
-    "modes": {
-        "gain_shrink": _float,
-        "envelope_fwhm_urad": _float,
-        "readout_envelope_fwhm_urad": _float,
-        "mean_photons_per_mode": _float,
-        "spot_constant": _float,
-        "grid_spacing_sigma": _float,
-        "grid_margin_sigma": _float,
-    },
-    "retrieval": {
-        "eta0": _float,
-        "d_diff_m2_s": _float,
-        "tau_storage_s": _float,
-        "aberration_scale_urad": _float,
-        "noise_floor": _float,
-    },
-    "camera": {
-        "pane_width_px": _int,
-        "pane_height_px": _int,
-        "pixel_pitch_m": _float,
-    },
-    "run": {
-        "seed": _int,
-        "n_frames": _int,
-    },
-    "herald": {
-        "modes": _int,
-        "zeta": _float,
-        "p": _float,
-        "eta_retrieve": _float,
-        "eta_detect": _float,
-        "switch_latency_s": _float,
-        "memory_lifetime_s": _float,
-    },
-}
-
+# field type -> parser of its value text
+_PARSERS = {float: _float, Optional[float]: _float, int: _int, tuple[str, ...]: _axes}
 # a pane key names the pane it sizes; CameraGeometry describes one pane
-_FIELD = {"pane_width_px": "width_px", "pane_height_px": "height_px"}
+_KEYS = {("camera", "width_px"): "pane_width_px", ("camera", "height_px"): "pane_height_px"}
+# the camera's far-field lens is the chain's last lens, so it has no key of its own
+_KEYLESS = {("camera", "f3_m")}
+
+
+# section -> key -> (field name, parser): each section of ExperimentConfig is
+# filled from the section of its name, and each field of it from the key of its
+# name unless _KEYS renames it, in field order
+_SCHEMA = {
+    section: {
+        _KEYS.get((section, name), name): (name, _PARSERS[kind])
+        for name, kind in get_type_hints(cls).items()
+        if (section, name) not in _KEYLESS
+    }
+    for section, cls in get_type_hints(ExperimentConfig).items()
+    if section != "metadata"
+}
 
 
 def _tokenize(text: str, path: str):
@@ -276,19 +227,17 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         if section == "metadata":
             metadata[key] = raw
             continue
-        schema = _SCHEMA[section]
-        if key not in schema:
+        if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key '{key}' in [{section}]", path, line_no)
-        name = _FIELD.get(key, key)
+        name, parse = _SCHEMA[section][key]
         if name in values[section]:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", path, line_no)
         try:
-            values[section][name] = schema[key](raw)
+            values[section][name] = parse(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for '{key}': {exc}", path, line_no) from None
 
     base = default_config()
-    # the camera's far-field lens is the chain's last lens, so it has no key of its own
     values["camera"]["f3_m"] = values["chain"].get("f3_m", base.chain.f3_m)
     # zeta and p are locked: a value given for one must not meet the default of the other
     if values["herald"].keys() & {"zeta", "p"}:
@@ -329,7 +278,7 @@ def dump_config(cfg: ExperimentConfig) -> str:
     for section, keys in _SCHEMA.items():
         part = getattr(cfg, section)
         lines += [f"[{section}]"]
-        lines += [f"{key} = {_fmt(getattr(part, _FIELD.get(key, key)))}" for key in keys]
+        lines += [f"{key} = {_fmt(getattr(part, name))}" for key, (name, _) in keys.items()]
         lines += [""]
     lines += ["[metadata]", *(f"{key} = {value}" for key, value in cfg.metadata.items()), ""]
     return "\n".join(lines)

@@ -140,6 +140,9 @@ def compensating_readout(
 # ---------------------------------------------------------------------------
 # heralded routing
 
+# shots per herald chunk: each chunk draws from its own stream (see run_herald_protocol)
+HERALD_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class HeraldConfig:
@@ -234,9 +237,7 @@ def multi_given_herald_exact(zeta: float, eta_detect: float = 1.0) -> float:
     return 1.0 - (1.0 + zeta * eta_detect) / (1.0 + zeta) ** 2
 
 
-def run_herald_protocol(
-    cfg: HeraldConfig, shots: int, seed: int, chunk_size: int = 8192
-) -> HeraldStats:
+def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats:
     """Monte Carlo of herald / route / retrieve over independent shots.
 
     Each mode holds a thermal excitation number; detection thins it by
@@ -252,16 +253,13 @@ def run_herald_protocol(
     D ~ Geometric(1 - q) (the thermal law given D >= 1), its undetected count
     U ~ NegBinomial(D + 1, 1 - s(1 - eta_detect)) with s = zeta / (1 + zeta),
     and its excitation number n = D + U.  Cost is O(shots) and memory
-    O(chunk_size), whatever the mode count.
+    O(HERALD_CHUNK), whatever the mode count.
 
-    Chunks of chunk_size shots draw from counter-based streams keyed by
-    (seed, chunk index), so results depend on (seed, chunk_size); chunk_size
-    sets only that partition and the memory held at once.
+    Chunks of HERALD_CHUNK shots draw from counter-based streams keyed by
+    (seed, chunk index), so the chunk size is part of every result.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
     zeta_d = cfg.zeta * cfg.eta_detect
     q = zeta_d / (1.0 + zeta_d)
@@ -270,9 +268,9 @@ def run_herald_protocol(
     heralds = successes = multis = 0
 
     # q == 0 (no excitation or a blind detector) never heralds; geometric(0) raises
-    n_chunks = (shots + chunk_size - 1) // chunk_size if q > 0.0 else 0
+    n_chunks = (shots + HERALD_CHUNK - 1) // HERALD_CHUNK if q > 0.0 else 0
     for chunk in range(n_chunks):
-        size = min(chunk_size, shots - chunk * chunk_size)
+        size = min(HERALD_CHUNK, shots - chunk * HERALD_CHUNK)
         rng = shot_rng(seed, chunk)
         n_heralded = int(np.count_nonzero(rng.geometric(q, size) <= cfg.modes))
         heralds += n_heralded

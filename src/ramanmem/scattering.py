@@ -37,6 +37,7 @@ from .geometry import (
 
 __all__ = [
     "ModeSet",
+    "ModeGridParams",
     "RetrievalModel",
     "Frame",
     "FrameStack",
@@ -156,16 +157,8 @@ class ModeSet:
         return tuple(groups)
 
 
-def build_mode_set(
-    geom: BeamGeometry,
-    gain_shrink: float,
-    envelope_fwhm_urad,
-    mean_photons_per_mode: float,
-    spot_constant: float = 0.754212,
-    grid_spacing_sigma: float = 1.5,
-    grid_margin_sigma: float = 3.0,
-) -> ModeSet:
-    """Lay out the thermal mode grid for one experiment configuration.
+def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
+    """Lay out the thermal mode grid of one [modes] section.
 
     The single-mode angular FWHM is spot_constant * lambda_write / d_eff with
     d_eff = 2 w0_write / gain_shrink.  Mode centres form a square grid of pitch
@@ -174,31 +167,31 @@ def build_mode_set(
     envelope see a statistically uniform neighbourhood.  Mean photon number is
     uniform across the grid.
     """
-    env = np.broadcast_to(np.asarray(envelope_fwhm_urad, dtype=float), (2,)).copy()
+    env = np.broadcast_to(np.asarray(modes.envelope_fwhm_urad, dtype=float), (2,)).copy()
     if np.any(~np.isfinite(env)) or np.any(env <= 0.0):
-        raise ValueError(f"envelope FWHM must be positive, got {envelope_fwhm_urad!r}")
-    if not 0.0 <= mean_photons_per_mode <= PHOTON_SCALE_MAX:
+        raise ValueError(f"envelope FWHM must be positive, got {modes.envelope_fwhm_urad!r}")
+    mean_photons = modes.mean_photons_per_mode
+    if not 0.0 <= mean_photons <= PHOTON_SCALE_MAX:
         raise ValueError(
-            f"mean photons per mode must lie in [0, {PHOTON_SCALE_MAX:g}], "
-            f"got {mean_photons_per_mode!r}"
+            f"mean photons per mode must lie in [0, {PHOTON_SCALE_MAX:g}], got {mean_photons!r}"
         )
-    if not (spot_constant > 0.0 and math.isfinite(spot_constant)):
-        raise ValueError(f"spot_constant must be positive, got {spot_constant!r}")
-    if grid_spacing_sigma < 1.0:
+    if not (modes.spot_constant > 0.0 and math.isfinite(modes.spot_constant)):
+        raise ValueError(f"spot_constant must be positive, got {modes.spot_constant!r}")
+    if modes.grid_spacing_sigma < 1.0:
         raise ValueError("grid_spacing_sigma below 1 breaks mode orthogonality")
-    if grid_margin_sigma < 0.0:
+    if modes.grid_margin_sigma < 0.0:
         raise ValueError("grid_margin_sigma must be >= 0")
 
-    d_eff = effective_source_diameter_m(geom, gain_shrink)
-    mode_fwhm_urad = spot_constant * geom.lambda_write_m / d_eff / RAD_PER_URAD
+    d_eff = effective_source_diameter_m(geom, modes.gain_shrink)
+    mode_fwhm_urad = modes.spot_constant * geom.lambda_write_m / d_eff / RAD_PER_URAD
     if np.any(env < mode_fwhm_urad):
         raise ValueError(
             f"envelope FWHM {env} urad smaller than one mode ({mode_fwhm_urad:g} urad)"
         )
     sigma = mode_fwhm_urad / FWHM_PER_SIGMA
-    spacing = grid_spacing_sigma * sigma
+    spacing = modes.grid_spacing_sigma * sigma
 
-    half_extent = env / 2.0 + grid_margin_sigma * sigma
+    half_extent = env / 2.0 + modes.grid_margin_sigma * sigma
     counts = np.floor(half_extent / spacing)
     nx, ny = (2.0 * counts + 1.0).tolist()
     if not nx * ny <= MODE_COUNT_MAX:
@@ -217,7 +210,7 @@ def build_mode_set(
     spot_fwhm = math.sqrt(1.0 + ratio * ratio) * mode_fwhm_urad
     return ModeSet(
         centers_urad=centers,
-        mean_photons=np.full(n, float(mean_photons_per_mode)),
+        mean_photons=np.full(n, float(mean_photons)),
         sigma_urad=np.full(n, sigma),
         grid_spacing_urad=spacing,
         envelope_fwhm_urad=(float(env[0]), float(env[1])),
@@ -235,16 +228,8 @@ def mode_set_from_config(cfg) -> ModeSet:
 # one entry: a run parses, validates and renders one config, and a ModeSet is
 # read-only, so every caller can share the one built for its config
 @lru_cache(maxsize=1)
-def _mode_set(geom: BeamGeometry, mp) -> ModeSet:
-    return build_mode_set(
-        geom,
-        mp.gain_shrink,
-        mp.envelope_fwhm_urad,
-        mp.mean_photons_per_mode,
-        spot_constant=mp.spot_constant,
-        grid_spacing_sigma=mp.grid_spacing_sigma,
-        grid_margin_sigma=mp.grid_margin_sigma,
-    )
+def _mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
+    return build_mode_set(geom, modes)
 
 
 def _peak_pixel_means(ms: ModeSet, camera: CameraGeometry) -> np.ndarray:
@@ -286,6 +271,19 @@ def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -
     stack's counts need.
     """
     return THERMAL_TAIL_FACTOR * float(_peak_pixel_means(ms, camera).sum()) + noise_floor
+
+
+@dataclass(frozen=True)
+class ModeGridParams:
+    """The [modes] section: the mode grid `build_mode_set` lays out."""
+
+    gain_shrink: float = 2.0
+    envelope_fwhm_urad: float = 758.946695
+    readout_envelope_fwhm_urad: float = 536.656315
+    mean_photons_per_mode: float = 1000.0
+    spot_constant: float = 0.754212
+    grid_spacing_sigma: float = 1.5
+    grid_margin_sigma: float = 3.0
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,10 @@ def count_dtype(bound: float) -> np.dtype:
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
     """One version 2 frame record: its readout angle pair, then its counts."""
     shape = (2, camera.height_px, camera.width_px)
-    return np.dtype([("angle", "<f8", (2,)), ("counts", counts, shape)])
+    try:
+        return np.dtype([("angle", "<f8", (2,)), ("counts", counts, shape)])
+    except ValueError:  # numpy sizes a dtype in a C int
+        raise ValueError(f"a {camera.width_px}x{camera.height_px} pane is too large to store") from None
 
 
 class StackWriter:
@@ -81,7 +84,10 @@ class StackWriter:
         counts = np.dtype(count_dtype).newbyteorder("<")
         if counts not in COUNT_DTYPES:
             raise ValueError(f"stack counts must be u16 or u32, got {counts}")
-        # packed before the open: a value the header cannot hold leaves no file behind
+        # built before the open: a record or header the format cannot hold leaves no file behind
+        self._record = np.zeros(1, dtype=_record_dtype(camera, counts))
+        self._angle = self._record["angle"][0]
+        self._counts = self._record["counts"][0]
         header = _HEADER.pack(
             MAGIC,
             VERSION,
@@ -95,9 +101,6 @@ class StackWriter:
         ) + _COUNT_WIDTH.pack(counts.itemsize)
         self._path = path
         self._fh = open(path, "wb")
-        self._record = np.zeros(1, dtype=_record_dtype(camera, counts))
-        self._angle = self._record["angle"][0]
-        self._counts = self._record["counts"][0]
         self._expected = n_frames
         self._written = 0
         self._fh.write(header)

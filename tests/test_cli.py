@@ -467,6 +467,8 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[herald]\nzeta = 1e300\n"),
         ("config", b"[geometry]\nw0_write_m = 1e300\n"),
         ("config", b"[camera]\npixel_pitch_m = 1e300\n"),
+        ("config", b"[camera]\npane_width_px = 40000\npane_height_px = 40000\n"),
+        ("config", b"[camera]\npane_width_px = 4294967296\npane_height_px = 2\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
@@ -477,6 +479,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
+        "config-pane-past-frame-record", "config-pane-width-past-u32",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):

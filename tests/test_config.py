@@ -81,6 +81,14 @@ def test_unknown_key_is_anchored():
     assert "seeed" in str(ei.value)
 
 
+@pytest.mark.parametrize("key, value", [("f3_m", "0.3"), ("width_px", "32")])
+def test_camera_fields_without_their_own_key_are_unknown(key, value):
+    # the camera's f3_m follows [chain] f3_m, and its pane size has pane_* keys
+    with pytest.raises(ConfigError) as ei:
+        parse_config(f"[camera]\npixel_pitch_m = 7.5e-06\n{key} = {value}\n", path="exp.ini")
+    assert str(ei.value) == f"exp.ini:3: unknown key '{key}' in [camera]"
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config("[run]\nseed = 1\nseed = 2\n")

@@ -18,6 +18,7 @@ from ramanmem.config import default_config
 from ramanmem.geometry import Angle2D, BeamGeometry, CameraGeometry
 from ramanmem.scattering import (
     Frame,
+    ModeGridParams,
     ModeSet,
     RetrievalModel,
     build_mode_set,
@@ -34,6 +35,13 @@ from ramanmem.scattering import (
 )
 
 GEOM = BeamGeometry(3.5e-3, 3.5e-3, 6.0e-3, 0.1, 795e-9, 780e-9)
+
+
+def grid(envelope_fwhm_urad: float, **kwargs) -> ModeGridParams:
+    """A [modes] section at gain shrink 2 and 1000 photons per mode."""
+    return ModeGridParams(
+        gain_shrink=2.0, envelope_fwhm_urad=envelope_fwhm_urad, mean_photons_per_mode=1000.0, **kwargs
+    )
 
 
 def small_camera(n=16):
@@ -81,16 +89,16 @@ def test_spot_width_combines_both_carriers():
 
 def test_mode_set_rejects_tiny_envelope():
     with pytest.raises(ValueError, match="smaller than one mode"):
-        build_mode_set(GEOM, 2.0, 50.0, 1000.0)
+        build_mode_set(GEOM, grid(50.0))
 
 
 def test_mode_set_rejects_overlapping_grid():
     with pytest.raises(ValueError, match="orthogonality"):
-        build_mode_set(GEOM, 2.0, 700.0, 1000.0, grid_spacing_sigma=0.5)
+        build_mode_set(GEOM, grid(700.0, grid_spacing_sigma=0.5))
 
 
 def test_anti_stokes_centers_conjugate_and_shift():
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     ratio = GEOM.lambda_read_m / GEOM.lambda_write_m
     at_zero = ms.anti_stokes_centers_urad((0.0, 0.0))
     np.testing.assert_allclose(at_zero, -ratio * ms.centers_urad, rtol=1e-12, atol=1e-12)
@@ -109,7 +117,7 @@ def test_mode_set_arrays_are_read_only():
 
 
 def test_retrieval_flat_when_diffusion_off():
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     eta = retrieval_efficiencies(ms, flat_model(eta0=0.85), (0.0, 0.0))
     np.testing.assert_allclose(eta, 0.85, rtol=1e-12)
 
@@ -133,7 +141,7 @@ def test_retrieval_diffusion_damping_frozen_ratio():
 
 
 def test_retrieval_aberration_rolloff():
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     rm = RetrievalModel(1.0, 0.0, 1e-6, 600.0, 0.0)
     on_axis = retrieval_efficiencies(ms, rm, (0.0, 0.0))
     steered = retrieval_efficiencies(ms, rm, (0.0, 200.0))
@@ -156,7 +164,7 @@ def test_shot_rng_is_counter_based():
 
 
 def test_sample_shot_unit_efficiency_gives_equal_twins():
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     eta = retrieval_efficiencies(ms, flat_model(eta0=1.0), (0.0, 0.0))
     i_s, i_as = sample_shot(ms, eta, shot_rng(1, 0))
     np.testing.assert_array_equal(i_s, i_as)
@@ -164,7 +172,7 @@ def test_sample_shot_unit_efficiency_gives_equal_twins():
 
 
 def test_sample_shot_scales_by_eta():
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     rm = RetrievalModel(0.5, 0.0, 1e-6, 0.0, 0.0)
     i_s, i_as = sample_shot(ms, retrieval_efficiencies(ms, rm, (0.0, 0.0)), shot_rng(1, 0))
     np.testing.assert_allclose(i_as, 0.5 * i_s, rtol=1e-12)
@@ -175,7 +183,7 @@ def test_sample_shot_scales_by_eta():
 
 def test_factored_mean_matches_per_mode_gaussians():
     # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     cam = small_camera(24)
     factors = stokes_basis(ms, cam)
     wy, wx_alpha, in_pane = factors.wy, factors.wx_alpha, ~factors.off_pane
@@ -220,7 +228,7 @@ def test_factors_at_a_new_tilt_share_the_unmoved_axis_and_keep_the_bits():
 
 
 def test_render_dark_frame():
-    ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(240.0))
     zeros = np.zeros(ms.n_modes)
     fr = render_frame((zeros, zeros), ms, (0.0, 0.0), small_camera(), shot_rng(0, 0))
     assert fr.stokes.sum() == 0.0
@@ -237,7 +245,7 @@ def test_rendered_counts_are_integers():
 
 def test_render_energy_bookkeeping():
     """On a pane wide enough for every mode, the counts carry each pane's intensity budget."""
-    ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(240.0))
     cam = small_camera(64)
     stokes, anti = stokes_basis(ms, cam), scattering.anti_stokes_basis(ms, (0.0, 0.0), cam)
     assert not stokes.off_pane.any() and not anti.off_pane.any()
@@ -254,7 +262,7 @@ def test_render_energy_bookkeeping():
 def test_render_clips_off_pane_modes():
     """A mode centred off a pane deposits nothing on it, whatever its intensity."""
     # an 8x8 pane spans +-60 urad; a 400 urad envelope pushes modes off it
-    ms = build_mode_set(GEOM, 2.0, 400.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(400.0))
     cam, tilt = small_camera(8), (30.0, -20.0)
     off_s = stokes_basis(ms, cam).off_pane
     off_a = scattering.anti_stokes_basis(ms, tilt, cam).off_pane
@@ -273,7 +281,7 @@ def test_render_clips_off_pane_modes():
 
 
 def test_render_rejects_bad_intensities():
-    ms = build_mode_set(GEOM, 2.0, 240.0, 1000.0)
+    ms = build_mode_set(GEOM, grid(240.0))
     with pytest.raises(ValueError):
         render_frame(
             (np.ones(3), np.ones(3)), ms, (0.0, 0.0), small_camera(), shot_rng(0, 0)
