@@ -367,6 +367,17 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
         assert rate == pytest.approx(float(r[-1]), abs=0.02)
 
 
+_PINNED_HERALD_ARGS = ["herald", "--shots", "20000", "--sweep-m", "1,10,100", "--seed", "3"]
+_PINNED_HERALD_DIGEST = "655944ab823d01d017658d7eb78b4b5746acb2ee4e7221e6443491d7e9b8fea7"
+
+
+def test_herald_csv_digest_is_pinned(tmp_path, capsys):
+    """A default-config herald sweep writes the same CSV bytes on every run."""
+    out = tmp_path / "herald.csv"
+    assert main([*_PINNED_HERALD_ARGS, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_HERALD_DIGEST
+
+
 def _exit_code(argv):
     try:
         return main(argv)

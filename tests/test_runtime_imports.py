@@ -1,8 +1,12 @@
 """The runtime depends on numpy alone: every import in the package is stdlib, numpy or ramanmem."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
+
+import ramanmem
 
 _ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ramanmem"}
 
@@ -28,3 +32,13 @@ def test_package_imports_only_stdlib_and_numpy():
         if name not in _ALLOWED
     ]
     assert outside == []
+
+
+def test_every_exported_name_exists():
+    """Each module's `__all__` lists only names the module defines."""
+    missing = []
+    for info in pkgutil.iter_modules(ramanmem.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"ramanmem.{info.name}")
+            missing += [f"{info.name}.{n}" for n in module.__dict__.get("__all__", ()) if not hasattr(module, n)]
+    assert missing == []
