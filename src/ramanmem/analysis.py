@@ -11,6 +11,11 @@ bit-stable in any order.
 
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
+
+Every output file opens with a comment line that starts with
+`provenance(seed, config_checksum)`.  Maps are written as CSV and PGM; every
+report table (spot fits here, the CLI's steer and herald reports) is written
+by `write_table`.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ __all__ = [
     "map_to_csv",
     "map_to_pgm",
     "fit_to_csv",
+    "provenance",
+    "write_table",
 ]
 
 PANES = ("stokes", "anti_stokes")
@@ -458,9 +465,28 @@ def count_modes(envelope_fwhm_urad, spot_fwhm_urad) -> int:
 # exports
 
 
+def provenance(seed: int, config_checksum: int) -> str:
+    """The stamp that opens every output's comment line: what ran."""
+    return f"seed={seed} config_checksum={config_checksum:016x}"
+
+
+def write_table(path, comment: str, rows: Sequence[dict]) -> None:
+    """A report CSV: `# comment`, the first row's keys as header, then each row's values.
+
+    Bools are written as 0/1; every other value as str(), which for a float
+    is its shortest round-tripping repr.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# {comment}\n")
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            cells = (str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v) for v in row.values())
+            fh.write(",".join(cells) + "\n")
+
+
 def _provenance_line(cmap: CorrelationMap) -> str:
     return (
-        f"seed={cmap.seed} config_checksum={cmap.config_checksum:016x} "
+        f"{provenance(cmap.seed, cmap.config_checksum)} "
         f"n_frames={cmap.n_frames} ref_pane={cmap.ref_pane} "
         f"ref=({cmap.ref_angle_urad[0]!r},{cmap.ref_angle_urad[1]!r})"
     )
@@ -495,16 +521,9 @@ def map_to_pgm(cmap: CorrelationMap, pane: str, path) -> None:
 
 
 def fit_to_csv(fit: GaussianSpotFit, path, label: str = "spot", seed: int = 0, config_checksum: int = 0) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# seed={seed} config_checksum={config_checksum:016x}\n")
-        fh.write(
-            "label,converged,amplitude,center_x_urad,center_y_urad,"
-            "sigma_x_urad,sigma_y_urad,fwhm_x_urad,fwhm_y_urad,offset,"
-            "rms_residual,n_iterations\n"
-        )
-        fh.write(
-            f"{label},{int(fit.converged)},{fit.amplitude!r},{fit.center_x_urad!r},"
-            f"{fit.center_y_urad!r},{fit.sigma_x_urad!r},{fit.sigma_y_urad!r},"
-            f"{fit.fwhm_x_urad!r},{fit.fwhm_y_urad!r},{fit.offset!r},"
-            f"{fit.rms_residual!r},{fit.n_iterations}\n"
-        )
+    columns = (
+        "converged", "amplitude", "center_x_urad", "center_y_urad", "sigma_x_urad", "sigma_y_urad",
+        "fwhm_x_urad", "fwhm_y_urad", "offset", "rms_residual", "n_iterations",
+    )
+    row = {"label": label, **{c: getattr(fit, c) for c in columns}}
+    write_table(path, provenance(seed, config_checksum), [row])

@@ -71,6 +71,15 @@ def _correlate_frames(
     ]
 
 
+def _twin_fits(
+    cfg: ExperimentConfig, refs: list[analysis.Reference], checksum: int, schedule=None,
+) -> list[analysis.GaussianSpotFit]:
+    """Render cfg's run at the readout schedule, map it against each reference, fit each twin."""
+    frames = scattering.iter_simulated_frames(cfg, schedule=schedule)
+    maps = _correlate_frames(_rendered_blocks(frames), cfg.camera, refs, cfg.run.seed, checksum)
+    return [analysis.locate_twin_spot(cmap) for cmap in maps]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -215,11 +224,7 @@ def cmd_steer(args) -> int:
         raise ConfigError(f"per-fiber seed out of range: {exc}", path="--seed") from None
 
     # baseline pass, no compensation: one run, every fiber as a reference
-    baseline_maps = _correlate_frames(
-        _rendered_blocks(scattering.iter_simulated_frames(cfg)),
-        cfg.camera, refs, cfg.run.seed, checksum,
-    )
-    baseline_fits = [analysis.locate_twin_spot(cmap) for cmap in baseline_maps]
+    baseline_fits = _twin_fits(cfg, refs, checksum)
     fit_failed = any(not f.converged for f in baseline_fits)
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
@@ -258,12 +263,7 @@ def cmd_steer(args) -> int:
             any_unreachable = True
             rows.append(row)
             continue
-        run_cfg = run_cfgs[i]
-        frames = scattering.iter_simulated_frames(run_cfg, schedule=cmd.theta_read)
-        (cmap,) = _correlate_frames(
-            _rendered_blocks(frames), cfg.camera, [refs[i]], run_cfg.run.seed, checksum
-        )
-        fit = analysis.locate_twin_spot(cmap)
+        (fit,) = _twin_fits(run_cfgs[i], [refs[i]], checksum, cmd.theta_read)
         if not fit.converged:
             fit_failed = True
             rows.append(row)
@@ -281,7 +281,13 @@ def cmd_steer(args) -> int:
         rows.append(row)
 
     if args.out:
-        _write_steer_report(args.out, rows, slope, intercept, cfg.run.seed, checksum, target)
+        analysis.write_table(
+            args.out,
+            f"{analysis.provenance(cfg.run.seed, checksum)} "
+            f"target=({target.theta_x!r},{target.theta_y!r}) "
+            f"baseline_slope={slope!r} baseline_intercept={intercept!r}",
+            rows,
+        )
     print(f"baseline conjugate slope along y: {slope:.6f} (intercept {intercept:.2f} urad)")
     for row in rows:
         if not row["reachable"]:
@@ -306,24 +312,6 @@ def cmd_steer(args) -> int:
     return EXIT_OK
 
 
-def _write_steer_report(path, rows, slope, intercept, seed, checksum, target: Angle2D) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"# seed={seed} config_checksum={checksum:016x} "
-            f"target=({target.theta_x!r},{target.theta_y!r}) "
-            f"baseline_slope={slope!r} baseline_intercept={intercept!r}\n"
-        )
-        fh.write(",".join(rows[0]) + "\n")  # every row lists its keys in column order
-        for row in rows:
-            fh.write(
-                ",".join(
-                    str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
-                    for v in row.values()
-                )
-                + "\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # herald
 
@@ -340,25 +328,16 @@ def cmd_herald(args) -> int:
         # hc.p when the detector is ideal
         zeta_eff = hc.zeta * hc.eta_detect
         closed = control.herald_probability(modes, zeta_eff / (1.0 + zeta_eff))
-        rows.append((modes, hc.p, stats, closed))
+        rows.append(
+            {"modes": modes, "p": hc.p, **dataclasses.asdict(stats), "closed_form_herald_prob": closed}
+        )
         print(
             f"M={modes}: herald rate {stats.heralds / stats.shots:.5f} "
             f"(closed form {closed:.5f}), success_prob {stats.success_prob:.5f}, "
             f"multi|herald {stats.multi_given_herald:.5f}"
         )
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(f"# seed={cfg.run.seed} config_checksum={checksum:016x}\n")
-            fh.write(
-                "modes,p,shots,heralds,routed_successes,multi_excitation_events,"
-                "success_prob,multi_given_herald,closed_form_herald_prob\n"
-            )
-            for modes, p, stats, closed in rows:
-                fh.write(
-                    f"{modes},{p!r},{stats.shots},{stats.heralds},"
-                    f"{stats.routed_successes},{stats.multi_excitation_events},"
-                    f"{stats.success_prob!r},{stats.multi_given_herald!r},{closed!r}\n"
-                )
+        analysis.write_table(args.out, analysis.provenance(cfg.run.seed, checksum), rows)
     return EXIT_OK
 
 

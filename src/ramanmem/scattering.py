@@ -9,8 +9,9 @@ of a uniform noise floor, so every rendered pixel is integer valued.
 
 Randomness is counter based: shot i of a run seeded with s draws exclusively
 from Philox streamed with key (s, i), which makes stacks bit-reproducible and
-independent of any worker scheduling.  `iter_simulated_frames` relies on that
-to render frames on every usable core while handing them out in frame order.
+independent of any worker scheduling.  `iter_simulated_frames`, the one
+render entry point (`simulate_stack` collects its frames), relies on that to
+render frames on every usable core while handing them out in frame order.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "pixel_count_bound",
     "retrieval_efficiencies",
     "sample_shot",
-    "render_frame",
     "iter_simulated_frames",
     "simulate_stack",
     "shot_rng",
@@ -515,39 +515,17 @@ def _render_with_bases(
     rng: np.random.Generator,
     noise_floor: float,
 ) -> Frame:
+    """One shot's two panes from its mode intensities, under one Poisson draw, Stokes first.
+
+    A mode whose centre falls off a pane is zeroed in that pane's factors, so
+    it deposits nothing there.
+    """
     panes = zip((stokes, anti_stokes), intensities)
     means = np.stack([f.wy.T @ (i[:, None] * f.wx_alpha) + noise_floor for f, i in panes])
     return Frame(
         counts=rng.poisson(means).astype(np.float32),
         shot_index=shot_index,
         readout_angle_urad=tuple(map(float, theta_read_urad)),
-    )
-
-
-def render_frame(
-    intensities: tuple[np.ndarray, np.ndarray],
-    ms: ModeSet,
-    theta_read_urad: Sequence[float],
-    camera: CameraGeometry,
-    rng: np.random.Generator,
-    noise_floor: float = 0.0,
-    shot_index: int = 0,
-) -> Frame:
-    """Render one shot onto the two panes and Poisson sample the counts.
-
-    One Poisson call draws both panes, Stokes first.  Modes whose centre
-    falls off a pane are clipped from that pane: they deposit nothing there.
-    """
-    i_s, i_as = (np.asarray(a, dtype=float) for a in intensities)
-    if i_s.shape != (ms.n_modes,) or i_as.shape != (ms.n_modes,):
-        raise ValueError("intensities must be two (M,) vectors matching the mode set")
-    if np.any(i_s < 0) or np.any(i_as < 0):
-        raise ValueError("mode intensities must be non-negative")
-    return _render_with_bases(
-        (i_s, i_as),
-        stokes_basis(ms, camera),
-        anti_stokes_basis(ms, theta_read_urad, camera),
-        shot_index, theta_read_urad, rng, noise_floor,
     )
 
 
