@@ -21,7 +21,8 @@ A version 1 header has no count width, and its records are the (2, H, W)
 counts as float32 alone; its frames read with readout angles (0, 0).
 
 Each block of records is read with one `np.fromfile`, and every count read
-passes `scattering.check_counts`, which scans no u16 body at all.  A writer
+passes `scattering.check_counts`, which scans no u16 body at all; a version 1
+body's float32 counts must also be whole numbers.  A writer
 never wraps a count: one past its width raises OverflowError.  Writing the
 same stack twice produces byte-identical files.
 """
@@ -199,6 +200,8 @@ def _read_frames(fh, record: np.dtype, first: int, n: int, count: int):
         raise ValueError(f"truncated frame {first + data.size}")
     counts = data["counts"]
     check_counts(counts)
+    if counts.dtype.kind == "f" and (counts % 1.0).any():  # only a version 1 body can hold a fraction
+        raise ValueError("stack counts must be whole numbers")
     if first + n == count:
         _check_end(fh, count)
     angles = data["angle"] if "angle" in record.names else np.zeros((n, 2))

@@ -462,6 +462,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
+        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 3.1)),
         ("stack", lambda raw: raw + raw),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
@@ -484,7 +485,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
-        "stack-count-2^24", "stack-trailing-bytes",
+        "stack-count-2^24", "stack-fractional-count", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",

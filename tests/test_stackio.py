@@ -343,6 +343,19 @@ def test_count_of_2_24_is_rejected(tmp_path):
         list(frames)
 
 
+def test_fractional_count_is_rejected(tmp_path):
+    """A version 1 (float32) body can hold a fraction, which would make the moment sums inexact."""
+    p = tmp_path / "frac.rmns"
+    raw = v1_stack(p, _BLOCK + 2)
+    raw[-4:] = struct.pack("<f", 3.1)  # last anti-Stokes pixel of the short last block
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="whole numbers"):
+        read_stack(p)
+    with pytest.raises(ValueError, match="whole numbers"):
+        _, _, _, _, blocks = iter_stack_blocks(p)
+        list(blocks)
+
+
 def test_negative_zero_count_is_accepted(tmp_path):
     p = tmp_path / "zero.rmns"
     raw = v1_stack(p, 2)
