@@ -203,7 +203,9 @@ def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
     else:
         ratio = cfg.geometry.lambda_read_m / cfg.geometry.lambda_write_m
         x = -args.target_x / ratio
-    ys = np.linspace(-args.fiber_span / 2.0, args.fiber_span / 2.0, args.fibers)
+    # a lone fiber sits at the centre of the span, not at its lower edge
+    half = args.fiber_span / 2.0
+    ys = np.linspace(-half, half, args.fibers) if args.fibers > 1 else [0.0]
     return [Angle2D(x, float(y)) for y in ys]
 
 

@@ -336,16 +336,20 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
 
 
 def test_steer_fibers_at_one_height_report_no_slope(tmp_path, capsys):
-    """Converged fibers that share one y give no baseline line: NaN, not a polyfit crash."""
+    """Converged fibers that share one y give no baseline line: NaN, not a polyfit crash.
+
+    Two fibers over a zero span sit at y = 0, and so does a lone fiber over any span.
+    """
     report = tmp_path / "steer.csv"
-    argv = ["steer", "--frames", "60", "--fibers", "2", "--fiber-span", "0", "--out", str(report)]
-    assert main(argv) == 0
-    assert "baseline conjugate slope along y: nan (intercept nan urad)" in capsys.readouterr().out
-    header = report.read_text().splitlines()[0]
-    assert header.endswith("baseline_slope=nan baseline_intercept=nan")
-    rows = [ln.split(",") for ln in report.read_text().splitlines()[2:]]
-    assert [r[2] for r in rows] == ["0.0", "0.0"]  # both fibers at y = 0
-    assert all(r[7] != "nan" for r in rows)  # both baseline fits converged
+    for n, span in ((2, "0"), (1, "300")):
+        argv = ["steer", "--frames", "60", "--fibers", str(n), "--fiber-span", span, "--out", str(report)]
+        assert main(argv) == 0
+        assert "baseline conjugate slope along y: nan (intercept nan urad)" in capsys.readouterr().out
+        header = report.read_text().splitlines()[0]
+        assert header.endswith("baseline_slope=nan baseline_intercept=nan")
+        rows = [ln.split(",") for ln in report.read_text().splitlines()[2:]]
+        assert [r[2] for r in rows] == ["0.0"] * n  # every fiber at y = 0
+        assert all(r[7] != "nan" for r in rows)  # every baseline fit converged
 
 
 def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
