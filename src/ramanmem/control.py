@@ -103,36 +103,25 @@ def compensating_readout(
     in both cases the returned command carries the clamped best effort.
     """
     required = _required_readout(theta_s, theta_w, target_as, geom)
-    req = {"x": required.theta_x, "y": required.theta_y}
-
     lo, hi = _deflection_band_urad(chain)
-
-    realized = {"x": 0.0, "y": 0.0}
-    reachable = True
+    realized = {}
     notes = []
-    for axis in ("x", "y"):
-        want = req[axis]
+    for axis, want in zip("xy", (required.theta_x, required.theta_y)):
         if axis in chain.steer_axes:
-            got = min(max(want, lo), hi)
-            if got != want:
-                reachable = False
+            realized[axis] = min(max(want, lo), hi)
+            if realized[axis] != want:
                 notes.append(f"{axis} deflection {want:.3f} urad outside span [{lo:.3f}, {hi:.3f}]")
-            realized[axis] = got
         else:
             realized[axis] = 0.0
             if abs(want) > OFF_AXIS_TOL_URAD:
-                reachable = False
                 notes.append(f"{axis} component {want:.3f} urad not steerable by this chain")
 
-    primary = chain.steer_axes[0]
-    freq = drive_frequency_for(realized[primary], chain)
     theta_read = Angle2D(realized["x"], realized["y"])
-    expected = phase_match(theta_w, theta_s, theta_read, geom)
     return SteeringCommand(
         theta_read=theta_read,
-        drive_freq_hz=freq,
-        expected_theta_as=expected,
-        reachable=reachable,
+        drive_freq_hz=drive_frequency_for(realized[chain.steer_axes[0]], chain),
+        expected_theta_as=phase_match(theta_w, theta_s, theta_read, geom),
+        reachable=not notes,
         note="; ".join(notes),
     )
 
