@@ -12,10 +12,9 @@ bit-stable in any order.
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
 
-Every output file opens with a comment line that starts with
-`provenance(seed, config_checksum)`.  Maps are written as CSV and PGM; every
-report table (spot fits here, the CLI's steer and herald reports) is written
-by `write_table`.
+Every output's comment line starts with `provenance(seed, config_checksum)`;
+every report table (spot fits here, the CLI's steer and herald reports) is
+written by `write_table`.
 """
 
 from __future__ import annotations
@@ -471,11 +470,7 @@ def provenance(seed: int, config_checksum: int) -> str:
 
 
 def write_table(path, comment: str, rows: Sequence[dict]) -> None:
-    """A report CSV: `# comment`, the first row's keys as header, then each row's values.
-
-    Bools are written as 0/1; every other value as str(), which for a float
-    is its shortest round-tripping repr.
-    """
+    """A report CSV: `# comment`, the first row's keys, then each row's values (bools as 0/1)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(rows[0]) + "\n")

@@ -239,7 +239,6 @@ def cmd_steer(args) -> int:
 
     # compensated passes: one run per fiber at its solved readout tilt
     rows = []
-    any_unreachable = False
     for i, fiber in enumerate(fibers):
         cmd = control.compensating_readout(fiber, write_angle, target, cfg.chain, cfg.geometry)
         row = {
@@ -261,14 +260,12 @@ def cmd_steer(args) -> int:
             "within_quarter_fwhm": False,
             "note": cmd.note,
         }
+        rows.append(row)
         if not cmd.reachable:
-            any_unreachable = True
-            rows.append(row)
             continue
         (fit,) = _twin_fits(run_cfgs[i], [refs[i]], checksum, cmd.theta_read)
         if not fit.converged:
             fit_failed = True
-            rows.append(row)
             continue
         dist = float(np.hypot(fit.center_x_urad - target.theta_x, fit.center_y_urad - target.theta_y))
         fwhm = 0.5 * (fit.fwhm_x_urad + fit.fwhm_y_urad)
@@ -280,7 +277,6 @@ def cmd_steer(args) -> int:
             target_dist_urad=dist,
             within_quarter_fwhm=bool(dist < fwhm / 4.0),
         )
-        rows.append(row)
 
     if args.out:
         analysis.write_table(
@@ -307,7 +303,7 @@ def cmd_steer(args) -> int:
                 f"({row['twin_x_urad']:.2f}, {row['twin_y_urad']:.2f}) urad, "
                 f"{row['target_dist_urad']:.2f} urad from target [{verdict}]"
             )
-    if any_unreachable:
+    if not all(row["reachable"] for row in rows):
         return EXIT_UNREACHABLE
     if fit_failed:
         return EXIT_FIT_FAILED

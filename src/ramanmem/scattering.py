@@ -515,11 +515,7 @@ def _render_with_bases(
     rng: np.random.Generator,
     noise_floor: float,
 ) -> Frame:
-    """One shot's two panes from its mode intensities, under one Poisson draw, Stokes first.
-
-    A mode whose centre falls off a pane is zeroed in that pane's factors, so
-    it deposits nothing there.
-    """
+    """One shot's counts: both panes' means under one Poisson draw, Stokes first."""
     panes = zip((stokes, anti_stokes), intensities)
     means = np.stack([f.wy.T @ (i[:, None] * f.wx_alpha) + noise_floor for f, i in panes])
     return Frame(
