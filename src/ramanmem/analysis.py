@@ -4,9 +4,11 @@ The map follows the intensity-correlation estimator
 
     C(p) = (<I_p I_ref> - <I_p><I_ref>) / sqrt(Var(I_p) Var(I_ref))
 
-computed from streaming raw moments held in float64.  Rendered panes are
-integer photon counts, so the moment sums stay exact (every partial sum is an
-integer below 2**53, which each fold and merge checks) and chunk merging is
+computed from streaming raw moments held in float64, one `MomentSet` per
+pass: the sums of I_p and I_p^2 are held once for every reference, the cross
+moment and the reference sums once per reference.  Rendered panes are integer
+photon counts, so the moment sums stay exact (every partial sum is an integer
+below 2**53, which each fold and merge checks) and chunk merging is
 bit-stable in any order.
 
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
@@ -31,7 +33,7 @@ from .scattering import Frame
 __all__ = [
     "PANES",
     "Reference",
-    "MomentAccumulator",
+    "MomentSet",
     "CorrelationMap",
     "GaussianSpotFit",
     "accumulate",
@@ -110,32 +112,36 @@ class Reference:
 
 
 @dataclass(eq=False)
-class MomentAccumulator:
-    """Streaming raw moments of every pixel against one reference signal.
+class MomentSet:
+    """Streaming raw moments of every pixel against K reference signals.
 
-    All sums are float64.  With integer photon counts the arithmetic is exact,
-    which is what makes merge() associative and commutative bit for bit.
+    The reference-free sums (`sum_i`, `sum_i2`, each (2, H, W)) are held
+    once; `sum_ii_ref` is (K, 2, H, W) and `sum_ref`, `sum_ref2` are (K,),
+    row k for references[k].  All sums are float64.  With integer photon
+    counts the arithmetic is exact, which is what makes merge() associative
+    and commutative bit for bit.
     """
 
-    reference: Reference
+    references: tuple[Reference, ...]
     n: int
     sum_i: np.ndarray
     sum_i2: np.ndarray
     sum_ii_ref: np.ndarray
-    sum_ref: float
-    sum_ref2: float
+    sum_ref: np.ndarray
+    sum_ref2: np.ndarray
 
     @classmethod
-    def empty(cls, camera: CameraGeometry, reference: Reference) -> "MomentAccumulator":
+    def empty(cls, camera: CameraGeometry, references: Sequence[Reference]) -> "MomentSet":
         shape = (2, camera.height_px, camera.width_px)
+        k = len(references)
         return cls(
-            reference=reference,
+            references=tuple(references),
             n=0,
             sum_i=np.zeros(shape),
             sum_i2=np.zeros(shape),
-            sum_ii_ref=np.zeros(shape),
-            sum_ref=0.0,
-            sum_ref2=0.0,
+            sum_ii_ref=np.zeros((k, *shape)),
+            sum_ref=np.zeros(k),
+            sum_ref2=np.zeros(k),
         )
 
 
@@ -143,68 +149,63 @@ class MomentAccumulator:
 _EXACT_LIMIT = 2.0**53
 
 
-def _check_exact(acc: MomentAccumulator) -> None:
+def _check_exact(moments: MomentSet) -> None:
     """Fail once a squared sum reaches 2**53; by Cauchy-Schwarz the other sums are below it too."""
-    if not (acc.sum_ref2 < _EXACT_LIMIT and acc.sum_i2.max() < _EXACT_LIMIT):
+    if not (moments.sum_ref2.max(initial=0.0) < _EXACT_LIMIT and moments.sum_i2.max() < _EXACT_LIMIT):
         raise OverflowError(
-            f"moment sums of {acc.n} frames reach 2**53: float64 no longer sums the counts exactly"
+            f"moment sums of {moments.n} frames reach 2**53: float64 no longer sums the counts exactly"
         )
 
 
-def accumulate_block(accs: Sequence[MomentAccumulator], block: np.ndarray) -> None:
-    """The moment update: fold n frames, a (n, 2, H, W) block of counts, into each accumulator.
+def accumulate_block(moments: MomentSet, block: np.ndarray) -> None:
+    """The moment update: fold n frames, a (n, 2, H, W) block of counts, into the set.
 
     The block may be of any integer or float dtype; it is converted to
     float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
     gives the intensity sum and every reference's cross moment, and one
-    einsum gives the squared sum all references share.  Photon counts are
-    integers, so while every partial sum stays below 2**53 the sums do not
-    depend on how frames are grouped into blocks; a fold that reaches 2**53
-    raises OverflowError.
+    einsum the squared sum; each field is then added once, whatever K is.
+    Photon counts are integers, so while every partial sum stays below 2**53
+    the sums do not depend on how frames are grouped into blocks; a fold
+    that reaches 2**53 raises OverflowError.
     """
     block = np.asarray(block, dtype=np.float64)
     n = block.shape[0]
     x = block.reshape(n, -1)
-    weights = np.empty((len(accs) + 1, n))
+    weights = np.empty((len(moments.references) + 1, n))
     weights[0] = 1.0
-    for k, acc in enumerate(accs, 1):
-        ref = acc.reference
+    for k, ref in enumerate(moments.references, 1):
         weights[k] = block[:, _pane_index(ref.pane), ref.pixel_rows, ref.pixel_cols].sum(axis=1)
-    moments = (weights @ x).reshape(-1, *block.shape[1:])
-    sum_sq = np.einsum("ij,ij->j", x, x).reshape(block.shape[1:])
-    for k, acc in enumerate(accs, 1):
-        r = weights[k]
-        acc.sum_i += moments[0]
-        acc.sum_i2 += sum_sq
-        acc.sum_ii_ref += moments[k]
-        acc.sum_ref += float(r.sum())
-        acc.sum_ref2 += float(r @ r)
-        acc.n += n
-        _check_exact(acc)
+    sums = (weights @ x).reshape(-1, *block.shape[1:])
+    r = weights[1:]
+    moments.sum_i += sums[0]
+    moments.sum_i2 += np.einsum("ij,ij->j", x, x).reshape(block.shape[1:])
+    moments.sum_ii_ref += sums[1:]
+    moments.sum_ref += r.sum(axis=1)
+    moments.sum_ref2 += np.einsum("ij,ij->i", r, r)
+    moments.n += n
+    _check_exact(moments)
 
 
-def accumulate(acc: MomentAccumulator, frame: Frame) -> MomentAccumulator:
-    """Fold one frame into the accumulator (in place) and return it."""
-    accumulate_block((acc,), frame.counts[None])
-    return acc
+def accumulate(moments: MomentSet, frame: Frame) -> MomentSet:
+    """Fold one frame into the set (in place) and return it."""
+    accumulate_block(moments, frame.counts[None])
+    return moments
 
 
-def accumulate_many(accs: Sequence[MomentAccumulator], frame: Frame) -> None:
-    """Fold one frame into several accumulators, converting the frame once."""
-    accumulate_block(accs, frame.counts[None])
+# the name the benchmark tracer still wraps; one set folds every reference
+accumulate_many = accumulate
 
 
-def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    """Combine two partial accumulations over disjoint frame sets."""
-    ra, rb = a.reference, b.reference
-    if not (
-        ra.pane == rb.pane
-        and np.array_equal(ra.pixel_rows, rb.pixel_rows)
-        and np.array_equal(ra.pixel_cols, rb.pixel_cols)
-    ):
-        raise ValueError("cannot merge accumulators with different references")
-    merged = MomentAccumulator(
-        reference=a.reference,
+def _reference_key(ref: Reference) -> tuple:
+    return ref.pane, ref.pixel_rows.tolist(), ref.pixel_cols.tolist()
+
+
+def merge(a: MomentSet, b: MomentSet) -> MomentSet:
+    """Combine two partial sets over disjoint frame sets and the same references, in order."""
+    if list(map(_reference_key, a.references)) != list(map(_reference_key, b.references)):
+        raise ValueError("cannot merge moment sets with different references")
+    merged = MomentSet(
+        references=a.references,
         n=a.n + b.n,
         sum_i=a.sum_i + b.sum_i,
         sum_i2=a.sum_i2 + b.sum_i2,
@@ -239,28 +240,31 @@ class CorrelationMap:
 
 
 def correlation_map(
-    acc: MomentAccumulator,
+    moments: MomentSet,
+    k: int,
     camera: CameraGeometry,
     seed: int = 0,
     config_checksum: int = 0,
 ) -> CorrelationMap:
-    if acc.n < 2:
-        raise ValueError(f"need at least 2 frames for a correlation map, have {acc.n}")
-    n = float(acc.n)
-    mean_i = acc.sum_i / n
-    mean_ref = acc.sum_ref / n
-    cov = acc.sum_ii_ref / n - mean_i * mean_ref
-    var_i = acc.sum_i2 / n - mean_i * mean_i
-    var_ref = acc.sum_ref2 / n - mean_ref * mean_ref
+    """The map of every pixel against references[k] of the set."""
+    if moments.n < 2:
+        raise ValueError(f"need at least 2 frames for a correlation map, have {moments.n}")
+    n = float(moments.n)
+    mean_i = moments.sum_i / n
+    mean_ref = float(moments.sum_ref[k]) / n
+    cov = moments.sum_ii_ref[k] / n - mean_i * mean_ref
+    var_i = moments.sum_i2 / n - mean_i * mean_i
+    var_ref = float(moments.sum_ref2[k]) / n - mean_ref * mean_ref
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = np.sqrt(var_i * var_ref)
         values = np.where((var_i > 0.0) & (var_ref > 0.0), cov / denom, np.nan)
+    ref = moments.references[k]
     return CorrelationMap(
         values=values,
         camera=camera,
-        ref_pane=acc.reference.pane,
-        ref_angle_urad=acc.reference.angle_urad,
-        n_frames=acc.n,
+        ref_pane=ref.pane,
+        ref_angle_urad=ref.angle_urad,
+        n_frames=moments.n,
         seed=seed,
         config_checksum=config_checksum,
     )

@@ -60,14 +60,15 @@ def _rendered_blocks(frames: Iterable[scattering.Frame]) -> Iterator[np.ndarray]
 def _correlate_frames(
     blocks: Iterable[np.ndarray], camera, references: list[analysis.Reference], seed: int, checksum: int,
 ) -> list[analysis.CorrelationMap]:
-    """One pass over the count blocks, one correlation map per reference."""
-    accs = [analysis.MomentAccumulator.empty(camera, r) for r in references]
+    """One pass over the count blocks into one moment set, one correlation map per reference."""
+    moments = analysis.MomentSet.empty(camera, references)
     blocks = iter(blocks)
     with suppress(StopIteration):
         while True:  # passed unbound, so accumulate_block's float64 copy frees the block
-            analysis.accumulate_block(accs, next(blocks))
+            analysis.accumulate_block(moments, next(blocks))
     return [
-        analysis.correlation_map(acc, camera, seed=seed, config_checksum=checksum) for acc in accs
+        analysis.correlation_map(moments, k, camera, seed=seed, config_checksum=checksum)
+        for k in range(len(references))
     ]
 
 
@@ -100,13 +101,9 @@ def cmd_simulate(args) -> int:
             )
     checksum = cfg.checksum()
     bound = scattering.pixel_count_bound(cfg.mode_set(), cfg.camera, cfg.retrieval.noise_floor)
-    try:
-        writer = stackio.StackWriter(
-            args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
-        )
-    except ValueError as exc:  # a pane too large for one frame record
-        raise ConfigError(str(exc), path=args.config or "<config>") from None
-    with writer:
+    with stackio.StackWriter(
+        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
+    ) as writer:
         for frame in scattering.iter_simulated_frames(cfg, schedule=schedule):
             writer.append(frame)
     print(

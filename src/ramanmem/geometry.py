@@ -20,6 +20,9 @@ RAD_PER_URAD = 1.0e-6
 # paraxial guard: beyond ~10 mrad the small-angle mapping is no longer honest
 PARAXIAL_LIMIT_URAD = 1.0e4
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+# pixels per pane: the widest .rmns frame record (16 angle bytes, then two panes
+# of 4-byte counts) must fit the C int numpy sizes a record dtype in
+PANE_PIXELS_MAX = (2**31 - 1 - 16) // 8
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -130,6 +133,11 @@ class CameraGeometry:
     def __post_init__(self) -> None:
         if self.width_px < 2 or self.height_px < 2:
             raise ValueError("pane must be at least 2x2 pixels")
+        if self.width_px * self.height_px > PANE_PIXELS_MAX:
+            raise ValueError(
+                f"a {self.width_px}x{self.height_px} pane is too large to store "
+                f"(more than {PANE_PIXELS_MAX} pixels)"
+            )
         for name in ("pixel_pitch_m", "f3_m"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):

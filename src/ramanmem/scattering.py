@@ -10,8 +10,8 @@ of a uniform noise floor, so every rendered pixel is integer valued.
 Randomness is counter based: shot i of a run seeded with s draws exclusively
 from Philox streamed with key (s, i), which makes stacks bit-reproducible and
 independent of any worker scheduling.  `iter_simulated_frames`, the one
-render entry point (`simulate_stack` collects its frames), relies on that to
-render frames on every usable core while handing them out in frame order.
+render entry point, relies on that to render frames on every usable core
+while handing them out in frame order.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "retrieval_efficiencies",
     "sample_shot",
     "iter_simulated_frames",
-    "simulate_stack",
     "shot_rng",
 ]
 
@@ -293,7 +292,8 @@ class RetrievalModel:
     eta_m = eta0 * exp(-d_diff |K_m|^2 tau_storage) * A(theta_read) with
     K_m the stored transverse wavevector of mode m and
     A = exp(-|theta_read|^2 / (2 aberration_scale^2)); a non-positive or
-    infinite aberration scale disables the roll-off.
+    infinite aberration scale disables the roll-off, and a positive one whose
+    square underflows is rejected.
     """
 
     eta0: float
@@ -309,6 +309,9 @@ class RetrievalModel:
             raise ValueError(f"d_diff must be >= 0, got {self.d_diff_m2_s!r}")
         if self.tau_storage_s < 0.0 or not math.isfinite(self.tau_storage_s):
             raise ValueError(f"tau_storage must be >= 0, got {self.tau_storage_s!r}")
+        scale = self.aberration_scale_urad
+        if scale > 0.0 and 2.0 * scale * scale == 0.0:  # the roll-off would divide 0 by 0
+            raise ValueError(f"aberration_scale_urad {scale!r} is so small its square underflows to 0")
         if not 0.0 <= self.noise_floor <= PHOTON_SCALE_MAX:
             raise ValueError(
                 f"noise_floor must lie in [0, {PHOTON_SCALE_MAX:g}], got {self.noise_floor!r}"
@@ -531,7 +534,7 @@ def _render_with_bases(
 
 @dataclass(eq=False)
 class FrameStack(_Panes):
-    """A simulated (or re-loaded) run: (n, 2, H, W) counts, whose rows are its frames, plus provenance."""
+    """A stack `stackio.read_stack` loads whole: (n, 2, H, W) counts, one row per frame, plus provenance."""
 
     counts: np.ndarray
     readout_angles_urad: np.ndarray
@@ -548,20 +551,6 @@ class FrameStack(_Panes):
     @property
     def n_frames(self) -> int:
         return self.counts.shape[0]
-
-    def frame(self, i: int) -> Frame:
-        return Frame(
-            counts=self.counts[i],
-            shot_index=i,
-            readout_angle_urad=tuple(self.readout_angles_urad[i]),
-        )
-
-    def __len__(self) -> int:
-        return self.n_frames
-
-    def __iter__(self) -> Iterator[Frame]:
-        for i in range(self.n_frames):
-            yield self.frame(i)
 
 
 def _normalize_schedule(schedule, n_frames: int) -> np.ndarray:
@@ -682,22 +671,3 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
             yield _render_with_bases(*job)
     else:
         yield from _in_order(_render_with_bases, jobs(), threads)
-
-
-def simulate_stack(cfg, n_frames=None, schedule=None, seed=None) -> FrameStack:
-    """Simulate a full run and return it as an in-memory FrameStack."""
-    n = int(cfg.run.n_frames if n_frames is None else n_frames)
-    s = int(cfg.run.seed if seed is None else seed)
-    camera = cfg.camera
-    counts = np.empty((n, 2, camera.height_px, camera.width_px), dtype=np.float32)
-    angles = np.empty((n, 2), dtype=float)
-    for frame in iter_simulated_frames(cfg, n, schedule, s):
-        counts[frame.shot_index] = frame.counts
-        angles[frame.shot_index] = frame.readout_angle_urad
-    return FrameStack(
-        counts=counts,
-        readout_angles_urad=angles,
-        camera=camera,
-        seed=s,
-        config_checksum=cfg.checksum(),
-    )

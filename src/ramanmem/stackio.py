@@ -58,12 +58,12 @@ def count_dtype(bound: float) -> np.dtype:
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
-    """One version 2 frame record: its readout angle pair, then its counts."""
+    """One version 2 frame record: its readout angle pair, then its counts.
+
+    `geometry.PANE_PIXELS_MAX` keeps the widest record within the C int numpy sizes it in.
+    """
     shape = (2, camera.height_px, camera.width_px)
-    try:
-        return np.dtype([("angle", "<f8", (2,)), ("counts", counts, shape)])
-    except ValueError:  # numpy sizes a dtype in a C int
-        raise ValueError(f"a {camera.width_px}x{camera.height_px} pane is too large to store") from None
+    return np.dtype([("angle", "<f8", (2,)), ("counts", counts, shape)])
 
 
 class StackWriter:

@@ -38,10 +38,10 @@ def _multi_reference_run(cfg, ref_ys, n_frames, seed):
         analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, float(y)))
         for y in ref_ys
     ]
-    accs = [analysis.MomentAccumulator.empty(cfg.camera, r) for r in refs]
+    moments = analysis.MomentSet.empty(cfg.camera, refs)
     for frame in scattering.iter_simulated_frames(cfg, n_frames=n_frames, seed=seed):
-        analysis.accumulate_many(accs, frame)
-    cmaps = [analysis.correlation_map(acc, cfg.camera) for acc in accs]
+        analysis.accumulate(moments, frame)
+    cmaps = [analysis.correlation_map(moments, k, cfg.camera) for k in range(len(refs))]
     fits = [analysis.locate_twin_spot(c) for c in cmaps]
     worst = max(_max_abs_c(c) for c in cmaps)
     return cmaps, fits, worst
@@ -108,13 +108,13 @@ def test_criterion_3_steering(tmp_path):
     deltas = (-200.0, 0.0, 200.0)
     self_centers, twin_ys, twin_fwhms = [], [], []
     for delta in deltas:
-        acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
+        acc = analysis.MomentSet.empty(cfg.camera, [ref])
         frames = scattering.iter_simulated_frames(
             cfg, n_frames=1500, schedule=Angle2D(0.0, delta), seed=41
         )
         for frame in frames:
             analysis.accumulate(acc, frame)
-        cmap = analysis.correlation_map(acc, cfg.camera)
+        cmap = analysis.correlation_map(acc, 0, cfg.camera)
         self_fit = analysis.locate_twin_spot(cmap, pane="stokes")
         twin_fit = analysis.locate_twin_spot(cmap)
         assert self_fit.converged and twin_fit.converged
@@ -224,19 +224,20 @@ def test_criterion_5_diffusion_droop():
 
 def test_criterion_6_estimator_correctness():
     cfg = default_config()
-    stack = scattering.simulate_stack(cfg, n_frames=100, seed=61)
+    frames = list(scattering.iter_simulated_frames(cfg, n_frames=100, seed=61))
     ref = analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
-    for frame in stack:
+    acc = analysis.MomentSet.empty(cfg.camera, [ref])
+    for frame in frames:
         analysis.accumulate(acc, frame)
-    streamed = analysis.correlation_map(acc, cfg.camera)
+    streamed = analysis.correlation_map(acc, 0, cfg.camera)
 
     # naive two-pass oracle in float64
+    counts = np.stack([frame.counts for frame in frames])
     ry, rx = int(ref.pixel_rows[0]), int(ref.pixel_cols[0])
-    r = stack.stokes[:, ry, rx].astype(np.float64)
+    r = counts[:, 0, ry, rx].astype(np.float64)
     rd = r - r.mean()
     naive = np.empty_like(streamed.values)
-    for k, pane_arr in enumerate((stack.stokes, stack.anti_stokes)):
+    for k, pane_arr in enumerate((counts[:, 0], counts[:, 1])):
         x = pane_arr.astype(np.float64)
         xd = x - x.mean(axis=0)
         cov = np.tensordot(rd, xd, axes=(0, 0))
@@ -258,15 +259,15 @@ def test_criterion_6_estimator_correctness():
     bounds = (0, 17, 57, 80, 100)
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
-        for i in range(lo, hi):
-            analysis.accumulate(acc, stack.frame(i))
+        acc = analysis.MomentSet.empty(cfg.camera, [ref])
+        for frame in frames[lo:hi]:
+            analysis.accumulate(acc, frame)
         parts.append(acc)
     a, b, c, d = parts
     order1 = analysis.merge(analysis.merge(analysis.merge(a, b), c), d)
     order2 = analysis.merge(analysis.merge(d, c), analysis.merge(b, a))
-    map1 = analysis.correlation_map(order1, cfg.camera)
-    map2 = analysis.correlation_map(order2, cfg.camera)
+    map1 = analysis.correlation_map(order1, 0, cfg.camera)
+    map2 = analysis.correlation_map(order2, 0, cfg.camera)
     ok_merge = bool(
         np.array_equal(map1.values, streamed.values, equal_nan=True)
         and np.array_equal(map2.values, streamed.values, equal_nan=True)
@@ -322,10 +323,10 @@ def test_criterion_7_statistics_oracles():
     cfg = dataclasses.replace(cfg, camera=cam)
     n_frames = 20_000
     ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
-    acc = analysis.MomentAccumulator.empty(cam, ref)
+    acc = analysis.MomentSet.empty(cam, [ref])
     for frame in scattering.iter_simulated_frames(cfg, n_frames=n_frames, seed=72):
         analysis.accumulate(acc, frame)
-    cmap = analysis.correlation_map(acc, cam)
+    cmap = analysis.correlation_map(acc, 0, cam)
     measured = cmap.value_at("anti_stokes", Angle2D(0.0, 0.0))
 
     ms = cfg.mode_set()

@@ -11,7 +11,7 @@ from ramanmem import analysis as an
 from ramanmem.config import default_config
 from ramanmem.control import compensating_readout
 from ramanmem.geometry import Angle2D, CameraGeometry
-from ramanmem.scattering import Frame, iter_simulated_frames, simulate_stack
+from ramanmem.scattering import Frame, iter_simulated_frames
 
 CAM4 = CameraGeometry(width_px=4, height_px=4, pixel_pitch_m=7.5e-6, f3_m=0.5)
 
@@ -25,7 +25,7 @@ def make_frame(stokes, anti, i=0):
 
 
 def accumulate_all(camera, ref, frames):
-    acc = an.MomentAccumulator.empty(camera, ref)
+    acc = an.MomentSet.empty(camera, [ref])
     for fr in frames:
         an.accumulate(acc, fr)
     return acc
@@ -76,10 +76,7 @@ def test_reference_disc_membership_is_strict():
 
 
 def test_perfect_linear_correlation():
-    acc = an.MomentAccumulator.empty(CAM4, corner_ref())
-    for fr in proportional_frames():
-        an.accumulate(acc, fr)
-    cmap = an.correlation_map(acc, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0, CAM4)
     c = cmap.pane("anti_stokes")
     assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert c[2, 2] == pytest.approx(-1.0, abs=1e-12)
@@ -88,35 +85,28 @@ def test_perfect_linear_correlation():
 
 
 def test_zero_variance_pixels_are_nan():
-    acc = an.MomentAccumulator.empty(CAM4, corner_ref())
-    for fr in proportional_frames():
-        an.accumulate(acc, fr)
-    cmap = an.correlation_map(acc, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0, CAM4)
     assert np.isnan(cmap.pane("stokes")[1, 1])  # constant pixel
     assert np.isnan(cmap.pane("anti_stokes")[3, 3])  # all-zero pixel
 
 
 def test_map_needs_two_frames():
-    acc = an.MomentAccumulator.empty(CAM4, corner_ref())
-    an.accumulate(acc, proportional_frames()[0])
+    acc = accumulate_all(CAM4, corner_ref(), proportional_frames()[:1])
     with pytest.raises(ValueError, match="at least 2"):
-        an.correlation_map(acc, CAM4)
+        an.correlation_map(acc, 0, CAM4)
 
 
 def test_constant_reference_gives_all_nan():
     ref = an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(1, 1))
-    acc = an.MomentAccumulator.empty(CAM4, ref)
-    for fr in proportional_frames():
-        an.accumulate(acc, fr)
-    cmap = an.correlation_map(acc, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, ref, proportional_frames()), 0, CAM4)
     assert np.isnan(cmap.values).all()
 
 
 def test_correlation_bound_on_simulated_data():
     cfg = default_config()
-    stack = simulate_stack(cfg, n_frames=120, seed=77)
+    frames = list(iter_simulated_frames(cfg, n_frames=120, seed=77))
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 150.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, stack), cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0, cfg.camera)
     finite = cmap.values[np.isfinite(cmap.values)]
     assert finite.size > 0
     assert np.abs(finite).max() <= 1.0 + 1e-9
@@ -124,12 +114,12 @@ def test_correlation_bound_on_simulated_data():
 
 def test_streaming_equals_two_pass():
     cfg = default_config()
-    stack = simulate_stack(cfg, n_frames=60, seed=13)
+    frames = list(iter_simulated_frames(cfg, n_frames=60, seed=13))
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, stack), cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0, cfg.camera)
 
     # naive two-pass estimator straight from the definition
-    data = np.stack([stack.stokes, stack.anti_stokes], axis=1).astype(np.float64)
+    data = np.stack([fr.counts for fr in frames]).astype(np.float64)
     r = data[:, 0, ref.pixel_rows[0], ref.pixel_cols[0]]
     dm = data - data.mean(axis=0)
     rm = r - r.mean()
@@ -142,14 +132,11 @@ def test_streaming_equals_two_pass():
 
 def test_merge_is_bit_stable_under_partitioning():
     cfg = default_config()
-    stack = simulate_stack(cfg, n_frames=30, seed=55)
+    frames = list(iter_simulated_frames(cfg, n_frames=30, seed=55))
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
 
     def partial(lo, hi):
-        acc = an.MomentAccumulator.empty(cfg.camera, ref)
-        for i in range(lo, hi):
-            an.accumulate(acc, stack.frame(i))
-        return acc
+        return accumulate_all(cfg.camera, ref, frames[lo:hi])
 
     whole = partial(0, 30)
     ab = an.merge(partial(0, 10), an.merge(partial(10, 20), partial(20, 30)))
@@ -159,10 +146,10 @@ def test_merge_is_bit_stable_under_partitioning():
         np.testing.assert_array_equal(combo.sum_i, whole.sum_i)
         np.testing.assert_array_equal(combo.sum_i2, whole.sum_i2)
         np.testing.assert_array_equal(combo.sum_ii_ref, whole.sum_ii_ref)
-        assert combo.sum_ref == whole.sum_ref
-        assert combo.sum_ref2 == whole.sum_ref2
-    m_whole = an.correlation_map(whole, cfg.camera).values
-    m_ab = an.correlation_map(ab, cfg.camera).values
+        np.testing.assert_array_equal(combo.sum_ref, whole.sum_ref)
+        np.testing.assert_array_equal(combo.sum_ref2, whole.sum_ref2)
+    m_whole = an.correlation_map(whole, 0, cfg.camera).values
+    m_ab = an.correlation_map(ab, 0, cfg.camera).values
     np.testing.assert_array_equal(
         np.isnan(m_whole), np.isnan(m_ab)
     )
@@ -170,30 +157,46 @@ def test_merge_is_bit_stable_under_partitioning():
 
 
 def test_merge_rejects_mismatched_references():
-    a = an.MomentAccumulator.empty(CAM4, corner_ref())
-    b = an.MomentAccumulator.empty(
-        CAM4, an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(1, 1))
-    )
-    with pytest.raises(ValueError, match="different references"):
-        an.merge(a, b)
+    """References must match in pane, pixels, count and order."""
+    corner = corner_ref()
+    centre = an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(1, 1))
+    for refs_a, refs_b in (
+        ([corner], [centre]),
+        ([corner], [corner, centre]),
+        ([corner, centre], [centre, corner]),
+    ):
+        a = an.MomentSet.empty(CAM4, refs_a)
+        b = an.MomentSet.empty(CAM4, refs_b)
+        with pytest.raises(ValueError, match="different references"):
+            an.merge(a, b)
+    same = an.MomentSet.empty(CAM4, [corner, centre])
+    assert an.merge(same, an.MomentSet.empty(CAM4, [corner, centre])).references == (corner, centre)
 
 
 def test_accumulate_many_matches_single():
+    """A 2-reference set equals two 1-reference sets bit for bit, field by field."""
     cfg = default_config()
-    frames = list(simulate_stack(cfg, n_frames=8, seed=70))
+    frames = list(iter_simulated_frames(cfg, n_frames=8, seed=70))
     refs = [
         an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, y)) for y in (0.0, 150.0)
     ]
-    many = [an.MomentAccumulator.empty(cfg.camera, r) for r in refs]
+    both = an.MomentSet.empty(cfg.camera, refs)
     for fr in frames:
-        an.accumulate_many(many, fr)
-    for ref, shared in zip(refs, many):
-        solo = an.MomentAccumulator.empty(cfg.camera, ref)
-        for fr in frames:
-            an.accumulate(solo, fr)
-        np.testing.assert_array_equal(shared.sum_ii_ref, solo.sum_ii_ref)
-        np.testing.assert_array_equal(shared.sum_i2, solo.sum_i2)
-        assert shared.sum_ref2 == solo.sum_ref2
+        an.accumulate(both, fr)
+    assert both.sum_i.shape == both.sum_i2.shape == (2, cfg.camera.height_px, cfg.camera.width_px)
+    assert both.sum_ii_ref.shape == (2, *both.sum_i.shape)
+    for k, ref in enumerate(refs):
+        solo = accumulate_all(cfg.camera, ref, frames)
+        assert both.n == solo.n == len(frames)
+        np.testing.assert_array_equal(both.sum_i, solo.sum_i)
+        np.testing.assert_array_equal(both.sum_i2, solo.sum_i2)
+        np.testing.assert_array_equal(both.sum_ii_ref[k], solo.sum_ii_ref[0])
+        assert both.sum_ref[k] == solo.sum_ref[0]
+        assert both.sum_ref2[k] == solo.sum_ref2[0]
+        want = an.correlation_map(solo, 0, cfg.camera)
+        got = an.correlation_map(both, k, cfg.camera)
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert got.ref_angle_urad == ref.angle_urad
 
 
 # --- cross sections -----------------------------------------------------------
@@ -277,7 +280,7 @@ def test_fit_converges_when_only_rounding_moves_the_cost():
     ref = an.Reference.pixel(cfg.camera, "stokes", fiber)
     frames = iter_simulated_frames(cfg, n_frames=300, schedule=cmd.theta_read)
     acc = accumulate_all(cfg.camera, ref, frames)
-    fit = an.locate_twin_spot(an.correlation_map(acc, cfg.camera))
+    fit = an.locate_twin_spot(an.correlation_map(acc, 0, cfg.camera))
     assert fit.converged
     assert fit.center_x_urad == pytest.approx(53.9253, abs=1e-3)
     assert fit.center_y_urad == pytest.approx(2.4207, abs=1e-3)

@@ -300,10 +300,10 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
     refs = _block_refs(cfg.camera)
     got = cli._correlate_frames(blocks, cfg.camera, refs, seed=21, checksum=0)
     for cmap, ref in zip(got, refs):
-        acc = analysis.MomentAccumulator.empty(cfg.camera, ref)
+        acc = analysis.MomentSet.empty(cfg.camera, [ref])
         for frame in frames:
             analysis.accumulate(acc, frame)
-        want = analysis.correlation_map(acc, cfg.camera)
+        want = analysis.correlation_map(acc, 0, cfg.camera)
         assert cmap.n_frames == want.n_frames == n_frames
         assert np.array_equal(cmap.values, want.values, equal_nan=True)
 
@@ -333,6 +333,30 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
             tracemalloc.stop()
         assert maps[0].n_frames == count
     assert abs(peaks[1] - peaks[0]) < 8192, peaks
+
+
+def test_extra_references_add_only_their_cross_moments():
+    """One moment set per pass: from 1 to 5 pixel references the fold's peak grows by at most
+    3 pane pairs (2 H W float64) per extra reference, for its cross moments and gemm row.
+
+    The shared intensity sums are held once; a set per reference held its own copies.
+    """
+    cam = CameraGeometry(width_px=128, height_px=64, pixel_pitch_m=7.5e-6, f3_m=0.5)  # the default
+    rng = np.random.default_rng(9)
+    shape = (stackio._BLOCK, 2, cam.height_px, cam.width_px)
+    blocks = [rng.integers(0, 100, size=shape, dtype=np.uint16) for _ in range(400 // stackio._BLOCK)]
+    refs = [analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, y)) for y in (-300, -150, 0, 150, 300)]
+    peaks = []
+    for k in (1, 5):
+        tracemalloc.start()
+        try:
+            maps = cli._correlate_frames(blocks, cam, refs[:k], seed=0, checksum=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(maps) == k and maps[-1].n_frames == 400
+    pane_pair = 2 * cam.height_px * cam.width_px * 8
+    assert peaks[1] - peaks[0] <= 4 * 3 * pane_pair, peaks
 
 
 def test_steer_fibers_at_one_height_report_no_slope(tmp_path, capsys):
@@ -485,6 +509,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[camera]\npixel_pitch_m = 1e300\n"),
         ("config", b"[camera]\npane_width_px = 40000\npane_height_px = 40000\n"),
         ("config", b"[camera]\npane_width_px = 4294967296\npane_height_px = 2\n"),
+        ("config", b"[retrieval]\naberration_scale_urad = 1e-300\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
@@ -496,6 +521,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
         "config-pane-past-frame-record", "config-pane-width-past-u32",
+        "config-aberration-scale-underflows",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -518,6 +544,22 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.rmns").exists() and not (tmp_path / "map_fit.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["correlate", "steer", "herald"])
+def test_oversized_pane_exits_2_as_the_config_loads(tmp_path, capsys, command):
+    """The pane bound is checked when the config loads, so no command allocates the pane.
+
+    `simulate` is the config-pane-width-past-u32 case of test_bad_input_file_exits_2.
+    """
+    bad = tmp_path / "wide.ini"
+    bad.write_text("[camera]\npane_width_px = 4294967296\npane_height_px = 2\n")
+    argv = [command, "--config", str(bad), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv if command == "herald" else [*argv, "--frames", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: a 4294967296x2 pane is too large") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_failed_simulate_leaves_no_stack(tmp_path, cfg_path, monkeypatch):
@@ -567,9 +609,9 @@ def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
         for i, panes in enumerate(counts):
             w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
     ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
-    halves = [analysis.MomentAccumulator.empty(cam, ref) for _ in range(2)]
-    analysis.accumulate_block(halves[:1], counts[:32])
-    analysis.accumulate_block(halves[1:], counts[32:])
+    halves = [analysis.MomentSet.empty(cam, [ref]) for _ in range(2)]
+    analysis.accumulate_block(halves[0], counts[:32])
+    analysis.accumulate_block(halves[1], counts[32:])
     with pytest.raises(OverflowError, match=r"2\*\*53"):
         analysis.merge(*halves)
     capsys.readouterr()

@@ -3,6 +3,7 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramanmem.config import (
@@ -12,6 +13,8 @@ from ramanmem.config import (
     load_config,
     parse_config,
 )
+from ramanmem.geometry import PANE_PIXELS_MAX
+from ramanmem.stackio import _record_dtype
 
 
 def test_dump_parse_round_trip():
@@ -41,6 +44,19 @@ def test_camera_keys_map_to_pane_shape():
     cfg = parse_config("[camera]\npane_width_px = 32\npane_height_px = 16\n")
     assert cfg.camera.width_px == 32
     assert cfg.camera.height_px == 16
+
+
+def test_pane_bound_is_the_widest_stack_record():
+    """The largest pane a config loads still has a u32 stack record numpy can size; one pixel more fails.
+
+    Checked by value: neither pane is allocated.
+    """
+    half = PANE_PIXELS_MAX // 2
+    cfg = parse_config(f"[camera]\npane_width_px = {half}\npane_height_px = 2\n")
+    record = _record_dtype(cfg.camera, np.dtype("<u4"))
+    assert record.itemsize == 16 + 8 * 2 * half <= 2**31 - 1
+    with pytest.raises(ConfigError, match=f"a {half + 1}x2 pane is too large to store"):
+        parse_config(f"[camera]\npane_width_px = {half + 1}\npane_height_px = 2\n")
 
 
 def test_camera_focal_length_follows_chain():

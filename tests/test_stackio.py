@@ -10,7 +10,7 @@ from rmns_v1 import v1_bytes
 
 from ramanmem.config import default_config
 from ramanmem.geometry import CameraGeometry
-from ramanmem.scattering import Frame, simulate_stack
+from ramanmem.scattering import Frame, iter_simulated_frames
 from ramanmem.stackio import (
     _BLOCK,
     _COUNT_WIDTH,
@@ -30,22 +30,26 @@ BODY = _HEADER.size + _COUNT_WIDTH.size  # where a version 2 body starts
 V1_FIXTURE = Path(__file__).parent / "data" / "v1_3frames_16x8.rmns"
 
 
-def small_stack(n=6, seed=3, tilts=None):
-    cfg = dataclasses.replace(default_config(), camera=CAM)
-    return simulate_stack(cfg.with_seed(seed), n_frames=n, schedule=tilts)
+SMALL_CFG = dataclasses.replace(default_config(), camera=CAM).with_seed(3)
 
 
-def write(path, stack, count_dtype=np.uint16):
-    with StackWriter(
-        path, stack.camera, stack.n_frames, stack.seed, stack.config_checksum, count_dtype
-    ) as w:
-        for frame in stack:
+def small_frames(n=6, tilts=None):
+    return list(iter_simulated_frames(SMALL_CFG, n_frames=n, schedule=tilts))
+
+
+def write(path, frames, count_dtype=np.uint16, seed=3, checksum=SMALL_CFG.checksum()):
+    with StackWriter(path, CAM, len(frames), seed, checksum, count_dtype) as w:
+        for frame in frames:
             w.append(frame)
+
+
+def stacked(frames):
+    return np.stack([frame.counts for frame in frames])
 
 
 def v1_stack(path, n):
     """A version 1 stack of n frames at path; its raw bytes."""
-    write(path, small_stack(n=n))
+    write(path, small_frames(n=n))
     raw = v1_bytes(path)
     path.write_bytes(raw)
     return bytearray(raw)
@@ -56,29 +60,28 @@ TILTS = np.array([[0.1, -150.0], [1 / 3, 2.0**-30], [-450.0, 1e-300], [0.0, 0.0]
 
 
 def test_round_trip_preserves_everything(tmp_path):
-    stack = small_stack(n=len(TILTS), tilts=TILTS)
+    frames = small_frames(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
-    write(path, stack)
+    write(path, frames)
     back = read_stack(path)
-    np.testing.assert_array_equal(back.stokes, stack.stokes)
-    np.testing.assert_array_equal(back.anti_stokes, stack.anti_stokes)
+    np.testing.assert_array_equal(back.counts, stacked(frames))
     assert back.readout_angles_urad.tobytes() == TILTS.tobytes()  # bit for bit
-    assert back.seed == stack.seed
-    assert back.config_checksum == stack.config_checksum
-    assert back.camera == stack.camera
-    assert back.n_frames == stack.n_frames
+    assert back.seed == 3
+    assert back.config_checksum == SMALL_CFG.checksum()
+    assert back.camera == CAM
+    assert back.n_frames == len(TILTS)
 
 
 def test_read_stack_counts_are_the_body_array(tmp_path):
     """Counts and angles are views of the body records as read; the pane views share them."""
-    stack = small_stack(n=len(TILTS), tilts=TILTS)
+    frames = small_frames(n=len(TILTS), tilts=TILTS)
     for count_dtype in (np.uint16, np.uint32):
         path = tmp_path / f"run-{count_dtype.__name__}.rmns"
-        write(path, stack, count_dtype)
+        write(path, frames, count_dtype)
         back = read_stack(path)
         record = _record_dtype(CAM, np.dtype(count_dtype).newbyteorder("<"))
         body = np.frombuffer(path.read_bytes(), dtype=record, offset=BODY)
-        assert path.stat().st_size == BODY + stack.n_frames * record.itemsize
+        assert path.stat().st_size == BODY + len(frames) * record.itemsize
         assert back.counts.dtype == count_dtype and back.counts.shape == body["counts"].shape
         np.testing.assert_array_equal(back.counts, body["counts"])
         assert back.readout_angles_urad.tobytes() == body["angle"].tobytes()
@@ -86,33 +89,32 @@ def test_read_stack_counts_are_the_body_array(tmp_path):
         for view, pane in ((back.stokes, 0), (back.anti_stokes, 1)):
             assert np.shares_memory(view, back.counts)
             np.testing.assert_array_equal(view, body["counts"][:, pane])
-        for i, frame in enumerate(stack):  # the panes as written
+        for i, frame in enumerate(frames):  # the panes as written
             np.testing.assert_array_equal(back.stokes[i], frame.stokes)
             np.testing.assert_array_equal(back.anti_stokes[i], frame.anti_stokes)
 
 
 def test_write_is_byte_deterministic(tmp_path):
-    stack = small_stack()
+    frames = small_frames()
     a, b = tmp_path / "a.rmns", tmp_path / "b.rmns"
-    write(a, stack)
-    write(b, stack)
+    write(a, frames)
+    write(b, frames)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_iter_stack_matches_bulk_read(tmp_path):
-    stack = small_stack(n=len(TILTS), tilts=TILTS)
+    written = small_frames(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
-    write(path, stack)
+    write(path, written)
     camera, count, seed, checksum, frames = iter_stack(path)
-    assert camera == stack.camera
-    assert count == stack.n_frames
-    assert seed == stack.seed
-    assert checksum == stack.config_checksum
+    assert camera == CAM
+    assert count == len(written)
+    assert seed == 3
+    assert checksum == SMALL_CFG.checksum()
     for i, frame in enumerate(frames):
         assert frame.shot_index == i
         assert frame.readout_angle_urad == tuple(TILTS[i])
-        np.testing.assert_array_equal(frame.stokes, stack.stokes[i])
-        np.testing.assert_array_equal(frame.anti_stokes, stack.anti_stokes[i])
+        np.testing.assert_array_equal(frame.counts, written[i].counts)
     assert i == count - 1
 
 
@@ -125,7 +127,8 @@ def test_v1_stack_reads_with_zero_angles(tmp_path):
     _, _, _, _, frames = iter_stack(V1_FIXTURE)
     assert [f.readout_angle_urad for f in frames] == [(0.0, 0.0)] * 3
     path = tmp_path / "v2.rmns"
-    write(path, v1)
+    frames = [Frame(counts, shot_index=i, readout_angle_urad=(0.0, 0.0)) for i, counts in enumerate(v1.counts)]
+    write(path, frames, seed=v1.seed, checksum=v1.config_checksum)
     v2 = read_stack(path)
     assert v2.counts.dtype == np.uint16
     np.testing.assert_array_equal(v2.counts, v1.counts)
@@ -168,18 +171,17 @@ def test_writer_rejects_wrong_pane_shape(tmp_path):
 
 
 def test_writer_rejects_extra_frames(tmp_path):
-    stack = small_stack(n=2)
     with pytest.raises(ValueError, match="already holds"):
         with StackWriter(
             tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16
         ) as w:
-            for frame in stack:
+            for frame in small_frames(n=2):
                 w.append(frame)
 
 
 def test_writer_close_checks_count(tmp_path):
     w = StackWriter(tmp_path / "x.rmns", CAM, 3, seed=0, config_checksum=0, count_dtype=np.uint16)
-    w.append(next(iter(small_stack(n=1))))
+    w.append(small_frames(n=1)[0])
     with pytest.raises(ValueError, match="declared 3 frames but 1"):
         w.close()
 
@@ -203,16 +205,15 @@ def test_truncated_header(tmp_path):
     p.write_bytes(b"RM")
     with pytest.raises(ValueError, match="truncated header"):
         read_stack(p)
-    write(p, small_stack(n=1))
+    write(p, small_frames(n=1))
     p.write_bytes(p.read_bytes()[: BODY - 1])  # the count width cut short
     with pytest.raises(ValueError, match="truncated header"):
         read_stack(p)
 
 
 def test_bad_magic(tmp_path):
-    stack = small_stack(n=1)
     p = tmp_path / "bad.rmns"
-    write(p, stack)
+    write(p, small_frames(n=1))
     raw = bytearray(p.read_bytes())
     raw[:4] = b"WAT?"
     p.write_bytes(bytes(raw))
@@ -221,9 +222,8 @@ def test_bad_magic(tmp_path):
 
 
 def test_unsupported_version(tmp_path):
-    stack = small_stack(n=1)
     p = tmp_path / "v9.rmns"
-    write(p, stack)
+    write(p, small_frames(n=1))
     raw = bytearray(p.read_bytes())
     raw[4:6] = (VERSION + 8).to_bytes(2, "little")
     p.write_bytes(bytes(raw))
@@ -238,9 +238,8 @@ def test_unsupported_version(tmp_path):
 
 
 def test_truncated_body(tmp_path):
-    stack = small_stack(n=3)  # one short read block: every cut below falls inside it
     p = tmp_path / "cut.rmns"
-    write(p, stack)
+    write(p, small_frames(n=3))  # one short read block: every cut below falls inside it
     raw = p.read_bytes()
     frame_bytes = 16 + 2 * 2 * CAM.width_px * CAM.height_px  # angle pair, u16 counts
     for cut in (100, frame_bytes):  # inside frame 2, and all of frame 2
@@ -259,7 +258,7 @@ def test_truncated_body(tmp_path):
 @pytest.mark.parametrize("n", [0, 3, _BLOCK])  # no frame, a short last block, one full block
 def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
     p = tmp_path / "long.rmns"
-    write(p, small_stack(n=max(n, 1)))
+    write(p, small_frames(n=max(n, 1)))
     raw = p.read_bytes()
     if n == 0:  # the header alone, declaring no frame
         raw = raw[:14] + struct.pack("<I", 0) + raw[18:BODY]
@@ -279,16 +278,14 @@ def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
 
 
 def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
-    stack = small_stack(n=_BLOCK + 3)
+    frames = small_frames(n=_BLOCK + 3)
     path = tmp_path / "run.rmns"
-    write(path, stack)
+    write(path, frames)
     _, count, _, _, blocks = iter_stack_blocks(path)
     blocks = list(blocks)
     assert count == _BLOCK + 3
     assert [b.shape for b in blocks] == [(_BLOCK, 2, 8, 16), (3, 2, 8, 16)]
-    joined = np.concatenate(blocks)
-    np.testing.assert_array_equal(joined[:, 0], stack.stokes)
-    np.testing.assert_array_equal(joined[:, 1], stack.anti_stokes)
+    np.testing.assert_array_equal(np.concatenate(blocks), stacked(frames))
 
 
 def test_negative_count_is_rejected(tmp_path):
@@ -334,7 +331,7 @@ def test_count_of_2_24_is_rejected(tmp_path):
     with pytest.raises(OverflowError, match=r"2\*\*24"):
         _, _, _, _, blocks = iter_stack_blocks(p)
         list(blocks)
-    write(p, small_stack(n=_BLOCK + 2), np.uint32)
+    write(p, small_frames(n=_BLOCK + 2), np.uint32)
     raw = bytearray(p.read_bytes())
     raw[-4:] = struct.pack("<I", 2**24)
     p.write_bytes(bytes(raw))
@@ -367,7 +364,7 @@ def test_negative_zero_count_is_accepted(tmp_path):
 def test_writer_deletes_a_partial_stack(tmp_path):
     """A render that fails at frame 4 of 10 leaves no file and no open handle."""
     path = tmp_path / "x.rmns"
-    frames = iter(small_stack(n=4))
+    frames = iter(small_frames(n=4))
 
     def render():
         yield from frames
