@@ -23,6 +23,9 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # pixels per pane: the widest .rmns frame record (16 angle bytes, then two panes
 # of 4-byte counts) must fit the C int numpy sizes a record dtype in
 PANE_PIXELS_MAX = (2**31 - 1 - 16) // 8
+# read / write carrier ratio: a Raman memory's two carriers lie within an octave
+# (780 / 795 nm by default); a wider ratio throws the conjugate angles off any pane
+CARRIER_RATIO_MAX = 2.0
 
 
 def _require_finite(label: str, *values: float) -> None:
@@ -77,6 +80,9 @@ class BeamGeometry:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        ratio = self.lambda_read_m / self.lambda_write_m
+        if not 1.0 / CARRIER_RATIO_MAX <= ratio <= CARRIER_RATIO_MAX:
+            raise ValueError(f"lambda_read_m / lambda_write_m = {ratio:g} is not within {CARRIER_RATIO_MAX:g}x of 1")
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,10 @@ class CameraGeometry:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        # one check for every source of the two lengths: a config or a stack header
+        if not 0.0 < self.pitch_urad <= PARAXIAL_LIMIT_URAD:
+            raise ValueError(f"a pixel of {self.pitch_urad:g} urad (pitch / f3) is not within "
+                             f"(0, {PARAXIAL_LIMIT_URAD:g}]")
 
     @property
     def origin_px(self) -> tuple[int, int]:

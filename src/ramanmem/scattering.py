@@ -23,7 +23,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,9 +58,10 @@ __all__ = [
 # Poisson mean sums them, and numpy's Poisson draw fails above ~9.2e18.
 PHOTON_SCALE_MAX = 1e12
 
-# Upper bound on the mode grid: the renderer keeps (M, H) and (M, W) float64
-# factors per pane and draws M exponentials per shot, so 1e5 modes (~800 times
-# the default 121) already take ~150 MB of factors at 64x128 pixels.
+# Upper bound on the mode grid: every shot draws M exponentials, and the mode
+# set's `_axis_groups` loops over the M modes in Python once.  At 1e5 modes
+# (~800 times the default 121) the draws alone take ~1.5 ms a shot, about what a
+# whole default frame costs, and the loop ~0.1 s (one 2-core x86 host).
 MODE_COUNT_MAX = 100_000
 
 # frames store counts as float32, which holds every integer exactly only below 2**24
@@ -139,9 +140,10 @@ class ModeSet:
         """Per axis (x, y): (first, inverse) over the distinct (centre, sigma) pairs.
 
         first[g] is a mode holding pair g and inverse[m] is the pair of mode
-        m, so a per-mode row built once per pair is rows[inverse].  The
-        conjugate law maps each axis on its own, so modes that share a pair
-        here share it in the anti-Stokes direction at every readout tilt.
+        m, so mode m deposits row inverse[m] of each axis's `PaneFactors`
+        rows.  The conjugate law maps each axis on its own, so modes that
+        share a pair here share it in the anti-Stokes direction at every
+        readout tilt.
         """
         groups = []
         for axis in (0, 1):
@@ -189,6 +191,8 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
         )
     sigma = mode_fwhm_urad / FWHM_PER_SIGMA
     spacing = modes.grid_spacing_sigma * sigma
+    if not (sigma > 0.0 and spacing < math.inf):
+        raise ValueError(f"modes of {mode_fwhm_urad:g} urad FWHM spaced {spacing:g} urad apart cannot be laid out")
 
     half_extent = env / 2.0 + modes.grid_margin_sigma * sigma
     counts = np.floor(half_extent / spacing)
@@ -371,23 +375,18 @@ def sample_shot(
 
 @dataclass(frozen=True, eq=False)
 class PaneFactors:
-    """Per-mode pixel deposit patterns on one pane, as per-axis factors.
+    """One pane's pixel deposit patterns, as per-axis rows.
 
-    Mode m deposits the (H, W) pattern outer(wy[m], wx_alpha[m]), which
-    integrates to ~1 over an unbounded pane; the (M, H, W) stack of patterns
-    is never built.  off_pane[m] flags modes whose centre misses the pane;
-    only their wy rows are zeroed, which removes them from every product
-    while wx_alpha stays shareable between tilts with the same theta_x.  The
-    energy clipped from the pane follows from off_pane and the mode means,
-    once per tilt.  tilt is the readout tilt of the anti-Stokes pane (None on
-    the Stokes pane) and wy_rows the unzeroed y factor per distinct (centre,
-    sigma) pair.
+    Mode m deposits outer(wy[gy], wx[gx]) for its (y, x) pairs (gy, gx) of
+    `ModeSet._axis_groups`: wy is (Gy, H), and wx (Gx, W) carries the area
+    normalisation, so a pattern integrates to ~1 over an unbounded pane.  A
+    row whose centre misses the pane on its axis is zeroed, which removes
+    exactly the modes flagged in off_pane.  The energy clipped from the pane
+    follows from off_pane and the mode means, once per tilt.
     """
 
-    tilt: Optional[tuple[float, float]]
-    wy_rows: np.ndarray
     wy: np.ndarray
-    wx_alpha: np.ndarray
+    wx: np.ndarray
     off_pane: np.ndarray
 
 
@@ -400,69 +399,41 @@ def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.
     return np.exp(w, out=w)
 
 
-def _pane_factors(
-    ms: ModeSet,
-    centers_urad: np.ndarray,
-    camera: CameraGeometry,
-    tilt: Optional[tuple[float, float]] = None,
-    previous: Optional[PaneFactors] = None,
-) -> PaneFactors:
-    """Factors of the modes centred at centers_urad; previous lends each unmoved axis's factor.
-
-    Each factor is built once per distinct (centre, sigma) pair of its axis
-    and gathered per mode: the same operations on the same inputs as one row
-    per mode, so the same bits.
-    """
-    ax, ay = camera.pixel_angle_axes()
-    (first_x, inv_x), (first_y, inv_y) = ms._axis_groups
-    sigma = ms.sigma_urad
-    # separable Gaussian, peak-normalised per axis, area-normalised overall
-    if previous is not None and previous.tilt[0] == tilt[0]:
-        wx_alpha = previous.wx_alpha
-    else:
-        rows = _gauss_rows(ax, centers_urad[first_x, 0], sigma[first_x])
-        alpha = camera.pitch_urad**2 / (2.0 * math.pi * sigma[first_x] ** 2)
-        rows *= alpha[:, None]
-        wx_alpha = rows[inv_x]
-    if previous is not None and previous.tilt[1] == tilt[1]:
-        wy_rows = previous.wy_rows
-    else:
-        wy_rows = _gauss_rows(ay, centers_urad[first_y, 1], sigma[first_y])
-
-    ox, oy = camera.origin_px
-    lo_x, hi_x = -ox * camera.pitch_urad, (camera.width_px - 1 - ox) * camera.pitch_urad
-    lo_y, hi_y = -oy * camera.pitch_urad, (camera.height_px - 1 - oy) * camera.pitch_urad
+def _pane_factors(ms: ModeSet, centers_urad: np.ndarray, camera: CameraGeometry) -> PaneFactors:
+    """Factors of the modes centred at centers_urad: one row per distinct (centre, sigma) pair of each axis."""
     half_px = 0.5 * camera.pitch_urad
-    in_pane = (
-        (centers_urad[:, 0] >= lo_x - half_px)
-        & (centers_urad[:, 0] < hi_x + half_px)
-        & (centers_urad[:, 1] >= lo_y - half_px)
-        & (centers_urad[:, 1] < hi_y + half_px)
-    )
-    off_pane = ~in_pane
-    wy = wy_rows[inv_y]
-    wy[off_pane] = 0.0
-    return PaneFactors(tilt, wy_rows, wy, wx_alpha, off_pane)
+    rows, hits = [], []
+    for axis, px, (first, inverse) in zip((0, 1), camera.pixel_angle_axes(), ms._axis_groups):
+        c, sigma = centers_urad[first, axis], ms.sigma_urad[first]
+        hit = (c >= px[0] - half_px) & (c < px[-1] + half_px)
+        w = _gauss_rows(px, c, sigma)
+        if axis == 0:  # peak-normalised per axis, area-normalised overall
+            w *= (camera.pitch_urad**2 / (2.0 * math.pi * sigma**2))[:, None]
+        w[~hit] = 0.0
+        rows.append(w)
+        hits.append(hit[inverse])
+    (wx, wy), (x_in, y_in) = rows, hits
+    return PaneFactors(wy, wx, ~(x_in & y_in))
 
 
 def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> PaneFactors:
     return _pane_factors(ms, ms.centers_urad, camera)
 
 
-def anti_stokes_basis(
-    ms: ModeSet,
-    theta_read_urad: Sequence[float],
-    camera: CameraGeometry,
-    previous: Optional[PaneFactors] = None,
-) -> PaneFactors:
-    """Anti-Stokes factors at one readout tilt.
+def anti_stokes_basis(ms: ModeSet, theta_read_urad: Sequence[float], camera: CameraGeometry) -> PaneFactors:
+    """Anti-Stokes factors at one readout tilt."""
+    return _pane_factors(ms, ms.anti_stokes_centers_urad(theta_read_urad), camera)
 
-    `previous`, this pane's factors at an earlier tilt, lends the factor of
-    each axis whose tilt component is unchanged.
-    """
-    tilt = (float(theta_read_urad[0]), float(theta_read_urad[1]))
-    centers = ms.anti_stokes_centers_urad(tilt)
-    return _pane_factors(ms, centers, camera, tilt, previous)
+
+def _cell_grids(ms: ModeSet, intensities: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Each per-mode intensity vector summed, in mode order, into the (Gy, Gx) grid of the factors' rows."""
+    (first_x, inv_x), (first_y, inv_y) = ms._axis_groups
+    shape = (len(first_y), len(first_x))
+    cells = inv_y * shape[1] + inv_x
+    return tuple(
+        np.bincount(cells, weights=i, minlength=shape[0] * shape[1]).reshape(shape)
+        for i in intensities
+    )
 
 
 def check_counts(counts: np.ndarray) -> None:
@@ -510,7 +481,7 @@ class Frame(_Panes):
 
 
 def _render_with_bases(
-    intensities: tuple[np.ndarray, np.ndarray],
+    grids: tuple[np.ndarray, np.ndarray],
     stokes: PaneFactors,
     anti_stokes: PaneFactors,
     shot_index: int,
@@ -518,9 +489,9 @@ def _render_with_bases(
     rng: np.random.Generator,
     noise_floor: float,
 ) -> Frame:
-    """One shot's counts: both panes' means under one Poisson draw, Stokes first."""
-    panes = zip((stokes, anti_stokes), intensities)
-    means = np.stack([f.wy.T @ (i[:, None] * f.wx_alpha) + noise_floor for f, i in panes])
+    """One shot's counts from its `_cell_grids`: both panes' means under one Poisson draw, Stokes first."""
+    panes = zip((stokes, anti_stokes), grids)
+    means = np.stack([f.wy.T @ g @ f.wx + noise_floor for f, g in panes])
     return Frame(
         counts=rng.poisson(means).astype(np.float32),
         shot_index=shot_index,
@@ -634,7 +605,8 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     """Generate frames one at a time, in frame order, without holding the stack in memory.
 
     The calling thread draws every shot in frame order (tilt factors, shot
-    stream, mode intensities); the mean-field gemms and the Poisson draw run
+    stream, mode intensities summed into a (Gy, Gx) cell grid per pane); the
+    two gemms of each pane's mean, wy.T @ grid @ wx, and the Poisson draw run
     on one helper thread per usable core, capped at the frame count.  Frame i
     draws only from shot_rng(seed, i), so the frames do not depend on the
     number of threads.  One usable core renders on the calling thread alone.
@@ -652,18 +624,16 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     diffusion = _diffusion_efficiencies(ms, rm)
 
     def jobs() -> Iterator[tuple]:
-        # only the current tilt's factors are kept (and those of the frames in
-        # flight); a tilt change rebuilds the factor of each axis it moves, so
-        # a drive-tone schedule on one axis shares the other axis's factor
-        anti = None
+        # only the current tilt's factors are kept (and those of the frames in flight)
+        tilt = None
         for i in range(n):
             tr = (float(sched[i, 0]), float(sched[i, 1]))
-            if anti is None or tr != anti.tilt:
-                anti = anti_stokes_basis(ms, tr, camera, anti)
+            if tr != tilt:
+                tilt, anti = tr, anti_stokes_basis(ms, tr, camera)
                 eta = diffusion * _aberration_rolloff(rm, tr)
             rng = shot_rng(s, i)
-            intensities = sample_shot(ms, eta, rng)
-            yield intensities, stokes, anti, i, tr, rng, rm.noise_floor
+            grids = _cell_grids(ms, sample_shot(ms, eta, rng))
+            yield grids, stokes, anti, i, tr, rng, rm.noise_floor
 
     threads = min(_usable_cores(), n)
     if threads == 1:

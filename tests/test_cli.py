@@ -491,6 +491,8 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 3.1)),
+        ("stack", lambda raw: raw[:26] + struct.pack("<d", 3.7e-155) + raw[34:]),  # f3
+        ("stack", lambda raw: raw[:26] + struct.pack("<d", 5.8e-310) + raw[34:]),
         ("stack", lambda raw: raw + raw),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
@@ -506,22 +508,28 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[retrieval]\nnoise_floor = 1e30\n"),
         ("config", b"[herald]\nzeta = 1e300\n"),
         ("config", b"[geometry]\nw0_write_m = 1e300\n"),
+        ("config", b"[modes]\nmean_photons_per_mode = 1e12\n[camera]\npixel_pitch_m = 1e-3\n"),
         ("config", b"[camera]\npixel_pitch_m = 1e300\n"),
         ("config", b"[camera]\npane_width_px = 40000\npane_height_px = 40000\n"),
         ("config", b"[camera]\npane_width_px = 4294967296\npane_height_px = 2\n"),
         ("config", b"[retrieval]\naberration_scale_urad = 1e-300\n"),
+        ("config", b"[geometry]\nlambda_read_m = 1e300\n"),
+        ("config", b"[modes]\ngain_shrink = 5e-324\n"),
+        ("config", b"[modes]\ngrid_spacing_sigma = inf\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
-        "stack-count-2^24", "stack-fractional-count", "stack-trailing-bytes",
+        "stack-count-2^24", "stack-fractional-count", "stack-f3-pitch-past-paraxial",
+        "stack-f3-subnormal", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
-        "config-pane-past-frame-record", "config-pane-width-past-u32",
-        "config-aberration-scale-underflows",
+        "config-pitch-past-paraxial", "config-pane-past-frame-record", "config-pane-width-past-u32",
+        "config-aberration-scale-underflows", "config-carrier-ratio-1e306",
+        "config-gain-shrink-subnormal", "config-grid-spacing-inf",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):

@@ -49,7 +49,8 @@ def small_camera(n=16):
 def render_shot(intensities, ms, tilt, camera, rng, noise_floor=0.0, shot_index=0):
     """One frame from given mode intensities, through the renderer `iter_simulated_frames` uses."""
     factors = stokes_basis(ms, camera), scattering.anti_stokes_basis(ms, tilt, camera)
-    return scattering._render_with_bases(intensities, *factors, shot_index, tilt, rng, noise_floor)
+    grids = scattering._cell_grids(ms, intensities)
+    return scattering._render_with_bases(grids, *factors, shot_index, tilt, rng, noise_floor)
 
 
 def flat_model(eta0=1.0, noise_floor=0.0):
@@ -196,15 +197,39 @@ def test_sample_shot_scales_by_eta():
 # --- rendering --------------------------------------------------------------
 
 
-def test_factored_mean_matches_per_mode_gaussians():
+def _modes_at(centers):
+    """A ModeSet of the given centres, each 70 urad sigma with 1000 photons."""
+    c = np.array(centers, dtype=float)
+    return ModeSet(
+        centers_urad=c,
+        mean_photons=np.full(len(c), 1000.0),
+        sigma_urad=np.full(len(c), 70.0),
+        grid_spacing_urad=100.0,
+        envelope_fwhm_urad=(600.0, 600.0),
+        spot_fwhm_urad=230.0,
+        lambda_write_m=795e-9,
+        lambda_read_m=780e-9,
+    )
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [
+        build_mode_set(GEOM, grid(400.0)),
+        _modes_at([[0.0, 0.0], [120.0, 0.0], [0.0, -400.0]]),  # an L, one leg off the pane
+        _modes_at([[30.0, -20.0], [30.0, -20.0]]),  # two modes in one cell
+    ],
+    ids=["grid", "L-of-3", "shared-cell"],
+)
+def test_factored_mean_matches_per_mode_gaussians(ms):
     # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
-    ms = build_mode_set(GEOM, grid(400.0))
     cam = small_camera(24)
     factors = stokes_basis(ms, cam)
-    wy, wx_alpha, in_pane = factors.wy, factors.wx_alpha, ~factors.off_pane
-    assert wy.shape == (ms.n_modes, cam.height_px)
-    assert wx_alpha.shape == (ms.n_modes, cam.width_px)
-    assert 0 < in_pane.sum() < ms.n_modes
+    (first_x, _), (first_y, _) = ms._axis_groups
+    assert factors.wy.shape == (len(first_y), cam.height_px)
+    assert factors.wx.shape == (len(first_x), cam.width_px)
+    in_pane = ~factors.off_pane
+    assert in_pane.any()
     i_s = np.random.default_rng(4).exponential(1000.0, ms.n_modes)
     gx, gy = np.meshgrid(*cam.pixel_angle_axes())
     expected = np.zeros((cam.height_px, cam.width_px))
@@ -213,32 +238,32 @@ def test_factored_mean_matches_per_mode_gaussians():
         r2 = (gx - cx) ** 2 + (gy - cy) ** 2
         area = cam.pitch_urad**2 / (2 * math.pi * sig**2)
         expected += i_s[m] * area * np.exp(-r2 / (2 * sig**2))
-    np.testing.assert_allclose(wy.T @ (i_s[:, None] * wx_alpha), expected, rtol=1e-12)
+    (g,) = scattering._cell_grids(ms, [i_s])
+    np.testing.assert_allclose(factors.wy.T @ g @ factors.wx, expected, rtol=1e-12)
 
 
-def test_factors_at_a_new_tilt_share_the_unmoved_axis_and_keep_the_bits():
-    """Reused factors equal fresh ones, and both equal a one-row-per-mode build bit for bit."""
+def test_factors_at_every_tilt_keep_the_bits():
+    """The per-axis rows equal a one-row-per-mode build bit for bit, and off_pane the four-bound rule."""
     cfg = default_config()
     ms, cam = mode_set_from_config(cfg), cfg.camera
     ax, ay = cam.pixel_angle_axes()
+    (first_x, _), (first_y, _) = ms._axis_groups
     sig = ms.sigma_urad[:, None]
-    previous = None
+    ox, oy = cam.origin_px
+    half_px = 0.5 * cam.pitch_urad
     for tilt in BOTH_AXIS_TILTS:
-        got = scattering.anti_stokes_basis(ms, tilt, cam, previous)
-        fresh = scattering.anti_stokes_basis(ms, tilt, cam)
-        centers = ms.anti_stokes_centers_urad(tilt)
-        wx = np.exp(-0.5 * ((ax[None, :] - centers[:, :1]) / sig) ** 2)
+        got = scattering.anti_stokes_basis(ms, tilt, cam)
+        cx, cy = ms.anti_stokes_centers_urad(tilt).T
+        x_in = (cx >= -ox * cam.pitch_urad - half_px) & (cx < (cam.width_px - 1 - ox) * cam.pitch_urad + half_px)
+        y_in = (cy >= -oy * cam.pitch_urad - half_px) & (cy < (cam.height_px - 1 - oy) * cam.pitch_urad + half_px)
+        wx = np.exp(-0.5 * ((ax[None, :] - cx[:, None]) / sig) ** 2)
         wx *= (cam.pitch_urad**2 / (2.0 * math.pi * ms.sigma_urad**2))[:, None]
-        wy = np.exp(-0.5 * ((ay[None, :] - centers[:, 1:]) / sig) ** 2)
-        wy[got.off_pane] = 0.0
-        for factors in (got, fresh):
-            np.testing.assert_array_equal(factors.wx_alpha, wx)
-            np.testing.assert_array_equal(factors.wy, wy)
-        np.testing.assert_array_equal(got.off_pane, fresh.off_pane)
-        if previous is not None:
-            assert (got.wx_alpha is previous.wx_alpha) == (tilt[0] == previous.tilt[0])
-            assert (got.wy_rows is previous.wy_rows) == (tilt[1] == previous.tilt[1])
-        previous = got
+        wy = np.exp(-0.5 * ((ay[None, :] - cy[:, None]) / sig) ** 2)
+        wx[~x_in] = 0.0
+        wy[~y_in] = 0.0
+        np.testing.assert_array_equal(got.wx, wx[first_x])
+        np.testing.assert_array_equal(got.wy, wy[first_y])
+        np.testing.assert_array_equal(got.off_pane, ~(x_in & y_in))
     assert got.off_pane.any()
 
 
@@ -268,7 +293,8 @@ def test_render_energy_bookkeeping():
     i_as = 0.5 * i_s
     fr = render_shot((i_s, i_as), ms, (0.0, 0.0), cam, shot_rng(0, 1))
     for counts, factors, i in ((fr.stokes, stokes, i_s), (fr.anti_stokes, anti, i_as)):
-        mean = (factors.wy.T @ (i[:, None] * factors.wx_alpha)).sum()
+        (g,) = scattering._cell_grids(ms, [i])
+        mean = (factors.wy.T @ g @ factors.wx).sum()
         # only the Gaussian tails past the pane edge are lost
         assert 0.98 * i.sum() < mean <= i.sum()
         assert abs(counts.sum() - mean) < 5.0 * math.sqrt(mean)
@@ -590,8 +616,8 @@ def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
 def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
     """At most 4 * threads frames are in flight: the same peak at 64 and at 640 frames.
 
-    Every frame has its own theta_y, so each job carries a fresh anti-Stokes
-    y factor (~62 KB) and shares the x factor, besides its two panes.  "The
+    Every frame has its own theta_y, so each job carries fresh anti-Stokes
+    factors (11 x and 11 y rows, ~17 KB), besides its two panes.  "The
     same" allows 1 MB for thread timing, which moves the peak by up to
     ~0.25 MB; a pipeline that queued every job or kept every frame would grow
     by tens of MB.
