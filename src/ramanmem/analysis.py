@@ -160,8 +160,8 @@ def _check_exact(moments: MomentSet) -> None:
 def accumulate_block(moments: MomentSet, block: np.ndarray) -> None:
     """The moment update: fold n frames, a (n, 2, H, W) block of counts, into the set.
 
-    The block may be of any integer or float dtype; it is converted to
-    float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
+    The block holds unsigned counts (u16 or u32, each exact in float64); it
+    is converted to float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
     gives the intensity sum and every reference's cross moment, and one
     einsum the squared sum; each field is then added once, whatever K is.
     Photon counts are integers, so while every partial sum stays below 2**53

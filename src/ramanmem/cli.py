@@ -100,9 +100,8 @@ def cmd_simulate(args) -> int:
                 path=args.schedule,
             )
     checksum = cfg.checksum()
-    bound = scattering.pixel_count_bound(cfg.mode_set(), cfg.camera, cfg.retrieval.noise_floor)
     with stackio.StackWriter(
-        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, stackio.count_dtype(bound)
+        args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, scattering.count_dtype(cfg)
     ) as writer:
         for frame in scattering.iter_simulated_frames(cfg, schedule=schedule):
             writer.append(frame)
@@ -127,7 +126,7 @@ def _stack_blocks(path: str):
     def checked() -> Iterator[np.ndarray]:
         try:
             yield from blocks
-        except (ValueError, OverflowError) as exc:  # a bad body length, or a count check_counts rejects
+        except (ValueError, OverflowError) as exc:  # a bad body length, or a version 1 count the reader rejects
             raise ConfigError(str(exc), path=path) from None
 
     return camera, count, seed, checksum, checked()
@@ -209,6 +208,8 @@ def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
 def cmd_steer(args) -> int:
     cfg = _load_config(args)
     _require_map_frames(cfg.run.n_frames, "--frames")
+    if args.fibers > cfg.camera.height_px:  # the fibers share one pixel column, one reference each
+        raise ConfigError(f"more fibers than the {cfg.camera.height_px} pixels of a column", path="--fibers")
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)
     checksum = cfg.checksum()
     try:

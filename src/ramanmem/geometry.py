@@ -148,10 +148,11 @@ class CameraGeometry:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        # one check for every source of the two lengths: a config or a stack header
-        if not 0.0 < self.pitch_urad <= PARAXIAL_LIMIT_URAD:
+        # one check for every source of the two lengths, a config or a stack header; the
+        # floor keeps every paraxial angle within 2**31 pixels of the origin (a C long)
+        if not PARAXIAL_LIMIT_URAD / 2**31 < self.pitch_urad <= PARAXIAL_LIMIT_URAD:
             raise ValueError(f"a pixel of {self.pitch_urad:g} urad (pitch / f3) is not within "
-                             f"(0, {PARAXIAL_LIMIT_URAD:g}]")
+                             f"({PARAXIAL_LIMIT_URAD / 2**31:g}, {PARAXIAL_LIMIT_URAD:g}]")
 
     @property
     def origin_px(self) -> tuple[int, int]:

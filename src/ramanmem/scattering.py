@@ -5,7 +5,8 @@ scattering cone.  Each shot draws an independent exponential (single-mode
 thermal) intensity per mode; retrieval returns eta_m * I_m into the conjugate
 direction, where eta_m combines spin-wave diffusion damping and a readout
 steering aberration roll-off.  Panes are Poisson photoelectron counts on top
-of a uniform noise floor, so every rendered pixel is integer valued.
+of a uniform noise floor: each frame holds them as unsigned integers of one
+width, u16 or u32, the `count_dtype` its stack is written in.
 
 Randomness is counter based: shot i of a run seeded with s draws exclusively
 from Philox streamed with key (s, i), which makes stacks bit-reproducible and
@@ -46,8 +47,8 @@ __all__ = [
     "build_mode_set",
     "mode_set_from_config",
     "check_pixel_photons",
-    "check_counts",
     "pixel_count_bound",
+    "count_dtype",
     "retrieval_efficiencies",
     "sample_shot",
     "iter_simulated_frames",
@@ -63,9 +64,6 @@ PHOTON_SCALE_MAX = 1e12
 # (~800 times the default 121) the draws alone take ~1.5 ms a shot, about what a
 # whole default frame costs, and the loop ~0.1 s (one 2-core x86 host).
 MODE_COUNT_MAX = 100_000
-
-# frames store counts as float32, which holds every integer exactly only below 2**24
-_COUNT_LIMIT = 2**24
 
 
 def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float:
@@ -276,6 +274,16 @@ def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -
     return THERMAL_TAIL_FACTOR * float(_peak_pixel_means(ms, camera).sum()) + noise_floor
 
 
+# the count widths a frame holds and a stack stores: u16, else u32
+COUNT_DTYPES = (np.dtype("<u2"), np.dtype("<u4"))
+
+
+def count_dtype(cfg) -> np.dtype:
+    """The narrower of COUNT_DTYPES whose range holds cfg's `pixel_count_bound`."""
+    bound = pixel_count_bound(mode_set_from_config(cfg), cfg.camera, cfg.retrieval.noise_floor)
+    return COUNT_DTYPES[bound > np.iinfo(COUNT_DTYPES[0]).max]
+
+
 @dataclass(frozen=True)
 class ModeGridParams:
     """The [modes] section: the mode grid `build_mode_set` lays out."""
@@ -436,24 +444,6 @@ def _cell_grids(ms: ModeSet, intensities: Iterable[np.ndarray]) -> tuple[np.ndar
     )
 
 
-def check_counts(counts: np.ndarray) -> None:
-    """The one count rule: finite and non-negative (else ValueError), below 2**24 (else OverflowError).
-
-    Unsigned integers need no minimum, and a dtype whose whole range obeys
-    the rule (u16) no scan at all.
-    """
-    if counts.dtype.kind == "u":
-        if np.iinfo(counts.dtype).max < _COUNT_LIMIT:
-            return
-        lo, hi = 0, (counts.max() if counts.size else 0)
-    else:
-        lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
-    if not (lo >= 0 and hi < np.inf):
-        raise ValueError("pane intensities must be finite and non-negative")
-    if hi >= _COUNT_LIMIT:
-        raise OverflowError(f"a count of {hi:.0f} reaches 2**24: float32 frames round it")
-
-
 class _Panes:
     """`stokes` and `anti_stokes`: views of the pane axis of a (..., 2, H, W) `counts` array."""
 
@@ -468,7 +458,7 @@ class _Panes:
 
 @dataclass(eq=False)
 class Frame(_Panes):
-    """One camera exposure: (2, H, W) counts, Stokes pane first as in `.rmns`, shot index and tilt."""
+    """One camera exposure: (2, H, W) u16 or u32 counts, Stokes pane first as in `.rmns`, shot index and tilt."""
 
     counts: np.ndarray
     shot_index: int
@@ -477,7 +467,8 @@ class Frame(_Panes):
     def __post_init__(self) -> None:
         if self.counts.ndim != 3 or self.counts.shape[0] != 2:
             raise ValueError(f"frame counts must be a (2, H, W) array, got {self.counts.shape}")
-        check_counts(self.counts)
+        if self.counts.dtype not in COUNT_DTYPES:
+            raise ValueError(f"frame counts must be u16 or u32, got {self.counts.dtype}")
 
 
 def _render_with_bases(
@@ -488,12 +479,20 @@ def _render_with_bases(
     theta_read_urad: Sequence[float],
     rng: np.random.Generator,
     noise_floor: float,
+    counts_dtype: np.dtype,
 ) -> Frame:
-    """One shot's counts from its `_cell_grids`: both panes' means under one Poisson draw, Stokes first."""
+    """One shot's counts from its `_cell_grids`: both panes' means under one Poisson draw, Stokes first.
+
+    The counts are cast to counts_dtype; one past its range raises OverflowError, never wraps.
+    """
     panes = zip((stokes, anti_stokes), grids)
     means = np.stack([f.wy.T @ g @ f.wx + noise_floor for f, g in panes])
+    counts = rng.poisson(means)
+    top = counts.max()
+    if top > np.iinfo(counts_dtype).max:
+        raise OverflowError(f"a count of {top} does not fit the stack's {counts_dtype.name} counts")
     return Frame(
-        counts=rng.poisson(means).astype(np.float32),
+        counts=counts.astype(counts_dtype),
         shot_index=shot_index,
         readout_angle_urad=tuple(map(float, theta_read_urad)),
     )
@@ -607,7 +606,8 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     The calling thread draws every shot in frame order (tilt factors, shot
     stream, mode intensities summed into a (Gy, Gx) cell grid per pane); the
     two gemms of each pane's mean, wy.T @ grid @ wx, and the Poisson draw run
-    on one helper thread per usable core, capped at the frame count.  Frame i
+    on one helper thread per usable core, capped at the frame count.  Every
+    frame holds its counts in `count_dtype(cfg)`, the width of its stack.  Frame i
     draws only from shot_rng(seed, i), so the frames do not depend on the
     number of threads.  One usable core renders on the calling thread alone.
     """
@@ -622,6 +622,7 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
 
     stokes = stokes_basis(ms, camera)
     diffusion = _diffusion_efficiencies(ms, rm)
+    counts_dtype = count_dtype(cfg)
 
     def jobs() -> Iterator[tuple]:
         # only the current tilt's factors are kept (and those of the frames in flight)
@@ -633,7 +634,7 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
                 eta = diffusion * _aberration_rolloff(rm, tr)
             rng = shot_rng(s, i)
             grids = _cell_grids(ms, sample_shot(ms, eta, rng))
-            yield grids, stokes, anti, i, tr, rng, rm.noise_floor
+            yield grids, stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
 
     threads = min(_usable_cores(), n)
     if threads == 1:

@@ -20,11 +20,13 @@ Layout (all little endian):
 A version 1 header has no count width, and its records are the (2, H, W)
 counts as float32 alone; its frames read with readout angles (0, 0).
 
-Each block of records is read with one `np.fromfile`, and every count read
-passes `scattering.check_counts`, which scans no u16 body at all; a version 1
-body's float32 counts must also be whole numbers.  A writer
-never wraps a count: one past its width raises OverflowError.  Writing the
-same stack twice produces byte-identical files.
+Each block of records is read with one `np.fromfile`.  A version 2 body is
+handed out as stored: its unsigned counts need no check.  A version 1 body's
+float32 counts must be finite, non-negative, whole and below 2**24, past which
+float32 rounds them; they are then converted to u32, so every count read is
+an unsigned integer.  A writer never wraps a count: it takes only frames of
+a count type its width holds, and the renderer fails on a count past that
+width.  Writing the same stack twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .geometry import CameraGeometry
-from .scattering import Frame, FrameStack, check_counts
+from .scattering import COUNT_DTYPES, Frame, FrameStack
 
 __all__ = [
     "MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks", "iter_stack",
@@ -48,13 +50,6 @@ MAGIC = b"RMNS"
 VERSION = 2
 _HEADER = struct.Struct("<4sHIIIddQQ")  # the header of every version starts so
 _COUNT_WIDTH = struct.Struct("<H")  # version 2 appends the bytes per count
-COUNT_DTYPES = (np.dtype("<u2"), np.dtype("<u4"))
-
-
-def count_dtype(bound: float) -> np.dtype:
-    """The narrower body width whose range holds every count up to bound."""
-    narrow, wide = COUNT_DTYPES
-    return narrow if bound <= np.iinfo(narrow).max else wide
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
@@ -69,11 +64,12 @@ def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
 class StackWriter:
     """Incremental writer so large runs never need to sit in memory.
 
-    `count_dtype` is the body width, one of COUNT_DTYPES; `cmd_simulate`
-    picks it with `count_dtype(bound)` from the config's pixel count bound.  Used as a context
-    manager, it deletes the file it created when the block exits on an
-    exception, so a failed or interrupted run leaves no truncated stack
-    behind.
+    `count_dtype` is the body width, one of `scattering.COUNT_DTYPES`;
+    `cmd_simulate` passes `scattering.count_dtype(cfg)`, the width its frames
+    render in.  A frame appended must hold counts the width can cast to
+    exactly.  Used as a context manager, it deletes the file it created when
+    the block exits on an exception, so a failed or interrupted run leaves
+    no truncated stack behind.
     """
 
     def __init__(
@@ -114,18 +110,9 @@ class StackWriter:
             )
         if self._written >= self._expected:
             raise ValueError("stack already holds the declared number of frames")
-        # `Frame` holds counts non-negative; any other dtype is checked for
-        # counts past the width, which would wrap, and fractions, which would round
-        exact = np.can_cast(counts.dtype, self._counts.dtype)
-        if not exact and counts.max() > np.iinfo(self._counts.dtype).max:
-            raise OverflowError(
-                f"a count of {counts.max():.0f} does not fit the stack's "
-                f"{self._counts.dtype.name} counts"
-            )
         self._angle[...] = frame.readout_angle_urad
-        self._counts[...] = counts
-        if not (exact or np.array_equal(self._counts, counts)):
-            raise ValueError("stack counts must be whole numbers")
+        # counts wider than the stack's raise TypeError instead of wrapping; none is scanned
+        np.copyto(self._counts, counts, casting="safe")
         self._fh.write(self._record)
         self._written += 1
 
@@ -191,17 +178,24 @@ def _check_end(fh, count: int) -> None:
 
 
 def _read_frames(fh, record: np.dtype, first: int, n: int, count: int):
-    """Frames first .. first + n - 1 of a count-frame body, checked: (n, 2) angles, (n, 2, H, W) counts.
+    """Frames first .. first + n - 1 of a count-frame body: (n, 2) angles, (n, 2, H, W) unsigned counts.
 
-    A version 1 body stores no angles; its frames read with (0, 0).
+    A version 1 body stores no angles; its frames read with (0, 0), and its
+    float32 counts are checked, then converted to u32.
     """
     data = np.fromfile(fh, dtype=record, count=n)
     if data.size != n:
         raise ValueError(f"truncated frame {first + data.size}")
     counts = data["counts"]
-    check_counts(counts)
-    if counts.dtype.kind == "f" and (counts % 1.0).any():  # only a version 1 body can hold a fraction
-        raise ValueError("stack counts must be whole numbers")
+    if counts.dtype.kind == "f":  # a version 1 body
+        lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
+        if not (lo >= 0 and hi < np.inf):
+            raise ValueError("pane intensities must be finite and non-negative")
+        if hi >= 2**24:  # float32 holds every integer exactly only below 2**24
+            raise OverflowError(f"a count of {hi:.0f} reaches 2**24: float32 frames round it")
+        if (counts % 1.0).any():
+            raise ValueError("stack counts must be whole numbers")
+        counts = counts.astype(COUNT_DTYPES[1])
     if first + n == count:
         _check_end(fh, count)
     angles = data["angle"] if "angle" in record.names else np.zeros((n, 2))
@@ -209,7 +203,7 @@ def _read_frames(fh, record: np.dtype, first: int, n: int, count: int):
 
 
 def read_stack(path) -> FrameStack:
-    """Load a whole stack into memory: its counts and angles are views of the body as read."""
+    """Load a whole stack into memory: a version 2 stack's counts and angles are views of the body as read."""
     with open(path, "rb") as fh:
         camera, count, seed, checksum, record = _read_header(fh)
         angles, counts = _read_frames(fh, record, 0, count, count)
@@ -245,9 +239,10 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
     holds `_BLOCK` frames but the last, read with one call; each is a view
     of a fresh record array the iterator keeps no reference to, of the
-    body's dtype (u16 or u32, float32 for version 1).  A body that ends
-    early raises "truncated frame i" for its first incomplete frame, bytes
-    past the last frame raise, and so does a count `check_counts` rejects.
+    body's dtype (u16 or u32; a version 1 body's counts read as u32).  A
+    body that ends early raises "truncated frame i" for its first incomplete
+    frame, bytes past the last frame raise, and so does a version 1 count
+    the reader rejects.
     The iterator opens the file only when iteration starts, so a caller
     that never iterates holds no open handle.
     """

@@ -18,7 +18,7 @@ CAM4 = CameraGeometry(width_px=4, height_px=4, pixel_pitch_m=7.5e-6, f3_m=0.5)
 
 def make_frame(stokes, anti, i=0):
     return Frame(
-        counts=np.array([stokes, anti], dtype=np.float32),
+        counts=np.array([stokes, anti], dtype=np.uint32),
         shot_index=i,
         readout_angle_urad=(0.0, 0.0),
     )

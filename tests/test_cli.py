@@ -185,7 +185,7 @@ def test_correlate_fresh_simulation_and_flipped_reference(tmp_path, cfg_path, ca
 def test_correlate_dead_reference_fails_fit(tmp_path, capsys):
     cam = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
     stack = tmp_path / "dead.rmns"
-    zeros = np.zeros((2, 8, 16), dtype=np.float32)
+    zeros = np.zeros((2, 8, 16), dtype=np.uint16)
     with StackWriter(stack, cam, 4, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
         for i in range(4):
             w.append(Frame(zeros, shot_index=i, readout_angle_urad=(0.0, 0.0)))
@@ -311,7 +311,7 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
 def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
     """Ingest holds one block at a time: the same map-making peak at 64 and at 640 frames.
 
-    "The same" allows 8 KB, half of one frame's float32 panes, for one-off
+    "The same" allows 8 KB, one frame's u16 panes, for one-off
     interpreter allocations; a peak that grew with the stack would be MBs.
     """
     cam = CameraGeometry(width_px=64, height_px=32, pixel_pitch_m=7.5e-6, f3_m=0.5)
@@ -322,7 +322,7 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
         path = tmp_path / f"run{count}.rmns"
         with StackWriter(path, cam, count, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             for i in range(count):
-                panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.float32)
+                panes = rng.poisson(20.0, size=(2, 32, 64)).astype(np.uint16)
                 w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
         blocks = cli._stack_blocks(str(path))[-1]
         tracemalloc.start()
@@ -466,6 +466,22 @@ def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
         assert not list(tmp_path.glob("s_*"))
 
 
+def test_more_fibers_than_column_pixels_exit_2_before_any_render(tmp_path, cfg_path, capsys, monkeypatch):
+    """Every fiber is one reference on one pixel column: one more fiber than its pixels is refused."""
+    height = load_config(cfg_path).camera.height_px
+
+    def no_render(*args, **kwargs):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(scattering, "iter_simulated_frames", no_render)
+    report = tmp_path / "steer.csv"
+    argv = ["steer", "--config", cfg_path, "--frames", "5", "--fibers", str(height + 1), "--out", str(report)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --fibers: more fibers than the {height} pixels of a column\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("span", ["inf", "-inf", "nan"])
 def test_fiber_span_must_be_finite(capsys, span):
     """argparse rejects the span itself, before numpy sees it."""
@@ -493,6 +509,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 3.1)),
         ("stack", lambda raw: raw[:26] + struct.pack("<d", 3.7e-155) + raw[34:]),  # f3
         ("stack", lambda raw: raw[:26] + struct.pack("<d", 5.8e-310) + raw[34:]),
+        ("stack", lambda raw: raw[:26] + struct.pack("<d", 1e300) + raw[34:]),
         ("stack", lambda raw: raw + raw),
         ("schedule", "shot,tilt_urad\n0,1.0\n"),
         ("schedule", _SCHEDULE_HEAD + "0,0.0,abc\n"),
@@ -516,12 +533,14 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("config", b"[geometry]\nlambda_read_m = 1e300\n"),
         ("config", b"[modes]\ngain_shrink = 5e-324\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = inf\n"),
+        ("config", b"[chain]\nf3_m = 1e300\n"),
+        ("config", b"[camera]\npixel_pitch_m = 5e-324\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
         "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
         "stack-count-2^24", "stack-fractional-count", "stack-f3-pitch-past-paraxial",
-        "stack-f3-subnormal", "stack-trailing-bytes",
+        "stack-f3-subnormal", "stack-f3-pixel-below-floor", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
@@ -530,6 +549,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "config-pitch-past-paraxial", "config-pane-past-frame-record", "config-pane-width-past-u32",
         "config-aberration-scale-underflows", "config-carrier-ratio-1e306",
         "config-gain-shrink-subnormal", "config-grid-spacing-inf",
+        "config-f3-pixel-below-floor", "config-pitch-pixel-below-floor",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -551,7 +571,7 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-    assert not (tmp_path / "x.rmns").exists() and not (tmp_path / "map_fit.csv").exists()
+    assert not (tmp_path / "x.rmns").exists() and not list(tmp_path.glob("map_*"))
 
 
 @pytest.mark.parametrize("command", ["correlate", "steer", "herald"])
@@ -587,20 +607,78 @@ def test_failed_simulate_leaves_no_stack(tmp_path, cfg_path, monkeypatch):
     assert not out.exists()
 
 
-def test_counts_past_float32_exactness_exit_2(tmp_path, capsys):
-    """At 1e9 photons per mode counts pass 2**24, which float32 frames round: no run finishes."""
+def _bright_config(tmp_path, photons):
     cfg = tmp_path / "bright.ini"
-    cfg.write_text("[modes]\nmean_photons_per_mode = 1e9\n")
-    stack = tmp_path / "bright.rmns"
-    for argv in (
-        ["correlate", "--frames", "200", "--seed", "5", "--out", str(tmp_path / "map")],
-        ["simulate", "--frames", "200", "--seed", "5", "--out", str(stack)],
-    ):
+    cfg.write_text(f"[modes]\nmean_photons_per_mode = {photons!r}\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_counts_past_2_24_fit_a_u32_stack_and_fail_the_fold(tmp_path, capsys, monkeypatch, threads):
+    """At 1e9 photons per mode counts pass 2**24: a u32 stack holds them, and their squares pass 2**53."""
+    _use_threads(monkeypatch, threads)
+    cfg, stack = _bright_config(tmp_path, 1e9), tmp_path / "bright.rmns"
+    run = ["--frames", "16", "--seed", "5", "--config", cfg]
+    assert main(["simulate", *run, "--out", str(stack)]) == 0
+    counts = read_stack(stack).counts
+    assert counts.dtype == np.uint32 and counts.max() >= 2**24
+    for source in (run, ["--stack", str(stack)]):
         capsys.readouterr()
-        assert main([*argv, "--config", str(cfg)]) == 2
+        assert main(["correlate", *source, "--out", str(tmp_path / "map")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "2**24" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2**53" in err
+    assert not list(tmp_path.glob("map_*"))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_counts_past_u32_exit_2(tmp_path, capsys, monkeypatch, threads):
+    """At 1e12 photons per mode a count passes u32, the widest stack: no run finishes, no file is left."""
+    _use_threads(monkeypatch, threads)
+    run = ["--frames", "3", "--seed", "5", "--config", _bright_config(tmp_path, 1e12)]
+    stack = tmp_path / "bright.rmns"
+    for argv in (["simulate", *run, "--out", str(stack)],
+                 ["correlate", *run, "--out", str(tmp_path / "map")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a count of ") and err.count("\n") == 1
+        assert err.endswith(" does not fit the stack's uint32 counts\n")
     assert not stack.exists() and not list(tmp_path.glob("map_*"))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_u32_stack_holding_2_24_maps(tmp_path, cfg_path, monkeypatch, threads):
+    """A count of 2**24 is a plain u32 count: the stack maps, and that pixel correlates."""
+    _use_threads(monkeypatch, threads)
+    cfg = load_config(cfg_path)
+    frames = list(scattering.iter_simulated_frames(cfg, n_frames=20))
+    path = tmp_path / "wide.rmns"
+    with StackWriter(path, cfg.camera, len(frames), seed=7, config_checksum=0, count_dtype=np.uint32) as w:
+        for i, frame in enumerate(frames):
+            counts = frame.counts.astype(np.uint32)
+            if i == len(frames) - 1:  # the first anti-Stokes pixel of the last frame
+                counts[1, 0, 0] = 2**24
+            w.append(Frame(counts, shot_index=i, readout_angle_urad=(0.0, 0.0)))
+    assert read_stack(path).anti_stokes.max() == 2**24
+    prefix = tmp_path / "map"
+    assert main(["correlate", "--stack", str(path), "--out", str(prefix)]) == 0
+    first_row = np.loadtxt(f"{prefix}_anti_stokes.csv", delimiter=",", skiprows=2)[0]
+    assert np.isfinite(first_row[2])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_v1_stack_reads_as_u32_and_maps_unchanged(tmp_path, cfg_path, monkeypatch, threads):
+    """A stack written as version 1 reads as u32 counts and maps to the bytes of its version 2 file."""
+    _use_threads(monkeypatch, threads)
+    v2, v1 = tmp_path / "v2.rmns", tmp_path / "v1.rmns"
+    assert main(["simulate", "--config", cfg_path, "--frames", "21", "--out", str(v2)]) == 0
+    v1.write_bytes(v1_bytes(v2))
+    assert read_stack(v2).counts.dtype == np.uint16 and read_stack(v1).counts.dtype == np.uint32
+    np.testing.assert_array_equal(read_stack(v1).counts, read_stack(v2).counts)
+    for path in (v1, v2):
+        assert main(["correlate", "--stack", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    for suffix in _MAP_SUFFIXES:
+        assert Path(f"{tmp_path / 'v1'}{suffix}").read_bytes() == Path(f"{tmp_path / 'v2'}{suffix}").read_bytes()
 
 
 def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
@@ -610,8 +688,7 @@ def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
     2**53 and exact; the 64 frames of the stack pass it.
     """
     cam = CameraGeometry(width_px=64, height_px=32, pixel_pitch_m=7.5e-6, f3_m=0.5)
-    counts = np.random.default_rng(3).integers(2**23, 2**24, size=(64, 2, 32, 64))
-    counts = counts.astype(np.float32)  # exact: every integer below 2**24 is a float32
+    counts = np.random.default_rng(3).integers(2**23, 2**24, size=(64, 2, 32, 64), dtype=np.uint32)
     path = tmp_path / "bright.rmns"
     with StackWriter(path, cam, len(counts), seed=0, config_checksum=0, count_dtype=np.uint32) as w:
         for i, panes in enumerate(counts):

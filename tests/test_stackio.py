@@ -119,18 +119,18 @@ def test_iter_stack_matches_bulk_read(tmp_path):
 
 
 def test_v1_stack_reads_with_zero_angles(tmp_path):
-    """A committed version 1 stack reads as written, and as the v2 stack of its frames."""
+    """A committed version 1 stack reads as written, as u32 counts, and as the v2 stack of its frames."""
     v1 = read_stack(V1_FIXTURE)
-    assert v1.counts.dtype == np.float32 and v1.n_frames == 3
+    assert v1.counts.dtype == np.uint32 and v1.n_frames == 3
     assert v1.camera == CAM and v1.seed == 3
     assert not v1.readout_angles_urad.any()
     _, _, _, _, frames = iter_stack(V1_FIXTURE)
     assert [f.readout_angle_urad for f in frames] == [(0.0, 0.0)] * 3
     path = tmp_path / "v2.rmns"
     frames = [Frame(counts, shot_index=i, readout_angle_urad=(0.0, 0.0)) for i, counts in enumerate(v1.counts)]
-    write(path, frames, seed=v1.seed, checksum=v1.config_checksum)
+    write(path, frames, np.uint32, seed=v1.seed, checksum=v1.config_checksum)
     v2 = read_stack(path)
-    assert v2.counts.dtype == np.uint16
+    assert v2.counts.dtype == np.uint32
     np.testing.assert_array_equal(v2.counts, v1.counts)
     assert (v2.camera, v2.seed, v2.config_checksum) == (v1.camera, v1.seed, v1.config_checksum)
     assert v1_bytes(path) == V1_FIXTURE.read_bytes()
@@ -139,29 +139,47 @@ def test_v1_stack_reads_with_zero_angles(tmp_path):
 
 
 def test_writer_never_wraps_or_rounds_a_count(tmp_path):
-    counts = np.zeros((2, CAM.height_px, CAM.width_px), dtype=np.float32)
+    """A frame's counts go into a stack only if its width holds their type; a float stack is refused."""
+    counts = np.zeros((2, CAM.height_px, CAM.width_px), dtype=np.uint32)
     counts[1, -1, -1] = 2**16
     frame = Frame(counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
     path = tmp_path / "x.rmns"
-    with pytest.raises(OverflowError, match="65536 does not fit the stack's uint16 counts"):
+    with pytest.raises(TypeError, match=r"Cannot cast .*uint32"):
         with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
             w.append(frame)
     assert not path.exists()
     with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint32) as w:
         w.append(frame)
     assert read_stack(path).anti_stokes[0, -1, -1] == 2**16
-    counts[1, -1, -1] = 2.5
-    with pytest.raises(ValueError, match="whole numbers"):
-        with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
-            w.append(frame)
     with pytest.raises(ValueError, match="u16 or u32"):
         StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.float32)
+
+
+class _Unscannable(np.ndarray):
+    """An array whose min() and max() fail."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("min() scanned")
+
+    def max(self, *args, **kwargs):
+        raise AssertionError("max() scanned")
+
+
+@pytest.mark.parametrize("width", [np.uint16, np.uint32])
+def test_writer_scans_no_count(tmp_path, width):
+    """The frame's type is the writer's one check: its widest counts go in as they are."""
+    counts = np.full((2, CAM.height_px, CAM.width_px), np.iinfo(width).max, dtype=width)
+    frame = Frame(counts.view(_Unscannable), shot_index=0, readout_angle_urad=(0.0, 0.0))
+    path = tmp_path / "x.rmns"
+    with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=width) as w:
+        w.append(frame)
+    np.testing.assert_array_equal(read_stack(path).counts[0], counts)
 
 
 def test_writer_rejects_wrong_pane_shape(tmp_path):
     w = StackWriter(tmp_path / "x.rmns", CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16)
     bad = Frame(
-        counts=np.zeros((2, 4, 4), dtype=np.float32),
+        counts=np.zeros((2, 4, 4), dtype=np.uint16),
         shot_index=0,
         readout_angle_urad=(0.0, 0.0),
     )
@@ -318,7 +336,7 @@ def test_non_finite_count_is_rejected(tmp_path, value):
 
 
 def test_count_of_2_24_is_rejected(tmp_path):
-    """A count of 2**24 or more fails a float32 (v1) body, which rounds it, and a u32 body."""
+    """A count of 2**24 or more fails a float32 (v1) body, which rounds it; a u32 body holds it exactly."""
     p = tmp_path / "big.rmns"
     raw = v1_stack(p, _BLOCK + 2)
     raw[-4:] = struct.pack("<f", 2.0**24 - 1)
@@ -326,7 +344,7 @@ def test_count_of_2_24_is_rejected(tmp_path):
     assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24 - 1
     raw[-4:] = struct.pack("<f", 2.0**24)
     p.write_bytes(bytes(raw))
-    with pytest.raises(OverflowError, match=r"2\*\*24"):
+    with pytest.raises(OverflowError, match=r"a count of 16777216 reaches 2\*\*24"):
         read_stack(p)
     with pytest.raises(OverflowError, match=r"2\*\*24"):
         _, _, _, _, blocks = iter_stack_blocks(p)
@@ -335,9 +353,9 @@ def test_count_of_2_24_is_rejected(tmp_path):
     raw = bytearray(p.read_bytes())
     raw[-4:] = struct.pack("<I", 2**24)
     p.write_bytes(bytes(raw))
-    with pytest.raises(OverflowError, match=r"2\*\*24"):
-        _, _, _, _, frames = iter_stack(p)
-        list(frames)
+    _, _, _, _, frames = iter_stack(p)
+    assert list(frames)[-1].anti_stokes[-1, -1] == 2**24
+    assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24
 
 
 def test_fractional_count_is_rejected(tmp_path):
