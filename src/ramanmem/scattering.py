@@ -59,10 +59,10 @@ __all__ = [
 # Poisson mean sums them, and numpy's Poisson draw fails above ~9.2e18.
 PHOTON_SCALE_MAX = 1e12
 
-# Upper bound on the mode grid: every shot draws M exponentials, and the mode
-# set's `_axis_groups` loops over the M modes in Python once.  At 1e5 modes
-# (~800 times the default 121) the draws alone take ~1.5 ms a shot, about what a
-# whole default frame costs, and the loop ~0.1 s (one 2-core x86 host).
+# Upper bound on the mode grid: every shot draws M exponentials, and
+# `ModeSet.centers_urad` and the retrieval efficiencies hold M rows.  At 1e5
+# modes (~800 times the default 121) the draws alone take ~1.5 ms a shot, about
+# what a whole default frame costs (one 2-core x86 host).
 MODE_COUNT_MAX = 100_000
 
 
@@ -75,85 +75,70 @@ def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Angular mode grid populated by the write process.
+    """Angular mode lattice populated by the write process.
 
-    centers_urad holds one (theta_x, theta_y) row per mode; mean_photons and
-    sigma_urad are per mode.  spot_fwhm_urad is the predicted width of a
-    correlation-map spot, which for this model is
+    Mode (iy, ix) sits at (x_urad[ix], y_urad[iy]) and is mode iy * nx + ix
+    of every per-mode array: centers_urad, the draws of `sample_shot` and the
+    efficiencies of `retrieval_efficiencies`.  Every mode has the one width
+    sigma_urad and the one mean photon number mean_photons.  spot_fwhm_urad
+    is the predicted width of a correlation-map spot, which for this model is
     sqrt(1 + (lambda_read/lambda_write)^2) times the single-mode intensity
     FWHM (the covariance of two carrier-scaled Gaussian profiles).
     """
 
-    centers_urad: np.ndarray
-    mean_photons: np.ndarray
-    sigma_urad: np.ndarray
+    x_urad: np.ndarray
+    y_urad: np.ndarray
+    sigma_urad: float
+    mean_photons: float
     grid_spacing_urad: float
-    envelope_fwhm_urad: tuple[float, float]
     spot_fwhm_urad: float
     lambda_write_m: float
     lambda_read_m: float
     write_angle_urad: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centers_urad, dtype=float)
-        m = np.asarray(self.mean_photons, dtype=float)
-        s = np.asarray(self.sigma_urad, dtype=float)
-        if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] == 0:
-            raise ValueError("centers_urad must be a non-empty (M, 2) array")
-        if m.shape != (c.shape[0],) or s.shape != (c.shape[0],):
-            raise ValueError("mean_photons and sigma_urad must be (M,) arrays")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("mode centres must be finite")
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise ValueError("mean photon numbers must be finite and >= 0")
-        if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-            raise ValueError("mode widths must be positive")
-        if self.grid_spacing_urad < float(np.max(s)):
+        for name in ("x_urad", "y_urad"):
+            axis = np.array(getattr(self, name), dtype=float)
+            if axis.ndim != 1 or axis.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-d array")
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(f"mode centres must be finite, {name} is not")
+            axis.setflags(write=False)
+            object.__setattr__(self, name, axis)
+        sigma, mean = float(self.sigma_urad), float(self.mean_photons)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"the mode width must be positive and finite, got {sigma!r}")
+        if not 0.0 <= mean < math.inf:
+            raise ValueError(f"the mean photon number must be finite and >= 0, got {mean!r}")
+        if not self.grid_spacing_urad >= sigma:
             raise ValueError(
                 "grid spacing below the mode width: modes would not be "
-                f"approximately orthogonal ({self.grid_spacing_urad:g} < {np.max(s):g})"
+                f"approximately orthogonal ({self.grid_spacing_urad:g} < {sigma:g})"
             )
-        for arr in (c, m, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "centers_urad", c)
-        object.__setattr__(self, "mean_photons", m)
-        object.__setattr__(self, "sigma_urad", s)
+        object.__setattr__(self, "sigma_urad", sigma)
+        object.__setattr__(self, "mean_photons", mean)
 
     @property
     def n_modes(self) -> int:
-        return self.centers_urad.shape[0]
+        return self.x_urad.size * self.y_urad.size
 
     @property
     def mode_fwhm_urad(self) -> float:
-        return float(self.sigma_urad[0]) * FWHM_PER_SIGMA
+        return self.sigma_urad * FWHM_PER_SIGMA
+
+    @cached_property
+    def centers_urad(self) -> np.ndarray:
+        """(theta_x, theta_y) of every mode, one row per mode in mode order."""
+        c = np.column_stack([np.tile(self.x_urad, self.y_urad.size),
+                             np.repeat(self.y_urad, self.x_urad.size)])
+        c.setflags(write=False)
+        return c
 
     def anti_stokes_centers_urad(self, theta_read_urad: Sequence[float]) -> np.ndarray:
         """Conjugate (readout) direction of every mode for a given steering angle."""
         tw = np.asarray(self.write_angle_urad, dtype=float)
         tr = np.asarray(theta_read_urad, dtype=float)
         return conjugate_angles(tw, self.centers_urad, tr, self.lambda_write_m, self.lambda_read_m)
-
-    @cached_property
-    def _axis_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Per axis (x, y): (first, inverse) over the distinct (centre, sigma) pairs.
-
-        first[g] is a mode holding pair g and inverse[m] is the pair of mode
-        m, so mode m deposits row inverse[m] of each axis's `PaneFactors`
-        rows.  The conjugate law maps each axis on its own, so modes that
-        share a pair here share it in the anti-Stokes direction at every
-        readout tilt.
-        """
-        groups = []
-        for axis in (0, 1):
-            group_of, first, inverse = {}, [], []
-            for m, pair in enumerate(zip(self.centers_urad[:, axis].tolist(),
-                                         self.sigma_urad.tolist())):
-                if pair not in group_of:
-                    group_of[pair] = len(first)
-                    first.append(m)
-                inverse.append(group_of[pair])
-            groups.append((np.array(first), np.array(inverse)))
-        return tuple(groups)
 
 
 def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
@@ -200,22 +185,15 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
             f"mode grid of {nx:g} x {ny:g} modes exceeds {MODE_COUNT_MAX} "
             f"(modes of {mode_fwhm_urad:g} urad FWHM over a {env.tolist()} urad envelope)"
         )
-    counts = counts.astype(int)
-    xs = spacing * np.arange(-counts[0], counts[0] + 1, dtype=float)
-    ys = spacing * np.arange(-counts[1], counts[1] + 1, dtype=float)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-
-    n = centers.shape[0]
+    kx, ky = counts.astype(int).tolist()
     ratio = geom.lambda_read_m / geom.lambda_write_m
-    spot_fwhm = math.sqrt(1.0 + ratio * ratio) * mode_fwhm_urad
     return ModeSet(
-        centers_urad=centers,
-        mean_photons=np.full(n, float(mean_photons)),
-        sigma_urad=np.full(n, sigma),
+        x_urad=spacing * np.arange(-kx, kx + 1, dtype=float),
+        y_urad=spacing * np.arange(-ky, ky + 1, dtype=float),
+        sigma_urad=sigma,
+        mean_photons=float(mean_photons),
         grid_spacing_urad=spacing,
-        envelope_fwhm_urad=(float(env[0]), float(env[1])),
-        spot_fwhm_urad=spot_fwhm,
+        spot_fwhm_urad=math.sqrt(1.0 + ratio * ratio) * mode_fwhm_urad,
         lambda_write_m=geom.lambda_write_m,
         lambda_read_m=geom.lambda_read_m,
     )
@@ -233,15 +211,14 @@ def _mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
     return build_mode_set(geom, modes)
 
 
-def _peak_pixel_means(ms: ModeSet, camera: CameraGeometry) -> np.ndarray:
-    """Each mode's mean photons on one pixel when centred on it, mean_photons * pitch^2 / (2 pi sigma^2).
+def _peak_pixel_mean(ms: ModeSet, camera: CameraGeometry) -> float:
+    """A mode's mean photons on one pixel when centred on it, mean_photons * pitch^2 / (2 pi sigma^2).
 
     The expression of `_pane_factors`.  Computed from pitch / sigma so that an
     overflow reads as inf, and no photons times an infinite ratio as NaN.
     """
     ratio = camera.pitch_urad / ms.sigma_urad
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ms.mean_photons * (ratio * ratio) / (2.0 * math.pi)
+    return ms.mean_photons * (ratio * ratio) / (2.0 * math.pi)
 
 
 def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
@@ -250,11 +227,11 @@ def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
     Past the bound the Poisson draw fails or the peak expression overflows;
     an overflow (inf) or a NaN peak is rejected too.
     """
-    peak = float(_peak_pixel_means(ms, camera).max())
+    peak = _peak_pixel_mean(ms, camera)
     if not peak <= PHOTON_SCALE_MAX:
         raise ValueError(
             f"a pixel of {camera.pitch_urad:g} urad would hold {peak:g} mean photons of one "
-            f"mode of {float(ms.sigma_urad.min()):g} urad sigma, past {PHOTON_SCALE_MAX:g}"
+            f"mode of {ms.sigma_urad:g} urad sigma, past {PHOTON_SCALE_MAX:g}"
         )
 
 
@@ -263,15 +240,32 @@ def check_pixel_photons(ms: ModeSet, camera: CameraGeometry) -> None:
 THERMAL_TAIL_FACTOR = 64
 
 
-def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -> float:
-    """THERMAL_TAIL_FACTOR * sum over modes of each one's peak-pixel mean, plus the noise floor.
+def _row_sum_bound(n: int, spacing: float, sigma: float) -> float:
+    """Bound on the sum, at any point, of n Gaussian rows of peak 1 and width sigma spaced `spacing` apart.
 
-    Mode m puts at most its `_peak_pixel_means` entry of its intensity's mean
-    on one pixel, and its anti-Stokes twin no more (eta <= 1).  So no pixel's Poisson mean passes the bound unless a
-    mode's intensity passes THERMAL_TAIL_FACTOR times its mean: the width a
-    stack's counts need.
+    The sum over an infinite lattice peaks on a lattice point, where it is
+    1 + 2 sum_k q^(k^2) <= (1 + q) / (1 - q) = coth(spacing^2 / (4 sigma^2))
+    with q = exp(-spacing^2 / (2 sigma^2)); n rows never sum past n.
     """
-    return THERMAL_TAIL_FACTOR * float(_peak_pixel_means(ms, camera).sum()) + noise_floor
+    r = spacing / sigma
+    t = math.tanh(r * r / 4.0)
+    return float(n) if t == 0.0 else min(float(n), 1.0 / t)
+
+
+def pixel_count_bound(ms: ModeSet, camera: CameraGeometry, noise_floor: float) -> float:
+    """THERMAL_TAIL_FACTOR * peak-pixel mean * S_x * S_y, plus the noise floor.
+
+    A pixel's mean is the sum over modes of I_m * peak * gx_m * gy_m, with
+    gx, gy a mode's per-axis rows; S_x and S_y bound each axis's sum of rows
+    (`_row_sum_bound`) on the tighter of the two panes' lattices: the
+    anti-Stokes one is lambda_read / lambda_write times the Stokes pitch, and
+    its twin intensities are no larger (eta <= 1).  So no pixel's Poisson
+    mean passes the bound unless a mode's intensity passes
+    THERMAL_TAIL_FACTOR times its mean: the width a stack's counts need.
+    """
+    pitch = ms.grid_spacing_urad * min(1.0, ms.lambda_read_m / ms.lambda_write_m)
+    s_x, s_y = (_row_sum_bound(axis.size, pitch, ms.sigma_urad) for axis in (ms.x_urad, ms.y_urad))
+    return THERMAL_TAIL_FACTOR * _peak_pixel_mean(ms, camera) * s_x * s_y + noise_floor
 
 
 # the count widths a frame holds and a stack stores: u16, else u32
@@ -373,7 +367,7 @@ def sample_shot(
     eta_m of its twin (`retrieval_efficiencies` at the shot's readout tilt),
     so with eta == 1 the pair is exactly equal.
     """
-    i_s = rng.exponential(ms.mean_photons)
+    i_s = rng.exponential(ms.mean_photons, ms.n_modes)
     return i_s, eta * i_s
 
 
@@ -383,14 +377,14 @@ def sample_shot(
 
 @dataclass(frozen=True, eq=False)
 class PaneFactors:
-    """One pane's pixel deposit patterns, as per-axis rows.
+    """One pane's pixel deposit patterns, as per-axis rows of the mode lattice.
 
-    Mode m deposits outer(wy[gy], wx[gx]) for its (y, x) pairs (gy, gx) of
-    `ModeSet._axis_groups`: wy is (Gy, H), and wx (Gx, W) carries the area
-    normalisation, so a pattern integrates to ~1 over an unbounded pane.  A
-    row whose centre misses the pane on its axis is zeroed, which removes
-    exactly the modes flagged in off_pane.  The energy clipped from the pane
-    follows from off_pane and the mode means, once per tilt.
+    Mode (iy, ix) deposits outer(wy[iy], wx[ix]): wy is (ny, H), and wx
+    (nx, W) carries the area normalisation, so a pattern integrates to ~1
+    over an unbounded pane.  A row whose centre misses the pane on its axis
+    is zeroed, which removes exactly the modes flagged in off_pane (M,).  The
+    energy clipped from the pane follows from off_pane and the mode means,
+    once per tilt.
     """
 
     wy: np.ndarray
@@ -398,50 +392,43 @@ class PaneFactors:
     off_pane: np.ndarray
 
 
-def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """exp(-(axis - c)^2 / (2 sigma^2)), one row per (c, sigma), built in place in one buffer."""
+def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-(axis - c)^2 / (2 sigma^2)), one row per centre c, built in place in one buffer."""
     w = axis[None, :] - centers[:, None]
-    w /= sigma[:, None]
+    w /= sigma
     w **= 2
     w *= -0.5
     return np.exp(w, out=w)
 
 
-def _pane_factors(ms: ModeSet, centers_urad: np.ndarray, camera: CameraGeometry) -> PaneFactors:
-    """Factors of the modes centred at centers_urad: one row per distinct (centre, sigma) pair of each axis."""
+def _pane_factors(ms: ModeSet, x_urad: np.ndarray, y_urad: np.ndarray, camera: CameraGeometry) -> PaneFactors:
+    """Factors of the mode lattice whose axes sit at x_urad and y_urad on the pane: one row per axis entry."""
     half_px = 0.5 * camera.pitch_urad
+    sigma = ms.sigma_urad
     rows, hits = [], []
-    for axis, px, (first, inverse) in zip((0, 1), camera.pixel_angle_axes(), ms._axis_groups):
-        c, sigma = centers_urad[first, axis], ms.sigma_urad[first]
+    for c, px in zip((x_urad, y_urad), camera.pixel_angle_axes()):
         hit = (c >= px[0] - half_px) & (c < px[-1] + half_px)
         w = _gauss_rows(px, c, sigma)
-        if axis == 0:  # peak-normalised per axis, area-normalised overall
-            w *= (camera.pitch_urad**2 / (2.0 * math.pi * sigma**2))[:, None]
+        if not rows:  # peak-normalised per axis; the x rows carry the area normalisation
+            w *= camera.pitch_urad**2 / (2.0 * math.pi * (sigma * sigma))
         w[~hit] = 0.0
         rows.append(w)
-        hits.append(hit[inverse])
+        hits.append(hit)
     (wx, wy), (x_in, y_in) = rows, hits
-    return PaneFactors(wy, wx, ~(x_in & y_in))
+    return PaneFactors(wy, wx, ~np.outer(y_in, x_in).ravel())
 
 
 def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> PaneFactors:
-    return _pane_factors(ms, ms.centers_urad, camera)
+    return _pane_factors(ms, ms.x_urad, ms.y_urad, camera)
 
 
 def anti_stokes_basis(ms: ModeSet, theta_read_urad: Sequence[float], camera: CameraGeometry) -> PaneFactors:
-    """Anti-Stokes factors at one readout tilt."""
-    return _pane_factors(ms, ms.anti_stokes_centers_urad(theta_read_urad), camera)
-
-
-def _cell_grids(ms: ModeSet, intensities: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Each per-mode intensity vector summed, in mode order, into the (Gy, Gx) grid of the factors' rows."""
-    (first_x, inv_x), (first_y, inv_y) = ms._axis_groups
-    shape = (len(first_y), len(first_x))
-    cells = inv_y * shape[1] + inv_x
-    return tuple(
-        np.bincount(cells, weights=i, minlength=shape[0] * shape[1]).reshape(shape)
-        for i in intensities
+    """Anti-Stokes factors at one readout tilt: the conjugate law moves each lattice axis on its own."""
+    x, y = (
+        conjugate_angles(tw, axis, tr, ms.lambda_write_m, ms.lambda_read_m)
+        for tw, axis, tr in zip(ms.write_angle_urad, (ms.x_urad, ms.y_urad), theta_read_urad)
     )
+    return _pane_factors(ms, x, y, camera)
 
 
 class _Panes:
@@ -472,7 +459,7 @@ class Frame(_Panes):
 
 
 def _render_with_bases(
-    grids: tuple[np.ndarray, np.ndarray],
+    intensities: tuple[np.ndarray, np.ndarray],
     stokes: PaneFactors,
     anti_stokes: PaneFactors,
     shot_index: int,
@@ -481,12 +468,14 @@ def _render_with_bases(
     noise_floor: float,
     counts_dtype: np.dtype,
 ) -> Frame:
-    """One shot's counts from its `_cell_grids`: both panes' means under one Poisson draw, Stokes first.
+    """One shot's counts from its per-mode intensities: both panes' means under one Poisson draw, Stokes first.
 
-    The counts are cast to counts_dtype; one past its range raises OverflowError, never wraps.
+    Each pane's intensities, in mode order, reshape to the (ny, nx) grid of
+    its factor rows.  The counts are cast to counts_dtype; one past its range
+    raises OverflowError, never wraps.
     """
-    panes = zip((stokes, anti_stokes), grids)
-    means = np.stack([f.wy.T @ g @ f.wx + noise_floor for f, g in panes])
+    panes = zip((stokes, anti_stokes), intensities)
+    means = np.stack([f.wy.T @ i.reshape(len(f.wy), len(f.wx)) @ f.wx + noise_floor for f, i in panes])
     counts = rng.poisson(means)
     top = counts.max()
     if top > np.iinfo(counts_dtype).max:
@@ -604,12 +593,13 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     """Generate frames one at a time, in frame order, without holding the stack in memory.
 
     The calling thread draws every shot in frame order (tilt factors, shot
-    stream, mode intensities summed into a (Gy, Gx) cell grid per pane); the
-    two gemms of each pane's mean, wy.T @ grid @ wx, and the Poisson draw run
-    on one helper thread per usable core, capped at the frame count.  Every
-    frame holds its counts in `count_dtype(cfg)`, the width of its stack.  Frame i
-    draws only from shot_rng(seed, i), so the frames do not depend on the
-    number of threads.  One usable core renders on the calling thread alone.
+    stream, per-mode intensities); the two gemms of each pane's mean,
+    wy.T @ grid @ wx with grid the intensities as the (ny, nx) lattice, and
+    the Poisson draw run on one helper thread per usable core, capped at the
+    frame count.  Every frame holds its counts in `count_dtype(cfg)`, the
+    width of its stack.  Frame i draws only from shot_rng(seed, i), so the
+    frames do not depend on the number of threads.  One usable core renders
+    on the calling thread alone.
     """
     n = int(cfg.run.n_frames if n_frames is None else n_frames)
     s = int(cfg.run.seed if seed is None else seed)
@@ -633,8 +623,7 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
                 tilt, anti = tr, anti_stokes_basis(ms, tr, camera)
                 eta = diffusion * _aberration_rolloff(rm, tr)
             rng = shot_rng(s, i)
-            grids = _cell_grids(ms, sample_shot(ms, eta, rng))
-            yield grids, stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
+            yield sample_shot(ms, eta, rng), stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
 
     threads = min(_usable_cores(), n)
     if threads == 1:

@@ -290,11 +290,11 @@ def test_criterion_7_statistics_oracles():
     # (a) the per-mode intensities drawn by the sampler are exponential
     mean = 1000.0
     ms4 = scattering.ModeSet(
-        centers_urad=np.array([[0.0, 0.0], [110.0, 0.0], [0.0, 110.0], [110.0, 110.0]]),
-        mean_photons=np.full(4, mean),
-        sigma_urad=np.full(4, 72.75),
+        x_urad=np.array([0.0, 110.0]),
+        y_urad=np.array([0.0, 110.0]),
+        sigma_urad=72.75,
+        mean_photons=mean,
         grid_spacing_urad=110.0,
-        envelope_fwhm_urad=(170.0, 170.0),
         spot_fwhm_urad=240.0,
         lambda_write_m=795e-9,
         lambda_read_m=780e-9,
@@ -348,7 +348,7 @@ def test_criterion_7_statistics_oracles():
             & (mode_centers[:, 1] < hi_y + half)
         )
         alpha = cam.pitch_urad**2 / (2.0 * math.pi * sig**2)
-        d2 = ((mode_centers - np.asarray(px_angle)) ** 2 / sig[:, None] ** 2).sum(axis=1)
+        d2 = ((mode_centers - np.asarray(px_angle)) ** 2 / sig**2).sum(axis=1)
         return np.where(on, alpha * np.exp(-0.5 * d2), 0.0)
 
     # retrieval efficiencies, recomputed from the closed form

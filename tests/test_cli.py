@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,11 @@ def test_scheduled_stack_stores_the_schedule_angles(tmp_path, cfg_path, columns)
     assert [f.readout_angle_urad for f in frames] == [tuple(row) for row in want.tolist()]
 
 
-@pytest.mark.parametrize(("photons", "width"), [(None, np.uint16), (1e5, np.uint32)])
+@pytest.mark.parametrize(
+    ("photons", "width"), [(None, np.uint16), (1300.0, np.uint16), (1e5, np.uint32), (1e9, np.uint32)]
+)
 def test_simulate_picks_the_count_width_from_the_pixel_bound(tmp_path, photons, width):
-    """The default config's bound (~52 400) fits u16; 100 times the photons need u32."""
+    """The default config's bound (~1 780) fits u16, and so does 1.3 times its photons; 100 times them need u32."""
     cfg = tmp_path / "exp.ini"
     modes = "" if photons is None else f"\n[modes]\nmean_photons_per_mode = {photons!r}\n"
     cfg.write_text(SMALL_CFG + modes)
@@ -572,6 +575,43 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert not (tmp_path / "x.rmns").exists() and not list(tmp_path.glob("map_*"))
+
+
+_CONTRACT_KEYS = [
+    *(("modes", key) for key in (
+        "gain_shrink", "envelope_fwhm_urad", "readout_envelope_fwhm_urad", "mean_photons_per_mode",
+        "spot_constant", "grid_spacing_sigma", "grid_margin_sigma",
+    )),
+    ("geometry", "lambda_read_m"),
+    ("camera", "pixel_pitch_m"),
+    ("retrieval", "noise_floor"),
+]
+_CONTRACT_VALUES = [
+    "0.0", "-0.0", "5e-324", "1e-300", "1", "1e12", "1e13", "1e300", "inf", "-inf", "nan", "-1",
+    "4294967296",
+]
+
+
+@pytest.mark.parametrize("value", _CONTRACT_VALUES)
+@pytest.mark.parametrize(("section", "key"), _CONTRACT_KEYS, ids=[k for _, k in _CONTRACT_KEYS])
+def test_mode_grid_config_values_exit_0_or_2(tmp_path, capsys, section, key, value):
+    """Any value of a key the mode grid depends on runs or exits 2, with no traceback, warning or file left."""
+    sections = {"camera": {"pane_width_px": "16", "pane_height_px": "8"}}
+    sections.setdefault(section, {})[key] = value
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items()
+    ))
+    out = tmp_path / "run.rmns"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--config", str(cfg), "--frames", "3", "--out", str(out)])
+    assert rc in (0, 2)
+    assert out.exists() == (rc == 0)
+    if rc == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["correlate", "steer", "herald"])

@@ -48,9 +48,8 @@ def small_camera(n=16):
 def render_shot(intensities, ms, tilt, camera, rng, noise_floor=0.0, shot_index=0):
     """One frame from given mode intensities, through the renderer `iter_simulated_frames` uses."""
     factors = stokes_basis(ms, camera), scattering.anti_stokes_basis(ms, tilt, camera)
-    grids = scattering._cell_grids(ms, intensities)
     counts = scattering.COUNT_DTYPES[1]  # u32: no test intensity here comes near its range
-    return scattering._render_with_bases(grids, *factors, shot_index, tilt, rng, noise_floor, counts)
+    return scattering._render_with_bases(intensities, *factors, shot_index, tilt, rng, noise_floor, counts)
 
 
 def flat_model(eta0=1.0, noise_floor=0.0):
@@ -114,8 +113,63 @@ def test_anti_stokes_centers_conjugate_and_shift():
 
 def test_mode_set_arrays_are_read_only():
     ms = mode_set_from_config(default_config())
+    for axis in (ms.centers_urad, ms.x_urad, ms.y_urad):
+        with pytest.raises(ValueError):
+            axis[0, ...] = 1.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"x_urad": []},
+        {"y_urad": [[0.0, 100.0]]},
+        {"x_urad": [0.0, math.nan]},
+        {"y_urad": [0.0, math.inf]},
+        {"sigma_urad": 0.0},
+        {"sigma_urad": -70.0},
+        {"sigma_urad": math.inf},
+        {"sigma_urad": math.nan},
+        {"mean_photons": -1.0},
+        {"mean_photons": math.inf},
+        {"mean_photons": math.nan},
+        {"grid_spacing_urad": 69.0},
+    ],
+    ids=[
+        "x-empty", "y-2d", "x-nan", "y-inf", "sigma-0", "sigma-neg", "sigma-inf", "sigma-nan",
+        "mean-neg", "mean-inf", "mean-nan", "spacing-below-sigma",
+    ],
+)
+def test_mode_set_rejects_a_bad_lattice(bad):
+    args = {"x_urad": [0.0, 100.0], "y_urad": [0.0], "sigma_urad": 70.0, "mean_photons": 1000.0,
+            "grid_spacing_urad": 100.0, "spot_fwhm_urad": 230.0, "lambda_write_m": 795e-9,
+            "lambda_read_m": 780e-9}
+    ModeSet(**args)  # valid until one field is replaced
     with pytest.raises(ValueError):
-        ms.centers_urad[0, 0] = 1.0
+        ModeSet(**{**args, **bad})
+
+
+def test_pixel_count_bound_holds_and_is_tight():
+    """No pixel mean of every mode at 64 times its mean passes the bound, on either pane at any tilt.
+
+    Carrier ratios below, at and above 1 and lattice pitches of 1, 1.5 and 3
+    sigma; the anti-Stokes lattice is shifted over one Stokes pitch in 13 x 13
+    tilts.  At a 3-sigma pitch the bound is reached to within 0.1 %.
+    """
+    cam = small_camera(32)
+    worst = 0.0
+    for ratio in (0.5, 0.98, 1.0, 2.0):
+        geom = BeamGeometry(3.5e-3, 3.5e-3, 6.0e-3, 0.1, 795e-9, ratio * 795e-9)
+        for spacing in (1.0, 1.5, 3.0):
+            ms = build_mode_set(geom, grid(400.0, grid_spacing_sigma=spacing))
+            bound = scattering.pixel_count_bound(ms, cam, 0.0)
+            lit = np.full((ms.y_urad.size, ms.x_urad.size), scattering.THERMAL_TAIL_FACTOR * ms.mean_photons)
+            steps = np.linspace(0.0, ms.grid_spacing_urad, 13)
+            panes = [stokes_basis(ms, cam)]
+            panes += [scattering.anti_stokes_basis(ms, (tx, ty), cam) for tx in steps for ty in steps]
+            top = max(float((f.wy.T @ lit @ f.wx).max()) for f in panes)
+            assert top <= bound, (ratio, spacing)
+            worst = max(worst, top / bound)
+    assert worst > 0.999
 
 
 # --- retrieval efficiencies -------------------------------------------------
@@ -128,16 +182,7 @@ def test_retrieval_flat_when_diffusion_off():
 
 
 def test_retrieval_diffusion_damping_frozen_ratio():
-    ms = ModeSet(
-        centers_urad=np.array([[0.0, 0.0], [300.0, 0.0]]),
-        mean_photons=np.array([1.0, 1.0]),
-        sigma_urad=np.array([70.0, 70.0]),
-        grid_spacing_urad=300.0,
-        envelope_fwhm_urad=(600.0, 600.0),
-        spot_fwhm_urad=230.0,
-        lambda_write_m=795e-9,
-        lambda_read_m=780e-9,
-    )
+    ms = _lattice([0.0, 300.0], [0.0], spacing=300.0, mean=1.0)
     rm = RetrievalModel(0.85, 0.12, 1e-6, 0.0, 0.0)
     eta = retrieval_efficiencies(ms, rm, (0.0, 0.0))
     assert eta[0] == pytest.approx(0.85, rel=1e-12)
@@ -197,15 +242,14 @@ def test_sample_shot_scales_by_eta():
 # --- rendering --------------------------------------------------------------
 
 
-def _modes_at(centers):
-    """A ModeSet of the given centres, each 70 urad sigma with 1000 photons."""
-    c = np.array(centers, dtype=float)
+def _lattice(x_urad, y_urad, spacing=100.0, mean=1000.0):
+    """A ModeSet on the lattice of the given axes, each mode 70 urad sigma."""
     return ModeSet(
-        centers_urad=c,
-        mean_photons=np.full(len(c), 1000.0),
-        sigma_urad=np.full(len(c), 70.0),
-        grid_spacing_urad=100.0,
-        envelope_fwhm_urad=(600.0, 600.0),
+        x_urad=x_urad,
+        y_urad=y_urad,
+        sigma_urad=70.0,
+        mean_photons=mean,
+        grid_spacing_urad=spacing,
         spot_fwhm_urad=230.0,
         lambda_write_m=795e-9,
         lambda_read_m=780e-9,
@@ -216,29 +260,28 @@ def _modes_at(centers):
     "ms",
     [
         build_mode_set(GEOM, grid(400.0)),
-        _modes_at([[0.0, 0.0], [120.0, 0.0], [0.0, -400.0]]),  # an L, one leg off the pane
-        _modes_at([[30.0, -20.0], [30.0, -20.0]]),  # two modes in one cell
+        _lattice([0.0, 120.0], [0.0, -400.0]),  # a 2x2 lattice, one row off the pane
     ],
-    ids=["grid", "L-of-3", "shared-cell"],
+    ids=["grid", "2x2-one-row-off"],
 )
 def test_factored_mean_matches_per_mode_gaussians(ms):
     # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
     cam = small_camera(24)
     factors = stokes_basis(ms, cam)
-    (first_x, _), (first_y, _) = ms._axis_groups
-    assert factors.wy.shape == (len(first_y), cam.height_px)
-    assert factors.wx.shape == (len(first_x), cam.width_px)
+    assert factors.wy.shape == (ms.y_urad.size, cam.height_px)
+    assert factors.wx.shape == (ms.x_urad.size, cam.width_px)
     in_pane = ~factors.off_pane
-    assert in_pane.any()
+    assert in_pane.any() and not in_pane.all()
     i_s = np.random.default_rng(4).exponential(1000.0, ms.n_modes)
     gx, gy = np.meshgrid(*cam.pixel_angle_axes())
     expected = np.zeros((cam.height_px, cam.width_px))
+    sig = ms.sigma_urad
     for m in np.flatnonzero(in_pane):
-        (cx, cy), sig = ms.centers_urad[m], ms.sigma_urad[m]
+        cx, cy = ms.centers_urad[m]
         r2 = (gx - cx) ** 2 + (gy - cy) ** 2
         area = cam.pitch_urad**2 / (2 * math.pi * sig**2)
         expected += i_s[m] * area * np.exp(-r2 / (2 * sig**2))
-    (g,) = scattering._cell_grids(ms, [i_s])
+    g = i_s.reshape(ms.y_urad.size, ms.x_urad.size)
     np.testing.assert_allclose(factors.wy.T @ g @ factors.wx, expected, rtol=1e-12)
 
 
@@ -247,8 +290,8 @@ def test_factors_at_every_tilt_keep_the_bits():
     cfg = default_config()
     ms, cam = mode_set_from_config(cfg), cfg.camera
     ax, ay = cam.pixel_angle_axes()
-    (first_x, _), (first_y, _) = ms._axis_groups
-    sig = ms.sigma_urad[:, None]
+    nx = ms.x_urad.size
+    sig = np.full(ms.n_modes, ms.sigma_urad)
     ox, oy = cam.origin_px
     half_px = 0.5 * cam.pitch_urad
     for tilt in BOTH_AXIS_TILTS:
@@ -256,13 +299,14 @@ def test_factors_at_every_tilt_keep_the_bits():
         cx, cy = ms.anti_stokes_centers_urad(tilt).T
         x_in = (cx >= -ox * cam.pitch_urad - half_px) & (cx < (cam.width_px - 1 - ox) * cam.pitch_urad + half_px)
         y_in = (cy >= -oy * cam.pitch_urad - half_px) & (cy < (cam.height_px - 1 - oy) * cam.pitch_urad + half_px)
-        wx = np.exp(-0.5 * ((ax[None, :] - cx[:, None]) / sig) ** 2)
-        wx *= (cam.pitch_urad**2 / (2.0 * math.pi * ms.sigma_urad**2))[:, None]
-        wy = np.exp(-0.5 * ((ay[None, :] - cy[:, None]) / sig) ** 2)
+        wx = np.exp(-0.5 * ((ax[None, :] - cx[:, None]) / sig[:, None]) ** 2)
+        wx *= (cam.pitch_urad**2 / (2.0 * math.pi * sig**2))[:, None]
+        wy = np.exp(-0.5 * ((ay[None, :] - cy[:, None]) / sig[:, None]) ** 2)
         wx[~x_in] = 0.0
         wy[~y_in] = 0.0
-        np.testing.assert_array_equal(got.wx, wx[first_x])
-        np.testing.assert_array_equal(got.wy, wy[first_y])
+        # mode iy * nx + ix: the first nx modes span the x axis, every nx-th the y axis
+        np.testing.assert_array_equal(got.wx, wx[:nx])
+        np.testing.assert_array_equal(got.wy, wy[::nx])
         np.testing.assert_array_equal(got.off_pane, ~(x_in & y_in))
     assert got.off_pane.any()
 
@@ -293,7 +337,7 @@ def test_render_energy_bookkeeping():
     i_as = 0.5 * i_s
     fr = render_shot((i_s, i_as), ms, (0.0, 0.0), cam, shot_rng(0, 1))
     for counts, factors, i in ((fr.stokes, stokes, i_s), (fr.anti_stokes, anti, i_as)):
-        (g,) = scattering._cell_grids(ms, [i])
+        g = i.reshape(ms.y_urad.size, ms.x_urad.size)
         mean = (factors.wy.T @ g @ factors.wx).sum()
         # only the Gaussian tails past the pane edge are lost
         assert 0.98 * i.sum() < mean <= i.sum()
