@@ -1,6 +1,7 @@
 """Correlation maps, accumulator algebra, spot fitting and exports."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from ramanmem import analysis as an
 from ramanmem.config import default_config
-from ramanmem.control import compensating_readout
 from ramanmem.geometry import Angle2D, CameraGeometry
 from ramanmem.scattering import Frame, iter_simulated_frames
 
+FIT_WINDOW = Path(__file__).parent / "data" / "fit_window_rounding_stop.npz"
 CAM4 = CameraGeometry(width_px=4, height_px=4, pixel_pitch_m=7.5e-6, f3_m=0.5)
 
 
@@ -268,19 +269,12 @@ def test_fit_survives_noise():
 
 
 def test_fit_converges_when_only_rounding_moves_the_cost():
-    # steer's compensated pass of fiber 3 at seed 62873276 (300 frames): the
-    # fit reaches the minimum while its steps are still just above the step
-    # tolerance, and every damped proposal moves the cost only by rounding
-    cfg = default_config().with_seed(62873276 + 4000)
-    ratio = cfg.geometry.lambda_read_m / cfg.geometry.lambda_write_m
-    fiber = Angle2D(-54.0 / ratio, 75.0)
-    cmd = compensating_readout(
-        fiber, Angle2D(0.0, 0.0), Angle2D(54.0, 6.0), cfg.chain, cfg.geometry
-    )
-    ref = an.Reference.pixel(cfg.camera, "stokes", fiber)
-    frames = iter_simulated_frames(cfg, n_frames=300, schedule=cmd.theta_read)
-    acc = accumulate_all(cfg.camera, ref, frames)
-    fit = an.locate_twin_spot(an.correlation_map(acc, 0, cfg.camera))
+    # the 41x41 window locate_twin_spot handed the fit in steer's compensated
+    # pass of fiber 3 (seed 62873276 + 4000, 300 frames, twin at (54, 6) urad):
+    # the fit reaches the minimum while its steps are still just above the
+    # step tolerance, and every damped proposal moves the cost only by rounding
+    with np.load(FIT_WINDOW) as win:
+        fit = an.fit_gaussian_spot(win["values"], win["x_axis_urad"], win["y_axis_urad"])
     assert fit.converged
     assert fit.center_x_urad == pytest.approx(53.9253, abs=1e-3)
     assert fit.center_y_urad == pytest.approx(2.4207, abs=1e-3)
