@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import analysis, control, scattering, stackio
+from . import __version__, analysis, control, scattering, stackio
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .geometry import Angle2D
 
@@ -383,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multimode Raman memory simulator: thermal speckle frames, "
         "correlation maps, readout steering, herald statistics.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, frames: bool = True) -> None:

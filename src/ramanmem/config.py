@@ -46,7 +46,8 @@ class ConfigError(Exception):
         super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
 
 
-# seeds key counter-based Philox streams and are stored as u64 in stack headers
+# seeds are the entropy of each run's SeedSequence (one PCG64 child per shot)
+# and are stored as u64 in stack headers
 SEED_MAX = 2**64 - 1
 # stack headers store the frame count as u32
 N_FRAMES_MAX = 2**32 - 1

@@ -244,8 +244,9 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     and its excitation number n = D + U.  Cost is O(shots) and memory
     O(HERALD_CHUNK), whatever the mode count.
 
-    Chunks of HERALD_CHUNK shots draw from counter-based streams keyed by
-    (seed, chunk index), so the chunk size is part of every result.
+    Chunk c of HERALD_CHUNK shots draws from shot_rng(seed, c), the PCG64
+    stream of the seed's SeedSequence child c, so the chunk size is part of
+    every result.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

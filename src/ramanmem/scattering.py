@@ -8,9 +8,9 @@ steering aberration roll-off.  Panes are Poisson photoelectron counts on top
 of a uniform noise floor: each frame holds them as unsigned integers of one
 width, u16 or u32, the `count_dtype` its stack is written in.
 
-Randomness is counter based: shot i of a run seeded with s draws exclusively
-from Philox streamed with key (s, i), which makes stacks bit-reproducible and
-independent of any worker scheduling.  `iter_simulated_frames`, the one
+Randomness is per shot: shot i of a run seeded with s draws exclusively from
+PCG64 seeded by the SeedSequence child with spawn key (i,) of entropy s, which
+makes stacks bit-reproducible and independent of any worker scheduling.  `iter_simulated_frames`, the one
 render entry point, relies on that to render frames on every usable core
 while handing them out in frame order.
 """
@@ -350,11 +350,16 @@ def retrieval_efficiencies(
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one shot of one run."""
+    """Independent stream for one shot of one run: PCG64 on a SeedSequence child.
+
+    The stream is `SeedSequence(seed).spawn(shot_index + 1)[shot_index]`,
+    built directly from its spawn key, so it depends only on
+    (seed, shot_index) and never on which shots were drawn before.
+    """
     if seed < 0 or shot_index < 0:
         raise ValueError("seed and shot index must be non-negative")
-    key = np.array([seed, shot_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    child = np.random.SeedSequence(seed, spawn_key=(shot_index,))
+    return np.random.Generator(np.random.PCG64(child))
 
 
 def sample_shot(

@@ -230,11 +230,11 @@ def test_protocol_stream_is_pinned():
     stats = run_herald_protocol(hc, 30_000, seed=11)
     assert stats == HeraldStats(
         shots=30_000,
-        heralds=12_678,
-        routed_successes=7_877,
-        multi_excitation_events=875,
-        success_prob=7_877 / 30_000,
-        multi_given_herald=875 / 12_678,
+        heralds=12_707,
+        routed_successes=7_774,
+        multi_excitation_events=856,
+        success_prob=7_774 / 30_000,
+        multi_given_herald=856 / 12_707,
     )
 
 
