@@ -10,9 +10,9 @@ width, u16 or u32, the `count_dtype` its stack is written in.
 
 Randomness is per shot: shot i of a run seeded with s draws exclusively from
 PCG64 seeded by the SeedSequence child with spawn key (i,) of entropy s, which
-makes stacks bit-reproducible and independent of any worker scheduling.  `iter_simulated_frames`, the one
-render entry point, relies on that to render frames on every usable core
-while handing them out in frame order.
+makes stacks bit-reproducible and independent of any worker scheduling.
+`iter_simulated_frames`, the one render entry point, relies on that to render
+frames on every usable core while handing them out in frame order.
 """
 
 from __future__ import annotations

@@ -222,8 +222,8 @@ def test_shot_rng_is_the_seed_sequence_child():
     c = shot_rng(5, 18).integers(0, 2**63, size=4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    child = np.random.SeedSequence(5).spawn(18)[17]
-    np.testing.assert_array_equal(a, np.random.Generator(np.random.PCG64(child)).integers(0, 2**63, size=4))
+    child = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(18)[17]))
+    np.testing.assert_array_equal(a, child.integers(0, 2**63, size=4))
     assert a.tolist() == [
         7049368661295252458, 8041092110536190202, 3972825659913154627, 254810683039388157,
     ]
