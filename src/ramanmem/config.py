@@ -2,6 +2,7 @@
 
 Grammar (documented here and in the README):
 
+* the file is UTF-8 text; a leading byte-order mark is skipped
 * full-line comments start with '#' or ';'
 * sections are '[name]', keys are 'key = value'
 * each section but [metadata] is one field of ExperimentConfig, and its keys
@@ -256,7 +257,7 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from None

@@ -288,11 +288,12 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
 def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
     """Read a schedule CSV; drive_freq_hz rows need the chain to convert.
 
-    The file is UTF-8 text.  Blank lines and lines starting with '#' are
-    skipped, before the header and between rows.  A shot column, when
-    present, must read 0..n-1 in file order: row i is frame i.
+    The file is UTF-8 text, with or without a byte-order mark.  Blank lines
+    and lines starting with '#' are skipped, before the header and between
+    rows.  A shot column, when present, must read 0..n-1 in file order: row i
+    is frame i.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
     header = lines[0].split(",") if lines else []
     rows = [line.split(",") for line in lines[1:]]

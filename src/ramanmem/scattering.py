@@ -552,6 +552,10 @@ def _take(done: queue.SimpleQueue):
 # helpers busy through both, and memory stays bounded by the window
 _IN_FLIGHT_PER_THREAD = 4
 
+# bytes of anti-Stokes factors one run keeps for revisited tilts.  A run keeps
+# at least one tilt's, however large; at the default pane that is 58 tilts
+_TILT_CACHE_BYTES = 2**20
+
 
 def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator:
     """Yield render(*job) for each job, in job order, computed on `threads` helper threads.
@@ -605,6 +609,12 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     width of its stack.  Frame i draws only from shot_rng(seed, i), so the
     frames do not depend on the number of threads.  One usable core renders
     on the calling thread alone.
+
+    Each tilt's factors are built once per run and kept in a least recently
+    used cache of at most _TILT_CACHE_BYTES (or one tilt, if its factors are
+    larger), so a schedule that revisits its drive tones builds each tone's
+    rows once and memory does not grow with the schedule.  The cache lives
+    as long as the generator.
     """
     n = int(cfg.run.n_frames if n_frames is None else n_frames)
     s = int(cfg.run.seed if seed is None else seed)
@@ -619,14 +629,19 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     diffusion = _diffusion_efficiencies(ms, rm)
     counts_dtype = count_dtype(cfg)
 
+    # one cached tilt holds its anti-Stokes rows, off-pane flags and efficiencies,
+    # the same shapes as the Stokes pane's and the diffusion efficiencies
+    tilt_bytes = stokes.wy.nbytes + stokes.wx.nbytes + stokes.off_pane.nbytes + diffusion.nbytes
+
+    @lru_cache(maxsize=max(1, _TILT_CACHE_BYTES // tilt_bytes))
+    def tilt_factors(tr: tuple[float, float]) -> tuple[PaneFactors, np.ndarray]:
+        return anti_stokes_basis(ms, tr, camera), diffusion * _aberration_rolloff(rm, tr)
+
     def jobs() -> Iterator[tuple]:
-        # only the current tilt's factors are kept (and those of the frames in flight)
-        tilt = None
-        for i in range(n):
-            tr = (float(sched[i, 0]), float(sched[i, 1]))
-            if tr != tilt:
-                tilt, anti = tr, anti_stokes_basis(ms, tr, camera)
-                eta = diffusion * _aberration_rolloff(rm, tr)
+        # a revisited tilt reuses its factors; a miss builds them here, on the calling thread
+        for i, row in enumerate(sched):
+            tr = tuple(row.tolist())  # Python floats: -0.0 and 0.0 compare equal, so they share a key
+            anti, eta = tilt_factors(tr)
             rng = shot_rng(s, i)
             yield sample_shot(ms, eta, rng), stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
 

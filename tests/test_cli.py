@@ -531,6 +531,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("schedule", _SCHEDULE_HEAD + "0,0.0,nan\n"),
         ("schedule", "shot,drive_freq_hz\n0,1e9\n"),
         ("schedule", _SCHEDULE_HEAD + "2,0.0,30.0\n0,0.0,10.0\n1,0.0,20.0\n"),
+        ("schedule", "\ufeff" + _SCHEDULE_HEAD + "1,0.0,30.0\n"),
         ("config", b"[modes]\ngain_shrink = -1\n"),
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
@@ -556,7 +557,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         "stack-count-2^24", "stack-fractional-count", "stack-f3-pitch-past-paraxial",
         "stack-f3-subnormal", "stack-f3-pixel-below-floor", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
-        "schedule-tone-outside-band", "schedule-shots-out-of-order",
+        "schedule-tone-outside-band", "schedule-shots-out-of-order", "schedule-bom-shot-out-of-order",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
@@ -578,7 +579,7 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
         bad.write_bytes(make)
         argv = ["simulate", "--config", str(bad), "--frames", "1", "--out", str(tmp_path / "x.rmns")]
     else:
-        bad.write_text(make)
+        bad.write_text(make, encoding="utf-8")
         argv = ["simulate", "--config", cfg_path, "--frames", "1", "--schedule", str(bad),
                 "--out", str(tmp_path / "x.rmns")]
     capsys.readouterr()

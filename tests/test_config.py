@@ -197,6 +197,16 @@ def test_load_config_reads_file(tmp_path):
     assert cfg.run.n_frames == 12
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    text = b"[run]\nseed = 33\n[metadata]\nlab = caf\xc3\xa9\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    cfg = load_config(marked)
+    assert cfg == load_config(plain)
+    assert cfg.checksum() == load_config(plain).checksum()
+
+
 def test_shipped_default_config_is_the_dump_of_the_defaults():
     shipped = Path(__file__).parents[1] / "configs" / "default.ini"
     assert shipped.read_bytes() == dump_config(default_config()).encode("utf-8")

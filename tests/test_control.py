@@ -347,6 +347,16 @@ def test_schedule_skips_comment_lines(tmp_path, text):
     np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
 
 
+def test_schedule_may_start_with_a_byte_order_mark(tmp_path):
+    """A spreadsheet "CSV UTF-8" export: the mark is not part of the first column's name."""
+    path = tmp_path / "sched.csv"
+    path.write_bytes(b"\xef\xbb\xbftheta_read_x_urad,theta_read_y_urad\n0.0,30.0\n0.0,10.0\n")
+    np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
+    path.write_bytes(b"\xef\xbb\xbfshot,theta_read_x_urad,theta_read_y_urad\n1,0.0,30.0\n0,0.0,10.0\n")
+    with pytest.raises(ValueError, match="shot column"):
+        load_schedule(path)
+
+
 def test_schedule_from_drive_frequencies(tmp_path):
     path = tmp_path / "freqs.csv"
     path.write_text("shot,drive_freq_hz\n0,80e6\n1,90e6\n2,75e6\n")

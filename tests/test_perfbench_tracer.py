@@ -32,8 +32,8 @@ def test_tracer_installs_and_removes_every_wrapper():
     assert cli.main is main
 
 
-def test_traced_schedule_builds_factors_once_per_tilt_change(tmp_path, monkeypatch):
-    """A traced 3-tone run on 2 render threads: one factor build per tilt change, spans nested."""
+def test_traced_schedule_builds_factors_once_per_distinct_tilt(tmp_path, monkeypatch):
+    """A traced 3-tone run on 2 render threads: one factor build per distinct tilt, spans nested."""
     monkeypatch.setattr(scattering, "_usable_cores", lambda: 2)
     tones = (79.75e6, 79.75e6, 80.0e6, 80.25e6, 80.25e6, 79.75e6)
     sched = tmp_path / "sched.csv"
@@ -46,8 +46,7 @@ def test_traced_schedule_builds_factors_once_per_tilt_change(tmp_path, monkeypat
         assert cli.main([*argv, "--out", str(tmp_path / "s.rmns")]) == 0
     finally:
         assert tracer.remove()
-    changes = 1 + sum(a != b for a, b in zip(tones, tones[1:]))
-    assert tracer.counts["scattering.basis_builds"] == changes == 4
+    assert tracer.counts["scattering.basis_builds"] == len(set(tones)) == 3
     assert tracer.counts["scattering.frames"] == 6
     assert not tracer._open
     for name, start, end, parent in tracer.spans:

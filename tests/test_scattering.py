@@ -670,3 +670,80 @@ def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
     peak(8)  # one-off allocations of the first run stay out of the comparison
     peaks = [peak(64), peak(640)]
     assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+# --- tilt cache ---------------------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """The tilts whose anti-Stokes factors a run builds, in build order."""
+    built = []
+    build = scattering.anti_stokes_basis
+
+    def counted(ms, tilt, camera):
+        built.append(tuple(tilt))
+        return build(ms, tilt, camera)
+
+    monkeypatch.setattr(scattering, "anti_stokes_basis", counted)
+    return built
+
+
+def _cache_tilts(monkeypatch, cfg, tilts):
+    """Size the tilt cache to hold exactly `tilts` tilts' factors at this config."""
+    ms = mode_set_from_config(cfg)
+    pane = stokes_basis(ms, cfg.camera)
+    diffusion = scattering._diffusion_efficiencies(ms, cfg.retrieval)
+    one = pane.wy.nbytes + pane.wx.nbytes + pane.off_pane.nbytes + diffusion.nbytes
+    monkeypatch.setattr(scattering, "_TILT_CACHE_BYTES", tilts * one)
+
+
+def _frames(cfg, tilts, seed=4):
+    sched = np.array(tilts, dtype=float)
+    return list(iter_simulated_frames(cfg, n_frames=len(sched), schedule=sched, seed=seed))
+
+
+# three readout tilts, revisited in an order that is not a plain cycle
+REVISITED_TILTS = [(0.0, -150.0), (0.0, 0.0), (80.0, 150.0), (0.0, 0.0),
+                   (0.0, -150.0), (80.0, 150.0), (0.0, -150.0), (0.0, 0.0), (80.0, 150.0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_revisited_tilts_build_once_and_keep_the_frames(monkeypatch, threads):
+    cfg = default_config()
+    _use_threads(monkeypatch, threads)
+    built = _count_builds(monkeypatch)
+    got = _frames(cfg, REVISITED_TILTS)
+    assert sorted(built) == sorted(set(REVISITED_TILTS)) and len(built) == 3
+    built.clear()
+    monkeypatch.setattr(scattering, "_TILT_CACHE_BYTES", 1)  # one tilt: a rebuild per tilt change
+    want = _frames(cfg, REVISITED_TILTS)
+    assert len(built) == len(REVISITED_TILTS)
+    for a, b in zip(want, got):
+        assert a.readout_angle_urad == b.readout_angle_urad
+        assert a.counts.dtype == b.counts.dtype and a.counts.tobytes() == b.counts.tobytes()
+
+
+@pytest.mark.parametrize(("distinct", "builds"), [(3, 3), (4, 8)])
+def test_tilt_cache_holds_its_byte_budget(monkeypatch, distinct, builds):
+    """A 3-tilt budget: two cycles of 3 tilts build 3 times, of 4 tilts (least recently used out) 8."""
+    cfg = default_config()
+    _cache_tilts(monkeypatch, cfg, 3)
+    built = _count_builds(monkeypatch)
+    _frames(cfg, [(0.0, 50.0 * k) for k in range(distinct)] * 2)
+    assert len(built) == builds
+
+
+def test_negative_zero_tilt_reuses_the_zero_tilt(monkeypatch):
+    cfg = default_config()
+    built = _count_builds(monkeypatch)
+    tilts = [(0.0, 0.0), (0.0, -0.0)]
+    frames = _frames(cfg, tilts, seed=6)
+    assert built == [(0.0, 0.0)]
+    assert math.copysign(1.0, frames[1].readout_angle_urad[1]) == -1.0  # the frame keeps its own tilt
+    ms = mode_set_from_config(cfg)
+    rm = cfg.retrieval
+    for i, (fr, tilt) in enumerate(zip(frames, tilts)):
+        rng = shot_rng(6, i)
+        shot = sample_shot(ms, retrieval_efficiencies(ms, rm, tilt), rng)
+        fresh = render_shot(shot, ms, tilt, cfg.camera, rng, noise_floor=rm.noise_floor, shot_index=i)
+        assert fr.counts.tobytes() == fresh.counts.astype(fr.counts.dtype).tobytes()
