@@ -552,8 +552,9 @@ def _take(done: queue.SimpleQueue):
 # helpers busy through both, and memory stays bounded by the window
 _IN_FLIGHT_PER_THREAD = 4
 
-# bytes of anti-Stokes factors one run keeps for revisited tilts.  A run keeps
-# at least one tilt's, however large; at the default pane that is 58 tilts
+# bytes of tilt factors (anti-Stokes rows and efficiencies) one run keeps for
+# revisited tilts.  A run keeps at least one tilt's, however large; at the
+# default pane the budget holds 58 tilts
 _TILT_CACHE_BYTES = 2**20
 
 

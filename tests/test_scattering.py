@@ -713,7 +713,7 @@ def test_revisited_tilts_build_once_and_keep_the_frames(monkeypatch, threads):
     _use_threads(monkeypatch, threads)
     built = _count_builds(monkeypatch)
     got = _frames(cfg, REVISITED_TILTS)
-    assert sorted(built) == sorted(set(REVISITED_TILTS)) and len(built) == 3
+    assert sorted(built) == sorted(set(REVISITED_TILTS))  # 3 builds for 9 frames
     built.clear()
     monkeypatch.setattr(scattering, "_TILT_CACHE_BYTES", 1)  # one tilt: a rebuild per tilt change
     want = _frames(cfg, REVISITED_TILTS)
