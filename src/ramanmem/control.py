@@ -129,8 +129,11 @@ def compensating_readout(
 # ---------------------------------------------------------------------------
 # heralded routing
 
-# shots per herald chunk: each chunk draws from its own stream (see run_herald_protocol)
-HERALD_CHUNK = 8192
+# shots per herald chunk: each chunk draws from its own stream (see run_herald_protocol).
+# A chunk has a fixed cost of tens of microseconds whatever its size (the stream's
+# setup and a few numpy calls); 2^15 shots spread that cost thin while a chunk's
+# int64 arrays stay within 256 KB.
+HERALD_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,10 @@ def herald_probability(modes: int, p: float) -> float:
     """Probability that at least one of `modes` independent modes fires."""
     if modes < 1 or not (0.0 <= p <= 1.0):
         raise ValueError("need modes >= 1 and p in [0, 1]")
-    return 1.0 - (1.0 - p) ** modes
+    if p == 1.0:
+        return 1.0  # log1p(-1) raises
+    # 1 - (1 - p)^M, without the cancellation that loses p ~ 1e-12 to rounding
+    return -math.expm1(modes * math.log1p(-p))
 
 
 def multi_given_herald_exact(zeta: float, eta_detect: float = 1.0) -> float:
@@ -235,14 +241,16 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     slower than the memory lifetime voids every success but leaves the herald
     statistics untouched.
 
-    The modes are i.i.d., so a shot needs no per-mode draws.  With
-    q = zeta*eta_detect / (1 + zeta*eta_detect) the per-mode chance of a
-    detection, the first firing mode is K ~ Geometric(q) and the shot heralds
-    iff K <= modes.  The routed mode's detected count is then
-    D ~ Geometric(1 - q) (the thermal law given D >= 1), its undetected count
+    The modes and the shots are i.i.d., so nothing is drawn per mode, nor per
+    shot that does not herald.  With q = zeta*eta_detect / (1 + zeta*eta_detect)
+    the per-mode chance of a detection, a shot heralds with probability
+    herald_probability(modes, q), so a chunk's herald count is one
+    Binomial(size, herald_probability(modes, q)) draw.  Each heralded shot's
+    routed mode then has detected count D ~ Geometric(1 - q) (the thermal law
+    given D >= 1), undetected count
     U ~ NegBinomial(D + 1, 1 - s(1 - eta_detect)) with s = zeta / (1 + zeta),
-    and its excitation number n = D + U.  Cost is O(shots) and memory
-    O(HERALD_CHUNK), whatever the mode count.
+    and excitation number n = D + U.  Cost is O(chunks + heralded shots) and
+    memory O(HERALD_CHUNK), whatever the mode count.
 
     Chunk c of HERALD_CHUNK shots draws from shot_rng(seed, c), the PCG64
     stream of the seed's SeedSequence child c, so the chunk size is part of
@@ -254,15 +262,16 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     zeta_d = cfg.zeta * cfg.eta_detect
     q = zeta_d / (1.0 + zeta_d)
     undetected_p = 1.0 - cfg.p * (1.0 - cfg.eta_detect)
+    herald_p = herald_probability(cfg.modes, q)
     switch_dead = cfg.switch_latency_s > cfg.memory_lifetime_s
     heralds = successes = multis = 0
 
-    # q == 0 (no excitation or a blind detector) never heralds; geometric(0) raises
+    # q == 0 (no excitation or a blind detector) never heralds
     n_chunks = (shots + HERALD_CHUNK - 1) // HERALD_CHUNK if q > 0.0 else 0
     for chunk in range(n_chunks):
         size = min(HERALD_CHUNK, shots - chunk * HERALD_CHUNK)
         rng = shot_rng(seed, chunk)
-        n_heralded = int(np.count_nonzero(rng.geometric(q, size) <= cfg.modes))
+        n_heralded = int(rng.binomial(size, herald_p))
         heralds += n_heralded
         n_exc = rng.geometric(1.0 - q, n_heralded)
         if cfg.eta_detect < 1.0:

@@ -400,7 +400,7 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
 
 
 _PINNED_HERALD_ARGS = ["herald", "--shots", "20000", "--sweep-m", "1,10,100", "--seed", "3"]
-_PINNED_HERALD_DIGEST = "ccee9b850db4a11fe8c8804c9fe779fadb7489fb855e42c1479c4173a8d1a351"
+_PINNED_HERALD_DIGEST = "1d05e668fa27cb68c4910c520eb11856fdda99e0333f1a4257f435c54e3ba9ef"
 
 
 def test_herald_csv_digest_is_pinned(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Steering solver, readout schedules and the herald Monte Carlo."""
 
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,16 @@ def test_herald_probability_closed_form():
         herald_probability(0, 0.5)
 
 
+def test_herald_probability_keeps_small_p():
+    # 1 - (1 - p)^M cancels: it gives 9.99978e-13 here
+    assert herald_probability(1, 1e-12) == pytest.approx(1e-12, rel=1e-14)
+
+
+@pytest.mark.parametrize("modes", [1, 7, 10**9])
+def test_herald_probability_at_unit_p(modes):
+    assert herald_probability(modes, 1.0) == 1.0
+
+
 def test_multi_given_herald_exact_values():
     assert multi_given_herald_exact(0.0) == 0.0
     assert multi_given_herald_exact(0.01) == pytest.approx(0.00990099009900991, rel=1e-12)
@@ -225,16 +236,18 @@ def test_herald_stats_validation():
 
 
 def test_protocol_stream_is_pinned():
-    # digest of the sampler's random stream: a change here is a stream change
+    # digest of the sampler's random stream: a change here is a stream change.
+    # 70 000 shots are two full chunks and a partial one, so the chunk keying is pinned too
+    assert 2 * control.HERALD_CHUNK < 70_000 < 3 * control.HERALD_CHUNK
     hc = HeraldConfig(modes=20, zeta=0.05, eta_detect=0.55, eta_retrieve=0.6)
-    stats = run_herald_protocol(hc, 30_000, seed=11)
+    stats = run_herald_protocol(hc, 70_000, seed=11)
     assert stats == HeraldStats(
-        shots=30_000,
-        heralds=12_707,
-        routed_successes=7_774,
-        multi_excitation_events=856,
-        success_prob=7_774 / 30_000,
-        multi_given_herald=856 / 12_707,
+        shots=70_000,
+        heralds=29_328,
+        routed_successes=18_243,
+        multi_excitation_events=1_977,
+        success_prob=18_243 / 70_000,
+        multi_given_herald=1_977 / 29_328,
     )
 
 
@@ -296,6 +309,38 @@ def test_protocol_laws_at_imperfect_efficiencies():
     success = _success_given_herald_series(zeta, eta_d, eta_r)
     got = stats.routed_successes / h
     assert abs(got - success) < 3 * math.sqrt(success * (1 - success) / h)
+
+
+def test_chunk_herald_count_is_binomial():
+    # One chunk's herald count must have the binomial spread, not only its mean: a
+    # count fixed at round(size * P) would pass every rate gate and fail here.  Over
+    # n seeds (n - 1) S^2 / var is chi-square with n - 1 degrees of freedom (the
+    # count is near normal at this size); each bound has a false-alarm rate of 1e-6
+    # by the Wilson-Hilferty quantile.
+    size, modes, zeta, alpha = control.HERALD_CHUNK, 10, 0.05, 1e-6
+    counts = [
+        run_herald_protocol(HeraldConfig(modes=modes, zeta=zeta), size, seed=seed).heralds
+        for seed in range(5_000, 5_400)
+    ]
+    rate = herald_probability(modes, zeta / (1 + zeta))
+    var = size * rate * (1 - rate)
+    dof = len(counts) - 1
+    z = statistics.NormalDist().inv_cdf(1 - alpha)
+
+    def chi2_quantile(zq):
+        return dof * (1 - 2 / (9 * dof) + zq * math.sqrt(2 / (9 * dof))) ** 3
+
+    ratio = dof * statistics.variance(counts) / var
+    assert chi2_quantile(-z) < ratio < chi2_quantile(z)
+    assert abs(statistics.fmean(counts) - size * rate) < z * math.sqrt(var / len(counts))
+
+
+def test_saturated_herald_probability_heralds_every_shot():
+    # P rounds to 1 at M = 1e9: every shot heralds, over several chunks
+    hc = HeraldConfig(modes=10**9, zeta=0.01)
+    assert herald_probability(hc.modes, hc.p) == 1.0
+    stats = run_herald_protocol(hc, 70_000, seed=51)
+    assert stats.heralds == stats.shots == 70_000
 
 
 def test_protocol_memory_does_not_grow_with_modes():
