@@ -141,18 +141,11 @@ def test_herald_probability_closed_form():
     assert herald_probability(1000, 0.004) == pytest.approx(0.9818306904644105, rel=1e-12)
     assert herald_probability(10, 0.01) == pytest.approx(0.09561792499119559, rel=1e-12)
     assert herald_probability(1, 0.3) == pytest.approx(0.3)
+    # 1 - (1 - p)^M cancels: it gives 9.99978e-13 here
+    assert herald_probability(1, 1e-12) == pytest.approx(1e-12, rel=1e-14, abs=0.0)
+    assert herald_probability(1, 1.0) == herald_probability(10**9, 1.0) == 1.0
     with pytest.raises(ValueError):
         herald_probability(0, 0.5)
-
-
-def test_herald_probability_keeps_small_p():
-    # 1 - (1 - p)^M cancels: it gives 9.99978e-13 here
-    assert herald_probability(1, 1e-12) == pytest.approx(1e-12, rel=1e-14)
-
-
-@pytest.mark.parametrize("modes", [1, 7, 10**9])
-def test_herald_probability_at_unit_p(modes):
-    assert herald_probability(modes, 1.0) == 1.0
 
 
 def test_multi_given_herald_exact_values():
