@@ -212,8 +212,8 @@ def herald_probability(modes: int, p: float) -> float:
     """Probability that at least one of `modes` independent modes fires."""
     if modes < 1 or not (0.0 <= p <= 1.0):
         raise ValueError("need modes >= 1 and p in [0, 1]")
-    if p == 1.0:
-        return 1.0  # log1p(-1) raises
+    if p in (0.0, 1.0):
+        return float(p)  # log1p(-1) raises, and -expm1(0) would be -0.0
     # 1 - (1 - p)^M, without the cancellation that loses p ~ 1e-12 to rounding
     return -math.expm1(modes * math.log1p(-p))
 
@@ -266,9 +266,7 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     switch_dead = cfg.switch_latency_s > cfg.memory_lifetime_s
     heralds = successes = multis = 0
 
-    # q == 0 (no excitation or a blind detector) never heralds
-    n_chunks = (shots + HERALD_CHUNK - 1) // HERALD_CHUNK if q > 0.0 else 0
-    for chunk in range(n_chunks):
+    for chunk in range((shots + HERALD_CHUNK - 1) // HERALD_CHUNK):
         size = min(HERALD_CHUNK, shots - chunk * HERALD_CHUNK)
         rng = shot_rng(seed, chunk)
         n_heralded = int(rng.binomial(size, herald_p))

@@ -144,6 +144,7 @@ def test_herald_probability_closed_form():
     # 1 - (1 - p)^M cancels: it gives 9.99978e-13 here
     assert herald_probability(1, 1e-12) == pytest.approx(1e-12, rel=1e-14, abs=0.0)
     assert herald_probability(1, 1.0) == herald_probability(10**9, 1.0) == 1.0
+    assert str(herald_probability(5, 0.0)) == "0.0"
     with pytest.raises(ValueError):
         herald_probability(0, 0.5)
 
