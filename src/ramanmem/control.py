@@ -244,10 +244,10 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     The modes and the shots are i.i.d., so nothing is drawn per mode, nor per
     shot that does not herald.  With q = zeta*eta_detect / (1 + zeta*eta_detect)
     the per-mode chance of a detection, a shot heralds with probability
-    herald_probability(modes, q), so a chunk's herald count is one
-    Binomial(size, herald_probability(modes, q)) draw.  Each heralded shot's
-    routed mode then has detected count D ~ Geometric(1 - q) (the thermal law
-    given D >= 1), undetected count
+    P = herald_probability(modes, q), so a chunk's herald count is one
+    Binomial(size, P) draw.  Each heralded shot's routed mode then has
+    detected count D ~ Geometric(1 - q) (the thermal law given D >= 1),
+    undetected count
     U ~ NegBinomial(D + 1, 1 - s(1 - eta_detect)) with s = zeta / (1 + zeta),
     and excitation number n = D + U.  Cost is O(chunks + heralded shots) and
     memory O(HERALD_CHUNK), whatever the mode count.

@@ -309,8 +309,8 @@ def test_chunk_herald_count_is_binomial():
     # One chunk's herald count must have the binomial spread, not only its mean: a
     # count fixed at round(size * P) would pass every rate gate and fail here.  Over
     # n seeds (n - 1) S^2 / var is chi-square with n - 1 degrees of freedom (the
-    # count is near normal at this size); each bound has a false-alarm rate of 1e-6
-    # by the Wilson-Hilferty quantile.
+    # count is near normal at this size).  Each one-sided bound has a false-alarm
+    # rate of 1e-6, by the Wilson-Hilferty quantile for the variance.
     size, modes, zeta, alpha = control.HERALD_CHUNK, 10, 0.05, 1e-6
     counts = [
         run_herald_protocol(HeraldConfig(modes=modes, zeta=zeta), size, seed=seed).heralds
