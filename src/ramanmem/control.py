@@ -248,9 +248,16 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     Binomial(size, P) draw.  Each heralded shot's routed mode then has
     detected count D ~ Geometric(1 - q) (the thermal law given D >= 1),
     undetected count
-    U ~ NegBinomial(D + 1, 1 - s(1 - eta_detect)) with s = zeta / (1 + zeta),
-    and excitation number n = D + U.  Cost is O(chunks + heralded shots) and
-    memory O(HERALD_CHUNK), whatever the mode count.
+    U ~ NegBinomial(D + 1, u) with u = 1 - s(1 - eta_detect), s = zeta / (1 + zeta),
+    and excitation number n = D + U.  U is drawn as a sum of D + 1 geometric
+    failure counts: two per shot, plus one NegBinomial(D - 1, u) draw for the
+    shots with D >= 2; at eta_detect = 1, U = 0 and nothing is drawn.  The
+    retrieval succeeds when one uniform per shot falls below
+    1 - (1 - eta_retrieve)^n, the chance that Binomial(n, eta_retrieve) >= 1.
+    At eta_retrieve = 0, or with a dead switch, nothing is drawn and nothing
+    succeeds; at eta_retrieve = 1 every heralded shot succeeds.  Every heralded
+    shot thus draws its own D, U and retrieval.  Cost is O(chunks + heralded
+    shots) and memory O(HERALD_CHUNK), whatever the mode count.
 
     Chunk c of HERALD_CHUNK shots draws from shot_rng(seed, c), the PCG64
     stream of the seed's SeedSequence child c, so the chunk size is part of
@@ -263,7 +270,8 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     q = zeta_d / (1.0 + zeta_d)
     undetected_p = 1.0 - cfg.p * (1.0 - cfg.eta_detect)
     herald_p = herald_probability(cfg.modes, q)
-    switch_dead = cfg.switch_latency_s > cfg.memory_lifetime_s
+    # a switch slower than the memory retrieves nothing
+    retrieve = 0.0 if cfg.switch_latency_s > cfg.memory_lifetime_s else cfg.eta_retrieve
     heralds = successes = multis = 0
 
     for chunk in range((shots + HERALD_CHUNK - 1) // HERALD_CHUNK):
@@ -271,12 +279,22 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
         rng = shot_rng(seed, chunk)
         n_heralded = int(rng.binomial(size, herald_p))
         heralds += n_heralded
-        n_exc = rng.geometric(1.0 - q, n_heralded)
+        detected = rng.geometric(1.0 - q, n_heralded)
+        n_exc = detected
         if cfg.eta_detect < 1.0:
-            n_exc += rng.negative_binomial(n_exc + 1, undetected_p)
+            # NegBin(D + 1, u) = G0 + G1 + NegBin(D - 1, u), few shots have D >= 2;
+            # numpy's geometric counts trials, one more than the failures
+            n_exc = detected - 2 + rng.geometric(undetected_p, n_heralded)
+            n_exc += rng.geometric(undetected_p, n_heralded)
+            more = detected >= 2
+            n_exc[more] += rng.negative_binomial(detected[more] - 1, undetected_p)
         multis += int(np.count_nonzero(n_exc >= 2))
-        if not switch_dead:
-            successes += int(np.count_nonzero(rng.binomial(n_exc, cfg.eta_retrieve)))
+        if retrieve == 1.0:
+            successes += n_heralded
+        elif retrieve > 0.0:
+            # P(Binomial(n, eta_r) >= 1) = 1 - (1 - eta_r)^n
+            p_success = -np.expm1(n_exc * math.log1p(-retrieve))
+            successes += int(np.count_nonzero(rng.random(n_heralded) < p_success))
 
     return HeraldStats(
         shots=shots,

@@ -400,7 +400,7 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
 
 
 _PINNED_HERALD_ARGS = ["herald", "--shots", "20000", "--sweep-m", "1,10,100", "--seed", "3"]
-_PINNED_HERALD_DIGEST = "1d05e668fa27cb68c4910c520eb11856fdda99e0333f1a4257f435c54e3ba9ef"
+_PINNED_HERALD_DIGEST = "3cd7fdbeabf0028e631504d6d3557ab1d084c5798d70cd53ec78144952480329"
 
 
 def test_herald_csv_digest_is_pinned(tmp_path, capsys):

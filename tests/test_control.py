@@ -238,10 +238,10 @@ def test_protocol_stream_is_pinned():
     assert stats == HeraldStats(
         shots=70_000,
         heralds=29_328,
-        routed_successes=18_243,
-        multi_excitation_events=1_977,
-        success_prob=18_243 / 70_000,
-        multi_given_herald=1_977 / 29_328,
+        routed_successes=18_141,
+        multi_excitation_events=1_999,
+        success_prob=18_141 / 70_000,
+        multi_given_herald=1_999 / 29_328,
     )
 
 
@@ -253,30 +253,58 @@ def test_protocol_without_detections_never_heralds(kwargs):
 
 
 class _CallRecorder:
-    """Generator stand-in that records which distributions the sampler draws."""
+    """Generator stand-in that records, in order, the distributions a chunk draws."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
 
     def __getattr__(self, name):
-        self._calls.add(name)
+        self._calls.append(name)
         return getattr(self._rng, name)
 
 
-def test_unit_detection_skips_undetected_draw(monkeypatch):
-    calls = set()
+def _record_chunk_draws(monkeypatch):
+    """Patch control.shot_rng; the returned list gains one list of draws per chunk."""
+    chunks = []
     real = control.shot_rng
-    monkeypatch.setattr(control, "shot_rng", lambda seed, i: _CallRecorder(real(seed, i), calls))
+
+    def recording(seed, i):
+        chunks.append([])
+        return _CallRecorder(real(seed, i), chunks[-1])
+
+    monkeypatch.setattr(control, "shot_rng", recording)
+    return chunks
+
+
+def test_unit_detection_skips_undetected_draw(monkeypatch):
+    # at unit efficiencies a chunk draws its herald count and each heralded shot's D,
+    # and nothing else: a draw of U, by any sampler, is one more call in the chunk
+    chunks = _record_chunk_draws(monkeypatch)
     zeta, shots = 0.3, 60_000
     stats = run_herald_protocol(HeraldConfig(modes=5, zeta=zeta), shots, seed=21)
-    assert "negative_binomial" not in calls
+    assert chunks == [["binomial", "geometric"]] * 2
     exact = multi_given_herald_exact(zeta)
     se = math.sqrt(exact * (1 - exact) / stats.heralds)
     assert abs(stats.multi_given_herald - exact) < 3 * se
 
-    calls.clear()
+    # below unit detection the recorder sees U drawn: two geometric failure counts
+    # per shot, then NegBin(D - 1, u) for the shots with D >= 2
+    chunks.clear()
     run_herald_protocol(HeraldConfig(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
-    assert "negative_binomial" in calls
+    assert chunks == [["binomial", "geometric", "geometric", "geometric", "negative_binomial"]]
+
+
+@pytest.mark.parametrize("eta_retrieve", [0.0, 1.0])
+def test_edge_retrieval_efficiencies(eta_retrieve):
+    # eta_r = 0 retrieves nothing and draws nothing (geometric(0) would raise);
+    # eta_r = 1 retrieves from every heralded shot.  The retrieval is a chunk's last
+    # draw, so the herald and multi-excitation counts match those at eta_r = 0.6
+    base = dict(modes=20, zeta=0.05, eta_detect=0.55)
+    stats = run_herald_protocol(HeraldConfig(eta_retrieve=eta_retrieve, **base), 70_000, seed=13)
+    mid = run_herald_protocol(HeraldConfig(eta_retrieve=0.6, **base), 70_000, seed=13)
+    assert stats.heralds == mid.heralds > 0
+    assert stats.multi_excitation_events == mid.multi_excitation_events
+    assert stats.routed_successes == (stats.heralds if eta_retrieve else 0)
 
 
 def _success_given_herald_series(zeta, eta_detect, eta_retrieve, terms=400):
