@@ -108,9 +108,9 @@ def test_two_axis_chain_reaches_diagonal_targets():
 
 def test_zeta_p_mapping():
     hc = HeraldConfig(modes=10, p=0.01)
-    assert hc.zeta == pytest.approx(0.010101010101010102, rel=1e-12)
+    assert hc.zeta == pytest.approx(0.010101010101010102, rel=1e-12, abs=0.0)
     hc2 = HeraldConfig(modes=10, zeta=0.25)
-    assert hc2.p == pytest.approx(0.2, rel=1e-12)
+    assert hc2.p == pytest.approx(0.2, rel=1e-12, abs=0.0)
     # both given and consistent
     HeraldConfig(modes=3, zeta=0.25, p=0.2)
     with pytest.raises(ValueError, match="inconsistent"):
@@ -138,8 +138,8 @@ def test_herald_config_validation():
 
 
 def test_herald_probability_closed_form():
-    assert herald_probability(1000, 0.004) == pytest.approx(0.9818306904644105, rel=1e-12)
-    assert herald_probability(10, 0.01) == pytest.approx(0.09561792499119559, rel=1e-12)
+    assert herald_probability(1000, 0.004) == pytest.approx(0.9818306904644105, rel=1e-12, abs=0.0)
+    assert herald_probability(10, 0.01) == pytest.approx(0.09561792499119559, rel=1e-12, abs=0.0)
     assert herald_probability(1, 0.3) == pytest.approx(0.3)
     # 1 - (1 - p)^M cancels: it gives 9.99978e-13 here
     assert herald_probability(1, 1e-12) == pytest.approx(1e-12, rel=1e-14, abs=0.0)
@@ -151,12 +151,12 @@ def test_herald_probability_closed_form():
 
 def test_multi_given_herald_exact_values():
     assert multi_given_herald_exact(0.0) == 0.0
-    assert multi_given_herald_exact(0.01) == pytest.approx(0.00990099009900991, rel=1e-12)
+    assert multi_given_herald_exact(0.01) == pytest.approx(0.00990099009900991, rel=1e-12, abs=0.0)
     assert multi_given_herald_exact(0.01, eta_detect=0.55) == pytest.approx(
-        0.014312322321340942, rel=1e-12
+        0.014312322321340942, rel=1e-12, abs=0.0
     )
     # unit-efficiency limit is the thermal P(n >= 2 | n >= 1) = zeta / (1 + zeta)
-    assert multi_given_herald_exact(0.3) == pytest.approx(0.3 / 1.3, rel=1e-12)
+    assert multi_given_herald_exact(0.3) == pytest.approx(0.3 / 1.3, rel=1e-12, abs=0.0)
 
 
 @given(st.floats(min_value=1e-4, max_value=0.5), st.floats(min_value=0.05, max_value=1.0))

@@ -98,7 +98,7 @@ def test_conjugate_angles_matches_scalar_form():
 
 
 def test_chain_derived_quantities():
-    assert CHAIN.cell_slope_rad_per_hz == pytest.approx(2e-11, rel=1e-12)
+    assert CHAIN.cell_slope_rad_per_hz == pytest.approx(2e-11, rel=1e-12, abs=0.0)
 
 
 def test_aod_chain_angle_at_key_frequencies():

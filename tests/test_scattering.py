@@ -185,7 +185,7 @@ def test_retrieval_diffusion_damping_frozen_ratio():
     ms = _lattice([0.0, 300.0], [0.0], spacing=300.0, mean=1.0)
     rm = RetrievalModel(0.85, 0.12, 1e-6, 0.0, 0.0)
     eta = retrieval_efficiencies(ms, rm, (0.0, 0.0))
-    assert eta[0] == pytest.approx(0.85, rel=1e-12)
+    assert eta[0] == pytest.approx(0.85, rel=1e-12, abs=0.0)
     # a 300 urad mode stores |K| = 2371.013 rad/m; exp(-D K^2 tau) = 0.5093578
     assert eta[1] / eta[0] == pytest.approx(0.5093578309806889, rel=1e-9)
 
