@@ -255,9 +255,12 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     retrieval succeeds when one uniform per shot falls below
     1 - (1 - eta_retrieve)^n, the chance that Binomial(n, eta_retrieve) >= 1.
     At eta_retrieve = 0, or with a dead switch, nothing is drawn and nothing
-    succeeds; at eta_retrieve = 1 every heralded shot succeeds.  Every heralded
-    shot thus draws its own D, U and retrieval.  Cost is O(chunks + heralded
-    shots) and memory O(HERALD_CHUNK), whatever the mode count.
+    succeeds; at eta_retrieve = 1 every heralded shot succeeds.  Each heralded
+    shot draws its own D, U and retrieval, and no multi-excitation or success
+    count is drawn from its closed-form probability, so the tests that compare
+    those counts with closed forms stay independent checks.  Cost is
+    O(chunks + heralded shots) and memory O(HERALD_CHUNK), whatever the mode
+    count.
 
     Chunk c of HERALD_CHUNK shots draws from shot_rng(seed, c), the PCG64
     stream of the seed's SeedSequence child c, so the chunk size is part of
