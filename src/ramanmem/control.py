@@ -132,7 +132,7 @@ def compensating_readout(
 # shots per herald chunk: each chunk draws from its own stream (see run_herald_protocol).
 # A chunk has a fixed cost of tens of microseconds whatever its size (the stream's
 # setup and a few numpy calls); 2^15 shots spread that cost thin while a chunk's
-# int64 arrays stay within 256 KB.
+# int64 and float64 arrays stay within 256 KB each.
 HERALD_CHUNK = 32768
 
 
