@@ -120,13 +120,13 @@ def _stack_blocks(path: str):
     """iter_stack_blocks with a bad header or body as a ConfigError."""
     try:
         camera, count, seed, checksum, blocks = stackio.iter_stack_blocks(path)
-    except ValueError as exc:  # bad magic or version, or a truncated header
+    except ValueError as exc:  # bad magic or version, a truncated header, or a bad body length
         raise ConfigError(str(exc), path=path) from None
 
     def checked() -> Iterator[np.ndarray]:
         try:
             yield from blocks
-        except (ValueError, OverflowError) as exc:  # a bad body length, or a version 1 count the reader rejects
+        except ValueError as exc:  # a body cut short after its header was read
             raise ConfigError(str(exc), path=path) from None
 
     return camera, count, seed, checksum, checked()

@@ -174,12 +174,6 @@ class CameraGeometry:
         py = oy + angle.theta_y * RAD_PER_URAD * self.f3_m / self.pixel_pitch_m
         return (px, py)
 
-    def pixel_to_angle(self, px: float, py: float) -> Angle2D:
-        ox, oy = self.origin_px
-        tx = (px - ox) * self.pixel_pitch_m / self.f3_m / RAD_PER_URAD
-        ty = (py - oy) * self.pixel_pitch_m / self.f3_m / RAD_PER_URAD
-        return Angle2D(tx, ty)
-
     def contains(self, px: float, py: float) -> bool:
         """True when (px, py) rounds onto a physical pixel of the pane."""
         return (-0.5 <= px < self.width_px - 0.5) and (-0.5 <= py < self.height_px - 0.5)

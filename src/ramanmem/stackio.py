@@ -3,7 +3,7 @@
 Layout (all little endian):
 
     magic   4 bytes  b"RMNS"
-    version u16      2 (version 1 is still read)
+    version u16      2
     width   u32      pane width in pixels
     height  u32      pane height in pixels
     count   u32      number of frames
@@ -17,16 +17,13 @@ Layout (all little endian):
             (`Frame.counts`, Stokes pane first, row-major) as unsigned
             integers of the header's width; nothing follows them
 
-A version 1 header has no count width, and its records are the (2, H, W)
-counts as float32 alone; its frames read with readout angles (0, 0).
-
-Each block of records is read with one `np.fromfile`.  A version 2 body is
-handed out as stored: its unsigned counts need no check.  A version 1 body's
-float32 counts must be finite, non-negative, whole and below 2**24, past which
-float32 rounds them; they are then converted to u32, so every count read is
-an unsigned integer.  A writer never wraps a count: it takes only frames of
-a count type its width holds, and the renderer fails on a count past that
-width.  Writing the same stack twice produces byte-identical files.
+The header's frame count and record size fix the body length, which the
+reader checks against the file's size before it reads or allocates a frame.
+Each block of records is read with one `np.fromfile` and handed out as
+stored: its unsigned counts need no check.  A writer never wraps a count: it
+takes only frames of a count type its width holds, and the renderer fails on
+a count past that width.  Writing the same stack twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -48,12 +45,12 @@ __all__ = [
 
 MAGIC = b"RMNS"
 VERSION = 2
-_HEADER = struct.Struct("<4sHIIIddQQ")  # the header of every version starts so
-_COUNT_WIDTH = struct.Struct("<H")  # version 2 appends the bytes per count
+_HEADER = struct.Struct("<4sHIIIddQQ")
+_COUNT_WIDTH = struct.Struct("<H")  # the bytes per count, which ends the header
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
-    """One version 2 frame record: its readout angle pair, then its counts.
+    """One frame record: its readout angle pair, then its counts.
 
     `geometry.PANE_PIXELS_MAX` keeps the widest record within the C int numpy sizes it in.
     """
@@ -142,27 +139,33 @@ class StackWriter:
 
 
 def _read_header(fh):
-    """(camera, frame count, seed, config checksum, record dtype); fh is left at the body."""
+    """(camera, frame count, seed, config checksum, record dtype); fh is left at the body.
+
+    The bytes after the header must be the declared frames exactly, so no
+    read is sized by a header the file cannot back.
+    """
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated header")
     magic, version, width, height, count, pitch, f3, seed, checksum = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise ValueError(f"unsupported version {version}")
     camera = CameraGeometry(width_px=width, height_px=height, pixel_pitch_m=pitch, f3_m=f3)
-    if version == 1:
-        record = np.dtype([("counts", "<f4", (2, height, width))])
-    else:
-        raw = fh.read(_COUNT_WIDTH.size)
-        if len(raw) != _COUNT_WIDTH.size:
-            raise ValueError("truncated header")
-        (nbytes,) = _COUNT_WIDTH.unpack(raw)
-        widths = {dt.itemsize: dt for dt in COUNT_DTYPES}
-        if nbytes not in widths:
-            raise ValueError(f"unsupported count width of {nbytes} bytes")
-        record = _record_dtype(camera, widths[nbytes])
+    raw = fh.read(_COUNT_WIDTH.size)
+    if len(raw) != _COUNT_WIDTH.size:
+        raise ValueError("truncated header")
+    (nbytes,) = _COUNT_WIDTH.unpack(raw)
+    widths = {dt.itemsize: dt for dt in COUNT_DTYPES}
+    if nbytes not in widths:
+        raise ValueError(f"unsupported count width of {nbytes} bytes")
+    record = _record_dtype(camera, widths[nbytes])
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if body < count * record.itemsize:
+        raise ValueError(f"truncated frame {body // record.itemsize}")
+    if body > count * record.itemsize:
+        raise ValueError(f"bytes past the {count} declared frames")
     return camera, count, seed, checksum, record
 
 
@@ -172,41 +175,19 @@ def _read_header(fh):
 _BLOCK = 8
 
 
-def _check_end(fh, count: int) -> None:
-    if fh.read(1):
-        raise ValueError(f"bytes past the {count} declared frames")
-
-
-def _read_frames(fh, record: np.dtype, first: int, n: int, count: int):
-    """Frames first .. first + n - 1 of a count-frame body: (n, 2) angles, (n, 2, H, W) unsigned counts.
-
-    A version 1 body stores no angles; its frames read with (0, 0), and its
-    float32 counts are checked, then converted to u32.
-    """
+def _read_frames(fh, record: np.dtype, first: int, n: int):
+    """Frames first .. first + n - 1 of the body: (n, 2) angles, (n, 2, H, W) unsigned counts."""
     data = np.fromfile(fh, dtype=record, count=n)
-    if data.size != n:
+    if data.size != n:  # the file shrank after its header was checked
         raise ValueError(f"truncated frame {first + data.size}")
-    counts = data["counts"]
-    if counts.dtype.kind == "f":  # a version 1 body
-        lo, hi = (counts.min(), counts.max()) if counts.size else (0, 0)  # min() is NaN if any is
-        if not (lo >= 0 and hi < np.inf):
-            raise ValueError("pane intensities must be finite and non-negative")
-        if hi >= 2**24:  # float32 holds every integer exactly only below 2**24
-            raise OverflowError(f"a count of {hi:.0f} reaches 2**24: float32 frames round it")
-        if (counts % 1.0).any():
-            raise ValueError("stack counts must be whole numbers")
-        counts = counts.astype(COUNT_DTYPES[1])
-    if first + n == count:
-        _check_end(fh, count)
-    angles = data["angle"] if "angle" in record.names else np.zeros((n, 2))
-    return angles, counts
+    return data["angle"], data["counts"]
 
 
 def read_stack(path) -> FrameStack:
-    """Load a whole stack into memory: a version 2 stack's counts and angles are views of the body as read."""
+    """Load a whole stack into memory: its counts and angles are views of the body as read."""
     with open(path, "rb") as fh:
         camera, count, seed, checksum, record = _read_header(fh)
-        angles, counts = _read_frames(fh, record, 0, count, count)
+        angles, counts = _read_frames(fh, record, 0, count)
     return FrameStack(
         counts=counts,
         readout_angles_urad=angles,
@@ -225,10 +206,8 @@ def _iter_records(path):
     def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         with open(path, "rb") as fh:
             fh.seek(body)
-            if count == 0:  # no block reads up to the end
-                _check_end(fh, count)
             for start in range(0, count, _BLOCK):
-                yield _read_frames(fh, record, start, min(_BLOCK, count - start), count)
+                yield _read_frames(fh, record, start, min(_BLOCK, count - start))
 
     return camera, count, seed, checksum, blocks()
 
@@ -239,10 +218,9 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     Returns (camera, n_frames, seed, config_checksum, blocks).  Every block
     holds `_BLOCK` frames but the last, read with one call; each is a view
     of a fresh record array the iterator keeps no reference to, of the
-    body's dtype (u16 or u32; a version 1 body's counts read as u32).  A
-    body that ends early raises "truncated frame i" for its first incomplete
-    frame, bytes past the last frame raise, and so does a version 1 count
-    the reader rejects.
+    body's dtype (u16 or u32).  A body that ends early raises "truncated
+    frame i" for its first incomplete frame, and bytes past the last frame
+    raise; both are found at the header, before any frame is read.
     The iterator opens the file only when iteration starts, so a caller
     that never iterates holds no open handle.
     """

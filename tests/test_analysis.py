@@ -46,8 +46,14 @@ def proportional_frames(values=(1.0, 2.0, 3.0), gain=2.0):
     return frames
 
 
+def pixel_angle(ix, iy):
+    """The angle of CAM4's pixel (ix, iy) centre."""
+    ax, ay = CAM4.pixel_angle_axes()
+    return Angle2D(ax[ix], ay[iy])
+
+
 def corner_ref():
-    return an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(0, 0))
+    return an.Reference.pixel(CAM4, "stokes", pixel_angle(0, 0))
 
 
 # --- references -------------------------------------------------------------
@@ -63,7 +69,7 @@ def test_reference_pixel_lookup():
 
 def test_reference_disc_membership_is_strict():
     # radius equal to the pitch picks up the centre pixel only
-    center = CAM4.pixel_to_angle(2, 2)
+    center = pixel_angle(2, 2)
     ref = an.Reference.disc(CAM4, "stokes", center, CAM4.pitch_urad)
     assert len(ref.pixel_rows) == 1
     # slightly beyond the pitch adds the 4-neighbourhood
@@ -98,7 +104,7 @@ def test_map_needs_two_frames():
 
 
 def test_constant_reference_gives_all_nan():
-    ref = an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(1, 1))
+    ref = an.Reference.pixel(CAM4, "stokes", pixel_angle(1, 1))
     cmap = an.correlation_map(accumulate_all(CAM4, ref, proportional_frames()), 0, CAM4)
     assert np.isnan(cmap.values).all()
 
@@ -160,7 +166,7 @@ def test_merge_is_bit_stable_under_partitioning():
 def test_merge_rejects_mismatched_references():
     """References must match in pane, pixels, count and order."""
     corner = corner_ref()
-    centre = an.Reference.pixel(CAM4, "stokes", CAM4.pixel_to_angle(1, 1))
+    centre = an.Reference.pixel(CAM4, "stokes", pixel_angle(1, 1))
     for refs_a, refs_b in (
         ([corner], [centre]),
         ([corner], [corner, centre]),
@@ -217,7 +223,7 @@ def ramp_map():
 
 def test_value_at():
     cmap = ramp_map()
-    assert cmap.value_at("anti_stokes", CAM4.pixel_to_angle(2, 1)) == pytest.approx(
+    assert cmap.value_at("anti_stokes", pixel_angle(2, 1)) == pytest.approx(
         6.0 / 16.0
     )
 

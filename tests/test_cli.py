@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from rmns_v1 import v1_bytes
 
 import ramanmem
 from ramanmem import analysis, cli, control, scattering, stackio
@@ -508,6 +507,11 @@ def test_fiber_span_must_be_finite(capsys, span):
 _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
 
 
+def _as_version_1(raw):
+    """The stack with its version field set to 1, a format no longer read."""
+    return raw[:4] + struct.pack("<H", 1) + raw[6:]
+
+
 @pytest.mark.parametrize(
     "kind, make",
     [
@@ -515,12 +519,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
         ("stack", lambda raw: raw[:10]),
         ("stack", lambda raw: raw[:-100]),
         ("stack", None),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", -1.0)),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("nan"))),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("inf"))),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", float("-inf"))),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 2.0**24)),
-        ("v1-stack", lambda raw: raw[:-4] + struct.pack("<f", 3.1)),
+        ("stack", _as_version_1),
         ("stack", lambda raw: raw[:26] + struct.pack("<d", 3.7e-155) + raw[34:]),  # f3
         ("stack", lambda raw: raw[:26] + struct.pack("<d", 5.8e-310) + raw[34:]),
         ("stack", lambda raw: raw[:26] + struct.pack("<d", 1e300) + raw[34:]),
@@ -553,8 +552,7 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
-        "stack-negative-count", "stack-nan-count", "stack-inf-count", "stack-neg-inf-count",
-        "stack-count-2^24", "stack-fractional-count", "stack-f3-pitch-past-paraxial",
+        "stack-version-1", "stack-f3-pitch-past-paraxial",
         "stack-f3-subnormal", "stack-f3-pixel-below-floor", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order", "schedule-bom-shot-out-of-order",
@@ -569,11 +567,11 @@ _SCHEDULE_HEAD = "shot,theta_read_x_urad,theta_read_y_urad\n"
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     bad = tmp_path / f"bad.{kind}"
-    if kind.endswith("stack"):  # a v1-stack is the simulated stack as float32 (version 1)
+    if kind == "stack":
         frames = "1" if make is None else "3"
         assert main(["simulate", "--config", cfg_path, "--frames", frames, "--out", str(bad)]) == 0
         if make is not None:
-            bad.write_bytes(make(v1_bytes(bad) if kind == "v1-stack" else bad.read_bytes()))
+            bad.write_bytes(make(bad.read_bytes()))
         argv = ["correlate", "--stack", str(bad), "--out", str(tmp_path / "map")]
     elif kind == "config":
         bad.write_bytes(make)
@@ -586,6 +584,8 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    if make is _as_version_1:
+        assert err.endswith(": unsupported version 1\n")
     assert not (tmp_path / "x.rmns").exists() and not list(tmp_path.glob("map_*"))
 
 
@@ -718,19 +718,21 @@ def test_u32_stack_holding_2_24_maps(tmp_path, cfg_path, monkeypatch, threads):
     assert np.isfinite(first_row[2])
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_v1_stack_reads_as_u32_and_maps_unchanged(tmp_path, cfg_path, monkeypatch, threads):
-    """A stack written as version 1 reads as u32 counts and maps to the bytes of its version 2 file."""
-    _use_threads(monkeypatch, threads)
-    v2, v1 = tmp_path / "v2.rmns", tmp_path / "v1.rmns"
-    assert main(["simulate", "--config", cfg_path, "--frames", "21", "--out", str(v2)]) == 0
-    v1.write_bytes(v1_bytes(v2))
-    assert read_stack(v2).counts.dtype == np.uint16 and read_stack(v1).counts.dtype == np.uint32
-    np.testing.assert_array_equal(read_stack(v1).counts, read_stack(v2).counts)
-    for path in (v1, v2):
-        assert main(["correlate", "--stack", str(path), "--out", str(tmp_path / path.stem)]) == 0
-    for suffix in _MAP_SUFFIXES:
-        assert Path(f"{tmp_path / 'v1'}{suffix}").read_bytes() == Path(f"{tmp_path / 'v2'}{suffix}").read_bytes()
+def test_header_past_its_body_exits_2_before_allocating(tmp_path, capsys):
+    """A header declaring 64 MiB of body the file lacks exits 2 at the header, within 1 MB of memory."""
+    path = tmp_path / "big.rmns"  # the header alone, declaring 8 frames of a 1024x1024 u32 pane
+    path.write_bytes(stackio._HEADER.pack(stackio.MAGIC, stackio.VERSION, 1024, 1024, 8, 7.5e-6, 0.5, 0, 0)
+                     + stackio._COUNT_WIDTH.pack(4))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["correlate", "--stack", str(path), "--out", str(tmp_path / "map")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {path}: truncated frame 0\n"
+    assert peak < 2**20, peak
+    assert not list(tmp_path.glob("map_*"))
 
 
 def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):

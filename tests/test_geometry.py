@@ -169,7 +169,8 @@ def test_angle_to_pixel_key_points():
     st.floats(min_value=-0.49, max_value=63.49),
 )
 def test_pixel_round_trip(px, py):
-    a = CAMERA.pixel_to_angle(px, py)
+    ox, oy = CAMERA.origin_px
+    a = Angle2D((px - ox) * CAMERA.pitch_urad, (py - oy) * CAMERA.pitch_urad)
     qx, qy = CAMERA.angle_to_pixel(a)
     assert qx == pytest.approx(px, abs=1e-9)
     assert qy == pytest.approx(py, abs=1e-9)

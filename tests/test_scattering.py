@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rmns_v1 import v1_bytes
 
 from ramanmem import scattering
 from ramanmem.cli import main
@@ -480,29 +479,16 @@ def test_frames_independent_of_history(idx):
 PINNED_DEFAULT_DIGEST = "e444732d9081c452bdd63d24da20cf037015e84be39cf510434eb257098348b6"
 PINNED_SCHEDULE_DIGEST = "4636fb3129880bc429f7bc0a43c1b1a6d9961e872c5d4c990ef3f0a1bb18bae0"
 PINNED_BOTH_AXIS_DIGEST = "2d406ef373c7c9610f4389d8081599948835941f85a22db1d214c31487087f7d"
-# sha256 of the same stacks as version 1 files (float32 counts, no angles): the
-# digests pinned before version 2.  Each stack, decoded and written as version 1,
-# must match, so the format change moved no count
-PINNED_V1_DIGESTS = {
-    PINNED_DEFAULT_DIGEST: "811bbac2fa4b27854c0dc88b1928103aad52b7671ea45369ff3cad1204676b91",
-    PINNED_SCHEDULE_DIGEST: "9aa371dd72265586d4c58c8ce66a1b725147625d7761db260377bafd02fb2abe",
-    PINNED_BOTH_AXIS_DIGEST: "131d4f436e73f71a2f0ef640d275f1173169999b6642706573438bd7887d2578",
-}
 
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _assert_pinned(path, digest):
-    assert _digest(path) == digest
-    assert hashlib.sha256(v1_bytes(path)).hexdigest() == PINNED_V1_DIGESTS[digest]
-
-
 def test_default_stack_digest_is_pinned(tmp_path):
     out = tmp_path / "run.rmns"
     assert main(["simulate", "--frames", "6", "--out", str(out)]) == 0
-    _assert_pinned(out, PINNED_DEFAULT_DIGEST)
+    assert _digest(out) == PINNED_DEFAULT_DIGEST
 
 
 def _three_tone_schedule(tmp_path):
@@ -519,7 +505,7 @@ def test_scheduled_stack_digest_is_pinned(tmp_path):
     sched = _three_tone_schedule(tmp_path)
     out = tmp_path / "sched.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
-    _assert_pinned(out, PINNED_SCHEDULE_DIGEST)
+    assert _digest(out) == PINNED_SCHEDULE_DIGEST
 
 
 # readout tilts (x, y) that change y alone, x alone, neither and both; at
@@ -541,7 +527,7 @@ def test_both_axis_schedule_digest_is_pinned(tmp_path):
     sched = _both_axis_schedule(tmp_path)
     out = tmp_path / "both.rmns"
     assert main(["simulate", "--frames", "6", "--schedule", str(sched), "--out", str(out)]) == 0
-    _assert_pinned(out, PINNED_BOTH_AXIS_DIGEST)
+    assert _digest(out) == PINNED_BOTH_AXIS_DIGEST
 
 
 # --- render threads -----------------------------------------------------------

@@ -2,11 +2,9 @@
 
 import dataclasses
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
-from rmns_v1 import v1_bytes
 
 from ramanmem.config import default_config
 from ramanmem.geometry import CameraGeometry
@@ -25,9 +23,7 @@ from ramanmem.stackio import (
 )
 
 CAM = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
-BODY = _HEADER.size + _COUNT_WIDTH.size  # where a version 2 body starts
-# three frames a version 1 writer wrote: default config at CAM, seed 3
-V1_FIXTURE = Path(__file__).parent / "data" / "v1_3frames_16x8.rmns"
+BODY = _HEADER.size + _COUNT_WIDTH.size  # where the body starts
 
 
 SMALL_CFG = dataclasses.replace(default_config(), camera=CAM).with_seed(3)
@@ -45,14 +41,6 @@ def write(path, frames, count_dtype=np.uint16, seed=3, checksum=SMALL_CFG.checks
 
 def stacked(frames):
     return np.stack([frame.counts for frame in frames])
-
-
-def v1_stack(path, n):
-    """A version 1 stack of n frames at path; its raw bytes."""
-    write(path, small_frames(n=n))
-    raw = v1_bytes(path)
-    path.write_bytes(raw)
-    return bytearray(raw)
 
 
 # readout tilts (urad) that no short decimal holds exactly
@@ -116,26 +104,6 @@ def test_iter_stack_matches_bulk_read(tmp_path):
         assert frame.readout_angle_urad == tuple(TILTS[i])
         np.testing.assert_array_equal(frame.counts, written[i].counts)
     assert i == count - 1
-
-
-def test_v1_stack_reads_with_zero_angles(tmp_path):
-    """A committed version 1 stack reads as written, as u32 counts, and as the v2 stack of its frames."""
-    v1 = read_stack(V1_FIXTURE)
-    assert v1.counts.dtype == np.uint32 and v1.n_frames == 3
-    assert v1.camera == CAM and v1.seed == 3
-    assert not v1.readout_angles_urad.any()
-    _, _, _, _, frames = iter_stack(V1_FIXTURE)
-    assert [f.readout_angle_urad for f in frames] == [(0.0, 0.0)] * 3
-    path = tmp_path / "v2.rmns"
-    frames = [Frame(counts, shot_index=i, readout_angle_urad=(0.0, 0.0)) for i, counts in enumerate(v1.counts)]
-    write(path, frames, np.uint32, seed=v1.seed, checksum=v1.config_checksum)
-    v2 = read_stack(path)
-    assert v2.counts.dtype == np.uint32
-    np.testing.assert_array_equal(v2.counts, v1.counts)
-    assert (v2.camera, v2.seed, v2.config_checksum) == (v1.camera, v1.seed, v1.config_checksum)
-    assert v1_bytes(path) == V1_FIXTURE.read_bytes()
-    _, _, _, _, blocks = iter_stack_blocks(V1_FIXTURE)
-    np.testing.assert_array_equal(np.concatenate(list(blocks)), v1.counts)
 
 
 def test_writer_never_wraps_or_rounds_a_count(tmp_path):
@@ -243,10 +211,11 @@ def test_unsupported_version(tmp_path):
     p = tmp_path / "v9.rmns"
     write(p, small_frames(n=1))
     raw = bytearray(p.read_bytes())
-    raw[4:6] = (VERSION + 8).to_bytes(2, "little")
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="unsupported version"):
-        read_stack(p)
+    for version in (1, VERSION + 8):  # 1 held float32 counts and no angles
+        raw[4:6] = version.to_bytes(2, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"unsupported version {version}$"):
+            read_stack(p)
     assert MAGIC == b"RMNS"
     raw[4:6] = VERSION.to_bytes(2, "little")
     raw[_HEADER.size:BODY] = _COUNT_WIDTH.pack(8)
@@ -271,6 +240,19 @@ def test_truncated_body(tmp_path):
         with pytest.raises(ValueError, match="truncated frame 2"):
             _, _, _, _, blocks = iter_stack_blocks(p)
             list(blocks)
+
+
+def test_body_length_is_checked_at_the_header(tmp_path):
+    """A header the file cannot back fails before any read: no reader sizes a buffer by it."""
+    p = tmp_path / "big.rmns"  # the header alone, declaring 8 frames of a 1024x1024 u32 pane
+    p.write_bytes(_HEADER.pack(MAGIC, VERSION, 1024, 1024, 8, CAM.pixel_pitch_m, CAM.f3_m, 0, 0)
+                  + _COUNT_WIDTH.pack(4))
+    with pytest.raises(ValueError, match="truncated frame 0"):
+        read_stack(p)
+    with pytest.raises(ValueError, match="truncated frame 0"):
+        iter_stack(p)
+    with pytest.raises(ValueError, match="truncated frame 0"):
+        iter_stack_blocks(p)
 
 
 @pytest.mark.parametrize("n", [0, 3, _BLOCK])  # no frame, a short last block, one full block
@@ -306,77 +288,18 @@ def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
     np.testing.assert_array_equal(np.concatenate(blocks), stacked(frames))
 
 
-def test_negative_count_is_rejected(tmp_path):
-    """Only a version 1 (float32) body can hold a negative, NaN or infinite count."""
-    p = tmp_path / "neg.rmns"
-    raw = v1_stack(p, _BLOCK + 2)
-    raw[-4:] = struct.pack("<f", -1.0)  # last anti-Stokes pixel of the short last block
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="non-negative"):
-        _, _, _, _, blocks = iter_stack_blocks(p)
-        list(blocks)
-    with pytest.raises(ValueError, match="non-negative"):
-        _, _, _, _, frames = iter_stack(p)
-        list(frames)
-    with pytest.raises(ValueError, match="non-negative"):
-        read_stack(p)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_count_is_rejected(tmp_path, value):
-    p = tmp_path / "bad.rmns"
-    raw = v1_stack(p, _BLOCK + 2)
-    raw[-4:] = struct.pack("<f", value)  # last anti-Stokes pixel of the short last block
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        read_stack(p)
-    with pytest.raises(ValueError, match="finite and non-negative"):
-        _, _, _, _, blocks = iter_stack_blocks(p)
-        list(blocks)
-
-
-def test_count_of_2_24_is_rejected(tmp_path):
-    """A count of 2**24 or more fails a float32 (v1) body, which rounds it; a u32 body holds it exactly."""
+def test_count_of_2_24_reads_from_a_u32_body(tmp_path):
+    """2**24, where float32 starts to round, is a plain u32 count to every reader."""
     p = tmp_path / "big.rmns"
-    raw = v1_stack(p, _BLOCK + 2)
-    raw[-4:] = struct.pack("<f", 2.0**24 - 1)
-    p.write_bytes(bytes(raw))
-    assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24 - 1
-    raw[-4:] = struct.pack("<f", 2.0**24)
-    p.write_bytes(bytes(raw))
-    with pytest.raises(OverflowError, match=r"a count of 16777216 reaches 2\*\*24"):
-        read_stack(p)
-    with pytest.raises(OverflowError, match=r"2\*\*24"):
-        _, _, _, _, blocks = iter_stack_blocks(p)
-        list(blocks)
     write(p, small_frames(n=_BLOCK + 2), np.uint32)
     raw = bytearray(p.read_bytes())
-    raw[-4:] = struct.pack("<I", 2**24)
+    raw[-4:] = struct.pack("<I", 2**24)  # last anti-Stokes pixel of the short last block
     p.write_bytes(bytes(raw))
+    assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24
     _, _, _, _, frames = iter_stack(p)
     assert list(frames)[-1].anti_stokes[-1, -1] == 2**24
-    assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24
-
-
-def test_fractional_count_is_rejected(tmp_path):
-    """A version 1 (float32) body can hold a fraction, which would make the moment sums inexact."""
-    p = tmp_path / "frac.rmns"
-    raw = v1_stack(p, _BLOCK + 2)
-    raw[-4:] = struct.pack("<f", 3.1)  # last anti-Stokes pixel of the short last block
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="whole numbers"):
-        read_stack(p)
-    with pytest.raises(ValueError, match="whole numbers"):
-        _, _, _, _, blocks = iter_stack_blocks(p)
-        list(blocks)
-
-
-def test_negative_zero_count_is_accepted(tmp_path):
-    p = tmp_path / "zero.rmns"
-    raw = v1_stack(p, 2)
-    raw[-4:] = struct.pack("<f", -0.0)
-    p.write_bytes(bytes(raw))
-    assert read_stack(p).anti_stokes[-1, -1, -1] == 0.0
+    _, _, _, _, blocks = iter_stack_blocks(p)
+    assert list(blocks)[-1][-1, 1, -1, -1] == 2**24
 
 
 def test_writer_deletes_a_partial_stack(tmp_path):
