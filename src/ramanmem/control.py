@@ -131,8 +131,8 @@ def compensating_readout(
 
 # shots per herald chunk: each chunk draws from its own stream (see run_herald_protocol).
 # A chunk has a fixed cost of tens of microseconds whatever its size (the stream's
-# setup and a few numpy calls); 2^15 shots spread that cost thin while a chunk's
-# int64 and float64 arrays stay within 256 KB each.
+# setup and a few numpy calls); 2^15 shots spread that cost thin.  A chunk's arrays
+# hold only its multi-excitation shots, so they stay within 256 KB each at any zeta.
 HERALD_CHUNK = 32768
 
 
@@ -249,18 +249,24 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     detected count D ~ Geometric(1 - q) (the thermal law given D >= 1),
     undetected count
     U ~ NegBinomial(D + 1, u) with u = 1 - s(1 - eta_detect), s = zeta / (1 + zeta),
-    and excitation number n = D + U.  U is drawn as a sum of D + 1 geometric
-    failure counts: two per shot, plus one NegBinomial(D - 1, u) draw for the
-    shots with D >= 2; at eta_detect = 1, U = 0 and nothing is drawn.  The
-    retrieval succeeds when one uniform per shot falls below
-    1 - (1 - eta_retrieve)^n, the chance that Binomial(n, eta_retrieve) >= 1.
-    At eta_retrieve = 0, or with a dead switch, nothing is drawn and nothing
-    succeeds; at eta_retrieve = 1 every heralded shot succeeds.  Each heralded
-    shot draws its own D, U and retrieval, and no multi-excitation or success
-    count is drawn from its closed-form probability, so the tests that compare
-    those counts with closed forms stay independent checks.  Cost is
-    O(chunks + heralded shots) and memory O(HERALD_CHUNK), whatever the mode
-    count.
+    and excitation number n = D + U.  Most heralded shots have D = 1 and U = 0,
+    so the chunk counts those and draws per shot only for the rest:
+    k ~ Binomial(heralds, q) shots have D >= 2, with D = 1 + Geometric(1 - q)
+    and U one NegBinomial(D + 1, u) draw; of the D = 1 shots,
+    m ~ Binomial(heralds - k, 1 - u^2) have U = G0 + G1 >= 1, drawn given that
+    (G0 >= 1 with probability 1 / (1 + u)).  Those k + m shots are the
+    multi-excitation ones.  At eta_detect = 1, U = 0 and nothing of it is drawn.
+    The other shots hold n = 1 and retrieve with probability eta_retrieve, so
+    their successes are one binomial draw; each of the k + m succeeds when a
+    uniform falls below 1 - (1 - eta_retrieve)^n, the chance that
+    Binomial(n, eta_retrieve) >= 1.  At eta_retrieve = 0, or with a dead
+    switch, nothing is drawn and nothing succeeds; at eta_retrieve = 1 every
+    heralded shot succeeds.  Every draw follows the exact joint law of
+    (D, U, retrieval), and no multi-excitation or success count is drawn from
+    its closed-form probability, so the tests that compare those counts with
+    closed forms stay independent checks.  Cost is O(chunks + multi-excitation
+    shots) and memory O(k + m), at most O(HERALD_CHUNK), whatever the mode
+    count and zeta.
 
     Chunk c of HERALD_CHUNK shots draws from shot_rng(seed, c), the PCG64
     stream of the seed's SeedSequence child c, so the chunk size is part of
@@ -271,7 +277,10 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
 
     zeta_d = cfg.zeta * cfg.eta_detect
     q = zeta_d / (1.0 + zeta_d)
-    undetected_p = 1.0 - cfg.p * (1.0 - cfg.eta_detect)
+    # u = 1 - miss; 1 - u^2 as miss (2 - miss), which keeps its digits at small p
+    miss = cfg.p * (1.0 - cfg.eta_detect)
+    undetected_p = 1.0 - miss
+    extra_p = miss * (2.0 - miss)
     herald_p = herald_probability(cfg.modes, q)
     # a switch slower than the memory retrieves nothing
     retrieve = 0.0 if cfg.switch_latency_s > cfg.memory_lifetime_s else cfg.eta_retrieve
@@ -282,22 +291,36 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
         rng = shot_rng(seed, chunk)
         n_heralded = int(rng.binomial(size, herald_p))
         heralds += n_heralded
-        detected = rng.geometric(1.0 - q, n_heralded)
-        n_exc = detected
+        # D >= 2 with probability q, and then D - 1 ~ Geometric(1 - q) again
+        n_more = int(rng.binomial(n_heralded, q))
+        n_exc = 1 + rng.geometric(1.0 - q, n_more)
+        n_extra = 0
         if cfg.eta_detect < 1.0:
-            # NegBin(D + 1, u) = G0 + G1 + NegBin(D - 1, u), few shots have D >= 2;
-            # numpy's geometric counts trials, one more than the failures
-            n_exc = detected - 2 + rng.geometric(undetected_p, n_heralded)
-            n_exc += rng.geometric(undetected_p, n_heralded)
-            more = detected >= 2
-            n_exc[more] += rng.negative_binomial(detected[more] - 1, undetected_p)
-        multis += int(np.count_nonzero(n_exc >= 2))
+            # U ~ NegBin(D + 1, u): one scalar-n draw for the D = 2 shots, and the
+            # array-n draw, with its fixed cost of tens of microseconds, for D > 2 only
+            big = n_exc[n_exc > 2]
+            parts = [2 + rng.negative_binomial(3, undetected_p, n_more - big.size)]
+            if big.size:
+                parts.append(big + rng.negative_binomial(big + 1, undetected_p))
+            # a D = 1 shot has U = G0 + G1 >= 1 with probability 1 - u^2, and then
+            # G0 >= 1 with probability 1 / (1 + u); numpy's geometric counts trials,
+            # one more than the failures
+            n_extra = int(rng.binomial(n_heralded - n_more, extra_p))
+            first = rng.random(n_extra) < 1.0 / (1.0 + undetected_p)
+            parts.append(
+                1 + rng.geometric(undetected_p, n_extra)
+                + first * (rng.geometric(undetected_p, n_extra) - 1)
+            )
+            n_exc = np.concatenate(parts)
+        multis += n_more + n_extra
         if retrieve == 1.0:
             successes += n_heralded
         elif retrieve > 0.0:
-            # P(Binomial(n, eta_r) >= 1) = 1 - (1 - eta_r)^n
+            # the n = 1 shots succeed with probability eta_r; the others when a uniform
+            # falls below P(Binomial(n, eta_r) >= 1) = 1 - (1 - eta_r)^n
+            successes += int(rng.binomial(n_heralded - n_exc.size, retrieve))
             p_success = -np.expm1(n_exc * math.log1p(-retrieve))
-            successes += int(np.count_nonzero(rng.random(n_heralded) < p_success))
+            successes += int(np.count_nonzero(rng.random(n_exc.size) < p_success))
 
     return HeraldStats(
         shots=shots,

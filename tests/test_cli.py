@@ -399,7 +399,7 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
 
 
 _PINNED_HERALD_ARGS = ["herald", "--shots", "20000", "--sweep-m", "1,10,100", "--seed", "3"]
-_PINNED_HERALD_DIGEST = "3cd7fdbeabf0028e631504d6d3557ab1d084c5798d70cd53ec78144952480329"
+_PINNED_HERALD_DIGEST = "257ea319dc7386dd62f0fcdf53289fe16fb91035c24555d7cbdf7ec9d7c931c2"
 
 
 def test_herald_csv_digest_is_pinned(tmp_path, capsys):

@@ -238,10 +238,10 @@ def test_protocol_stream_is_pinned():
     assert stats == HeraldStats(
         shots=70_000,
         heralds=29_328,
-        routed_successes=18_141,
-        multi_excitation_events=1_999,
-        success_prob=18_141 / 70_000,
-        multi_given_herald=1_999 / 29_328,
+        routed_successes=18_117,
+        multi_excitation_events=1_959,
+        success_prob=18_117 / 70_000,
+        multi_given_herald=1_959 / 29_328,
     )
 
 
@@ -277,21 +277,25 @@ def _record_chunk_draws(monkeypatch):
 
 
 def test_unit_detection_skips_undetected_draw(monkeypatch):
-    # at unit efficiencies a chunk draws its herald count and each heralded shot's D,
-    # and nothing else: a draw of U, by any sampler, is one more call in the chunk
+    # at unit efficiencies a chunk draws its herald count, how many heralded shots have
+    # D >= 2, and their D, and nothing else: a draw of U, by any sampler, is one more call
     chunks = _record_chunk_draws(monkeypatch)
     zeta, shots = 0.3, 60_000
     stats = run_herald_protocol(HeraldConfig(modes=5, zeta=zeta), shots, seed=21)
-    assert chunks == [["binomial", "geometric"]] * 2
+    assert chunks == [["binomial", "binomial", "geometric"]] * 2
     exact = multi_given_herald_exact(zeta)
     se = math.sqrt(exact * (1 - exact) / stats.heralds)
     assert abs(stats.multi_given_herald - exact) < 3 * se
 
-    # below unit detection the recorder sees U drawn: two geometric failure counts
-    # per shot, then NegBin(D - 1, u) for the shots with D >= 2
-    chunks.clear()
-    run_herald_protocol(HeraldConfig(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
-    assert chunks == [["binomial", "geometric", "geometric", "geometric", "negative_binomial"]]
+    # below unit detection the recorder sees U drawn: NegBin(3, u) for the D = 2 shots,
+    # NegBin(D + 1, u) only in a chunk that has a D > 2 shot (there is one at zeta = 0.3,
+    # none at 0.02), then the count of D = 1 shots with U >= 1, their G0 >= 1 coins and
+    # two geometric counts
+    single = ["binomial", "random", "geometric", "geometric"]
+    for zeta, more in ((0.3, ["negative_binomial"]), (0.02, [])):
+        chunks.clear()
+        run_herald_protocol(HeraldConfig(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
+        assert chunks == [["binomial", "binomial", "geometric", "negative_binomial", *more, *single]]
 
 
 @pytest.mark.parametrize("eta_retrieve", [0.0, 1.0])
@@ -333,6 +337,26 @@ def test_protocol_laws_at_imperfect_efficiencies():
     assert abs(got - success) < 3 * math.sqrt(success * (1 - success) / h)
 
 
+def test_protocol_laws_at_low_undetected_probability():
+    # u = 1 - p (1 - eta_d) = 0.53: a third of the D = 1 shots carry undetected
+    # excitations, and G0 >= 1 has probability 1 / (1 + u) = 0.65 among those, so a
+    # sampler that drew the split at even odds would retrieve too often
+    zeta, eta_d, eta_r, modes, shots = 2.0, 0.3, 0.5, 3, 1_000_000
+    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
+    stats = run_herald_protocol(hc, shots, seed=61)
+    h = stats.heralds
+
+    rate = herald_probability(modes, zeta * eta_d / (1 + zeta * eta_d))
+    assert abs(h / shots - rate) < 3 * math.sqrt(rate * (1 - rate) / shots)
+
+    multi = multi_given_herald_exact(zeta, eta_d)
+    assert abs(stats.multi_given_herald - multi) < 3 * math.sqrt(multi * (1 - multi) / h)
+
+    success = _success_given_herald_series(zeta, eta_d, eta_r)
+    got = stats.routed_successes / h
+    assert abs(got - success) < 3 * math.sqrt(success * (1 - success) / h)
+
+
 def test_chunk_herald_count_is_binomial():
     # One chunk's herald count must have the binomial spread, not only its mean: a
     # count fixed at round(size * P) would pass every rate gate and fail here.  Over
@@ -345,6 +369,31 @@ def test_chunk_herald_count_is_binomial():
         for seed in range(5_000, 5_400)
     ]
     rate = herald_probability(modes, zeta / (1 + zeta))
+    var = size * rate * (1 - rate)
+    dof = len(counts) - 1
+    z = statistics.NormalDist().inv_cdf(1 - alpha)
+
+    def chi2_quantile(zq):
+        return dof * (1 - 2 / (9 * dof) + zq * math.sqrt(2 / (9 * dof))) ** 3
+
+    ratio = dof * statistics.variance(counts) / var
+    assert chi2_quantile(-z) < ratio < chi2_quantile(z)
+    assert abs(statistics.fmean(counts) - size * rate) < z * math.sqrt(var / len(counts))
+
+
+def test_chunk_multi_excitation_count_is_binomial():
+    # Each shot is a heralded multi-excitation shot with probability P * multi|herald,
+    # so one chunk's count is binomial.  At eta_d = 0.1 most of those shots have D = 1
+    # and undetected excitations: a count of them fixed at its mean would keep every
+    # rate right and shrink the spread.  The bounds are those of the herald count test.
+    size, modes, zeta, eta_d, alpha = control.HERALD_CHUNK, 10, 0.05, 0.1, 1e-6
+    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d)
+    counts = [
+        run_herald_protocol(hc, size, seed=seed).multi_excitation_events
+        for seed in range(6_000, 6_400)
+    ]
+    rate = herald_probability(modes, zeta * eta_d / (1 + zeta * eta_d))
+    rate *= multi_given_herald_exact(zeta, eta_d)
     var = size * rate * (1 - rate)
     dof = len(counts) - 1
     z = statistics.NormalDist().inv_cdf(1 - alpha)
@@ -377,6 +426,20 @@ def test_protocol_memory_does_not_grow_with_modes():
     assert peak < 16 * 2**20
     rate = herald_probability(modes, 0.5e-6 / (1 + 0.5e-6))
     assert abs(stats.heralds / shots - rate) < 3 * math.sqrt(rate * (1 - rate) / shots)
+
+
+def test_dense_regime_stays_in_chunk_memory():
+    # at zeta = 1e9 a routed mode holds ~1e9 excitations, so every heralded shot is a
+    # multi-excitation shot and D is too large to draw U as D + 1 geometric counts
+    hc = HeraldConfig(modes=20, zeta=1e9, eta_detect=0.5, eta_retrieve=0.5)
+    tracemalloc.start()
+    try:
+        stats = run_herald_protocol(hc, 70_000, seed=71)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert stats.heralds == stats.multi_excitation_events == stats.routed_successes == 70_000
 
 
 def test_protocol_argument_validation():
