@@ -338,9 +338,9 @@ def test_protocol_laws_at_imperfect_efficiencies():
 
 
 def test_protocol_laws_at_low_undetected_probability():
-    # u = 1 - p (1 - eta_d) = 0.53: a third of the D = 1 shots carry undetected
+    # u = 1 - p (1 - eta_d) = 0.53: 1 - u^2 = 72 % of the D = 1 shots carry undetected
     # excitations, and G0 >= 1 has probability 1 / (1 + u) = 0.65 among those, so a
-    # sampler that drew the split at even odds would retrieve too often
+    # sampler that drew that split at even odds would retrieve too rarely
     zeta, eta_d, eta_r, modes, shots = 2.0, 0.3, 0.5, 3, 1_000_000
     hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
     stats = run_herald_protocol(hc, shots, seed=61)
