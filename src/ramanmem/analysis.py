@@ -417,20 +417,19 @@ def fit_gaussian_spot(
     return result(p, _MAX_ITERATIONS, False)
 
 
-def locate_twin_spot(
-    cmap: CorrelationMap,
-    pane: str = "anti_stokes",
-    window_urad: float = 600.0,
-    mask_reference: bool = True,
-) -> GaussianSpotFit:
+# side of the square fit window around a map's brightest pixel
+_TWIN_WINDOW_URAD = 600.0
+
+
+def locate_twin_spot(cmap: CorrelationMap, pane: str = "anti_stokes") -> GaussianSpotFit:
     """Find the brightest correlation spot on a pane and fit it.
 
-    The fit window is a square of window_urad around the global maximum.  When
-    fitting the reference's own pane the trivial self-correlation pixel is
-    masked out first.
+    The fit window is a square of _TWIN_WINDOW_URAD around the global
+    maximum.  When fitting the reference's own pane the trivial
+    self-correlation pixel is masked out first.
     """
     values = cmap.pane(pane).copy()
-    if mask_reference and pane == cmap.ref_pane:
+    if pane == cmap.ref_pane:
         px, py = cmap.camera.angle_to_pixel(Angle2D(*cmap.ref_angle_urad))
         if cmap.camera.contains(px, py):
             values[round(py), round(px)] = np.nan
@@ -438,7 +437,7 @@ def locate_twin_spot(
         return fit_gaussian_spot(values, *cmap.camera.pixel_angle_axes())
     iy, ix = np.unravel_index(np.nanargmax(values), values.shape)
     ax, ay = cmap.camera.pixel_angle_axes()
-    half = max(2, int(round(window_urad / 2.0 / cmap.camera.pitch_urad)))
+    half = max(2, int(round(_TWIN_WINDOW_URAD / 2.0 / cmap.camera.pitch_urad)))
     sl_y = slice(max(0, iy - half), min(values.shape[0], iy + half + 1))
     sl_x = slice(max(0, ix - half), min(values.shape[1], ix + half + 1))
     return fit_gaussian_spot(values[sl_y, sl_x], ax[sl_x], ay[sl_y])
@@ -519,10 +518,11 @@ def map_to_pgm(cmap: CorrelationMap, pane: str, path) -> None:
         fh.write(pixels.tobytes())
 
 
-def fit_to_csv(fit: GaussianSpotFit, path, label: str = "spot", seed: int = 0, config_checksum: int = 0) -> None:
+def fit_to_csv(fit: GaussianSpotFit, path, seed: int = 0, config_checksum: int = 0) -> None:
+    """The twin-spot fit as a one-row report table, labelled `twin`."""
     columns = (
         "converged", "amplitude", "center_x_urad", "center_y_urad", "sigma_x_urad", "sigma_y_urad",
         "fwhm_x_urad", "fwhm_y_urad", "offset", "rms_residual", "n_iterations",
     )
-    row = {"label": label, **{c: getattr(fit, c) for c in columns}}
+    row = {"label": "twin", **{c: getattr(fit, c) for c in columns}}
     write_table(path, provenance(seed, config_checksum), [row])

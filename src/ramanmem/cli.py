@@ -132,27 +132,16 @@ def _stack_blocks(path: str):
     return camera, count, seed, checksum, checked()
 
 
-def _frame_source(args, cfg: Optional[ExperimentConfig]):
-    """(camera, frame count, seed, checksum, count blocks) from a file or a fresh run."""
-    if args.stack:
-        return _stack_blocks(args.stack)
-    assert cfg is not None
-    return (
-        cfg.camera,
-        cfg.run.n_frames,
-        cfg.run.seed,
-        cfg.checksum(),
-        _rendered_blocks(scattering.iter_simulated_frames(cfg)),
-    )
-
-
 def cmd_correlate(args) -> int:
     if args.stack:  # the stack fixes its own frames, seed and config checksum
         for flag in ("seed", "frames", "config"):
             if getattr(args, flag) is not None:
                 raise ConfigError("does not apply to a recorded --stack", path=f"--{flag}")
-    cfg = None if args.stack else _load_config(args)
-    camera, count, seed, checksum, blocks = _frame_source(args, cfg)
+        camera, count, seed, checksum, blocks = _stack_blocks(args.stack)
+    else:
+        cfg = _load_config(args)
+        camera, count, seed, checksum = cfg.camera, cfg.run.n_frames, cfg.run.seed, cfg.checksum()
+        blocks = _rendered_blocks(scattering.iter_simulated_frames(cfg))
     _require_map_frames(count, args.stack or "--frames")
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
@@ -167,7 +156,7 @@ def cmd_correlate(args) -> int:
         analysis.map_to_pgm(cmap, pane, f"{prefix}_{pane}.pgm")
     twin_pane = "anti_stokes" if args.ref_pane == "stokes" else "stokes"
     fit = analysis.locate_twin_spot(cmap, pane=twin_pane)
-    analysis.fit_to_csv(fit, f"{prefix}_fit.csv", label="twin", seed=seed, config_checksum=checksum)
+    analysis.fit_to_csv(fit, f"{prefix}_fit.csv", seed=seed, config_checksum=checksum)
     print(
         f"reference {args.ref_pane} ({ref_angle.theta_x:g}, {ref_angle.theta_y:g}) urad, "
         f"{cmap.n_frames} frames"

@@ -62,16 +62,13 @@ class SteeringCommand:
 
 
 def _deflection_band_urad(chain: OpticalChain) -> tuple[float, float]:
-    """Reachable readout tilts (urad) relative to the base tone.
+    """Reachable readout tilts (urad): the tone law at the two band-edge tones.
 
-    Computed straight from the band edges so unbounded chains come out as
-    (-inf, inf) rather than tripping over inf - inf.
+    An edge is the tilt its own tone produces, bit for bit, so a command
+    clamped to it is realised by its drive tone; unbounded chains come out as
+    (-inf, inf).
     """
-    slope = chain.cell_slope_rad_per_hz / 1e-6
-    return (
-        (chain.freq_min_hz - chain.base_freq_hz) * slope,
-        (chain.freq_max_hz - chain.base_freq_hz) * slope,
-    )
+    return chain.deflection_urad(chain.freq_min_hz), chain.deflection_urad(chain.freq_max_hz)
 
 
 def _required_readout(
@@ -336,13 +333,13 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
 # file formats
 
 
-def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
-    """Read a schedule CSV; drive_freq_hz rows need the chain to convert.
+def load_schedule(path, chain: OpticalChain) -> np.ndarray:
+    """Read a schedule CSV; drive_freq_hz rows are converted through the chain.
 
     The file is UTF-8 text, with or without a byte-order mark.  Blank lines
     and lines starting with '#' are skipped, before the header and between
-    rows.  A shot column, when present, must read 0..n-1 in file order: row i
-    is frame i.
+    rows.  The header names each column once.  A shot column, when present,
+    must read 0..n-1 in file order: row i is frame i.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
@@ -351,6 +348,9 @@ def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
     if any(len(r) != len(header) for r in rows):
         raise ValueError(f"every schedule row needs {len(header)} cells, one per header column")
     cols = {name: idx for idx, name in enumerate(header)}
+    if len(cols) != len(header):
+        twice = sorted({name for name in header if header.count(name) > 1})
+        raise ValueError(f"the schedule header names {', '.join(twice)} more than once")
     if "shot" in cols:
         for i, r in enumerate(rows):
             shot = r[cols["shot"]].strip()
@@ -366,8 +366,6 @@ def load_schedule(path, chain: Optional[OpticalChain] = None) -> np.ndarray:
             for r in rows
         ]
     elif "drive_freq_hz" in cols:
-        if chain is None:
-            raise ValueError("schedule gives drive frequencies; an OpticalChain is required")
         angles = [aod_chain_angle(float(r[cols["drive_freq_hz"]]), chain) for r in rows]
     else:
         raise ValueError(

@@ -121,6 +121,13 @@ class OpticalChain:
         """Readout-angle change at the cell per Hz of drive detuning."""
         return self.aod_slope_rad_per_hz * self.f1_m / self.f2_m
 
+    def deflection_urad(self, drive_freq_hz: float) -> float:
+        """Readout tilt (urad) at the cell along the primary steering axis for one drive tone.
+
+        The tone law, stated once: no band check, so a band edge at +-inf maps to +-inf.
+        """
+        return (drive_freq_hz - self.base_freq_hz) * self.cell_slope_rad_per_hz / RAD_PER_URAD
+
 
 @dataclass(frozen=True)
 class CameraGeometry:
@@ -243,9 +250,7 @@ def aod_chain_angle(drive_freq_hz: float, chain: OpticalChain) -> Angle2D:
             f"drive frequency {drive_freq_hz:g} Hz outside AOD band "
             f"[{chain.freq_min_hz:g}, {chain.freq_max_hz:g}] Hz"
         )
-    deflection_urad = (
-        (drive_freq_hz - chain.base_freq_hz) * chain.cell_slope_rad_per_hz / RAD_PER_URAD
-    )
+    deflection_urad = chain.deflection_urad(drive_freq_hz)
     if chain.steer_axes[0] == "x":
         return Angle2D(deflection_urad, 0.0)
     return Angle2D(0.0, deflection_urad)

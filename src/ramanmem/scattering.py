@@ -324,29 +324,26 @@ class RetrievalModel:
             )
 
 
-def _diffusion_efficiencies(ms: ModeSet, rm: RetrievalModel) -> np.ndarray:
-    """eta0 * exp(-d_diff |K_m|^2 tau_storage): the part of eta_m no readout tilt changes."""
+def retrieval_efficiencies(
+    ms: ModeSet, rm: RetrievalModel, theta_read_urad: Sequence[float]
+) -> np.ndarray:
+    """Per-mode anti-Stokes/Stokes intensity ratio eta_m for one steering angle.
+
+    The one statement of the `RetrievalModel` law: eta0 times each mode's
+    diffusion damping times the aberration roll-off A(theta_read), which is
+    1.0 when the roll-off is disabled.
+    """
     k_mag = (
         np.linalg.norm(ms.centers_urad, axis=1)
         * (2.0 * math.pi * RAD_PER_URAD / ms.lambda_write_m)
     )
-    return rm.eta0 * np.exp(-rm.d_diff_m2_s * k_mag**2 * rm.tau_storage_s)
-
-
-def _aberration_rolloff(rm: RetrievalModel, theta_read_urad: Sequence[float]) -> float:
-    """A(theta_read) of the retrieval model; 1.0 when the roll-off is disabled."""
-    tr = np.asarray(theta_read_urad, dtype=float)
     scale = rm.aberration_scale_urad
     if scale > 0.0 and math.isfinite(scale):
-        return math.exp(-float(tr @ tr) / (2.0 * scale * scale))
-    return 1.0
-
-
-def retrieval_efficiencies(
-    ms: ModeSet, rm: RetrievalModel, theta_read_urad: Sequence[float]
-) -> np.ndarray:
-    """Per-mode anti-Stokes/Stokes intensity ratio for one steering angle."""
-    return _diffusion_efficiencies(ms, rm) * _aberration_rolloff(rm, theta_read_urad)
+        tr = np.asarray(theta_read_urad, dtype=float)
+        rolloff = math.exp(-float(tr @ tr) / (2.0 * scale * scale))
+    else:
+        rolloff = 1.0
+    return rm.eta0 * np.exp(-rm.d_diff_m2_s * k_mag**2 * rm.tau_storage_s) * rolloff
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
@@ -606,10 +603,10 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     stream, per-mode intensities); the two gemms of each pane's mean,
     wy.T @ grid @ wx with grid the intensities as the (ny, nx) lattice, and
     the Poisson draw run on one helper thread per usable core, capped at the
-    frame count.  Every frame holds its counts in `count_dtype(cfg)`, the
-    width of its stack.  Frame i draws only from shot_rng(seed, i), so the
-    frames do not depend on the number of threads.  One usable core renders
-    on the calling thread alone.
+    frame count, so one usable core gets one helper.  Every frame holds its
+    counts in `count_dtype(cfg)`, the width of its stack.  Frame i draws only
+    from shot_rng(seed, i), so the frames do not depend on the number of
+    threads.
 
     Each tilt's factors are built once per run and kept in a least recently
     used cache of at most _TILT_CACHE_BYTES (or one tilt, if its factors are
@@ -627,16 +624,15 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     sched = _normalize_schedule(schedule, n)
 
     stokes = stokes_basis(ms, camera)
-    diffusion = _diffusion_efficiencies(ms, rm)
     counts_dtype = count_dtype(cfg)
 
-    # one cached tilt holds its anti-Stokes rows, off-pane flags and efficiencies,
-    # the same shapes as the Stokes pane's and the diffusion efficiencies
-    tilt_bytes = stokes.wy.nbytes + stokes.wx.nbytes + stokes.off_pane.nbytes + diffusion.nbytes
+    # one cached tilt holds its anti-Stokes rows and off-pane flags, the same
+    # shapes as the Stokes pane's, and one float64 efficiency per mode
+    tilt_bytes = stokes.wy.nbytes + stokes.wx.nbytes + stokes.off_pane.nbytes + 8 * ms.n_modes
 
     @lru_cache(maxsize=max(1, _TILT_CACHE_BYTES // tilt_bytes))
     def tilt_factors(tr: tuple[float, float]) -> tuple[PaneFactors, np.ndarray]:
-        return anti_stokes_basis(ms, tr, camera), diffusion * _aberration_rolloff(rm, tr)
+        return anti_stokes_basis(ms, tr, camera), retrieval_efficiencies(ms, rm, tr)
 
     def jobs() -> Iterator[tuple]:
         # a revisited tilt reuses its factors; a miss builds them here, on the calling thread
@@ -646,9 +642,4 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
             rng = shot_rng(s, i)
             yield sample_shot(ms, eta, rng), stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
 
-    threads = min(_usable_cores(), n)
-    if threads == 1:
-        for job in jobs():
-            yield _render_with_bases(*job)
-    else:
-        yield from _in_order(_render_with_bases, jobs(), threads)
+    yield from _in_order(_render_with_bases, jobs(), min(_usable_cores(), n))

@@ -306,30 +306,25 @@ def test_fit_center_property(x0, sx):
 
 
 def test_locate_twin_spot_masks_the_reference_pixel():
-    # the reference self-pixel carries C = 1 and would win the argmax;
-    # masking it must hand the window to the real blob
-    cam = CameraGeometry(16, 16, 7.5e-6, 0.5)
+    # the reference self-pixel carries C = 1 and would win the argmax, and the
+    # 600 urad window around it (20 px half width at 15 urad) misses the blob
+    # 30 px away; masking it must hand the window to the real blob
+    cam = CameraGeometry(64, 64, 7.5e-6, 0.5)
     ax, ay = cam.pixel_angle_axes()
     gx, gy = np.meshgrid(ax, ay)
-    blob = 0.6 * np.exp(-0.5 * ((gx - 75.0) ** 2 + (gy + 60.0) ** 2) / 25.0**2)
-    values = np.zeros((2, 16, 16))
+    blob = 0.6 * np.exp(-0.5 * ((gx - 450.0) ** 2 + (gy + 60.0) ** 2) / 25.0**2)
+    values = np.zeros((2, 64, 64))
     values[0] = blob
-    values[0, 8, 8] = 1.0  # the reference pixel itself
+    values[0, 32, 32] = 1.0  # the reference pixel itself
     cmap = an.CorrelationMap(
         values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0), n_frames=9
     )
-    # a 60 urad window (2 px half width) keeps the two features disjoint
-    fit = an.locate_twin_spot(cmap, pane="stokes", window_urad=60.0)
+    fit = an.locate_twin_spot(cmap, pane="stokes")
     assert fit.converged
-    assert fit.center_x_urad == pytest.approx(75.0, abs=5.0)
+    assert fit.center_x_urad == pytest.approx(450.0, abs=5.0)
     assert fit.center_y_urad == pytest.approx(-60.0, abs=5.0)
     # the map itself is left untouched
-    assert cmap.values[0, 8, 8] == 1.0
-
-    # without masking the argmax is the self-pixel, so the fit window
-    # centres on the reference instead of the blob
-    unmasked = an.locate_twin_spot(cmap, pane="stokes", window_urad=60.0, mask_reference=False)
-    assert not unmasked.converged or abs(unmasked.center_x_urad - 75.0) > 10.0
+    assert cmap.values[0, 32, 32] == 1.0
 
 
 def test_locate_twin_spot_all_nan():
@@ -440,7 +435,7 @@ def test_fit_to_csv(tmp_path):
     z, ax, ay = synthetic_spot()
     fit = an.fit_gaussian_spot(z, ax, ay)
     path = tmp_path / "fit.csv"
-    an.fit_to_csv(fit, path, label="twin", seed=11, config_checksum=0xDEAD)
+    an.fit_to_csv(fit, path, seed=11, config_checksum=0xDEAD)
     text = path.read_text()
     assert "seed=11" in text
     assert text.splitlines()[1].startswith("label,converged")

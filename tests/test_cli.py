@@ -531,6 +531,7 @@ def _as_version_1(raw):
         ("schedule", "shot,drive_freq_hz\n0,1e9\n"),
         ("schedule", _SCHEDULE_HEAD + "2,0.0,30.0\n0,0.0,10.0\n1,0.0,20.0\n"),
         ("schedule", "\ufeff" + _SCHEDULE_HEAD + "1,0.0,30.0\n"),
+        ("schedule", "theta_read_x_urad,theta_read_y_urad,theta_read_y_urad\n0,10,20\n"),
         ("config", b"[modes]\ngain_shrink = -1\n"),
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
@@ -556,6 +557,7 @@ def _as_version_1(raw):
         "stack-f3-subnormal", "stack-f3-pixel-below-floor", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order", "schedule-bom-shot-out-of-order",
+        "schedule-column-named-twice",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",

@@ -84,6 +84,16 @@ def test_unreachable_is_clamped_to_band_edge():
     assert cmd.expected_theta_as.theta_y == pytest.approx(200.0)
 
 
+@pytest.mark.parametrize("target_y", [250.0, -250.0])
+def test_clamped_tilt_is_the_tilt_of_its_tone(target_y):
+    cmd = compensating_readout(Angle2D(0.0, 0.0), Angle2D(0, 0), Angle2D(0.0, target_y), CHAIN, GEOM)
+    assert not cmd.reachable
+    assert aod_chain_angle(cmd.drive_freq_hz, CHAIN) == cmd.theta_read
+    # the band is the tone law at the band-edge tones
+    lo, hi = control._deflection_band_urad(CHAIN)
+    assert (lo, hi) == (aod_chain_angle(70e6, CHAIN).theta_y, aod_chain_angle(90e6, CHAIN).theta_y)
+
+
 def test_unsteerable_axis_is_flagged():
     # an x-component is required but the chain only steers y
     cmd = compensating_readout(
@@ -458,7 +468,7 @@ def test_schedule_round_trip(tmp_path):
         "shot,theta_read_x_urad,theta_read_y_urad\n"
         + "".join(f"{i},{tx!r},{ty!r}\n" for i, (tx, ty) in enumerate(sched.tolist()))
     )
-    back = load_schedule(path)
+    back = load_schedule(path, CHAIN)
     np.testing.assert_allclose(back, sched, rtol=1e-15)
 
 
@@ -474,17 +484,17 @@ def test_schedule_round_trip(tmp_path):
 def test_schedule_skips_comment_lines(tmp_path, text):
     path = tmp_path / "sched.csv"
     path.write_text(text, encoding="utf-8")
-    np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
+    np.testing.assert_array_equal(load_schedule(path, CHAIN), [[0.0, 30.0], [0.0, 10.0]])
 
 
 def test_schedule_may_start_with_a_byte_order_mark(tmp_path):
     """A spreadsheet "CSV UTF-8" export: the mark is not part of the first column's name."""
     path = tmp_path / "sched.csv"
     path.write_bytes(b"\xef\xbb\xbftheta_read_x_urad,theta_read_y_urad\n0.0,30.0\n0.0,10.0\n")
-    np.testing.assert_array_equal(load_schedule(path), [[0.0, 30.0], [0.0, 10.0]])
+    np.testing.assert_array_equal(load_schedule(path, CHAIN), [[0.0, 30.0], [0.0, 10.0]])
     path.write_bytes(b"\xef\xbb\xbfshot,theta_read_x_urad,theta_read_y_urad\n1,0.0,30.0\n0,0.0,10.0\n")
     with pytest.raises(ValueError, match="shot column"):
-        load_schedule(path)
+        load_schedule(path, CHAIN)
 
 
 def test_schedule_from_drive_frequencies(tmp_path):
@@ -492,13 +502,26 @@ def test_schedule_from_drive_frequencies(tmp_path):
     path.write_text("shot,drive_freq_hz\n0,80e6\n1,90e6\n2,75e6\n")
     back = load_schedule(path, CHAIN)
     np.testing.assert_allclose(back[:, 1], [0.0, 200.0, -100.0], rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError, match="OpticalChain"):
-        load_schedule(path)
 
 
 def test_schedule_rejects_unknown_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="schedule needs"):
-        load_schedule(path)
+        load_schedule(path, CHAIN)
 
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "theta_read_x_urad,theta_read_y_urad,theta_read_y_urad\n0,10,20\n",
+        "shot,drive_freq_hz,drive_freq_hz\n0,80e6,85e6\n",
+    ],
+    ids=["tilt", "tone"],
+)
+def test_schedule_rejects_a_column_named_twice(tmp_path, text):
+    """A repeated column would otherwise be read from its last cell without a word."""
+    path = tmp_path / "twice.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="more than once"):
+        load_schedule(path, CHAIN)

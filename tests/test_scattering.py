@@ -558,7 +558,7 @@ def test_stack_digests_do_not_depend_on_thread_count(tmp_path, monkeypatch, thre
     assert _digest(out) == PINNED_BOTH_AXIS_DIGEST
 
 
-@pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 0), (3, 5, 3), (3, 2, 2)])
+@pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 1), (3, 5, 3), (3, 2, 2)])
 def test_one_render_thread_per_core_capped_at_frame_count(monkeypatch, cores, frames, started):
     _use_threads(monkeypatch, cores)
     it = iter_simulated_frames(default_config(), n_frames=frames, seed=1)
@@ -678,8 +678,7 @@ def _cache_tilts(monkeypatch, cfg, tilts):
     """Size the tilt cache to hold exactly `tilts` tilts' factors at this config."""
     ms = mode_set_from_config(cfg)
     pane = stokes_basis(ms, cfg.camera)
-    diffusion = scattering._diffusion_efficiencies(ms, cfg.retrieval)
-    one = pane.wy.nbytes + pane.wx.nbytes + pane.off_pane.nbytes + diffusion.nbytes
+    one = pane.wy.nbytes + pane.wx.nbytes + pane.off_pane.nbytes + 8 * ms.n_modes
     monkeypatch.setattr(scattering, "_TILT_CACHE_BYTES", tilts * one)
 
 
