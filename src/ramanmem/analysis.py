@@ -14,9 +14,11 @@ bit-stable in any order.
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
 
-Every output's comment line starts with `provenance(seed, config_checksum)`;
-every report table (spot fits here, the CLI's steer and herald reports) is
-written by `write_table`.
+Every output's comment line starts with the stamp `provenance(seed,
+config_checksum)`, which each export takes as a required argument: a map
+knows its frames, camera and reference, not the run that made them.  Every
+report table (spot fits here, the CLI's steer and herald reports) is written
+by `write_table`.
 """
 
 from __future__ import annotations
@@ -71,12 +73,12 @@ def _fiber_pixel_mask(camera: CameraGeometry, center: Angle2D, radius_urad: floa
 
 @dataclass(frozen=True)
 class Reference:
-    """Reference signal for a correlation map: one pixel or a small disc."""
+    """Reference signal for a correlation map: one pixel or a small disc around `angle`."""
 
     pane: str
     pixel_rows: np.ndarray
     pixel_cols: np.ndarray
-    angle_urad: tuple[float, float]
+    angle: Angle2D
 
     def __post_init__(self) -> None:
         _pane_index(self.pane)
@@ -95,7 +97,7 @@ class Reference:
             pane=pane,
             pixel_rows=np.array([iy]),
             pixel_cols=np.array([ix]),
-            angle_urad=(angle.theta_x, angle.theta_y),
+            angle=angle,
         )
 
     @classmethod
@@ -108,20 +110,22 @@ class Reference:
             raise ValueError(
                 f"disc reference of radius {radius_urad:g} urad at {center} covers no pixels"
             )
-        return cls(pane=pane, pixel_rows=rows, pixel_cols=cols, angle_urad=(center.theta_x, center.theta_y))
+        return cls(pane=pane, pixel_rows=rows, pixel_cols=cols, angle=center)
 
 
 @dataclass(eq=False)
 class MomentSet:
-    """Streaming raw moments of every pixel against K reference signals.
+    """Streaming raw moments of every pixel of `camera`'s panes against K reference signals.
 
     The reference-free sums (`sum_i`, `sum_i2`, each (2, H, W)) are held
     once; `sum_ii_ref` is (K, 2, H, W) and `sum_ref`, `sum_ref2` are (K,),
     row k for references[k].  All sums are float64.  With integer photon
     counts the arithmetic is exact, which is what makes merge() associative
-    and commutative bit for bit.
+    and commutative bit for bit.  The set keeps the camera its panes were
+    folded on, and every map made from it takes its pixel angles from there.
     """
 
+    camera: CameraGeometry
     references: tuple[Reference, ...]
     n: int
     sum_i: np.ndarray
@@ -135,6 +139,7 @@ class MomentSet:
         shape = (2, camera.height_px, camera.width_px)
         k = len(references)
         return cls(
+            camera=camera,
             references=tuple(references),
             n=0,
             sum_i=np.zeros(shape),
@@ -201,10 +206,13 @@ def _reference_key(ref: Reference) -> tuple:
 
 
 def merge(a: MomentSet, b: MomentSet) -> MomentSet:
-    """Combine two partial sets over disjoint frame sets and the same references, in order."""
+    """Combine two partial sets over disjoint frame sets, one camera and the same references, in order."""
+    if a.camera != b.camera:
+        raise ValueError("cannot merge moment sets folded on different cameras")
     if list(map(_reference_key, a.references)) != list(map(_reference_key, b.references)):
         raise ValueError("cannot merge moment sets with different references")
     merged = MomentSet(
+        camera=a.camera,
         references=a.references,
         n=a.n + b.n,
         sum_i=a.sum_i + b.sum_i,
@@ -223,11 +231,8 @@ class CorrelationMap:
 
     values: np.ndarray  # (2, H, W), NaN where a variance vanishes
     camera: CameraGeometry
-    ref_pane: str
-    ref_angle_urad: tuple[float, float]
+    reference: Reference
     n_frames: int
-    seed: int = 0
-    config_checksum: int = 0
 
     def pane(self, pane: str) -> np.ndarray:
         return self.values[_pane_index(pane)]
@@ -239,14 +244,8 @@ class CorrelationMap:
         return float(self.pane(pane)[round(py), round(px)])
 
 
-def correlation_map(
-    moments: MomentSet,
-    k: int,
-    camera: CameraGeometry,
-    seed: int = 0,
-    config_checksum: int = 0,
-) -> CorrelationMap:
-    """The map of every pixel against references[k] of the set."""
+def correlation_map(moments: MomentSet, k: int) -> CorrelationMap:
+    """The map of every pixel against references[k] of the set, on the set's camera."""
     if moments.n < 2:
         raise ValueError(f"need at least 2 frames for a correlation map, have {moments.n}")
     n = float(moments.n)
@@ -258,15 +257,8 @@ def correlation_map(
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = np.sqrt(var_i * var_ref)
         values = np.where((var_i > 0.0) & (var_ref > 0.0), cov / denom, np.nan)
-    ref = moments.references[k]
     return CorrelationMap(
-        values=values,
-        camera=camera,
-        ref_pane=ref.pane,
-        ref_angle_urad=ref.angle_urad,
-        n_frames=moments.n,
-        seed=seed,
-        config_checksum=config_checksum,
+        values=values, camera=moments.camera, reference=moments.references[k], n_frames=moments.n
     )
 
 
@@ -429,8 +421,8 @@ def locate_twin_spot(cmap: CorrelationMap, pane: str = "anti_stokes") -> Gaussia
     self-correlation pixel is masked out first.
     """
     values = cmap.pane(pane).copy()
-    if pane == cmap.ref_pane:
-        px, py = cmap.camera.angle_to_pixel(Angle2D(*cmap.ref_angle_urad))
+    if pane == cmap.reference.pane:
+        px, py = cmap.camera.angle_to_pixel(cmap.reference.angle)
         if cmap.camera.contains(px, py):
             values[round(py), round(px)] = np.nan
     if not np.isfinite(values).any():
@@ -482,20 +474,20 @@ def write_table(path, comment: str, rows: Sequence[dict]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _provenance_line(cmap: CorrelationMap) -> str:
+def _map_comment(cmap: CorrelationMap, pane: str, stamp: str) -> str:
+    ref = cmap.reference
     return (
-        f"{provenance(cmap.seed, cmap.config_checksum)} "
-        f"n_frames={cmap.n_frames} ref_pane={cmap.ref_pane} "
-        f"ref=({cmap.ref_angle_urad[0]!r},{cmap.ref_angle_urad[1]!r})"
+        f"# {stamp} n_frames={cmap.n_frames} ref_pane={ref.pane} "
+        f"ref=({ref.angle.theta_x!r},{ref.angle.theta_y!r}) pane={pane}\n"
     )
 
 
-def map_to_csv(cmap: CorrelationMap, pane: str, path) -> None:
-    """One pane of the map as (angle_x_urad, angle_y_urad, C) rows."""
+def map_to_csv(cmap: CorrelationMap, pane: str, path, stamp: str) -> None:
+    """One pane of the map as (angle_x_urad, angle_y_urad, C) rows under the `provenance` stamp."""
     values = cmap.pane(pane)
     ax, ay = cmap.camera.pixel_angle_axes()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {_provenance_line(cmap)} pane={pane}\n")
+        fh.write(_map_comment(cmap, pane, stamp))
         fh.write("angle_x_urad,angle_y_urad,C\n")
         # each coordinate is formatted once: x with its comma per pane, y per row
         xs = [f"{x!r}," for x in ax.tolist()]
@@ -504,25 +496,22 @@ def map_to_csv(cmap: CorrelationMap, pane: str, path) -> None:
             fh.write("".join([f"{x}{yc}{v!r}\n" for x, v in zip(xs, row.tolist())]))
 
 
-def map_to_pgm(cmap: CorrelationMap, pane: str, path) -> None:
-    """16-bit PGM: C in [-1, 1] maps linearly to [0, 65535], NaN to 0."""
+def map_to_pgm(cmap: CorrelationMap, pane: str, path, stamp: str) -> None:
+    """16-bit PGM under the `provenance` stamp: C in [-1, 1] maps linearly to [0, 65535], NaN to 0."""
     values = cmap.pane(pane)
     scaled = np.clip((values + 1.0) / 2.0, 0.0, 1.0) * 65535.0
     pixels = np.where(np.isfinite(values), np.rint(scaled), 0.0).astype(">u2")
-    header = (
-        f"P5\n# {_provenance_line(cmap)} pane={pane}\n"
-        f"{values.shape[1]} {values.shape[0]}\n65535\n"
-    )
+    header = f"P5\n{_map_comment(cmap, pane, stamp)}{values.shape[1]} {values.shape[0]}\n65535\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(pixels.tobytes())
 
 
-def fit_to_csv(fit: GaussianSpotFit, path, seed: int = 0, config_checksum: int = 0) -> None:
-    """The twin-spot fit as a one-row report table, labelled `twin`."""
+def fit_to_csv(fit: GaussianSpotFit, path, stamp: str) -> None:
+    """The twin-spot fit as a one-row report table, labelled `twin`, under the `provenance` stamp."""
     columns = (
         "converged", "amplitude", "center_x_urad", "center_y_urad", "sigma_x_urad", "sigma_y_urad",
         "fwhm_x_urad", "fwhm_y_urad", "offset", "rms_residual", "n_iterations",
     )
     row = {"label": "twin", **{c: getattr(fit, c) for c in columns}}
-    write_table(path, provenance(seed, config_checksum), [row])
+    write_table(path, stamp, [row])

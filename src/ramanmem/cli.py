@@ -58,7 +58,7 @@ def _rendered_blocks(frames: Iterable[scattering.Frame]) -> Iterator[np.ndarray]
 
 
 def _correlate_frames(
-    blocks: Iterable[np.ndarray], camera, references: list[analysis.Reference], seed: int, checksum: int,
+    blocks: Iterable[np.ndarray], camera, references: list[analysis.Reference]
 ) -> list[analysis.CorrelationMap]:
     """One pass over the count blocks into one moment set, one correlation map per reference."""
     moments = analysis.MomentSet.empty(camera, references)
@@ -66,18 +66,15 @@ def _correlate_frames(
     with suppress(StopIteration):
         while True:  # passed unbound, so accumulate_block's float64 copy frees the block
             analysis.accumulate_block(moments, next(blocks))
-    return [
-        analysis.correlation_map(moments, k, camera, seed=seed, config_checksum=checksum)
-        for k in range(len(references))
-    ]
+    return [analysis.correlation_map(moments, k) for k in range(len(references))]
 
 
 def _twin_fits(
-    cfg: ExperimentConfig, refs: list[analysis.Reference], checksum: int, schedule=None,
+    cfg: ExperimentConfig, refs: list[analysis.Reference], schedule=None,
 ) -> list[analysis.GaussianSpotFit]:
     """Render cfg's run at the readout schedule, map it against each reference, fit each twin."""
     frames = scattering.iter_simulated_frames(cfg, schedule=schedule)
-    maps = _correlate_frames(_rendered_blocks(frames), cfg.camera, refs, cfg.run.seed, checksum)
+    maps = _correlate_frames(_rendered_blocks(frames), cfg.camera, refs)
     return [analysis.locate_twin_spot(cmap) for cmap in maps]
 
 
@@ -148,15 +145,15 @@ def cmd_correlate(args) -> int:
         reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
-    (cmap,) = _correlate_frames(blocks, camera, [reference], seed, checksum)
+    (cmap,) = _correlate_frames(blocks, camera, [reference])
 
-    prefix = args.out
+    prefix, stamp = args.out, analysis.provenance(seed, checksum)
     for pane in analysis.PANES:
-        analysis.map_to_csv(cmap, pane, f"{prefix}_{pane}.csv")
-        analysis.map_to_pgm(cmap, pane, f"{prefix}_{pane}.pgm")
+        analysis.map_to_csv(cmap, pane, f"{prefix}_{pane}.csv", stamp)
+        analysis.map_to_pgm(cmap, pane, f"{prefix}_{pane}.pgm", stamp)
     twin_pane = "anti_stokes" if args.ref_pane == "stokes" else "stokes"
     fit = analysis.locate_twin_spot(cmap, pane=twin_pane)
-    analysis.fit_to_csv(fit, f"{prefix}_fit.csv", seed=seed, config_checksum=checksum)
+    analysis.fit_to_csv(fit, f"{prefix}_fit.csv", stamp)
     print(
         f"reference {args.ref_pane} ({ref_angle.theta_x:g}, {ref_angle.theta_y:g}) urad, "
         f"{cmap.n_frames} frames"
@@ -200,7 +197,6 @@ def cmd_steer(args) -> int:
     if args.fibers > cfg.camera.height_px:  # the fibers share one pixel column, one reference each
         raise ConfigError(f"more fibers than the {cfg.camera.height_px} pixels of a column", path="--fibers")
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)
-    checksum = cfg.checksum()
     try:
         target = Angle2D(args.target_x, args.target_y)
         fibers = _fiber_grid(args, cfg)
@@ -213,7 +209,7 @@ def cmd_steer(args) -> int:
         raise ConfigError(f"per-fiber seed out of range: {exc}", path="--seed") from None
 
     # baseline pass, no compensation: one run, every fiber as a reference
-    baseline_fits = _twin_fits(cfg, refs, checksum)
+    baseline_fits = _twin_fits(cfg, refs)
     fit_failed = any(not f.converged for f in baseline_fits)
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
@@ -250,7 +246,7 @@ def cmd_steer(args) -> int:
         rows.append(row)
         if not cmd.reachable:
             continue
-        (fit,) = _twin_fits(run_cfgs[i], [refs[i]], checksum, cmd.theta_read)
+        (fit,) = _twin_fits(run_cfgs[i], [refs[i]], cmd.theta_read)
         if not fit.converged:
             fit_failed = True
             continue
@@ -268,7 +264,7 @@ def cmd_steer(args) -> int:
     if args.out:
         analysis.write_table(
             args.out,
-            f"{analysis.provenance(cfg.run.seed, checksum)} "
+            f"{analysis.provenance(cfg.run.seed, cfg.checksum())} "
             f"target=({target.theta_x!r},{target.theta_y!r}) "
             f"baseline_slope={slope!r} baseline_intercept={intercept!r}",
             rows,
@@ -303,16 +299,12 @@ def cmd_steer(args) -> int:
 
 def cmd_herald(args) -> int:
     cfg = _load_config(args)
-    checksum = cfg.checksum()
     sweep = args.sweep_m or [cfg.herald.modes]
     rows = []
     for modes in sweep:
         hc = dataclasses.replace(cfg.herald, modes=modes)
         stats = control.run_herald_protocol(hc, args.shots, cfg.run.seed)
-        # per-mode probability of at least one *detected* excitation; equals
-        # hc.p when the detector is ideal
-        zeta_eff = hc.zeta * hc.eta_detect
-        closed = control.herald_probability(modes, zeta_eff / (1.0 + zeta_eff))
+        closed = control.herald_probability(modes, hc.p_detect)
         rows.append(
             {"modes": modes, "p": hc.p, **dataclasses.asdict(stats), "closed_form_herald_prob": closed}
         )
@@ -322,7 +314,7 @@ def cmd_herald(args) -> int:
             f"multi|herald {stats.multi_given_herald:.5f}"
         )
     if args.out:
-        analysis.write_table(args.out, analysis.provenance(cfg.run.seed, checksum), rows)
+        analysis.write_table(args.out, analysis.provenance(cfg.run.seed, cfg.checksum()), rows)
     return EXIT_OK
 
 

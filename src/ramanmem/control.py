@@ -183,6 +183,16 @@ class HeraldConfig:
         if self.memory_lifetime_s <= 0.0:
             raise ValueError("memory lifetime must be positive")
 
+    @property
+    def p_detect(self) -> float:
+        """Per-mode probability of at least one *detected* excitation.
+
+        Detection thins the thermal law to one of mean zeta*eta_detect, so this is
+        zeta*eta_detect / (1 + zeta*eta_detect), and p when the detector is ideal.
+        """
+        zeta_d = self.zeta * self.eta_detect
+        return zeta_d / (1.0 + zeta_d)
+
 
 @dataclass(frozen=True)
 class HeraldStats:
@@ -239,7 +249,7 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     statistics untouched.
 
     The modes and the shots are i.i.d., so nothing is drawn per mode, nor per
-    shot that does not herald.  With q = zeta*eta_detect / (1 + zeta*eta_detect)
+    shot that does not herald.  With q = cfg.p_detect = zeta*eta_detect / (1 + zeta*eta_detect)
     the per-mode chance of a detection, a shot heralds with probability
     P = herald_probability(modes, q), so a chunk's herald count is one
     Binomial(size, P) draw.  Each heralded shot's routed mode then has
@@ -272,8 +282,7 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
     if shots < 1:
         raise ValueError("shots must be >= 1")
 
-    zeta_d = cfg.zeta * cfg.eta_detect
-    q = zeta_d / (1.0 + zeta_d)
+    q = cfg.p_detect
     # u = 1 - miss; 1 - u^2 as miss (2 - miss), which keeps its digits at small p
     miss = cfg.p * (1.0 - cfg.eta_detect)
     undetected_p = 1.0 - miss

@@ -596,17 +596,17 @@ def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator
             t.join()
 
 
-def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Iterator[Frame]:
-    """Generate frames one at a time, in frame order, without holding the stack in memory.
+def iter_simulated_frames(cfg, schedule=None) -> Iterator[Frame]:
+    """Generate cfg.run's frames one at a time, in frame order, without holding the stack in memory.
 
     The calling thread draws every shot in frame order (tilt factors, shot
     stream, per-mode intensities); the two gemms of each pane's mean,
     wy.T @ grid @ wx with grid the intensities as the (ny, nx) lattice, and
     the Poisson draw run on one helper thread per usable core, capped at the
     frame count, so one usable core gets one helper.  Every frame holds its
-    counts in `count_dtype(cfg)`, the width of its stack.  Frame i draws only
-    from shot_rng(seed, i), so the frames do not depend on the number of
-    threads.
+    counts in `count_dtype(cfg)`, the width of its stack.  The run fixes the
+    frame count and the seed: frame i draws only from shot_rng(cfg.run.seed,
+    i), so the frames do not depend on the number of threads.
 
     Each tilt's factors are built once per run and kept in a least recently
     used cache of at most _TILT_CACHE_BYTES (or one tilt, if its factors are
@@ -614,10 +614,7 @@ def iter_simulated_frames(cfg, n_frames=None, schedule=None, seed=None) -> Itera
     rows once and memory does not grow with the schedule.  The cache lives
     as long as the generator.
     """
-    n = int(cfg.run.n_frames if n_frames is None else n_frames)
-    s = int(cfg.run.seed if seed is None else seed)
-    if n < 1:
-        raise ValueError("n_frames must be >= 1")
+    n, s = cfg.run.n_frames, cfg.run.seed
     ms = mode_set_from_config(cfg)
     rm = cfg.retrieval
     camera = cfg.camera

@@ -12,7 +12,7 @@ import numpy as np
 
 from ramanmem import analysis, control, scattering
 from ramanmem.cli import main as cli_main
-from ramanmem.config import default_config
+from ramanmem.config import RunParams, default_config
 from ramanmem.geometry import Angle2D
 
 CARRIER_RATIO = 780.0 / 795.0  # anti-Stokes vs Stokes carrier wavelengths
@@ -22,6 +22,11 @@ def _no_diffusion(cfg):
     return dataclasses.replace(
         cfg, retrieval=dataclasses.replace(cfg.retrieval, d_diff_m2_s=0.0)
     )
+
+
+def _run_of(cfg, n_frames, seed):
+    """cfg with a run of n_frames frames seeded with seed."""
+    return dataclasses.replace(cfg, run=RunParams(seed=seed, n_frames=n_frames))
 
 
 def _max_abs_c(cmap) -> float:
@@ -39,9 +44,9 @@ def _multi_reference_run(cfg, ref_ys, n_frames, seed):
         for y in ref_ys
     ]
     moments = analysis.MomentSet.empty(cfg.camera, refs)
-    for frame in scattering.iter_simulated_frames(cfg, n_frames=n_frames, seed=seed):
+    for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, seed)):
         analysis.accumulate(moments, frame)
-    cmaps = [analysis.correlation_map(moments, k, cfg.camera) for k in range(len(refs))]
+    cmaps = [analysis.correlation_map(moments, k) for k in range(len(refs))]
     fits = [analysis.locate_twin_spot(c) for c in cmaps]
     worst = max(_max_abs_c(c) for c in cmaps)
     return cmaps, fits, worst
@@ -109,12 +114,10 @@ def test_criterion_3_steering(tmp_path):
     self_centers, twin_ys, twin_fwhms = [], [], []
     for delta in deltas:
         acc = analysis.MomentSet.empty(cfg.camera, [ref])
-        frames = scattering.iter_simulated_frames(
-            cfg, n_frames=1500, schedule=Angle2D(0.0, delta), seed=41
-        )
+        frames = scattering.iter_simulated_frames(_run_of(cfg, 1500, 41), schedule=Angle2D(0.0, delta))
         for frame in frames:
             analysis.accumulate(acc, frame)
-        cmap = analysis.correlation_map(acc, 0, cfg.camera)
+        cmap = analysis.correlation_map(acc, 0)
         self_fit = analysis.locate_twin_spot(cmap, pane="stokes")
         twin_fit = analysis.locate_twin_spot(cmap)
         assert self_fit.converged and twin_fit.converged
@@ -224,12 +227,12 @@ def test_criterion_5_diffusion_droop():
 
 def test_criterion_6_estimator_correctness():
     cfg = default_config()
-    frames = list(scattering.iter_simulated_frames(cfg, n_frames=100, seed=61))
+    frames = list(scattering.iter_simulated_frames(_run_of(cfg, 100, 61)))
     ref = analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
     acc = analysis.MomentSet.empty(cfg.camera, [ref])
     for frame in frames:
         analysis.accumulate(acc, frame)
-    streamed = analysis.correlation_map(acc, 0, cfg.camera)
+    streamed = analysis.correlation_map(acc, 0)
 
     # naive two-pass oracle in float64
     counts = np.stack([frame.counts for frame in frames])
@@ -266,8 +269,8 @@ def test_criterion_6_estimator_correctness():
     a, b, c, d = parts
     order1 = analysis.merge(analysis.merge(analysis.merge(a, b), c), d)
     order2 = analysis.merge(analysis.merge(d, c), analysis.merge(b, a))
-    map1 = analysis.correlation_map(order1, 0, cfg.camera)
-    map2 = analysis.correlation_map(order2, 0, cfg.camera)
+    map1 = analysis.correlation_map(order1, 0)
+    map2 = analysis.correlation_map(order2, 0)
     ok_merge = bool(
         np.array_equal(map1.values, streamed.values, equal_nan=True)
         and np.array_equal(map2.values, streamed.values, equal_nan=True)
@@ -324,9 +327,9 @@ def test_criterion_7_statistics_oracles():
     n_frames = 20_000
     ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
     acc = analysis.MomentSet.empty(cam, [ref])
-    for frame in scattering.iter_simulated_frames(cfg, n_frames=n_frames, seed=72):
+    for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, 72)):
         analysis.accumulate(acc, frame)
-    cmap = analysis.correlation_map(acc, 0, cam)
+    cmap = analysis.correlation_map(acc, 0)
     measured = cmap.value_at("anti_stokes", Angle2D(0.0, 0.0))
 
     ms = cfg.mode_set()

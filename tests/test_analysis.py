@@ -1,5 +1,6 @@
 """Correlation maps, accumulator algebra, spot fitting and exports."""
 
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanmem import analysis as an
-from ramanmem.config import default_config
+from ramanmem.config import RunParams, default_config
 from ramanmem.geometry import Angle2D, CameraGeometry
 from ramanmem.scattering import Frame, iter_simulated_frames
 
@@ -23,6 +24,12 @@ def make_frame(stokes, anti, i=0):
         shot_index=i,
         readout_angle_urad=(0.0, 0.0),
     )
+
+
+def simulated_frames(n_frames, seed):
+    """The default config's first n_frames frames of the run seeded with seed."""
+    cfg = dataclasses.replace(default_config(), run=RunParams(seed=seed, n_frames=n_frames))
+    return list(iter_simulated_frames(cfg))
 
 
 def accumulate_all(camera, ref, frames):
@@ -56,6 +63,11 @@ def corner_ref():
     return an.Reference.pixel(CAM4, "stokes", pixel_angle(0, 0))
 
 
+def centre_ref(camera):
+    """A Stokes pixel reference at (0, 0) urad, the pane's origin."""
+    return an.Reference.pixel(camera, "stokes", Angle2D(0.0, 0.0))
+
+
 # --- references -------------------------------------------------------------
 
 
@@ -83,7 +95,7 @@ def test_reference_disc_membership_is_strict():
 
 
 def test_perfect_linear_correlation():
-    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0)
     c = cmap.pane("anti_stokes")
     assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert c[2, 2] == pytest.approx(-1.0, abs=1e-12)
@@ -92,7 +104,7 @@ def test_perfect_linear_correlation():
 
 
 def test_zero_variance_pixels_are_nan():
-    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0)
     assert np.isnan(cmap.pane("stokes")[1, 1])  # constant pixel
     assert np.isnan(cmap.pane("anti_stokes")[3, 3])  # all-zero pixel
 
@@ -100,20 +112,20 @@ def test_zero_variance_pixels_are_nan():
 def test_map_needs_two_frames():
     acc = accumulate_all(CAM4, corner_ref(), proportional_frames()[:1])
     with pytest.raises(ValueError, match="at least 2"):
-        an.correlation_map(acc, 0, CAM4)
+        an.correlation_map(acc, 0)
 
 
 def test_constant_reference_gives_all_nan():
     ref = an.Reference.pixel(CAM4, "stokes", pixel_angle(1, 1))
-    cmap = an.correlation_map(accumulate_all(CAM4, ref, proportional_frames()), 0, CAM4)
+    cmap = an.correlation_map(accumulate_all(CAM4, ref, proportional_frames()), 0)
     assert np.isnan(cmap.values).all()
 
 
 def test_correlation_bound_on_simulated_data():
     cfg = default_config()
-    frames = list(iter_simulated_frames(cfg, n_frames=120, seed=77))
+    frames = simulated_frames(120, seed=77)
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 150.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0, cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0)
     finite = cmap.values[np.isfinite(cmap.values)]
     assert finite.size > 0
     assert np.abs(finite).max() <= 1.0 + 1e-9
@@ -121,9 +133,9 @@ def test_correlation_bound_on_simulated_data():
 
 def test_streaming_equals_two_pass():
     cfg = default_config()
-    frames = list(iter_simulated_frames(cfg, n_frames=60, seed=13))
+    frames = simulated_frames(60, seed=13)
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0, cfg.camera)
+    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0)
 
     # naive two-pass estimator straight from the definition
     data = np.stack([fr.counts for fr in frames]).astype(np.float64)
@@ -139,7 +151,7 @@ def test_streaming_equals_two_pass():
 
 def test_merge_is_bit_stable_under_partitioning():
     cfg = default_config()
-    frames = list(iter_simulated_frames(cfg, n_frames=30, seed=55))
+    frames = simulated_frames(30, seed=55)
     ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
 
     def partial(lo, hi):
@@ -155,8 +167,8 @@ def test_merge_is_bit_stable_under_partitioning():
         np.testing.assert_array_equal(combo.sum_ii_ref, whole.sum_ii_ref)
         np.testing.assert_array_equal(combo.sum_ref, whole.sum_ref)
         np.testing.assert_array_equal(combo.sum_ref2, whole.sum_ref2)
-    m_whole = an.correlation_map(whole, 0, cfg.camera).values
-    m_ab = an.correlation_map(ab, 0, cfg.camera).values
+    m_whole = an.correlation_map(whole, 0).values
+    m_ab = an.correlation_map(ab, 0).values
     np.testing.assert_array_equal(
         np.isnan(m_whole), np.isnan(m_ab)
     )
@@ -180,10 +192,27 @@ def test_merge_rejects_mismatched_references():
     assert an.merge(same, an.MomentSet.empty(CAM4, [corner, centre])).references == (corner, centre)
 
 
+def test_one_camera_per_moment_set(tmp_path):
+    """Sets folded on cameras of different pitch do not merge; a map exports its set's pixel angles."""
+    coarse = dataclasses.replace(CAM4, pixel_pitch_m=2.0 * CAM4.pixel_pitch_m)
+    fine_set = accumulate_all(CAM4, corner_ref(), proportional_frames())
+    coarse_set = accumulate_all(coarse, corner_ref(), proportional_frames())
+    with pytest.raises(ValueError, match="different cameras"):
+        an.merge(fine_set, coarse_set)
+    cmap = an.correlation_map(coarse_set, 0)
+    assert cmap.camera is coarse
+    path = tmp_path / "m.csv"
+    an.map_to_csv(cmap, "anti_stokes", path, an.provenance(0, 0))
+    ax, ay = coarse.pixel_angle_axes()
+    gx, gy = np.meshgrid(ax, ay)
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    np.testing.assert_array_equal(rows[:, :2], np.column_stack([gx.ravel(), gy.ravel()]))
+
+
 def test_accumulate_many_matches_single():
     """A 2-reference set equals two 1-reference sets bit for bit, field by field."""
     cfg = default_config()
-    frames = list(iter_simulated_frames(cfg, n_frames=8, seed=70))
+    frames = simulated_frames(8, seed=70)
     refs = [
         an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, y)) for y in (0.0, 150.0)
     ]
@@ -200,10 +229,10 @@ def test_accumulate_many_matches_single():
         np.testing.assert_array_equal(both.sum_ii_ref[k], solo.sum_ii_ref[0])
         assert both.sum_ref[k] == solo.sum_ref[0]
         assert both.sum_ref2[k] == solo.sum_ref2[0]
-        want = an.correlation_map(solo, 0, cfg.camera)
-        got = an.correlation_map(both, k, cfg.camera)
+        want = an.correlation_map(solo, 0)
+        got = an.correlation_map(both, k)
         assert np.array_equal(got.values, want.values, equal_nan=True)
-        assert got.ref_angle_urad == ref.angle_urad
+        assert got.reference is ref
 
 
 # --- cross sections -----------------------------------------------------------
@@ -212,13 +241,7 @@ def test_accumulate_many_matches_single():
 def ramp_map():
     values = np.zeros((2, 4, 4))
     values[1] = np.arange(16.0).reshape(4, 4) / 16.0
-    return an.CorrelationMap(
-        values=values,
-        camera=CAM4,
-        ref_pane="stokes",
-        ref_angle_urad=(0.0, 0.0),
-        n_frames=10,
-    )
+    return an.CorrelationMap(values=values, camera=CAM4, reference=centre_ref(CAM4), n_frames=10)
 
 
 def test_value_at():
@@ -316,9 +339,7 @@ def test_locate_twin_spot_masks_the_reference_pixel():
     values = np.zeros((2, 64, 64))
     values[0] = blob
     values[0, 32, 32] = 1.0  # the reference pixel itself
-    cmap = an.CorrelationMap(
-        values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0), n_frames=9
-    )
+    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=9)
     fit = an.locate_twin_spot(cmap, pane="stokes")
     assert fit.converged
     assert fit.center_x_urad == pytest.approx(450.0, abs=5.0)
@@ -330,9 +351,7 @@ def test_locate_twin_spot_masks_the_reference_pixel():
 def test_locate_twin_spot_all_nan():
     values = np.full((2, 8, 8), np.nan)
     cam = CameraGeometry(8, 8, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(
-        values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0), n_frames=5
-    )
+    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=5)
     assert not an.locate_twin_spot(cmap).converged
 
 
@@ -375,12 +394,9 @@ def test_map_to_pgm_encoding(tmp_path):
     values = np.full((2, 2, 3), np.nan)
     values[1] = [[-1.0, 0.0, 1.0], [0.5, np.nan, -0.5]]
     cam = CameraGeometry(3, 2, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(
-        values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0),
-        n_frames=7, seed=3, config_checksum=0xABC,
-    )
+    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=7)
     path = tmp_path / "m.pgm"
-    an.map_to_pgm(cmap, "anti_stokes", path)
+    an.map_to_pgm(cmap, "anti_stokes", path, an.provenance(3, 0xABC))
     raw = path.read_bytes()
     header, pixels = raw.rsplit(b"65535\n", 1)
     assert header.startswith(b"P5\n")
@@ -392,7 +408,7 @@ def test_map_to_pgm_encoding(tmp_path):
 def test_map_to_csv_round_trip(tmp_path):
     cmap = ramp_map()
     path = tmp_path / "m.csv"
-    an.map_to_csv(cmap, "anti_stokes", path)
+    an.map_to_csv(cmap, "anti_stokes", path, an.provenance(0, 0))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "angle_x_urad,angle_y_urad,C"
@@ -411,12 +427,9 @@ def test_map_to_csv_bytes(tmp_path):
     values[1, 1] = [0.1, 1.0, -1e-300, 12345.678]
     values[1, 2] = [0.5, -np.inf, 3e20, -7.0]
     cam = CameraGeometry(4, 3, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(
-        values=values, camera=cam, ref_pane="stokes", ref_angle_urad=(0.0, 0.0),
-        n_frames=7, seed=3, config_checksum=0xABC,
-    )
+    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=7)
     path = tmp_path / "m.csv"
-    an.map_to_csv(cmap, "anti_stokes", path)
+    an.map_to_csv(cmap, "anti_stokes", path, an.provenance(3, 0xABC))
     ax, ay = cam.pixel_angle_axes()
     rows = "".join(
         f"{x!r},{y!r},{v!r}\n"
@@ -435,9 +448,9 @@ def test_fit_to_csv(tmp_path):
     z, ax, ay = synthetic_spot()
     fit = an.fit_gaussian_spot(z, ax, ay)
     path = tmp_path / "fit.csv"
-    an.fit_to_csv(fit, path, seed=11, config_checksum=0xDEAD)
+    an.fit_to_csv(fit, path, an.provenance(11, 0xDEAD))
     text = path.read_text()
-    assert "seed=11" in text
+    assert text.startswith("# seed=11 config_checksum=000000000000dead\n")
     assert text.splitlines()[1].startswith("label,converged")
     row = text.splitlines()[2].split(",")
     assert row[0] == "twin"

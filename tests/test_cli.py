@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point, in process via main()."""
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -16,7 +17,7 @@ import pytest
 import ramanmem
 from ramanmem import analysis, cli, control, scattering, stackio
 from ramanmem.cli import main
-from ramanmem.config import load_config
+from ramanmem.config import RunParams, load_config
 from ramanmem.geometry import Angle2D, CameraGeometry
 from ramanmem.scattering import Frame
 from ramanmem.stackio import StackWriter, read_stack
@@ -257,22 +258,25 @@ _PINNED_STACK_MAP_DIGESTS = {
 
 
 def test_correlate_stack_digest_is_pinned(tmp_path, capsys):
-    """`correlate --stack` writes the same map and fit bytes on every run.
+    """`correlate --stack` writes the same map and fit bytes on every run, and so does a fresh `correlate`.
 
     203 frames: the count is not a multiple of the ingest block, so a short
-    last block is folded too.  A byte that moves is an output change to
-    document, not to re-pin silently.
+    last block is folded too.  The stack's maps take their stamp from its
+    header, the fresh maps theirs from the config.  A byte that moves is an
+    output change to document, not to re-pin silently.
     """
+    run = ["--frames", "203", "--seed", "11"]
     stack = str(tmp_path / "run.rmns")
-    assert main(["simulate", "--frames", "203", "--seed", "11", "--out", stack]) == 0
-    digests = {}
-    for name, options in _STACK_DIGEST_REFS:
-        prefix = tmp_path / name
-        assert main(["correlate", "--stack", stack, *options, "--out", str(prefix)]) == 0
-        for suffix in _MAP_SUFFIXES:
-            raw = Path(f"{prefix}{suffix}").read_bytes()
-            digests[f"{name}{suffix}"] = hashlib.sha256(raw).hexdigest()
-    assert digests == _PINNED_STACK_MAP_DIGESTS
+    assert main(["simulate", *run, "--out", stack]) == 0
+    for source in (["--stack", stack], run):
+        digests = {}
+        for name, options in _STACK_DIGEST_REFS:
+            prefix = tmp_path / name
+            assert main(["correlate", *source, *options, "--out", str(prefix)]) == 0
+            for suffix in _MAP_SUFFIXES:
+                raw = Path(f"{prefix}{suffix}").read_bytes()
+                digests[f"{name}{suffix}"] = hashlib.sha256(raw).hexdigest()
+        assert digests == _PINNED_STACK_MAP_DIGESTS, source
 
 
 def _block_refs(camera):
@@ -288,8 +292,8 @@ def _block_refs(camera):
 def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
     """One full and one short block; the maps match a frame loop's bit for bit."""
     n_frames = stackio._BLOCK + 3
-    cfg = load_config(cfg_path).with_seed(21)
-    frames = list(scattering.iter_simulated_frames(cfg, n_frames=n_frames))
+    cfg = dataclasses.replace(load_config(cfg_path), run=RunParams(seed=21, n_frames=n_frames))
+    frames = list(scattering.iter_simulated_frames(cfg))
     path = tmp_path / "run.rmns"
     with StackWriter(
         path, cfg.camera, n_frames, seed=21, config_checksum=0, count_dtype=np.uint16
@@ -301,12 +305,12 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
     else:
         blocks = cli._rendered_blocks(iter(frames))
     refs = _block_refs(cfg.camera)
-    got = cli._correlate_frames(blocks, cfg.camera, refs, seed=21, checksum=0)
+    got = cli._correlate_frames(blocks, cfg.camera, refs)
     for cmap, ref in zip(got, refs):
         acc = analysis.MomentSet.empty(cfg.camera, [ref])
         for frame in frames:
             analysis.accumulate(acc, frame)
-        want = analysis.correlation_map(acc, 0, cfg.camera)
+        want = analysis.correlation_map(acc, 0)
         assert cmap.n_frames == want.n_frames == n_frames
         assert np.array_equal(cmap.values, want.values, equal_nan=True)
 
@@ -330,7 +334,7 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
         blocks = cli._stack_blocks(str(path))[-1]
         tracemalloc.start()
         try:
-            maps = cli._correlate_frames(blocks, cam, refs, seed=0, checksum=0)
+            maps = cli._correlate_frames(blocks, cam, refs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -353,7 +357,7 @@ def test_extra_references_add_only_their_cross_moments():
     for k in (1, 5):
         tracemalloc.start()
         try:
-            maps = cli._correlate_frames(blocks, cam, refs[:k], seed=0, checksum=0)
+            maps = cli._correlate_frames(blocks, cam, refs[:k])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -705,7 +709,8 @@ def test_u32_stack_holding_2_24_maps(tmp_path, cfg_path, monkeypatch, threads):
     """A count of 2**24 is a plain u32 count: the stack maps, and that pixel correlates."""
     _use_threads(monkeypatch, threads)
     cfg = load_config(cfg_path)
-    frames = list(scattering.iter_simulated_frames(cfg, n_frames=20))
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_frames=20))
+    frames = list(scattering.iter_simulated_frames(cfg))
     path = tmp_path / "wide.rmns"
     with StackWriter(path, cfg.camera, len(frames), seed=7, config_checksum=0, count_dtype=np.uint32) as w:
         for i, frame in enumerate(frames):

@@ -1,5 +1,6 @@
 """Mode grid construction, thermal sampling and frame rendering."""
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from ramanmem import scattering
 from ramanmem.cli import main
-from ramanmem.config import N_FRAMES_MAX, SEED_MAX, default_config
+from ramanmem.config import N_FRAMES_MAX, SEED_MAX, RunParams, default_config
 from ramanmem.geometry import Angle2D, BeamGeometry, CameraGeometry
 from ramanmem.scattering import (
     Frame,
@@ -38,6 +39,11 @@ def grid(envelope_fwhm_urad: float, **kwargs) -> ModeGridParams:
     return ModeGridParams(
         gain_shrink=2.0, envelope_fwhm_urad=envelope_fwhm_urad, mean_photons_per_mode=1000.0, **kwargs
     )
+
+
+def run_of(cfg, n_frames, seed):
+    """cfg with a run of n_frames frames seeded with seed."""
+    return dataclasses.replace(cfg, run=RunParams(seed=seed, n_frames=n_frames))
 
 
 def small_camera(n=16):
@@ -331,7 +337,7 @@ def test_render_dark_frame():
 def test_rendered_counts_are_integers():
     """Frames render in the width of their stack: u16 at the default config."""
     cfg = default_config()
-    fr = next(iter_simulated_frames(cfg, n_frames=1, seed=3))
+    fr = next(iter_simulated_frames(run_of(cfg, 1, 3)))
     assert fr.counts.dtype == scattering.count_dtype(cfg) == np.uint16
     assert fr.stokes.any() and fr.anti_stokes.any()
 
@@ -408,8 +414,8 @@ def test_frame_rejects_counts_outside_the_exact_range(value):
 
 def test_same_seed_reproduces_bit_for_bit():
     cfg = default_config()
-    a = list(iter_simulated_frames(cfg, n_frames=3, seed=12))
-    b = list(iter_simulated_frames(cfg, n_frames=3, seed=12))
+    a = list(iter_simulated_frames(run_of(cfg, 3, 12)))
+    b = list(iter_simulated_frames(run_of(cfg, 3, 12)))
     assert [f.shot_index for f in a] == [f.shot_index for f in b] == [0, 1, 2]
     for fa, fb in zip(a, b):
         np.testing.assert_array_equal(fa.counts, fb.counts)
@@ -418,23 +424,21 @@ def test_same_seed_reproduces_bit_for_bit():
 def test_schedule_is_honored_per_frame():
     cfg = default_config()
     sched = np.array([[0.0, -200.0], [0.0, 0.0], [0.0, 200.0]])
-    frames = list(iter_simulated_frames(cfg, n_frames=3, schedule=sched, seed=5))
+    frames = list(iter_simulated_frames(run_of(cfg, 3, 5), schedule=sched))
     for fr, row in zip(frames, sched):
         assert fr.readout_angle_urad == tuple(row)
 
 
 def test_constant_schedule_broadcasts():
     cfg = default_config()
-    frames = list(
-        iter_simulated_frames(cfg, n_frames=2, schedule=Angle2D(0.0, 150.0), seed=5)
-    )
+    frames = list(iter_simulated_frames(run_of(cfg, 2, 5), schedule=Angle2D(0.0, 150.0)))
     assert all(fr.readout_angle_urad == (0.0, 150.0) for fr in frames)
 
 
 def test_schedule_shape_mismatch_raises():
     cfg = default_config()
     with pytest.raises(ValueError, match="schedule"):
-        list(iter_simulated_frames(cfg, n_frames=3, schedule=np.zeros((2, 2)), seed=5))
+        list(iter_simulated_frames(run_of(cfg, 3, 5), schedule=np.zeros((2, 2))))
 
 
 def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
@@ -443,7 +447,7 @@ def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
     sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
     tracemalloc.start()
     try:
-        for _ in iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=3):
+        for _ in iter_simulated_frames(run_of(cfg, n, 3), schedule=sched):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -464,7 +468,7 @@ def test_frames_independent_of_history(idx):
         noise_floor=cfg.retrieval.noise_floor, shot_index=idx,
     )
     from_stream = None
-    for candidate in iter_simulated_frames(cfg, n_frames=idx + 1):
+    for candidate in iter_simulated_frames(run_of(cfg, idx + 1, cfg.run.seed)):
         if candidate.shot_index == idx:
             from_stream = candidate
     np.testing.assert_array_equal(fr.stokes, from_stream.stokes)
@@ -561,7 +565,7 @@ def test_stack_digests_do_not_depend_on_thread_count(tmp_path, monkeypatch, thre
 @pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 1), (3, 5, 3), (3, 2, 2)])
 def test_one_render_thread_per_core_capped_at_frame_count(monkeypatch, cores, frames, started):
     _use_threads(monkeypatch, cores)
-    it = iter_simulated_frames(default_config(), n_frames=frames, seed=1)
+    it = iter_simulated_frames(run_of(default_config(), frames, 1))
     next(it)
     assert _render_threads() == started
     it.close()
@@ -573,11 +577,11 @@ def test_render_threads_stop_when_the_run_ends_or_is_closed(monkeypatch, threads
     _use_threads(monkeypatch, threads)
     cfg = default_config()
     start = threading.active_count()
-    frames = list(iter_simulated_frames(cfg, n_frames=8, seed=1))
+    frames = list(iter_simulated_frames(run_of(cfg, 8, 1)))
     assert [fr.shot_index for fr in frames] == list(range(8))
     assert threading.active_count() == start
 
-    it = iter_simulated_frames(cfg, n_frames=20, seed=1)
+    it = iter_simulated_frames(run_of(cfg, 20, 1))
     assert [next(it).shot_index for _ in range(3)] == [0, 1, 2]
     assert threading.active_count() == start + threads
     it.close()
@@ -598,7 +602,7 @@ def test_render_error_reaches_the_caller_at_its_frame(monkeypatch, threads):
     start = threading.active_count()
     got = []
     with pytest.raises(RuntimeError, match="frame 4"):
-        for fr in iter_simulated_frames(default_config(), n_frames=10, seed=1):
+        for fr in iter_simulated_frames(run_of(default_config(), 10, 1)):
             got.append(fr.shot_index)
     assert got == [0, 1, 2, 3]
     assert threading.active_count() == start
@@ -610,11 +614,11 @@ def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
     n = 24
     sched = np.column_stack([np.zeros(n), np.linspace(-100.0, 100.0, n)])
     _use_threads(monkeypatch, 1)
-    want = list(iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=8))
+    want = list(iter_simulated_frames(run_of(cfg, n, 8), schedule=sched))
     _use_threads(monkeypatch, 8)
     got = []
     consumer = threading.Thread(
-        target=lambda: got.extend(iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=8))
+        target=lambda: got.extend(iter_simulated_frames(run_of(cfg, n, 8), schedule=sched))
     )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -647,7 +651,7 @@ def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
         sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
         tracemalloc.start()
         try:
-            for _ in iter_simulated_frames(cfg, n_frames=n, schedule=sched, seed=3):
+            for _ in iter_simulated_frames(run_of(cfg, n, 3), schedule=sched):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -684,7 +688,7 @@ def _cache_tilts(monkeypatch, cfg, tilts):
 
 def _frames(cfg, tilts, seed=4):
     sched = np.array(tilts, dtype=float)
-    return list(iter_simulated_frames(cfg, n_frames=len(sched), schedule=sched, seed=seed))
+    return list(iter_simulated_frames(run_of(cfg, len(sched), seed), schedule=sched))
 
 
 # three readout tilts, revisited in an order that is not a plain cycle

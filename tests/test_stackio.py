@@ -30,7 +30,8 @@ SMALL_CFG = dataclasses.replace(default_config(), camera=CAM).with_seed(3)
 
 
 def small_frames(n=6, tilts=None):
-    return list(iter_simulated_frames(SMALL_CFG, n_frames=n, schedule=tilts))
+    cfg = dataclasses.replace(SMALL_CFG, run=dataclasses.replace(SMALL_CFG.run, n_frames=n))
+    return list(iter_simulated_frames(cfg, schedule=tilts))
 
 
 def write(path, frames, count_dtype=np.uint16, seed=3, checksum=SMALL_CFG.checksum()):
