@@ -14,11 +14,13 @@ bit-stable in any order.
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
 
-Every output's comment line starts with the stamp `provenance(seed,
-config_checksum)`, which each export takes as a required argument: a map
-knows its frames, camera and reference, not the run that made them.  Every
-report table (spot fits here, the CLI's steer and herald reports) is written
-by `write_table`.
+A `Reference` is placed on one camera and keeps it: the moment set folds its
+references' camera, and every map, export and twin fit reads the camera from
+its reference.  Every output's comment line starts with the stamp
+`provenance(seed, config_checksum)`, which each export takes as a required
+argument: a map knows its frames and reference, not the run that made them.
+Every report table (spot fits here, the CLI's steer and herald reports) is
+written by `write_table`.
 """
 
 from __future__ import annotations
@@ -63,18 +65,15 @@ def _pane_index(pane: str) -> int:
         raise ValueError(f"pane must be one of {PANES}, got {pane!r}") from None
 
 
-def _fiber_pixel_mask(camera: CameraGeometry, center: Angle2D, radius_urad: float) -> np.ndarray:
-    ax, ay = camera.pixel_angle_axes()
-    dx = ax[None, :] - center.theta_x
-    dy = ay[:, None] - center.theta_y
-    # strict inequality: a zero-radius fiber collects nothing
-    return dx * dx + dy * dy < radius_urad * radius_urad
-
-
 @dataclass(frozen=True)
 class Reference:
-    """Reference signal for a correlation map: one pixel or a small disc around `angle`."""
+    """Reference signal for a correlation map: one pixel or a disc of pixels of `camera`'s `pane`.
 
+    `angle` is the direction it was placed at; `camera` is the grid its
+    pixels index, and every set, map and export made with it uses that grid.
+    """
+
+    camera: CameraGeometry
     pane: str
     pixel_rows: np.ndarray
     pixel_cols: np.ndarray
@@ -88,44 +87,38 @@ class Reference:
         object.__setattr__(self, "pixel_cols", np.asarray(self.pixel_cols, dtype=int))
 
     @classmethod
-    def pixel(cls, camera: CameraGeometry, pane: str, angle: Angle2D) -> "Reference":
-        px, py = camera.angle_to_pixel(angle)
-        ix, iy = round(px), round(py)
-        if not camera.contains(px, py):
-            raise ValueError(f"reference angle {angle} falls off the pane")
-        return cls(
-            pane=pane,
-            pixel_rows=np.array([iy]),
-            pixel_cols=np.array([ix]),
-            angle=angle,
-        )
-
-    @classmethod
-    def disc(
-        cls, camera: CameraGeometry, pane: str, center: Angle2D, radius_urad: float
+    def place(
+        cls, camera: CameraGeometry, pane: str, angle: Angle2D, radius_urad: float
     ) -> "Reference":
-        mask = _fiber_pixel_mask(camera, center, radius_urad)
-        rows, cols = np.nonzero(mask)
-        if rows.size == 0:
-            raise ValueError(
-                f"disc reference of radius {radius_urad:g} urad at {center} covers no pixels"
-            )
-        return cls(pane=pane, pixel_rows=rows, pixel_cols=cols, angle=center)
+        """The pixel under `angle` at radius 0, else the disc of pixels strictly within `radius_urad`."""
+        if radius_urad > 0.0:
+            ax, ay = camera.pixel_angle_axes()
+            dx, dy = ax[None, :] - angle.theta_x, ay[:, None] - angle.theta_y
+            rows, cols = np.nonzero(dx * dx + dy * dy < radius_urad * radius_urad)
+            if rows.size == 0:
+                raise ValueError(
+                    f"disc reference of radius {radius_urad:g} urad at {angle} covers no pixels"
+                )
+        else:
+            px, py = camera.angle_to_pixel(angle)
+            if not camera.contains(px, py):
+                raise ValueError(f"reference angle {angle} falls off the pane")
+            rows, cols = np.array([round(py)]), np.array([round(px)])
+        return cls(camera=camera, pane=pane, pixel_rows=rows, pixel_cols=cols, angle=angle)
 
 
 @dataclass(eq=False)
 class MomentSet:
-    """Streaming raw moments of every pixel of `camera`'s panes against K reference signals.
+    """Streaming raw moments of every pixel of both panes against K reference signals.
 
     The reference-free sums (`sum_i`, `sum_i2`, each (2, H, W)) are held
     once; `sum_ii_ref` is (K, 2, H, W) and `sum_ref`, `sum_ref2` are (K,),
     row k for references[k].  All sums are float64.  With integer photon
     counts the arithmetic is exact, which is what makes merge() associative
-    and commutative bit for bit.  The set keeps the camera its panes were
-    folded on, and every map made from it takes its pixel angles from there.
+    and commutative bit for bit.  The panes are folded on the one camera all
+    the references were placed on.
     """
 
-    camera: CameraGeometry
     references: tuple[Reference, ...]
     n: int
     sum_i: np.ndarray
@@ -135,11 +128,18 @@ class MomentSet:
     sum_ref2: np.ndarray
 
     @classmethod
-    def empty(cls, camera: CameraGeometry, references: Sequence[Reference]) -> "MomentSet":
+    def empty(cls, references: Sequence[Reference]) -> "MomentSet":
+        """A set of zero frames; ValueError unless one or more references all sit on one camera."""
+        cameras = {ref.camera for ref in references}
+        if len(cameras) != 1:
+            raise ValueError(
+                f"a moment set needs references placed on one camera, "
+                f"got {len(references)} references on {len(cameras)} cameras"
+            )
+        (camera,) = cameras
         shape = (2, camera.height_px, camera.width_px)
         k = len(references)
         return cls(
-            camera=camera,
             references=tuple(references),
             n=0,
             sum_i=np.zeros(shape),
@@ -202,17 +202,14 @@ accumulate_many = accumulate
 
 
 def _reference_key(ref: Reference) -> tuple:
-    return ref.pane, ref.pixel_rows.tolist(), ref.pixel_cols.tolist()
+    return ref.camera, ref.pane, ref.pixel_rows.tolist(), ref.pixel_cols.tolist()
 
 
 def merge(a: MomentSet, b: MomentSet) -> MomentSet:
-    """Combine two partial sets over disjoint frame sets, one camera and the same references, in order."""
-    if a.camera != b.camera:
-        raise ValueError("cannot merge moment sets folded on different cameras")
+    """Combine two partial sets over disjoint frames and the same references (cameras too), in order."""
     if list(map(_reference_key, a.references)) != list(map(_reference_key, b.references)):
         raise ValueError("cannot merge moment sets with different references")
     merged = MomentSet(
-        camera=a.camera,
         references=a.references,
         n=a.n + b.n,
         sum_i=a.sum_i + b.sum_i,
@@ -227,10 +224,9 @@ def merge(a: MomentSet, b: MomentSet) -> MomentSet:
 
 @dataclass(eq=False)
 class CorrelationMap:
-    """Pearson correlation of every pixel with the reference signal."""
+    """Pearson correlation of every pixel with the reference signal, on the reference's camera."""
 
     values: np.ndarray  # (2, H, W), NaN where a variance vanishes
-    camera: CameraGeometry
     reference: Reference
     n_frames: int
 
@@ -238,14 +234,15 @@ class CorrelationMap:
         return self.values[_pane_index(pane)]
 
     def value_at(self, pane: str, angle: Angle2D) -> float:
-        px, py = self.camera.angle_to_pixel(angle)
-        if not self.camera.contains(px, py):
+        camera = self.reference.camera
+        px, py = camera.angle_to_pixel(angle)
+        if not camera.contains(px, py):
             raise ValueError(f"{angle} is off the pane")
         return float(self.pane(pane)[round(py), round(px)])
 
 
 def correlation_map(moments: MomentSet, k: int) -> CorrelationMap:
-    """The map of every pixel against references[k] of the set, on the set's camera."""
+    """The map of every pixel against references[k] of the set."""
     if moments.n < 2:
         raise ValueError(f"need at least 2 frames for a correlation map, have {moments.n}")
     n = float(moments.n)
@@ -257,9 +254,7 @@ def correlation_map(moments: MomentSet, k: int) -> CorrelationMap:
     with np.errstate(invalid="ignore", divide="ignore"):
         denom = np.sqrt(var_i * var_ref)
         values = np.where((var_i > 0.0) & (var_ref > 0.0), cov / denom, np.nan)
-    return CorrelationMap(
-        values=values, camera=moments.camera, reference=moments.references[k], n_frames=moments.n
-    )
+    return CorrelationMap(values=values, reference=moments.references[k], n_frames=moments.n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +412,18 @@ def locate_twin_spot(cmap: CorrelationMap, pane: str = "anti_stokes") -> Gaussia
     """Find the brightest correlation spot on a pane and fit it.
 
     The fit window is a square of _TWIN_WINDOW_URAD around the global
-    maximum.  When fitting the reference's own pane the trivial
-    self-correlation pixel is masked out first.
+    maximum.  When fitting the reference's own pane every pixel of the
+    reference, whose self-correlation is trivial, is masked out first.
     """
+    ref, camera = cmap.reference, cmap.reference.camera
     values = cmap.pane(pane).copy()
-    if pane == cmap.reference.pane:
-        px, py = cmap.camera.angle_to_pixel(cmap.reference.angle)
-        if cmap.camera.contains(px, py):
-            values[round(py), round(px)] = np.nan
+    if pane == ref.pane:
+        values[ref.pixel_rows, ref.pixel_cols] = np.nan
+    ax, ay = camera.pixel_angle_axes()
     if not np.isfinite(values).any():
-        return fit_gaussian_spot(values, *cmap.camera.pixel_angle_axes())
+        return fit_gaussian_spot(values, ax, ay)
     iy, ix = np.unravel_index(np.nanargmax(values), values.shape)
-    ax, ay = cmap.camera.pixel_angle_axes()
-    half = max(2, int(round(_TWIN_WINDOW_URAD / 2.0 / cmap.camera.pitch_urad)))
+    half = max(2, int(round(_TWIN_WINDOW_URAD / 2.0 / camera.pitch_urad)))
     sl_y = slice(max(0, iy - half), min(values.shape[0], iy + half + 1))
     sl_x = slice(max(0, ix - half), min(values.shape[1], ix + half + 1))
     return fit_gaussian_spot(values[sl_y, sl_x], ax[sl_x], ay[sl_y])
@@ -485,7 +479,7 @@ def _map_comment(cmap: CorrelationMap, pane: str, stamp: str) -> str:
 def map_to_csv(cmap: CorrelationMap, pane: str, path, stamp: str) -> None:
     """One pane of the map as (angle_x_urad, angle_y_urad, C) rows under the `provenance` stamp."""
     values = cmap.pane(pane)
-    ax, ay = cmap.camera.pixel_angle_axes()
+    ax, ay = cmap.reference.camera.pixel_angle_axes()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_map_comment(cmap, pane, stamp))
         fh.write("angle_x_urad,angle_y_urad,C\n")

@@ -39,12 +39,6 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, run=run)
 
 
-def _make_reference(camera, pane: str, angle: Angle2D, radius_urad: float) -> analysis.Reference:
-    if radius_urad > 0.0:
-        return analysis.Reference.disc(camera, pane, angle, radius_urad)
-    return analysis.Reference.pixel(camera, pane, angle)
-
-
 def _require_map_frames(count: int, source: str) -> None:
     if count < 2:
         raise ConfigError(f"a correlation map needs at least 2 frames, got {count}", path=source)
@@ -58,10 +52,10 @@ def _rendered_blocks(frames: Iterable[scattering.Frame]) -> Iterator[np.ndarray]
 
 
 def _correlate_frames(
-    blocks: Iterable[np.ndarray], camera, references: list[analysis.Reference]
+    blocks: Iterable[np.ndarray], references: list[analysis.Reference]
 ) -> list[analysis.CorrelationMap]:
-    """One pass over the count blocks into one moment set, one correlation map per reference."""
-    moments = analysis.MomentSet.empty(camera, references)
+    """One pass over the count blocks, on the references' camera, into one map per reference."""
+    moments = analysis.MomentSet.empty(references)
     blocks = iter(blocks)
     with suppress(StopIteration):
         while True:  # passed unbound, so accumulate_block's float64 copy frees the block
@@ -74,7 +68,7 @@ def _twin_fits(
 ) -> list[analysis.GaussianSpotFit]:
     """Render cfg's run at the readout schedule, map it against each reference, fit each twin."""
     frames = scattering.iter_simulated_frames(cfg, schedule=schedule)
-    maps = _correlate_frames(_rendered_blocks(frames), cfg.camera, refs)
+    maps = _correlate_frames(_rendered_blocks(frames), refs)
     return [analysis.locate_twin_spot(cmap) for cmap in maps]
 
 
@@ -142,10 +136,10 @@ def cmd_correlate(args) -> int:
     _require_map_frames(count, args.stack or "--frames")
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
-        reference = _make_reference(camera, args.ref_pane, ref_angle, args.ref_radius)
+        reference = analysis.Reference.place(camera, args.ref_pane, ref_angle, args.ref_radius)
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
-    (cmap,) = _correlate_frames(blocks, camera, [reference])
+    (cmap,) = _correlate_frames(blocks, [reference])
 
     prefix, stamp = args.out, analysis.provenance(seed, checksum)
     for pane in analysis.PANES:
@@ -200,7 +194,7 @@ def cmd_steer(args) -> int:
     try:
         target = Angle2D(args.target_x, args.target_y)
         fibers = _fiber_grid(args, cfg)
-        refs = [_make_reference(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers]
+        refs = [analysis.Reference.place(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers]
     except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
         raise ConfigError(str(exc), path="--target-*/--fiber-*") from None
     try:  # each compensated pass runs on its own seed

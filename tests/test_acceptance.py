@@ -40,10 +40,10 @@ def _multi_reference_run(cfg, ref_ys, n_frames, seed):
     Returns (cmaps, twin fits, worst |C|) in ref_ys order.
     """
     refs = [
-        analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, float(y)))
+        analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, float(y)), 0.0)
         for y in ref_ys
     ]
-    moments = analysis.MomentSet.empty(cfg.camera, refs)
+    moments = analysis.MomentSet.empty(refs)
     for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, seed)):
         analysis.accumulate(moments, frame)
     cmaps = [analysis.correlation_map(moments, k) for k in range(len(refs))]
@@ -109,11 +109,11 @@ def test_criterion_2_twin_spot_width():
 
 def test_criterion_3_steering(tmp_path):
     cfg = default_config()
-    ref = analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
+    ref = analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
     deltas = (-200.0, 0.0, 200.0)
     self_centers, twin_ys, twin_fwhms = [], [], []
     for delta in deltas:
-        acc = analysis.MomentSet.empty(cfg.camera, [ref])
+        acc = analysis.MomentSet.empty([ref])
         frames = scattering.iter_simulated_frames(_run_of(cfg, 1500, 41), schedule=Angle2D(0.0, delta))
         for frame in frames:
             analysis.accumulate(acc, frame)
@@ -228,8 +228,8 @@ def test_criterion_5_diffusion_droop():
 def test_criterion_6_estimator_correctness():
     cfg = default_config()
     frames = list(scattering.iter_simulated_frames(_run_of(cfg, 100, 61)))
-    ref = analysis.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    acc = analysis.MomentSet.empty(cfg.camera, [ref])
+    ref = analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
+    acc = analysis.MomentSet.empty([ref])
     for frame in frames:
         analysis.accumulate(acc, frame)
     streamed = analysis.correlation_map(acc, 0)
@@ -262,7 +262,7 @@ def test_criterion_6_estimator_correctness():
     bounds = (0, 17, 57, 80, 100)
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        acc = analysis.MomentSet.empty(cfg.camera, [ref])
+        acc = analysis.MomentSet.empty([ref])
         for frame in frames[lo:hi]:
             analysis.accumulate(acc, frame)
         parts.append(acc)
@@ -325,8 +325,8 @@ def test_criterion_7_statistics_oracles():
     cam = dataclasses.replace(cfg.camera, width_px=32, height_px=32)
     cfg = dataclasses.replace(cfg, camera=cam)
     n_frames = 20_000
-    ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
-    acc = analysis.MomentSet.empty(cam, [ref])
+    ref = analysis.Reference.place(cam, "stokes", Angle2D(0.0, 0.0), 0.0)
+    acc = analysis.MomentSet.empty([ref])
     for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, 72)):
         analysis.accumulate(acc, frame)
     cmap = analysis.correlation_map(acc, 0)

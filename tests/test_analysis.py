@@ -32,8 +32,8 @@ def simulated_frames(n_frames, seed):
     return list(iter_simulated_frames(cfg))
 
 
-def accumulate_all(camera, ref, frames):
-    acc = an.MomentSet.empty(camera, [ref])
+def accumulate_all(ref, frames):
+    acc = an.MomentSet.empty([ref])
     for fr in frames:
         an.accumulate(acc, fr)
     return acc
@@ -60,12 +60,12 @@ def pixel_angle(ix, iy):
 
 
 def corner_ref():
-    return an.Reference.pixel(CAM4, "stokes", pixel_angle(0, 0))
+    return an.Reference.place(CAM4, "stokes", pixel_angle(0, 0), 0.0)
 
 
 def centre_ref(camera):
     """A Stokes pixel reference at (0, 0) urad, the pane's origin."""
-    return an.Reference.pixel(camera, "stokes", Angle2D(0.0, 0.0))
+    return an.Reference.place(camera, "stokes", Angle2D(0.0, 0.0), 0.0)
 
 
 # --- references -------------------------------------------------------------
@@ -76,26 +76,31 @@ def test_reference_pixel_lookup():
     assert ref.pixel_rows.tolist() == [0]
     assert ref.pixel_cols.tolist() == [0]
     with pytest.raises(ValueError, match="off the pane"):
-        an.Reference.pixel(CAM4, "stokes", Angle2D(500.0, 0.0))
+        an.Reference.place(CAM4, "stokes", Angle2D(500.0, 0.0), 0.0)
 
 
 def test_reference_disc_membership_is_strict():
-    # radius equal to the pitch picks up the centre pixel only
+    # radius 0 is the pixel under the angle, not an empty disc
     center = pixel_angle(2, 2)
-    ref = an.Reference.disc(CAM4, "stokes", center, CAM4.pitch_urad)
+    ref0 = an.Reference.place(CAM4, "stokes", center, 0.0)
+    assert (ref0.pixel_rows.tolist(), ref0.pixel_cols.tolist()) == ([2], [2])
+    # radius equal to the pitch picks up the centre pixel only
+    ref = an.Reference.place(CAM4, "stokes", center, CAM4.pitch_urad)
     assert len(ref.pixel_rows) == 1
     # slightly beyond the pitch adds the 4-neighbourhood
-    ref2 = an.Reference.disc(CAM4, "stokes", center, CAM4.pitch_urad * 1.01)
+    ref2 = an.Reference.place(CAM4, "stokes", center, CAM4.pitch_urad * 1.01)
     assert len(ref2.pixel_rows) == 5
+    # a disc of 0.1 pitch centred on a pixel corner reaches no pixel centre
+    corner = Angle2D(center.theta_x + CAM4.pitch_urad / 2, center.theta_y + CAM4.pitch_urad / 2)
     with pytest.raises(ValueError, match="covers no pixels"):
-        an.Reference.disc(CAM4, "stokes", center, 0.0)
+        an.Reference.place(CAM4, "stokes", corner, 0.1 * CAM4.pitch_urad)
 
 
 # --- correlation map ---------------------------------------------------------
 
 
 def test_perfect_linear_correlation():
-    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0)
+    cmap = an.correlation_map(accumulate_all(corner_ref(), proportional_frames()), 0)
     c = cmap.pane("anti_stokes")
     assert c[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert c[2, 2] == pytest.approx(-1.0, abs=1e-12)
@@ -104,28 +109,28 @@ def test_perfect_linear_correlation():
 
 
 def test_zero_variance_pixels_are_nan():
-    cmap = an.correlation_map(accumulate_all(CAM4, corner_ref(), proportional_frames()), 0)
+    cmap = an.correlation_map(accumulate_all(corner_ref(), proportional_frames()), 0)
     assert np.isnan(cmap.pane("stokes")[1, 1])  # constant pixel
     assert np.isnan(cmap.pane("anti_stokes")[3, 3])  # all-zero pixel
 
 
 def test_map_needs_two_frames():
-    acc = accumulate_all(CAM4, corner_ref(), proportional_frames()[:1])
+    acc = accumulate_all(corner_ref(), proportional_frames()[:1])
     with pytest.raises(ValueError, match="at least 2"):
         an.correlation_map(acc, 0)
 
 
 def test_constant_reference_gives_all_nan():
-    ref = an.Reference.pixel(CAM4, "stokes", pixel_angle(1, 1))
-    cmap = an.correlation_map(accumulate_all(CAM4, ref, proportional_frames()), 0)
+    ref = an.Reference.place(CAM4, "stokes", pixel_angle(1, 1), 0.0)
+    cmap = an.correlation_map(accumulate_all(ref, proportional_frames()), 0)
     assert np.isnan(cmap.values).all()
 
 
 def test_correlation_bound_on_simulated_data():
     cfg = default_config()
     frames = simulated_frames(120, seed=77)
-    ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 150.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0)
+    ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 150.0), 0.0)
+    cmap = an.correlation_map(accumulate_all(ref, frames), 0)
     finite = cmap.values[np.isfinite(cmap.values)]
     assert finite.size > 0
     assert np.abs(finite).max() <= 1.0 + 1e-9
@@ -134,8 +139,8 @@ def test_correlation_bound_on_simulated_data():
 def test_streaming_equals_two_pass():
     cfg = default_config()
     frames = simulated_frames(60, seed=13)
-    ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
-    cmap = an.correlation_map(accumulate_all(cfg.camera, ref, frames), 0)
+    ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
+    cmap = an.correlation_map(accumulate_all(ref, frames), 0)
 
     # naive two-pass estimator straight from the definition
     data = np.stack([fr.counts for fr in frames]).astype(np.float64)
@@ -152,10 +157,10 @@ def test_streaming_equals_two_pass():
 def test_merge_is_bit_stable_under_partitioning():
     cfg = default_config()
     frames = simulated_frames(30, seed=55)
-    ref = an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, 0.0))
+    ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
 
     def partial(lo, hi):
-        return accumulate_all(cfg.camera, ref, frames[lo:hi])
+        return accumulate_all(ref, frames[lo:hi])
 
     whole = partial(0, 30)
     ab = an.merge(partial(0, 10), an.merge(partial(10, 20), partial(20, 30)))
@@ -178,29 +183,35 @@ def test_merge_is_bit_stable_under_partitioning():
 def test_merge_rejects_mismatched_references():
     """References must match in pane, pixels, count and order."""
     corner = corner_ref()
-    centre = an.Reference.pixel(CAM4, "stokes", pixel_angle(1, 1))
+    centre = an.Reference.place(CAM4, "stokes", pixel_angle(1, 1), 0.0)
     for refs_a, refs_b in (
         ([corner], [centre]),
         ([corner], [corner, centre]),
         ([corner, centre], [centre, corner]),
     ):
-        a = an.MomentSet.empty(CAM4, refs_a)
-        b = an.MomentSet.empty(CAM4, refs_b)
+        a = an.MomentSet.empty(refs_a)
+        b = an.MomentSet.empty(refs_b)
         with pytest.raises(ValueError, match="different references"):
             an.merge(a, b)
-    same = an.MomentSet.empty(CAM4, [corner, centre])
-    assert an.merge(same, an.MomentSet.empty(CAM4, [corner, centre])).references == (corner, centre)
+    same = an.MomentSet.empty([corner, centre])
+    assert an.merge(same, an.MomentSet.empty([corner, centre])).references == (corner, centre)
 
 
 def test_one_camera_per_moment_set(tmp_path):
-    """Sets folded on cameras of different pitch do not merge; a map exports its set's pixel angles."""
+    """A set folds references placed on one camera; a map exports its reference camera's pixel angles."""
     coarse = dataclasses.replace(CAM4, pixel_pitch_m=2.0 * CAM4.pixel_pitch_m)
-    fine_set = accumulate_all(CAM4, corner_ref(), proportional_frames())
-    coarse_set = accumulate_all(coarse, corner_ref(), proportional_frames())
-    with pytest.raises(ValueError, match="different cameras"):
+    coarse_corner = an.Reference.place(coarse, "stokes", Angle2D(-60.0, -60.0), 0.0)
+    assert (coarse_corner.pixel_rows.tolist(), coarse_corner.pixel_cols.tolist()) == ([0], [0])
+    for refs in ([corner_ref(), coarse_corner], []):
+        with pytest.raises(ValueError, match="one camera"):
+            an.MomentSet.empty(refs)
+    # the same pixel on two cameras is two references: their sets do not merge
+    fine_set = accumulate_all(corner_ref(), proportional_frames())
+    coarse_set = accumulate_all(coarse_corner, proportional_frames())
+    with pytest.raises(ValueError, match="different references"):
         an.merge(fine_set, coarse_set)
     cmap = an.correlation_map(coarse_set, 0)
-    assert cmap.camera is coarse
+    assert cmap.reference.camera is coarse
     path = tmp_path / "m.csv"
     an.map_to_csv(cmap, "anti_stokes", path, an.provenance(0, 0))
     ax, ay = coarse.pixel_angle_axes()
@@ -214,15 +225,15 @@ def test_accumulate_many_matches_single():
     cfg = default_config()
     frames = simulated_frames(8, seed=70)
     refs = [
-        an.Reference.pixel(cfg.camera, "stokes", Angle2D(0.0, y)) for y in (0.0, 150.0)
+        an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, y), 0.0) for y in (0.0, 150.0)
     ]
-    both = an.MomentSet.empty(cfg.camera, refs)
+    both = an.MomentSet.empty(refs)
     for fr in frames:
         an.accumulate(both, fr)
     assert both.sum_i.shape == both.sum_i2.shape == (2, cfg.camera.height_px, cfg.camera.width_px)
     assert both.sum_ii_ref.shape == (2, *both.sum_i.shape)
     for k, ref in enumerate(refs):
-        solo = accumulate_all(cfg.camera, ref, frames)
+        solo = accumulate_all(ref, frames)
         assert both.n == solo.n == len(frames)
         np.testing.assert_array_equal(both.sum_i, solo.sum_i)
         np.testing.assert_array_equal(both.sum_i2, solo.sum_i2)
@@ -241,7 +252,7 @@ def test_accumulate_many_matches_single():
 def ramp_map():
     values = np.zeros((2, 4, 4))
     values[1] = np.arange(16.0).reshape(4, 4) / 16.0
-    return an.CorrelationMap(values=values, camera=CAM4, reference=centre_ref(CAM4), n_frames=10)
+    return an.CorrelationMap(values=values, reference=centre_ref(CAM4), n_frames=10)
 
 
 def test_value_at():
@@ -328,30 +339,33 @@ def test_fit_center_property(x0, sx):
     assert fit.center_x_urad == pytest.approx(x0, abs=0.01)
 
 
-def test_locate_twin_spot_masks_the_reference_pixel():
-    # the reference self-pixel carries C = 1 and would win the argmax, and the
+@pytest.mark.parametrize("radius_urad", [0.0, 20.0], ids=["pixel", "disc"])
+def test_locate_twin_spot_masks_the_reference_pixel(radius_urad):
+    # every reference pixel carries C = 1 and would win the argmax, and the
     # 600 urad window around it (20 px half width at 15 urad) misses the blob
-    # 30 px away; masking it must hand the window to the real blob
+    # 30 px away; masking them all must hand the window to the real blob
     cam = CameraGeometry(64, 64, 7.5e-6, 0.5)
+    ref = an.Reference.place(cam, "stokes", Angle2D(0.0, 0.0), radius_urad)
+    assert len(ref.pixel_rows) == (1 if radius_urad == 0.0 else 5)
     ax, ay = cam.pixel_angle_axes()
     gx, gy = np.meshgrid(ax, ay)
     blob = 0.6 * np.exp(-0.5 * ((gx - 450.0) ** 2 + (gy + 60.0) ** 2) / 25.0**2)
     values = np.zeros((2, 64, 64))
     values[0] = blob
-    values[0, 32, 32] = 1.0  # the reference pixel itself
-    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=9)
+    values[0, ref.pixel_rows, ref.pixel_cols] = 1.0  # the reference pixels themselves
+    cmap = an.CorrelationMap(values=values, reference=ref, n_frames=9)
     fit = an.locate_twin_spot(cmap, pane="stokes")
     assert fit.converged
     assert fit.center_x_urad == pytest.approx(450.0, abs=5.0)
     assert fit.center_y_urad == pytest.approx(-60.0, abs=5.0)
     # the map itself is left untouched
-    assert cmap.values[0, 32, 32] == 1.0
+    assert (cmap.values[0, ref.pixel_rows, ref.pixel_cols] == 1.0).all()
 
 
 def test_locate_twin_spot_all_nan():
     values = np.full((2, 8, 8), np.nan)
     cam = CameraGeometry(8, 8, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=5)
+    cmap = an.CorrelationMap(values=values, reference=centre_ref(cam), n_frames=5)
     assert not an.locate_twin_spot(cmap).converged
 
 
@@ -394,7 +408,7 @@ def test_map_to_pgm_encoding(tmp_path):
     values = np.full((2, 2, 3), np.nan)
     values[1] = [[-1.0, 0.0, 1.0], [0.5, np.nan, -0.5]]
     cam = CameraGeometry(3, 2, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=7)
+    cmap = an.CorrelationMap(values=values, reference=centre_ref(cam), n_frames=7)
     path = tmp_path / "m.pgm"
     an.map_to_pgm(cmap, "anti_stokes", path, an.provenance(3, 0xABC))
     raw = path.read_bytes()
@@ -427,7 +441,7 @@ def test_map_to_csv_bytes(tmp_path):
     values[1, 1] = [0.1, 1.0, -1e-300, 12345.678]
     values[1, 2] = [0.5, -np.inf, 3e20, -7.0]
     cam = CameraGeometry(4, 3, 7.5e-6, 0.5)
-    cmap = an.CorrelationMap(values=values, camera=cam, reference=centre_ref(cam), n_frames=7)
+    cmap = an.CorrelationMap(values=values, reference=centre_ref(cam), n_frames=7)
     path = tmp_path / "m.csv"
     an.map_to_csv(cmap, "anti_stokes", path, an.provenance(3, 0xABC))
     ax, ay = cam.pixel_angle_axes()

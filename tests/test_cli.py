@@ -282,9 +282,9 @@ def test_correlate_stack_digest_is_pinned(tmp_path, capsys):
 def _block_refs(camera):
     """K = 3 references: a Stokes pixel, a Stokes disc and an anti-Stokes pixel."""
     return [
-        analysis.Reference.pixel(camera, "stokes", Angle2D(40.0, -30.0)),
-        analysis.Reference.disc(camera, "stokes", Angle2D(-60.0, 50.0), 20.0),
-        analysis.Reference.pixel(camera, "anti_stokes", Angle2D(30.0, 20.0)),
+        analysis.Reference.place(camera, "stokes", Angle2D(40.0, -30.0), 0.0),
+        analysis.Reference.place(camera, "stokes", Angle2D(-60.0, 50.0), 20.0),
+        analysis.Reference.place(camera, "anti_stokes", Angle2D(30.0, 20.0), 0.0),
     ]
 
 
@@ -305,9 +305,9 @@ def test_block_ingest_equals_frame_loop(tmp_path, cfg_path, source):
     else:
         blocks = cli._rendered_blocks(iter(frames))
     refs = _block_refs(cfg.camera)
-    got = cli._correlate_frames(blocks, cfg.camera, refs)
+    got = cli._correlate_frames(blocks, refs)
     for cmap, ref in zip(got, refs):
-        acc = analysis.MomentSet.empty(cfg.camera, [ref])
+        acc = analysis.MomentSet.empty([ref])
         for frame in frames:
             analysis.accumulate(acc, frame)
         want = analysis.correlation_map(acc, 0)
@@ -334,7 +334,7 @@ def test_stack_ingest_memory_does_not_grow_with_frames(tmp_path):
         blocks = cli._stack_blocks(str(path))[-1]
         tracemalloc.start()
         try:
-            maps = cli._correlate_frames(blocks, cam, refs)
+            maps = cli._correlate_frames(blocks, refs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -352,12 +352,14 @@ def test_extra_references_add_only_their_cross_moments():
     rng = np.random.default_rng(9)
     shape = (stackio._BLOCK, 2, cam.height_px, cam.width_px)
     blocks = [rng.integers(0, 100, size=shape, dtype=np.uint16) for _ in range(400 // stackio._BLOCK)]
-    refs = [analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, y)) for y in (-300, -150, 0, 150, 300)]
+    refs = [
+        analysis.Reference.place(cam, "stokes", Angle2D(0.0, y), 0.0) for y in (-300, -150, 0, 150, 300)
+    ]
     peaks = []
     for k in (1, 5):
         tracemalloc.start()
         try:
-            maps = cli._correlate_frames(blocks, cam, refs[:k])
+            maps = cli._correlate_frames(blocks, refs[:k])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -754,8 +756,8 @@ def test_stack_past_exact_moment_sums_exits_2(tmp_path, capsys):
     with StackWriter(path, cam, len(counts), seed=0, config_checksum=0, count_dtype=np.uint32) as w:
         for i, panes in enumerate(counts):
             w.append(Frame(panes, shot_index=i, readout_angle_urad=(0.0, 0.0)))
-    ref = analysis.Reference.pixel(cam, "stokes", Angle2D(0.0, 0.0))
-    halves = [analysis.MomentSet.empty(cam, [ref]) for _ in range(2)]
+    ref = analysis.Reference.place(cam, "stokes", Angle2D(0.0, 0.0), 0.0)
+    halves = [analysis.MomentSet.empty([ref]) for _ in range(2)]
     analysis.accumulate_block(halves[0], counts[:32])
     analysis.accumulate_block(halves[1], counts[32:])
     with pytest.raises(OverflowError, match=r"2\*\*53"):
