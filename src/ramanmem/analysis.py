@@ -6,10 +6,11 @@ The map follows the intensity-correlation estimator
 
 computed from streaming raw moments held in float64, one `MomentSet` per
 pass: the sums of I_p and I_p^2 are held once for every reference, the cross
-moment and the reference sums once per reference.  Rendered panes are integer
-photon counts, so the moment sums stay exact (every partial sum is an integer
-below 2**53, which each fold and merge checks) and chunk merging is
-bit-stable in any order.
+moment and the reference sums once per reference.  `accumulate_block` is the
+one fold: it takes an (n, 2, H, W) block of counts, as `stackio` reads them.
+Rendered panes are integer photon counts, so the moment sums stay exact
+(every partial sum is an integer below 2**53, which each fold and merge
+checks) and chunk merging is bit-stable in any order.
 
 Spot extraction is a plain 2-d Gaussian least-squares fit, Gauss-Newton with
 a Levenberg damping fallback and a numeric Jacobian.
@@ -32,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import FWHM_PER_SIGMA, Angle2D, CameraGeometry
-from .scattering import Frame
 
 __all__ = [
     "PANES",
@@ -40,8 +40,6 @@ __all__ = [
     "MomentSet",
     "CorrelationMap",
     "GaussianSpotFit",
-    "accumulate",
-    "accumulate_many",
     "accumulate_block",
     "merge",
     "correlation_map",
@@ -65,12 +63,14 @@ def _pane_index(pane: str) -> int:
         raise ValueError(f"pane must be one of {PANES}, got {pane!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reference:
     """Reference signal for a correlation map: one pixel or a disc of pixels of `camera`'s `pane`.
 
     `angle` is the direction it was placed at; `camera` is the grid its
     pixels index, and every set, map and export made with it uses that grid.
+    References compare and hash by identity; `merge` matches two sets'
+    references by camera, pane and pixels.
     """
 
     camera: CameraGeometry
@@ -191,14 +191,8 @@ def accumulate_block(moments: MomentSet, block: np.ndarray) -> None:
     _check_exact(moments)
 
 
-def accumulate(moments: MomentSet, frame: Frame) -> MomentSet:
-    """Fold one frame into the set (in place) and return it."""
-    accumulate_block(moments, frame.counts[None])
-    return moments
-
-
-# the name the benchmark tracer still wraps; one set folds every reference
-accumulate_many = accumulate
+# names perfbench/tracing.py still wraps; no program path calls them (ROADMAP item 1 removes them)
+accumulate = accumulate_many = accumulate_block
 
 
 def _reference_key(ref: Reference) -> tuple:

@@ -503,12 +503,6 @@ class FrameStack(_Panes):
     seed: int
     config_checksum: int
 
-    def __post_init__(self) -> None:
-        if self.counts.ndim != 4 or self.counts.shape[1] != 2:
-            raise ValueError(f"stack counts must be an (n, 2, H, W) array, got {self.counts.shape}")
-        if self.readout_angles_urad.shape != (self.counts.shape[0], 2):
-            raise ValueError("readout_angles_urad must be (n, 2)")
-
     @property
     def n_frames(self) -> int:
         return self.counts.shape[0]

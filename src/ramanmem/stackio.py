@@ -17,20 +17,20 @@ Layout (all little endian):
             (`Frame.counts`, Stokes pane first, row-major) as unsigned
             integers of the header's width; nothing follows them
 
-The header's frame count and record size fix the body length, which the
-reader checks against the file's size before it reads or allocates a frame.
-Each block of records is read with one `np.fromfile` and handed out as
-stored: its unsigned counts need no check.  A writer never wraps a count: it
-takes only frames of a count type its width holds, and the renderer fails on
-a count past that width.  Writing the same stack twice produces
-byte-identical files.
+A stack is read in blocks of `_BLOCK` frames by `iter_stack_blocks`, or
+whole by `read_stack`.  The header's frame count and record size fix the
+body length, which both check against the file's size before they read or
+allocate a frame.  Each block of records is read with one `np.fromfile` and
+handed out as stored: its unsigned counts need no check.  A writer never
+wraps a count: it takes only frames of a count type its width holds, and the
+renderer fails on a count past that width.  Writing the same stack twice
+produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator
 
@@ -39,9 +39,7 @@ import numpy as np
 from .geometry import CameraGeometry
 from .scattering import COUNT_DTYPES, Frame, FrameStack
 
-__all__ = [
-    "MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks", "iter_stack",
-]
+__all__ = ["MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks"]
 
 MAGIC = b"RMNS"
 VERSION = 2
@@ -229,19 +227,5 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     return camera, count, seed, checksum, map(itemgetter(1), records)
 
 
-def iter_stack(path) -> tuple[CameraGeometry, int, int, int, Iterator[Frame]]:
-    """Header plus a lazy frame iterator, for streaming consumers.
-
-    Returns (camera, n_frames, seed, config_checksum, frames).  Each frame's
-    counts are a row of a block `iter_stack_blocks` would hand out, and its
-    readout angle the stored one.  Like `iter_stack_blocks`, it opens the
-    file only when iteration starts.
-    """
-    camera, count, seed, checksum, records = _iter_records(path)
-
-    def frames() -> Iterator[Frame]:
-        rows = chain.from_iterable(zip(angles.tolist(), counts) for angles, counts in records)
-        for i, (angle, counts) in enumerate(rows):
-            yield Frame(counts=counts, shot_index=i, readout_angle_urad=tuple(angle))
-
-    return camera, count, seed, checksum, frames()
+# a name perfbench/tracing.py still wraps; no program path calls it (ROADMAP item 1 removes it)
+iter_stack = iter_stack_blocks

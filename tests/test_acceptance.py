@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from ramanmem import analysis, control, scattering
+from ramanmem.cli import _rendered_blocks
 from ramanmem.cli import main as cli_main
 from ramanmem.config import RunParams, default_config
 from ramanmem.geometry import Angle2D
@@ -29,6 +30,13 @@ def _run_of(cfg, n_frames, seed):
     return dataclasses.replace(cfg, run=RunParams(seed=seed, n_frames=n_frames))
 
 
+def _fold(moments, frames):
+    """Fold rendered frames into moments in `stackio._BLOCK`-frame count blocks, as the CLI does."""
+    for block in _rendered_blocks(frames):
+        analysis.accumulate_block(moments, block)
+    return moments
+
+
 def _max_abs_c(cmap) -> float:
     vals = cmap.values[np.isfinite(cmap.values)]
     return float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -43,9 +51,8 @@ def _multi_reference_run(cfg, ref_ys, n_frames, seed):
         analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, float(y)), 0.0)
         for y in ref_ys
     ]
-    moments = analysis.MomentSet.empty(refs)
-    for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, seed)):
-        analysis.accumulate(moments, frame)
+    frames = scattering.iter_simulated_frames(_run_of(cfg, n_frames, seed))
+    moments = _fold(analysis.MomentSet.empty(refs), frames)
     cmaps = [analysis.correlation_map(moments, k) for k in range(len(refs))]
     fits = [analysis.locate_twin_spot(c) for c in cmaps]
     worst = max(_max_abs_c(c) for c in cmaps)
@@ -113,11 +120,8 @@ def test_criterion_3_steering(tmp_path):
     deltas = (-200.0, 0.0, 200.0)
     self_centers, twin_ys, twin_fwhms = [], [], []
     for delta in deltas:
-        acc = analysis.MomentSet.empty([ref])
         frames = scattering.iter_simulated_frames(_run_of(cfg, 1500, 41), schedule=Angle2D(0.0, delta))
-        for frame in frames:
-            analysis.accumulate(acc, frame)
-        cmap = analysis.correlation_map(acc, 0)
+        cmap = analysis.correlation_map(_fold(analysis.MomentSet.empty([ref]), frames), 0)
         self_fit = analysis.locate_twin_spot(cmap, pane="stokes")
         twin_fit = analysis.locate_twin_spot(cmap)
         assert self_fit.converged and twin_fit.converged
@@ -229,10 +233,7 @@ def test_criterion_6_estimator_correctness():
     cfg = default_config()
     frames = list(scattering.iter_simulated_frames(_run_of(cfg, 100, 61)))
     ref = analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
-    acc = analysis.MomentSet.empty([ref])
-    for frame in frames:
-        analysis.accumulate(acc, frame)
-    streamed = analysis.correlation_map(acc, 0)
+    streamed = analysis.correlation_map(_fold(analysis.MomentSet.empty([ref]), frames), 0)
 
     # naive two-pass oracle in float64
     counts = np.stack([frame.counts for frame in frames])
@@ -260,13 +261,10 @@ def test_criterion_6_estimator_correctness():
 
     # chunk-merge bit stability under partition reordering
     bounds = (0, 17, 57, 80, 100)
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        acc = analysis.MomentSet.empty([ref])
-        for frame in frames[lo:hi]:
-            analysis.accumulate(acc, frame)
-        parts.append(acc)
-    a, b, c, d = parts
+    a, b, c, d = (
+        _fold(analysis.MomentSet.empty([ref]), frames[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
     order1 = analysis.merge(analysis.merge(analysis.merge(a, b), c), d)
     order2 = analysis.merge(analysis.merge(d, c), analysis.merge(b, a))
     map1 = analysis.correlation_map(order1, 0)
@@ -326,10 +324,8 @@ def test_criterion_7_statistics_oracles():
     cfg = dataclasses.replace(cfg, camera=cam)
     n_frames = 20_000
     ref = analysis.Reference.place(cam, "stokes", Angle2D(0.0, 0.0), 0.0)
-    acc = analysis.MomentSet.empty([ref])
-    for frame in scattering.iter_simulated_frames(_run_of(cfg, n_frames, 72)):
-        analysis.accumulate(acc, frame)
-    cmap = analysis.correlation_map(acc, 0)
+    frames = scattering.iter_simulated_frames(_run_of(cfg, n_frames, 72))
+    cmap = analysis.correlation_map(_fold(analysis.MomentSet.empty([ref]), frames), 0)
     measured = cmap.value_at("anti_stokes", Angle2D(0.0, 0.0))
 
     ms = cfg.mode_set()

@@ -34,8 +34,7 @@ def simulated_frames(n_frames, seed):
 
 def accumulate_all(ref, frames):
     acc = an.MomentSet.empty([ref])
-    for fr in frames:
-        an.accumulate(acc, fr)
+    an.accumulate_block(acc, np.stack([fr.counts for fr in frames]))
     return acc
 
 
@@ -94,6 +93,22 @@ def test_reference_disc_membership_is_strict():
     corner = Angle2D(center.theta_x + CAM4.pitch_urad / 2, center.theta_y + CAM4.pitch_urad / 2)
     with pytest.raises(ValueError, match="covers no pixels"):
         an.Reference.place(CAM4, "stokes", corner, 0.1 * CAM4.pitch_urad)
+
+
+def test_references_compare_and_hash_by_identity():
+    """Two discs placed alike compare, hash and collect without error; their sets still merge."""
+    cfg = default_config()
+    a, b = (an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 20.0) for _ in "ab")
+    assert a.pixel_rows.size == 5
+    assert a == a and a != b
+    assert b in [b] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    frames = simulated_frames(4, seed=9)
+    merged = an.merge(accumulate_all(a, frames[:2]), accumulate_all(b, frames[2:]))
+    whole = accumulate_all(a, frames)
+    assert merged.references == (a,) and merged.n == whole.n
+    np.testing.assert_array_equal(merged.sum_ii_ref, whole.sum_ii_ref)
+    np.testing.assert_array_equal(merged.sum_i2, whole.sum_i2)
 
 
 # --- correlation map ---------------------------------------------------------
@@ -220,7 +235,7 @@ def test_one_camera_per_moment_set(tmp_path):
     np.testing.assert_array_equal(rows[:, :2], np.column_stack([gx.ravel(), gy.ravel()]))
 
 
-def test_accumulate_many_matches_single():
+def test_k_reference_set_equals_k_one_reference_sets():
     """A 2-reference set equals two 1-reference sets bit for bit, field by field."""
     cfg = default_config()
     frames = simulated_frames(8, seed=70)
@@ -228,8 +243,7 @@ def test_accumulate_many_matches_single():
         an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, y), 0.0) for y in (0.0, 150.0)
     ]
     both = an.MomentSet.empty(refs)
-    for fr in frames:
-        an.accumulate(both, fr)
+    an.accumulate_block(both, np.stack([fr.counts for fr in frames]))
     assert both.sum_i.shape == both.sum_i2.shape == (2, cfg.camera.height_px, cfg.camera.width_px)
     assert both.sum_ii_ref.shape == (2, *both.sum_i.shape)
     for k, ref in enumerate(refs):

@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,6 +636,29 @@ def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
         assert a.readout_angle_urad == b.readout_angle_urad
         np.testing.assert_array_equal(a.stokes, b.stokes)
         np.testing.assert_array_equal(a.anti_stokes, b.anti_stokes)
+
+
+_UNCLOSED_RENDER = """\
+import dataclasses
+from ramanmem import scattering
+from ramanmem.config import RunParams, default_config
+
+scattering._usable_cores = lambda: 2
+frames = scattering.iter_simulated_frames(
+    dataclasses.replace(default_config(), run=RunParams(seed=1, n_frames=100_000))
+)
+next(frames)
+"""
+
+
+def test_an_unclosed_render_does_not_hold_up_interpreter_exit():
+    """A process that drops a long run after one frame, unclosed, still exits: its helpers are daemons."""
+    env = dict(os.environ, PYTHONPATH=str(Path(scattering.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _UNCLOSED_RENDER],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_threaded_memory_does_not_grow_with_frames(monkeypatch):

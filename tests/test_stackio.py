@@ -17,7 +17,6 @@ from ramanmem.stackio import (
     VERSION,
     StackWriter,
     _record_dtype,
-    iter_stack,
     iter_stack_blocks,
     read_stack,
 )
@@ -95,16 +94,15 @@ def test_iter_stack_matches_bulk_read(tmp_path):
     written = small_frames(n=len(TILTS), tilts=TILTS)
     path = tmp_path / "run.rmns"
     write(path, written)
-    camera, count, seed, checksum, frames = iter_stack(path)
+    camera, count, seed, checksum, blocks = iter_stack_blocks(path)
     assert camera == CAM
     assert count == len(written)
     assert seed == 3
     assert checksum == SMALL_CFG.checksum()
-    for i, frame in enumerate(frames):
-        assert frame.shot_index == i
-        assert frame.readout_angle_urad == tuple(TILTS[i])
-        np.testing.assert_array_equal(frame.counts, written[i].counts)
-    assert i == count - 1
+    back = read_stack(path)
+    np.testing.assert_array_equal(np.concatenate(list(blocks)), back.counts)
+    np.testing.assert_array_equal(back.counts, stacked(written))
+    assert back.readout_angles_urad.tobytes() == TILTS.tobytes()
 
 
 def test_writer_never_wraps_or_rounds_a_count(tmp_path):
@@ -236,9 +234,6 @@ def test_truncated_body(tmp_path):
         with pytest.raises(ValueError, match="truncated frame 2"):
             read_stack(p)
         with pytest.raises(ValueError, match="truncated frame 2"):
-            _, _, _, _, frames = iter_stack(p)
-            list(frames)
-        with pytest.raises(ValueError, match="truncated frame 2"):
             _, _, _, _, blocks = iter_stack_blocks(p)
             list(blocks)
 
@@ -250,8 +245,6 @@ def test_body_length_is_checked_at_the_header(tmp_path):
                   + _COUNT_WIDTH.pack(4))
     with pytest.raises(ValueError, match="truncated frame 0"):
         read_stack(p)
-    with pytest.raises(ValueError, match="truncated frame 0"):
-        iter_stack(p)
     with pytest.raises(ValueError, match="truncated frame 0"):
         iter_stack_blocks(p)
 
@@ -273,9 +266,6 @@ def test_bytes_past_the_declared_frames_are_rejected(tmp_path, n):
         with pytest.raises(ValueError, match="bytes past"):
             _, _, _, _, blocks = iter_stack_blocks(p)
             list(blocks)
-        with pytest.raises(ValueError, match="bytes past"):
-            _, _, _, _, frames = iter_stack(p)
-            list(frames)
 
 
 def test_iter_stack_blocks_reads_whole_blocks(tmp_path):
@@ -297,8 +287,6 @@ def test_count_of_2_24_reads_from_a_u32_body(tmp_path):
     raw[-4:] = struct.pack("<I", 2**24)  # last anti-Stokes pixel of the short last block
     p.write_bytes(bytes(raw))
     assert read_stack(p).anti_stokes[-1, -1, -1] == 2**24
-    _, _, _, _, frames = iter_stack(p)
-    assert list(frames)[-1].anti_stokes[-1, -1] == 2**24
     _, _, _, _, blocks = iter_stack_blocks(p)
     assert list(blocks)[-1][-1, 1, -1, -1] == 2**24
 
