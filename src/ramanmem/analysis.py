@@ -26,6 +26,7 @@ written by `write_table`.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,18 +80,12 @@ class Reference:
     pixel_cols: np.ndarray
     angle: Angle2D
 
-    def __post_init__(self) -> None:
-        _pane_index(self.pane)
-        if self.pixel_rows.size == 0:
-            raise ValueError("reference contains no pixels")
-        object.__setattr__(self, "pixel_rows", np.asarray(self.pixel_rows, dtype=int))
-        object.__setattr__(self, "pixel_cols", np.asarray(self.pixel_cols, dtype=int))
-
     @classmethod
     def place(
         cls, camera: CameraGeometry, pane: str, angle: Angle2D, radius_urad: float
     ) -> "Reference":
         """The pixel under `angle` at radius 0, else the disc of pixels strictly within `radius_urad`."""
+        _pane_index(pane)
         if radius_urad > 0.0:
             ax, ay = camera.pixel_angle_axes()
             dx, dy = ax[None, :] - angle.theta_x, ay[:, None] - angle.theta_y
@@ -453,13 +448,17 @@ def provenance(seed: int, config_checksum: int) -> str:
 
 
 def write_table(path, comment: str, rows: Sequence[dict]) -> None:
-    """A report CSV: `# comment`, the first row's keys, then each row's values (bools as 0/1)."""
-    with open(path, "w", encoding="ascii") as fh:
+    """A report CSV: `# comment`, the first row's keys, then each row's values (bools as 0/1).
+
+    A cell holding a comma or a quote is quoted, as `csv.reader` reads it back.
+    """
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"# {comment}\n")
-        fh.write(",".join(rows[0]) + "\n")
+        table = csv.writer(fh, lineterminator="\n")
+        table.writerow(rows[0])
         for row in rows:
-            cells = (str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v) for v in row.values())
-            fh.write(",".join(cells) + "\n")
+            # cells are str()'d here: csv would write a numpy float by its repr, np.float64(...)
+            table.writerow(str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v) for v in row.values())
 
 
 def _map_comment(cmap: CorrelationMap, pane: str, stamp: str) -> str:

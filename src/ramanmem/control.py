@@ -61,16 +61,6 @@ class SteeringCommand:
     note: str = ""
 
 
-def _deflection_band_urad(chain: OpticalChain) -> tuple[float, float]:
-    """Reachable readout tilts (urad): the tone law at the two band-edge tones.
-
-    An edge is the tilt its own tone produces, bit for bit, so a command
-    clamped to it is realised by its drive tone; unbounded chains come out as
-    (-inf, inf).
-    """
-    return chain.deflection_urad(chain.freq_min_hz), chain.deflection_urad(chain.freq_max_hz)
-
-
 def _required_readout(
     theta_s: Angle2D, theta_w: Angle2D, target_as: Angle2D, geom: BeamGeometry
 ) -> Angle2D:
@@ -100,7 +90,9 @@ def compensating_readout(
     in both cases the returned command carries the clamped best effort.
     """
     required = _required_readout(theta_s, theta_w, target_as, geom)
-    lo, hi = _deflection_band_urad(chain)
+    # the reachable tilts are the tone law at the band-edge tones: an edge is the tilt its
+    # own tone produces, bit for bit, so a clamped command is realised by its drive tone
+    lo, hi = chain.deflection_urad(chain.freq_min_hz), chain.deflection_urad(chain.freq_max_hz)
     realized = {}
     notes = []
     for axis, want in zip("xy", (required.theta_x, required.theta_y)):
@@ -347,8 +339,9 @@ def load_schedule(path, chain: OpticalChain) -> np.ndarray:
 
     The file is UTF-8 text, with or without a byte-order mark.  Blank lines
     and lines starting with '#' are skipped, before the header and between
-    rows.  The header names each column once.  A shot column, when present,
-    must read 0..n-1 in file order: row i is frame i.
+    rows.  The header names each column once: the two theta_read_{x,y}_urad
+    columns or the one drive_freq_hz column, and optionally a shot column,
+    which must read 0..n-1 in file order: row i is frame i.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
@@ -360,6 +353,12 @@ def load_schedule(path, chain: OpticalChain) -> np.ndarray:
     if len(cols) != len(header):
         twice = sorted({name for name in header if header.count(name) > 1})
         raise ValueError(f"the schedule header names {', '.join(twice)} more than once")
+    found = [name for name in header if name != "shot"]
+    if set(found) not in ({"theta_read_x_urad", "theta_read_y_urad"}, {"drive_freq_hz"}):
+        raise ValueError(
+            "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column "
+            f"beside an optional shot column, got {', '.join(found) or 'none'}"
+        )
     if "shot" in cols:
         for i, r in enumerate(rows):
             shot = r[cols["shot"]].strip()
@@ -368,16 +367,12 @@ def load_schedule(path, chain: OpticalChain) -> np.ndarray:
                     f"the shot column must read 0..{len(rows) - 1} in file order; "
                     f"row {i + 1} reads {shot!r}"
                 )
-    if "theta_read_x_urad" in cols and "theta_read_y_urad" in cols:
+    if "drive_freq_hz" in cols:
+        angles = [aod_chain_angle(float(r[cols["drive_freq_hz"]]), chain) for r in rows]
+    else:
         # Angle2D rejects NaN, infinite and super-paraxial tilts
         angles = [
             Angle2D(float(r[cols["theta_read_x_urad"]]), float(r[cols["theta_read_y_urad"]]))
             for r in rows
         ]
-    elif "drive_freq_hz" in cols:
-        angles = [aod_chain_angle(float(r[cols["drive_freq_hz"]]), chain) for r in rows]
-    else:
-        raise ValueError(
-            "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column"
-        )
     return np.array([[a.theta_x, a.theta_y] for a in angles])

@@ -43,7 +43,6 @@ __all__ = [
     "RetrievalModel",
     "Frame",
     "FrameStack",
-    "effective_source_diameter_m",
     "build_mode_set",
     "mode_set_from_config",
     "check_pixel_photons",
@@ -64,13 +63,6 @@ PHOTON_SCALE_MAX = 1e12
 # modes (~800 times the default 121) the draws alone take ~1.5 ms a shot, about
 # what a whole default frame costs (one 2-core x86 host).
 MODE_COUNT_MAX = 100_000
-
-
-def effective_source_diameter_m(geom: BeamGeometry, gain_shrink: float) -> float:
-    """Diameter of the emitting region: the write beam shrunk by gain."""
-    if not (gain_shrink > 0.0 and math.isfinite(gain_shrink)):
-        raise ValueError(f"gain_shrink must be positive, got {gain_shrink!r}")
-    return 2.0 * geom.w0_write_m / gain_shrink
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +157,10 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
         raise ValueError("grid_spacing_sigma below 1 breaks mode orthogonality")
     if modes.grid_margin_sigma < 0.0:
         raise ValueError("grid_margin_sigma must be >= 0")
+    if not (modes.gain_shrink > 0.0 and math.isfinite(modes.gain_shrink)):
+        raise ValueError(f"gain_shrink must be positive, got {modes.gain_shrink!r}")
 
-    d_eff = effective_source_diameter_m(geom, modes.gain_shrink)
+    d_eff = 2.0 * geom.w0_write_m / modes.gain_shrink  # the emitting region: the write beam shrunk by gain
     mode_fwhm_urad = modes.spot_constant * geom.lambda_write_m / d_eff / RAD_PER_URAD
     if np.any(env < mode_fwhm_urad):
         raise ValueError(
@@ -452,12 +446,6 @@ class Frame(_Panes):
     counts: np.ndarray
     shot_index: int
     readout_angle_urad: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.counts.ndim != 3 or self.counts.shape[0] != 2:
-            raise ValueError(f"frame counts must be a (2, H, W) array, got {self.counts.shape}")
-        if self.counts.dtype not in COUNT_DTYPES:
-            raise ValueError(f"frame counts must be u16 or u32, got {self.counts.dtype}")
 
 
 def _render_with_bases(

@@ -43,8 +43,7 @@ __all__ = ["MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks"]
 
 MAGIC = b"RMNS"
 VERSION = 2
-_HEADER = struct.Struct("<4sHIIIddQQ")
-_COUNT_WIDTH = struct.Struct("<H")  # the bytes per count, which ends the header
+_HEADER = struct.Struct("<4sHIIIddQQH")
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
@@ -63,8 +62,9 @@ class StackWriter:
     `cmd_simulate` passes `scattering.count_dtype(cfg)`, the width its frames
     render in.  A frame appended must hold counts the width can cast to
     exactly.  Used as a context manager, it deletes the file it created when
-    the block exits on an exception, so a failed or interrupted run leaves
-    no truncated stack behind.
+    the block exits on an exception or its close fails (a short frame count,
+    a failed final write), so a failed or interrupted run leaves no truncated
+    stack behind.
     """
 
     def __init__(
@@ -90,7 +90,8 @@ class StackWriter:
             camera.f3_m,
             seed,
             config_checksum,
-        ) + _COUNT_WIDTH.pack(counts.itemsize)
+            counts.itemsize,
+        )
         self._path = path
         self._fh = open(path, "wb")
         self._expected = n_frames
@@ -124,16 +125,19 @@ class StackWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-            return
+        kept = False
         try:
-            self._fh.close()
+            if exc_type is None:
+                self.close()  # a short frame count or a failed final write raises here
+                kept = True
+            else:
+                self._fh.close()
         finally:
-            try:
-                os.remove(self._path)
-            except OSError:  # already gone, or not removable (a device): the first error matters
-                pass
+            if not kept:
+                try:
+                    os.remove(self._path)
+                except OSError:  # already gone, or not removable (a device): the first error matters
+                    pass
 
 
 def _read_header(fh):
@@ -145,16 +149,12 @@ def _read_header(fh):
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated header")
-    magic, version, width, height, count, pitch, f3, seed, checksum = _HEADER.unpack(raw)
+    magic, version, width, height, count, pitch, f3, seed, checksum, nbytes = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValueError(f"unsupported version {version}")
     camera = CameraGeometry(width_px=width, height_px=height, pixel_pitch_m=pitch, f3_m=f3)
-    raw = fh.read(_COUNT_WIDTH.size)
-    if len(raw) != _COUNT_WIDTH.size:
-        raise ValueError("truncated header")
-    (nbytes,) = _COUNT_WIDTH.unpack(raw)
     widths = {dt.itemsize: dt for dt in COUNT_DTYPES}
     if nbytes not in widths:
         raise ValueError(f"unsupported count width of {nbytes} bytes")

@@ -76,6 +76,8 @@ def test_reference_pixel_lookup():
     assert ref.pixel_cols.tolist() == [0]
     with pytest.raises(ValueError, match="off the pane"):
         an.Reference.place(CAM4, "stokes", Angle2D(500.0, 0.0), 0.0)
+    with pytest.raises(ValueError, match=r"pane must be one of \('stokes', 'anti_stokes'\), got 'idler'"):
+        an.Reference.place(CAM4, "idler", Angle2D(0.0, 0.0), 0.0)
 
 
 def test_reference_disc_membership_is_strict():

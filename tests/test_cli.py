@@ -1,8 +1,10 @@
 """End-to-end runs of the console entry point, in process via main()."""
 
+import csv
 import dataclasses
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -108,7 +110,7 @@ def test_simulate_picks_the_count_width_from_the_pixel_bound(tmp_path, photons, 
     cfg.write_text(SMALL_CFG + modes)
     out = tmp_path / "run.rmns"
     assert main(["simulate", "--config", str(cfg), "--frames", "2", "--out", str(out)]) == 0
-    (count_bytes,) = stackio._COUNT_WIDTH.unpack_from(out.read_bytes(), stackio._HEADER.size)
+    count_bytes = stackio._HEADER.unpack_from(out.read_bytes())[-1]
     assert count_bytes == np.dtype(width).itemsize
     assert read_stack(out).counts.dtype == width
     loaded = load_config(cfg)
@@ -205,13 +207,17 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
     assert rc == 3
     out = capsys.readouterr().out
     assert "UNREACHABLE" in out and "outside span" in out
-    lines = report.read_text().splitlines()
-    assert lines[0].startswith("# seed=7")
-    assert lines[1].split(",")[0] == "fiber"
-    rows = [ln.split(",") for ln in lines[2:]]
-    assert len(rows) == 5
-    reachable = [r for r in rows if r[3] == "1"]
+    with open(report, newline="") as fh:
+        assert fh.readline().startswith("# seed=7")
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[0] == "fiber"
+    assert len(rows) == 5 and all(None not in row for row in rows)  # no cell past the header's
+    reachable = [r for r in rows if r["reachable"] == "1"]
     assert 1 <= len(reachable) < 5
+    # a note holds a comma (`outside span [lo, hi]`) and still reads back as one cell
+    printed = re.findall(r"UNREACHABLE \((.*)\)$", out, re.MULTILINE)
+    assert [r["note"] for r in rows if r["reachable"] == "0"] == printed
+    assert all(", " in note for note in printed)
 
 
 _PINNED_STEER_ARGS = ["steer", "--frames", "200", "--fibers", "2", "--seed", "50"]
@@ -536,6 +542,9 @@ def _as_version_1(raw):
         ("schedule", _SCHEDULE_HEAD + "2,0.0,30.0\n0,0.0,10.0\n1,0.0,20.0\n"),
         ("schedule", "\ufeff" + _SCHEDULE_HEAD + "1,0.0,30.0\n"),
         ("schedule", "theta_read_x_urad,theta_read_y_urad,theta_read_y_urad\n0,10,20\n"),
+        ("schedule", "shot,drive_freq_hz,foo\n0,80e6,1\n"),
+        ("schedule", "theta_read_x_urad,theta_read_y_urad,drive_freq_hz\n0,10,95e6\n"),
+        ("schedule", "theta_read_x_urad,drive_freq_hz\n5,80e6\n"),
         ("config", b"[modes]\ngain_shrink = -1\n"),
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
@@ -561,7 +570,8 @@ def _as_version_1(raw):
         "stack-f3-subnormal", "stack-f3-pixel-below-floor", "stack-trailing-bytes",
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order", "schedule-bom-shot-out-of-order",
-        "schedule-column-named-twice",
+        "schedule-column-named-twice", "schedule-extra-column", "schedule-tilts-and-tone",
+        "schedule-one-tilt-and-tone",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
@@ -728,8 +738,7 @@ def test_u32_stack_holding_2_24_maps(tmp_path, cfg_path, monkeypatch, threads):
 def test_header_past_its_body_exits_2_before_allocating(tmp_path, capsys):
     """A header declaring 64 MiB of body the file lacks exits 2 at the header, within 1 MB of memory."""
     path = tmp_path / "big.rmns"  # the header alone, declaring 8 frames of a 1024x1024 u32 pane
-    path.write_bytes(stackio._HEADER.pack(stackio.MAGIC, stackio.VERSION, 1024, 1024, 8, 7.5e-6, 0.5, 0, 0)
-                     + stackio._COUNT_WIDTH.pack(4))
+    path.write_bytes(stackio._HEADER.pack(stackio.MAGIC, stackio.VERSION, 1024, 1024, 8, 7.5e-6, 0.5, 0, 0, 4))
     capsys.readouterr()
     tracemalloc.start()
     try:

@@ -90,8 +90,7 @@ def test_clamped_tilt_is_the_tilt_of_its_tone(target_y):
     assert not cmd.reachable
     assert aod_chain_angle(cmd.drive_freq_hz, CHAIN) == cmd.theta_read
     # the band is the tone law at the band-edge tones
-    lo, hi = control._deflection_band_urad(CHAIN)
-    assert (lo, hi) == (aod_chain_angle(70e6, CHAIN).theta_y, aod_chain_angle(90e6, CHAIN).theta_y)
+    assert cmd.theta_read == aod_chain_angle(90e6 if target_y > 0 else 70e6, CHAIN)
 
 
 def test_unsteerable_axis_is_flagged():
@@ -505,10 +504,19 @@ def test_schedule_from_drive_frequencies(tmp_path):
 
 
 def test_schedule_rejects_unknown_columns(tmp_path):
+    """Columns beside shot are the two tilts or the one tone, never an ignored extra or a mix."""
     path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="schedule needs"):
-        load_schedule(path, CHAIN)
+    for text, found in [
+        ("a,b\n1,2\n", "a, b"),
+        ("shot,drive_freq_hz,foo\n0,80e6,1\n", "drive_freq_hz, foo"),
+        ("theta_read_x_urad,theta_read_y_urad,drive_freq_hz\n0,10,95e6\n",
+         "theta_read_x_urad, theta_read_y_urad, drive_freq_hz"),
+        ("theta_read_x_urad,drive_freq_hz\n5,80e6\n", "theta_read_x_urad, drive_freq_hz"),
+        ("shot\n0\n", "none"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^schedule needs .*, got {found}$"):
+            load_schedule(path, CHAIN)
 
 
 @pytest.mark.parametrize(

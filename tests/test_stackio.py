@@ -1,6 +1,7 @@
 """Binary stack format: round trips, streaming reads and corruption errors."""
 
 import dataclasses
+import errno
 import struct
 
 import numpy as np
@@ -11,7 +12,6 @@ from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame, iter_simulated_frames
 from ramanmem.stackio import (
     _BLOCK,
-    _COUNT_WIDTH,
     _HEADER,
     MAGIC,
     VERSION,
@@ -22,7 +22,7 @@ from ramanmem.stackio import (
 )
 
 CAM = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
-BODY = _HEADER.size + _COUNT_WIDTH.size  # where the body starts
+BODY = _HEADER.size  # where the body starts
 
 
 SMALL_CFG = dataclasses.replace(default_config(), camera=CAM).with_seed(3)
@@ -111,10 +111,12 @@ def test_writer_never_wraps_or_rounds_a_count(tmp_path):
     counts[1, -1, -1] = 2**16
     frame = Frame(counts, shot_index=0, readout_angle_urad=(0.0, 0.0))
     path = tmp_path / "x.rmns"
-    with pytest.raises(TypeError, match=r"Cannot cast .*uint32"):
-        with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
-            w.append(frame)
-    assert not path.exists()
+    # a u32 count past u16, whole counts held as float64, and counts held as int64
+    for wide in (counts, np.ones_like(counts, dtype=np.float64), np.ones_like(counts, dtype=np.int64)):
+        with pytest.raises(TypeError, match=f"Cannot cast .*{wide.dtype}"):
+            with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
+                w.append(Frame(wide, shot_index=0, readout_angle_urad=(0.0, 0.0)))
+        assert not path.exists()
     with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint32) as w:
         w.append(frame)
     assert read_stack(path).anti_stokes[0, -1, -1] == 2**16
@@ -217,7 +219,7 @@ def test_unsupported_version(tmp_path):
             read_stack(p)
     assert MAGIC == b"RMNS"
     raw[4:6] = VERSION.to_bytes(2, "little")
-    raw[_HEADER.size:BODY] = _COUNT_WIDTH.pack(8)
+    raw[BODY - 2:BODY] = (8).to_bytes(2, "little")  # the count width ends the header
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="unsupported count width of 8 bytes"):
         read_stack(p)
@@ -241,8 +243,7 @@ def test_truncated_body(tmp_path):
 def test_body_length_is_checked_at_the_header(tmp_path):
     """A header the file cannot back fails before any read: no reader sizes a buffer by it."""
     p = tmp_path / "big.rmns"  # the header alone, declaring 8 frames of a 1024x1024 u32 pane
-    p.write_bytes(_HEADER.pack(MAGIC, VERSION, 1024, 1024, 8, CAM.pixel_pitch_m, CAM.f3_m, 0, 0)
-                  + _COUNT_WIDTH.pack(4))
+    p.write_bytes(_HEADER.pack(MAGIC, VERSION, 1024, 1024, 8, CAM.pixel_pitch_m, CAM.f3_m, 0, 0, 4))
     with pytest.raises(ValueError, match="truncated frame 0"):
         read_stack(p)
     with pytest.raises(ValueError, match="truncated frame 0"):
@@ -305,4 +306,32 @@ def test_writer_deletes_a_partial_stack(tmp_path):
             for frame in render():
                 w.append(frame)
     assert w._fh.closed
+    assert not path.exists()
+
+
+def test_writer_deletes_a_stack_it_cannot_close(tmp_path):
+    """A block that ends without an error but leaves a short or unwritten stack leaves no file."""
+    path = tmp_path / "x.rmns"
+    with pytest.raises(ValueError, match="declared 2 frames but 1 were written"):
+        with StackWriter(path, CAM, 2, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
+            w.append(small_frames(n=1)[0])
+    assert not path.exists()
+
+    class _FullDisk:
+        """The writer's file, whose close fails as a full disk would on its final flush."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def close(self):
+            self._fh.close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        with StackWriter(path, CAM, 1, seed=0, config_checksum=0, count_dtype=np.uint16) as w:
+            w._fh = _FullDisk(w._fh)
+            w.append(small_frames(n=1)[0])
     assert not path.exists()
