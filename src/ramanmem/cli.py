@@ -170,9 +170,11 @@ def cmd_correlate(args) -> int:
 def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
     """Stokes-side fiber positions served by the steered (y) axis.
 
-    The x coordinate defaults to the one column whose twin needs no x tilt:
-    conjugation maps x_S to -(lambda_r/lambda_w) x_S, so x_S = -target_x
-    (lambda_w/lambda_r) lands on target_x by itself.
+    The x coordinate defaults to x_S = -target_x (lambda_w/lambda_r), the
+    angle that conjugation, x_S -> -(lambda_r/lambda_w) x_S, maps onto
+    target_x.  A radius-0 fiber reads the pixel nearest x_S, so its twin lands
+    off target_x by that pixel's offset (-60 against -55.04 urad at the
+    defaults).
     """
     if args.fiber_x is not None:
         x = args.fiber_x
@@ -403,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_steer.add_argument(
         "--fiber-x", type=float, default=None,
-        help="fiber column x, urad (default: the column the y axis can serve)",
+        help="fiber column x, urad (default: -target_x * lambda_w/lambda_r, whose "
+        "conjugate is target_x; a radius-0 fiber reads the pixel nearest it)",
     )
     p_steer.add_argument(
         "--fiber-radius", type=_radius, default=0.0,

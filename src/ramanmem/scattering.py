@@ -114,10 +114,6 @@ class ModeSet:
     def n_modes(self) -> int:
         return self.x_urad.size * self.y_urad.size
 
-    @property
-    def mode_fwhm_urad(self) -> float:
-        return self.sigma_urad * FWHM_PER_SIGMA
-
     @cached_property
     def centers_urad(self) -> np.ndarray:
         """(theta_x, theta_y) of every mode, one row per mode in mode order."""
@@ -377,15 +373,13 @@ class PaneFactors:
 
     Mode (iy, ix) deposits outer(wy[iy], wx[ix]): wy is (ny, H), and wx
     (nx, W) carries the area normalisation, so a pattern integrates to ~1
-    over an unbounded pane.  A row whose centre misses the pane on its axis
-    is zeroed, which removes exactly the modes flagged in off_pane (M,).  The
-    energy clipped from the pane follows from off_pane and the mode means,
-    once per tilt.
+    over an unbounded pane.  Every mode deposits whatever its Gaussian puts
+    on the pane, wherever its centre lies: a mode centred past an edge
+    still leaves its tail there.
     """
 
     wy: np.ndarray
     wx: np.ndarray
-    off_pane: np.ndarray
 
 
 def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
@@ -399,19 +393,12 @@ def _gauss_rows(axis: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarr
 
 def _pane_factors(ms: ModeSet, x_urad: np.ndarray, y_urad: np.ndarray, camera: CameraGeometry) -> PaneFactors:
     """Factors of the mode lattice whose axes sit at x_urad and y_urad on the pane: one row per axis entry."""
-    half_px = 0.5 * camera.pitch_urad
     sigma = ms.sigma_urad
-    rows, hits = [], []
-    for c, px in zip((x_urad, y_urad), camera.pixel_angle_axes()):
-        hit = (c >= px[0] - half_px) & (c < px[-1] + half_px)
-        w = _gauss_rows(px, c, sigma)
-        if not rows:  # peak-normalised per axis; the x rows carry the area normalisation
-            w *= camera.pitch_urad**2 / (2.0 * math.pi * (sigma * sigma))
-        w[~hit] = 0.0
-        rows.append(w)
-        hits.append(hit)
-    (wx, wy), (x_in, y_in) = rows, hits
-    return PaneFactors(wy, wx, ~np.outer(y_in, x_in).ravel())
+    ax, ay = camera.pixel_angle_axes()
+    wx = _gauss_rows(ax, x_urad, sigma)
+    # peak-normalised per axis; the x rows carry the area normalisation
+    wx *= camera.pitch_urad**2 / (2.0 * math.pi * (sigma * sigma))
+    return PaneFactors(wy=_gauss_rows(ay, y_urad, sigma), wx=wx)
 
 
 def stokes_basis(ms: ModeSet, camera: CameraGeometry) -> PaneFactors:
@@ -605,9 +592,9 @@ def iter_simulated_frames(cfg, schedule=None) -> Iterator[Frame]:
     stokes = stokes_basis(ms, camera)
     counts_dtype = count_dtype(cfg)
 
-    # one cached tilt holds its anti-Stokes rows and off-pane flags, the same
-    # shapes as the Stokes pane's, and one float64 efficiency per mode
-    tilt_bytes = stokes.wy.nbytes + stokes.wx.nbytes + stokes.off_pane.nbytes + 8 * ms.n_modes
+    # one cached tilt holds its anti-Stokes rows, the same shapes as the
+    # Stokes pane's, and one float64 efficiency per mode
+    tilt_bytes = stokes.wy.nbytes + stokes.wx.nbytes + 8 * ms.n_modes
 
     @lru_cache(maxsize=max(1, _TILT_CACHE_BYTES // tilt_bytes))
     def tilt_factors(tr: tuple[float, float]) -> tuple[PaneFactors, np.ndarray]:

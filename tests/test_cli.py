@@ -221,7 +221,7 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
 
 
 _PINNED_STEER_ARGS = ["steer", "--frames", "200", "--fibers", "2", "--seed", "50"]
-_PINNED_STEER_DIGEST = "959373c047e2ade8a0272946eca6e8124ab8678d64f7292b1d2be01b1086eefc"
+_PINNED_STEER_DIGEST = "1788c98c34b7dcdefaf4ede99ac61e44502de0e0e8eca7e1e206de9436bc04d5"
 
 
 def test_steer_report_digest_is_pinned(tmp_path, capsys):
@@ -243,21 +243,21 @@ _STACK_DIGEST_REFS = (
 )
 _MAP_SUFFIXES = ("_stokes.csv", "_stokes.pgm", "_anti_stokes.csv", "_anti_stokes.pgm", "_fit.csv")
 _PINNED_STACK_MAP_DIGESTS = {
-    "pixel_stokes.csv": "45bf2a9d203ceee445ac01b4de58ada2fe2d732fcac09ba200cdbc23d07a0423",
-    "pixel_stokes.pgm": "29d3f54b001648685e713831c0d0d5d64a42a15ea6fd6f905718e35dfc5c9ee0",
-    "pixel_anti_stokes.csv": "6498b3685b89f6c667aac2dd4aa3c36fc8c7e6da2189ccb547c3c2c4bdc9affe",
-    "pixel_anti_stokes.pgm": "93c54266fee74407a64cc32e4c2800450f3958105a8b19cf05f579e8701275ec",
-    "pixel_fit.csv": "446a806e92a7988b59f832485eda4586a91d92fe25c54162d590eecd32e69112",
-    "disc_stokes.csv": "d55afc04bd6143de122dce1a3c393b83090d3c23ffe2b0cd4afedcf8975f17aa",
-    "disc_stokes.pgm": "087984392b7e96b575598552b191bb3c4faa927cfa3274335427350306648fca",
-    "disc_anti_stokes.csv": "ba6e58065d8a2b3b4f511ef6a85acfefef26d3d38de03de29cff3f96ed74737d",
-    "disc_anti_stokes.pgm": "ddad6468fe4805695893caacaddfea470022a1ff346c6e47416b584bf94b0463",
-    "disc_fit.csv": "24b91a7fab4b1685751882f57e49dba3e9d2ae42592cd72cd2c0ec3fe331a3c5",
-    "reverse_stokes.csv": "d352b0ec8dd5f605f4172ce788088a63c5a03651480da9f8bf25a6dc7ea98ad7",
-    "reverse_stokes.pgm": "34a7402a6cd5340033d964e49dc8630f3f068466fe18c9b2865dc93f00384a60",
-    "reverse_anti_stokes.csv": "91350d91514f0b991f5e2e4714dfc05f93cc2400960c17783f293adc19c51b7a",
-    "reverse_anti_stokes.pgm": "9ca9bf73c3895f0f5e742c819355e1930b19ebd79cdfb611493df7d2b175636d",
-    "reverse_fit.csv": "4421eb08b74b16fb9f702d4a802599e1fd293018aa8b4b2634e946bb06cda80f",
+    "pixel_stokes.csv": "5a738f53e49531885c28277b4e3ac772086049d830caf64224a5fa31ed8b0279",
+    "pixel_stokes.pgm": "28f2ef97596c4ae9601970472ffd7906e1543ef9988d06f676ce1ea86bc4d30e",
+    "pixel_anti_stokes.csv": "b75c57216fa605a2a0df0d74c5b9e52e21fb01af4384ba3133585ee5865aaecd",
+    "pixel_anti_stokes.pgm": "e6bc27f276b4506bb4b1a50024379ddcf9b18ad7996314135f3f8508f72f20d9",
+    "pixel_fit.csv": "97dccf5064d3dad4b0fab56c33da29c623a173b8139129468e8b29d526f8b241",
+    "disc_stokes.csv": "46420137c265cd0c3d1ffce16166de8f246df0855d5b5815aaaf2df480829f56",
+    "disc_stokes.pgm": "01802f7227ffbf1e3cb19d18974ce5b8e7434db7b6dd0a73e5693e47298e3d95",
+    "disc_anti_stokes.csv": "f1183888380b9e4b6208199e2639882294a429ae1c9a2ac6ffdf0af85b0b4a1b",
+    "disc_anti_stokes.pgm": "026b1b7376fc39d3b6836e3237d616555f6f10acd9c9ddb753a4265a2807934a",
+    "disc_fit.csv": "b3e324620a8d21cdf2f1741668d0e7e791c0cf3e9aa2affbda41b99fb0c244d5",
+    "reverse_stokes.csv": "5b34dab98120990c0c4f1be1859a529f79bf2c35f62b7a70df7dd5e4984c8301",
+    "reverse_stokes.pgm": "a2b9aa32dd0ebbc5ba888593b318391154612256c211d429c9535b2593cb7a81",
+    "reverse_anti_stokes.csv": "f1893acebd320f2eedfa1495e8bfe7f7a633d67a7536d9680964d24578c9ea46",
+    "reverse_anti_stokes.pgm": "f58a5bda69eec0f9bf9b63f8363815a922cab79b67d15dd8b844b83cb16dfecf",
+    "reverse_fit.csv": "d0c6f884103ca040d583e84b12a2ecab5cffe6a10828b5edcc701919d12d33de",
 }
 
 

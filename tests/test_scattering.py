@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ramanmem import scattering
 from ramanmem.cli import main
 from ramanmem.config import N_FRAMES_MAX, SEED_MAX, RunParams, default_config
-from ramanmem.geometry import Angle2D, BeamGeometry, CameraGeometry
+from ramanmem.geometry import FWHM_PER_SIGMA, Angle2D, BeamGeometry, CameraGeometry
 from ramanmem.scattering import (
     Frame,
     ModeGridParams,
@@ -75,7 +75,7 @@ def flat_model(eta0=1.0, noise_floor=0.0):
 def test_effective_source_diameter():
     """A mode's FWHM is spot_constant * lambda_write / d_eff, d_eff = 2 w0_write / gain_shrink."""
     ms = build_mode_set(GEOM, grid(400.0))  # d_eff = 3.5 mm
-    assert ms.mode_fwhm_urad == pytest.approx(0.754212 * 795e-9 / 3.5e-3 * 1e6, rel=1e-12, abs=0.0)
+    assert ms.sigma_urad * FWHM_PER_SIGMA == pytest.approx(0.754212 * 795e-9 / 3.5e-3 * 1e6, rel=1e-12, abs=0.0)
     for shrink in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="gain_shrink must be positive"):
             build_mode_set(GEOM, dataclasses.replace(grid(400.0), gain_shrink=shrink))
@@ -84,7 +84,7 @@ def test_effective_source_diameter():
 def test_default_mode_set_layout():
     ms = mode_set_from_config(default_config())
     assert ms.n_modes == 121  # 11 x 11 grid
-    assert ms.mode_fwhm_urad == pytest.approx(171.31386857142857, rel=1e-9)
+    assert ms.sigma_urad * FWHM_PER_SIGMA == pytest.approx(171.31386857142857, rel=1e-9)
     assert ms.grid_spacing_urad == pytest.approx(109.1254524520431, rel=1e-9)
     assert ms.spot_fwhm_urad == pytest.approx(239.9996724420318, rel=1e-9)
     np.testing.assert_allclose(ms.mean_photons, 1000.0)
@@ -97,7 +97,7 @@ def test_spot_width_combines_both_carriers():
     ms = mode_set_from_config(default_config())
     ratio = 780.0 / 795.0
     assert ms.spot_fwhm_urad == pytest.approx(
-        math.sqrt(1.0 + ratio**2) * ms.mode_fwhm_urad, rel=1e-12
+        math.sqrt(1.0 + ratio**2) * ms.sigma_urad * FWHM_PER_SIGMA, rel=1e-12
     )
 
 
@@ -285,18 +285,18 @@ def _lattice(x_urad, y_urad, spacing=100.0, mean=1000.0):
     ids=["grid", "2x2-one-row-off"],
 )
 def test_factored_mean_matches_per_mode_gaussians(ms):
-    # reference: each on-pane mode's area-normalised 2-d Gaussian, summed mode by mode
+    # reference: each mode's area-normalised 2-d Gaussian, summed mode by mode
     cam = small_camera(24)
     factors = stokes_basis(ms, cam)
     assert factors.wy.shape == (ms.y_urad.size, cam.height_px)
     assert factors.wx.shape == (ms.x_urad.size, cam.width_px)
-    in_pane = ~factors.off_pane
-    assert in_pane.any() and not in_pane.all()
+    # some modes are centred past the pane's edge: their tails are in the sum too
+    assert np.abs(ms.centers_urad).max() > cam.pitch_urad * cam.width_px / 2
     i_s = np.random.default_rng(4).exponential(1000.0, ms.n_modes)
     gx, gy = np.meshgrid(*cam.pixel_angle_axes())
     expected = np.zeros((cam.height_px, cam.width_px))
     sig = ms.sigma_urad
-    for m in np.flatnonzero(in_pane):
+    for m in range(ms.n_modes):
         cx, cy = ms.centers_urad[m]
         r2 = (gx - cx) ** 2 + (gy - cy) ** 2
         area = cam.pitch_urad**2 / (2 * math.pi * sig**2)
@@ -306,29 +306,21 @@ def test_factored_mean_matches_per_mode_gaussians(ms):
 
 
 def test_factors_at_every_tilt_keep_the_bits():
-    """The per-axis rows equal a one-row-per-mode build bit for bit, and off_pane the four-bound rule."""
+    """The per-axis rows equal a one-row-per-mode build bit for bit, modes centred off the pane included."""
     cfg = default_config()
     ms, cam = mode_set_from_config(cfg), cfg.camera
     ax, ay = cam.pixel_angle_axes()
     nx = ms.x_urad.size
     sig = np.full(ms.n_modes, ms.sigma_urad)
-    ox, oy = cam.origin_px
-    half_px = 0.5 * cam.pitch_urad
     for tilt in BOTH_AXIS_TILTS:
         got = scattering.anti_stokes_basis(ms, tilt, cam)
         cx, cy = ms.anti_stokes_centers_urad(tilt).T
-        x_in = (cx >= -ox * cam.pitch_urad - half_px) & (cx < (cam.width_px - 1 - ox) * cam.pitch_urad + half_px)
-        y_in = (cy >= -oy * cam.pitch_urad - half_px) & (cy < (cam.height_px - 1 - oy) * cam.pitch_urad + half_px)
         wx = np.exp(-0.5 * ((ax[None, :] - cx[:, None]) / sig[:, None]) ** 2)
         wx *= (cam.pitch_urad**2 / (2.0 * math.pi * sig**2))[:, None]
         wy = np.exp(-0.5 * ((ay[None, :] - cy[:, None]) / sig[:, None]) ** 2)
-        wx[~x_in] = 0.0
-        wy[~y_in] = 0.0
         # mode iy * nx + ix: the first nx modes span the x axis, every nx-th the y axis
         np.testing.assert_array_equal(got.wx, wx[:nx])
         np.testing.assert_array_equal(got.wy, wy[::nx])
-        np.testing.assert_array_equal(got.off_pane, ~(x_in & y_in))
-    assert got.off_pane.any()
 
 
 def test_render_dark_frame():
@@ -352,7 +344,10 @@ def test_render_energy_bookkeeping():
     ms = build_mode_set(GEOM, grid(240.0))
     cam = small_camera(64)
     stokes, anti = stokes_basis(ms, cam), scattering.anti_stokes_basis(ms, (0.0, 0.0), cam)
-    assert not stokes.off_pane.any() and not anti.off_pane.any()
+    # every row peaks inside the pane, off its edge pixels: every mode is centred on it
+    for rows in (stokes.wy, stokes.wx, anti.wy, anti.wx):
+        peaks = rows.argmax(axis=1)
+        assert ((peaks > 0) & (peaks < rows.shape[1] - 1)).all()
     i_s = np.linspace(1000.0, 2000.0, ms.n_modes)
     i_as = 0.5 * i_s
     fr = render_shot((i_s, i_as), ms, (0.0, 0.0), cam, shot_rng(0, 1))
@@ -364,25 +359,41 @@ def test_render_energy_bookkeeping():
         assert abs(counts.sum() - mean) < 5.0 * math.sqrt(mean)
 
 
-def test_render_clips_off_pane_modes():
-    """A mode centred off a pane deposits nothing on it, whatever its intensity."""
-    # an 8x8 pane spans +-60 urad; a 400 urad envelope pushes modes off it
-    ms = build_mode_set(GEOM, grid(400.0))
-    cam, tilt = small_camera(8), (30.0, -20.0)
-    off_s = stokes_basis(ms, cam).off_pane
-    off_a = scattering.anti_stokes_basis(ms, tilt, cam).off_pane
-    assert 0 < off_s.sum() < ms.n_modes and 0 < off_a.sum() < ms.n_modes
+def test_every_mode_deposits_its_on_pane_tail():
+    """A pane's mean total sums each mode's intensity times its Gaussian mass on the pane, tails included.
 
-    def render(i_s, i_as):
-        return render_shot((i_s, i_as), ms, tilt, cam, shot_rng(0, 2), noise_floor=0.0)
+    The mass is the erf integral of the mode between the pane's outer pixel
+    edges, on each axis.
+    """
+    # a 16x16 pane spans -127.5 to 112.5 urad between its outer pixel edges; the
+    # row at y = -162.5 urad is centred half a sigma (35 urad) below the lower one
+    cam = small_camera(16)
+    ms = _lattice([-40.0, 60.0], [-162.5, -50.0], spacing=112.5)
+    tilt = (0.0, 0.0)
+    i_s = np.array([1000.0, 1500.0, 2000.0, 2500.0])
 
-    lit = np.linspace(1000.0, 2000.0, ms.n_modes)
-    dark = render(lit * off_s, lit * off_a)
-    assert not dark.stokes.any() and not dark.anti_stokes.any()
-    full, in_pane = render(lit, lit), render(lit * ~off_s, lit * ~off_a)
-    assert full.stokes.any() and full.anti_stokes.any()
-    np.testing.assert_array_equal(full.stokes, in_pane.stokes)
-    np.testing.assert_array_equal(full.anti_stokes, in_pane.anti_stokes)
+    def mass(c, axis):
+        """erf mass of each unit Gaussian centred at c between the outer pixel edges of one axis."""
+        lo, hi = axis[0] - cam.pitch_urad / 2, axis[-1] + cam.pitch_urad / 2
+        z = ms.sigma_urad * math.sqrt(2.0)
+        return np.array([0.5 * (math.erf((hi - ci) / z) - math.erf((lo - ci) / z)) for ci in c])
+
+    # the pixel sum is a midpoint rule for the mass: on each axis it misses it by
+    # about h^2 / 24 (f'(hi) - f'(lo)) for pitch h and the mode's density f, at
+    # most h^2 max|f'| / 12 = h^2 e^(-1/2) / (12 sqrt(2 pi) sigma^2); the product
+    # of a mode's two masses misses by at most the sum of the two
+    h, sig = cam.pitch_urad, ms.sigma_urad
+    tol = i_s.sum() * 2 * h**2 * math.exp(-0.5) / (12.0 * math.sqrt(2.0 * math.pi) * sig**2)
+    ax, ay = cam.pixel_angle_axes()
+    for factors, centers in (
+        (stokes_basis(ms, cam), ms.centers_urad),
+        (scattering.anti_stokes_basis(ms, tilt, cam), ms.anti_stokes_centers_urad(tilt)),
+    ):
+        p = mass(centers[:, 0], ax) * mass(centers[:, 1], ay)
+        # mode 0's tail, though its centre lies past the pane's edge, is far above tol
+        assert i_s[0] * p[0] > 10 * tol
+        mean = (factors.wy.T @ i_s.reshape(2, 2) @ factors.wx).sum()
+        assert mean == pytest.approx((i_s * p).sum(), rel=0.0, abs=tol)
 
 
 def test_frame_panes_view_a_u32_count_of_2_24():
@@ -465,9 +476,9 @@ def test_frames_independent_of_history(idx):
 # sha256 of the .rmns files the renderer wrote when these digests were pinned.
 # A renderer change that moves even one Poisson count changes a digest; such a
 # change is an output change and must be recorded as one, never re-seeded away.
-PINNED_DEFAULT_DIGEST = "e444732d9081c452bdd63d24da20cf037015e84be39cf510434eb257098348b6"
-PINNED_SCHEDULE_DIGEST = "4636fb3129880bc429f7bc0a43c1b1a6d9961e872c5d4c990ef3f0a1bb18bae0"
-PINNED_BOTH_AXIS_DIGEST = "2d406ef373c7c9610f4389d8081599948835941f85a22db1d214c31487087f7d"
+PINNED_DEFAULT_DIGEST = "dd81dbb5ea173c50b0b36c9a7cea4e1be3e215d6b44e96ba0791faa3e52d8c49"
+PINNED_SCHEDULE_DIGEST = "d4228575d1562da9890fc2efb71cae6d1126c45b2aa9e867aec1528d26c36b29"
+PINNED_BOTH_AXIS_DIGEST = "5b977a755c2b292f868bfb157db49e8b39afcd78acad0581c2e759aae6a057cd"
 
 
 def _digest(path):
@@ -690,7 +701,7 @@ def _cache_tilts(monkeypatch, cfg, tilts):
     """Size the tilt cache to hold exactly `tilts` tilts' factors at this config."""
     ms = mode_set_from_config(cfg)
     pane = stokes_basis(ms, cfg.camera)
-    one = pane.wy.nbytes + pane.wx.nbytes + pane.off_pane.nbytes + 8 * ms.n_modes
+    one = pane.wy.nbytes + pane.wx.nbytes + 8 * ms.n_modes
     monkeypatch.setattr(scattering, "_TILT_CACHE_BYTES", tilts * one)
 
 
