@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, get_type_hints
+from typing import get_type_hints
 
 from .control import HeraldConfig
 from .geometry import BeamGeometry, CameraGeometry, OpticalChain
@@ -173,7 +173,7 @@ def _axes(raw: str) -> tuple[str, ...]:
 
 
 # field type -> parser of its value text
-_PARSERS = {float: _float, Optional[float]: _float, int: _int, tuple[str, ...]: _axes}
+_PARSERS = {float: _float, int: _int, tuple[str, ...]: _axes}
 # a pane key names the pane it sizes; CameraGeometry describes one pane
 _KEYS = {("camera", "width_px"): "pane_width_px", ("camera", "height_px"): "pane_height_px"}
 # the camera's far-field lens is the chain's last lens, so it has no key of its own
@@ -241,9 +241,6 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
 
     base = default_config()
     values["camera"]["f3_m"] = values["chain"].get("f3_m", base.chain.f3_m)
-    # zeta and p are locked: a value given for one must not meet the default of the other
-    if values["herald"].keys() & {"zeta", "p"}:
-        values["herald"] = {"zeta": None, "p": None, **values["herald"]}
     try:
         cfg = ExperimentConfig(
             **{s: replace(getattr(base, s), **values[s]) for s in _SCHEMA}, metadata=metadata

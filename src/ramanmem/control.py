@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -129,14 +128,13 @@ HERALD_CHUNK = 32768
 class HeraldConfig:
     """Multimode heralded source with a routing switch.
 
-    zeta is the mean thermal excitation number per mode and p the per-mode
-    probability of at least one excitation; they are locked together by
-    p = zeta / (1 + zeta).  Supply either (or both, consistently).
+    zeta is the mean thermal excitation number per mode; the per-mode
+    probability of at least one excitation, p = zeta / (1 + zeta), follows
+    from it.
     """
 
     modes: int
-    zeta: Optional[float] = None
-    p: Optional[float] = None
+    zeta: float
     eta_retrieve: float = 1.0
     eta_detect: float = 1.0
     switch_latency_s: float = 0.0
@@ -145,27 +143,13 @@ class HeraldConfig:
     def __post_init__(self) -> None:
         if self.modes < 1:
             raise ValueError(f"mode count must be >= 1, got {self.modes!r}")
-        zeta, p = self.zeta, self.p
-        if zeta is None and p is None:
-            raise ValueError("need zeta or p")
-        if zeta is None:
-            if not (0.0 <= p < 1.0):
-                raise ValueError(f"p must lie in [0, 1), got {p!r}")
-            zeta = p / (1.0 - p)
-        elif p is None:
-            if zeta < 0.0 or not math.isfinite(zeta):
-                raise ValueError(f"zeta must be >= 0, got {zeta!r}")
-            p = zeta / (1.0 + zeta)
-        else:
-            if abs(p - zeta / (1.0 + zeta)) > 1e-12 * max(1.0, abs(p)):
-                raise ValueError(
-                    f"inconsistent pair: p={p!r} vs zeta/(1+zeta)={zeta / (1.0 + zeta)!r}"
-                )
-        # also for a derived or paired p: past zeta ~ 1e16, zeta / (1 + zeta) rounds to 1
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"p must lie in [0, 1), got {p!r} (zeta={zeta!r})")
-        object.__setattr__(self, "zeta", float(zeta))
-        object.__setattr__(self, "p", float(p))
+        zeta = float(self.zeta)
+        if zeta < 0.0 or not math.isfinite(zeta):
+            raise ValueError(f"zeta must be >= 0, got {zeta!r}")
+        object.__setattr__(self, "zeta", zeta)
+        # past zeta ~ 1e16, zeta / (1 + zeta) rounds to 1
+        if not self.p < 1.0:
+            raise ValueError(f"p must lie in [0, 1), got {self.p!r} (zeta={zeta!r})")
         for name in ("eta_retrieve", "eta_detect"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -174,6 +158,11 @@ class HeraldConfig:
             raise ValueError("switch latency must be >= 0")
         if self.memory_lifetime_s <= 0.0:
             raise ValueError("memory lifetime must be positive")
+
+    @property
+    def p(self) -> float:
+        """Per-mode probability of at least one excitation, zeta / (1 + zeta)."""
+        return self.zeta / (1.0 + self.zeta)
 
     @property
     def p_detect(self) -> float:

@@ -372,7 +372,7 @@ def test_criterion_8_herald_protocol():
     rate_lines = []
     ok_rates = True
     for modes, p, seed in cases:
-        hc = control.HeraldConfig(modes=modes, p=p)
+        hc = control.HeraldConfig(modes=modes, zeta=p / (1.0 - p))
         stats = control.run_herald_protocol(hc, shots, seed=seed)
         expect = control.herald_probability(modes, p)
         se = math.sqrt(expect * (1.0 - expect) / shots)

@@ -221,7 +221,7 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
 
 
 _PINNED_STEER_ARGS = ["steer", "--frames", "200", "--fibers", "2", "--seed", "50"]
-_PINNED_STEER_DIGEST = "1788c98c34b7dcdefaf4ede99ac61e44502de0e0e8eca7e1e206de9436bc04d5"
+_PINNED_STEER_DIGEST = "2e1702641e787dfc5ac87f20ec400df35f9c12ee9991174204e95d3ea0d7e725"
 
 
 def test_steer_report_digest_is_pinned(tmp_path, capsys):
@@ -243,21 +243,21 @@ _STACK_DIGEST_REFS = (
 )
 _MAP_SUFFIXES = ("_stokes.csv", "_stokes.pgm", "_anti_stokes.csv", "_anti_stokes.pgm", "_fit.csv")
 _PINNED_STACK_MAP_DIGESTS = {
-    "pixel_stokes.csv": "5a738f53e49531885c28277b4e3ac772086049d830caf64224a5fa31ed8b0279",
-    "pixel_stokes.pgm": "28f2ef97596c4ae9601970472ffd7906e1543ef9988d06f676ce1ea86bc4d30e",
-    "pixel_anti_stokes.csv": "b75c57216fa605a2a0df0d74c5b9e52e21fb01af4384ba3133585ee5865aaecd",
-    "pixel_anti_stokes.pgm": "e6bc27f276b4506bb4b1a50024379ddcf9b18ad7996314135f3f8508f72f20d9",
-    "pixel_fit.csv": "97dccf5064d3dad4b0fab56c33da29c623a173b8139129468e8b29d526f8b241",
-    "disc_stokes.csv": "46420137c265cd0c3d1ffce16166de8f246df0855d5b5815aaaf2df480829f56",
-    "disc_stokes.pgm": "01802f7227ffbf1e3cb19d18974ce5b8e7434db7b6dd0a73e5693e47298e3d95",
-    "disc_anti_stokes.csv": "f1183888380b9e4b6208199e2639882294a429ae1c9a2ac6ffdf0af85b0b4a1b",
-    "disc_anti_stokes.pgm": "026b1b7376fc39d3b6836e3237d616555f6f10acd9c9ddb753a4265a2807934a",
-    "disc_fit.csv": "b3e324620a8d21cdf2f1741668d0e7e791c0cf3e9aa2affbda41b99fb0c244d5",
-    "reverse_stokes.csv": "5b34dab98120990c0c4f1be1859a529f79bf2c35f62b7a70df7dd5e4984c8301",
-    "reverse_stokes.pgm": "a2b9aa32dd0ebbc5ba888593b318391154612256c211d429c9535b2593cb7a81",
-    "reverse_anti_stokes.csv": "f1893acebd320f2eedfa1495e8bfe7f7a633d67a7536d9680964d24578c9ea46",
-    "reverse_anti_stokes.pgm": "f58a5bda69eec0f9bf9b63f8363815a922cab79b67d15dd8b844b83cb16dfecf",
-    "reverse_fit.csv": "d0c6f884103ca040d583e84b12a2ecab5cffe6a10828b5edcc701919d12d33de",
+    "pixel_stokes.csv": "a9b10174390b9bf202380418966b84753af8bc8071892355494118fbce0f3601",
+    "pixel_stokes.pgm": "f99979b0ef5eb5444a70aa930b00ea984f457a378dcd7c98380e961495881d00",
+    "pixel_anti_stokes.csv": "b6cf3ddb55fdd16ee73bfe520b6aec8bdc59fbde984184d8d52a7183f0600d8b",
+    "pixel_anti_stokes.pgm": "b3f8642893d6928d34e006555434aa1a6ff3f67e77bd7bc28bf57909ff7434ff",
+    "pixel_fit.csv": "26236bfbd2efd24ed57e402555fd11fa913c8ad35cd78e8988e07cc07ab7d54e",
+    "disc_stokes.csv": "b41ace237cb184eaf6dc4b6cd7ae209a764daea9bd08b7beb63ea6fa12a22188",
+    "disc_stokes.pgm": "1a96709eeb8cdb10be40883637046953bcf2e97c18b0b72d3d11a23f53e5f480",
+    "disc_anti_stokes.csv": "4b742f480ec070fa8e9e21585be35ae1e63f1f67b8bcd9a7bad5aed69b27c905",
+    "disc_anti_stokes.pgm": "c4fc6b88f55a2411042d0f10fd740067184fc49337b90c48da3bd8940f768eae",
+    "disc_fit.csv": "e434636778d97acf70ec21f75d22a9ea265bb52424ebd6af42b49b724194d26f",
+    "reverse_stokes.csv": "898aa90e5be0125dacbee4de727787edf45a43e09ed0eac636a0a6457ab44a5d",
+    "reverse_stokes.pgm": "eefcfbf49ccacfe69820f92cf01402bf548c968cbc766c2d1e69f6d52bcb1a5a",
+    "reverse_anti_stokes.csv": "ab24b57a318c7d2a3dcd87d539ed824c07df4a628a452d410f333d345dd53b9e",
+    "reverse_anti_stokes.pgm": "4475e5f59bda979d2d3ad5bd6ef23035724f2528ea939cdd66ae8ae571448d72",
+    "reverse_fit.csv": "cc6c6404c8c83421ba1c0977d28bf84ad4f9124bd29d4af3854d1cc0c1a276cd",
 }
 
 
@@ -409,7 +409,7 @@ def test_herald_sweep_csv(tmp_path, cfg_path, capsys):
 
 
 _PINNED_HERALD_ARGS = ["herald", "--shots", "20000", "--sweep-m", "1,10,100", "--seed", "3"]
-_PINNED_HERALD_DIGEST = "257ea319dc7386dd62f0fcdf53289fe16fb91035c24555d7cbdf7ec9d7c931c2"
+_PINNED_HERALD_DIGEST = "7ca4726da05f194716b9c6634cefba6250aceb1edeefd280bdf54089987e07ab"
 
 
 def test_herald_csv_digest_is_pinned(tmp_path, capsys):

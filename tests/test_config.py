@@ -136,8 +136,8 @@ def test_nan_rejected():
 def test_semantic_errors_become_config_errors():
     with pytest.raises(ConfigError):
         parse_config("[run]\nn_frames = 0\n")
-    with pytest.raises(ConfigError, match="inconsistent"):
-        parse_config("[herald]\nzeta = 0.25\np = 0.5\n")
+    with pytest.raises(ConfigError, match=r"p must lie in \[0, 1\)"):
+        parse_config("[herald]\nzeta = 1e300\n")
 
 
 def test_seed_must_fit_in_64_bits():
@@ -160,8 +160,9 @@ def test_herald_zeta_override_recomputes_p():
     cfg = parse_config("[herald]\nzeta = 0.25\n")
     assert cfg.herald.zeta == 0.25
     assert cfg.herald.p == pytest.approx(0.2)
-    cfg2 = parse_config("[herald]\np = 0.5\n")
-    assert cfg2.herald.zeta == pytest.approx(1.0)
+    # p follows from zeta and is not a key
+    with pytest.raises(ConfigError, match=r"exp.ini:2: unknown key 'p' in \[herald\]"):
+        parse_config("[herald]\np = 0.5\n", path="exp.ini")
 
 
 def test_checksum_is_stable_and_sensitive():
@@ -213,7 +214,7 @@ def test_shipped_default_config_is_the_dump_of_the_defaults():
 
 
 # overrides at least one key in every section, both renamed camera keys, a
-# two-axis chain, the herald p side of the zeta/p lock and a metadata key
+# two-axis chain, the herald zeta (that of p = 0.02) and a metadata key
 _EVERY_SECTION = """\
 [geometry]
 cell_length_m = 0.08
@@ -238,7 +239,7 @@ seed = 77
 n_frames = 250
 
 [herald]
-p = 0.02
+zeta = 0.020408163265306124
 
 [metadata]
 pump_power_mw = 65.0
@@ -250,9 +251,9 @@ operator = rk
     "text, dump_sha256, checksum",
     [
         (_EVERY_SECTION,
-         "0b8674ac6177a64d63a080ee7125f25379c31548c15f4f36a609a4c5453c23ab", 0x4DA67761AC74860B),
+         "0850e4e417245aafb43b543db40b15da8ee0a860e703f6e8171575a9ff7e3eda", 0xAF5A2417E4E45008),
         ("[herald]\nzeta = 0.25\n",
-         "2353b71f8212fc09d27bc984d627750ee570a138a95f4baba41a4fa572e72b31", 0x09FC12821FB75323),
+         "41af2bd68813ab89052787b7c0444541566a0a0fc34c128ce6658f03831e0cf0", 0x89AB1388D62BAF41),
     ],
     ids=["every-section", "herald-zeta"],
 )

@@ -116,34 +116,33 @@ def test_two_axis_chain_reaches_diagonal_targets():
 
 
 def test_zeta_p_mapping():
-    hc = HeraldConfig(modes=10, p=0.01)
-    assert hc.zeta == pytest.approx(0.010101010101010102, rel=1e-12, abs=0.0)
-    hc2 = HeraldConfig(modes=10, zeta=0.25)
-    assert hc2.p == pytest.approx(0.2, rel=1e-12, abs=0.0)
-    # both given and consistent
-    HeraldConfig(modes=3, zeta=0.25, p=0.2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        HeraldConfig(modes=3, zeta=0.25, p=0.21)
-    with pytest.raises(ValueError, match="zeta or p"):
+    """p = zeta / (1 + zeta) follows from zeta, the one input."""
+    assert HeraldConfig(modes=10, zeta=0.25).p == pytest.approx(0.2, rel=1e-12, abs=0.0)
+    assert HeraldConfig(modes=10, zeta=0.010101010101010102).p == pytest.approx(0.01, rel=1e-12, abs=0.0)
+    assert HeraldConfig(modes=10, zeta=0.0).p == 0.0
+    # p is not an input, and zeta has no default
+    with pytest.raises(TypeError):
+        HeraldConfig(modes=3, zeta=0.25, p=0.2)
+    with pytest.raises(TypeError):
         HeraldConfig(modes=3)
 
 
 def test_herald_config_validation():
-    with pytest.raises(ValueError):
-        HeraldConfig(modes=0, p=0.1)
-    with pytest.raises(ValueError):
-        HeraldConfig(modes=5, p=1.5)
-    with pytest.raises(ValueError):
-        HeraldConfig(modes=5, p=0.1, eta_detect=1.2)
-    with pytest.raises(ValueError):
-        HeraldConfig(modes=5, p=0.1, memory_lifetime_s=0.0)
-    # a zeta so large that p = zeta / (1 + zeta) rounds to 1, alone or paired
+    with pytest.raises(ValueError, match="mode count"):
+        HeraldConfig(modes=0, zeta=0.1)
+    with pytest.raises(ValueError, match="eta_detect"):
+        HeraldConfig(modes=5, zeta=0.1, eta_detect=1.2)
+    with pytest.raises(ValueError, match="switch latency"):
+        HeraldConfig(modes=5, zeta=0.1, switch_latency_s=-1.0)
+    with pytest.raises(ValueError, match="memory lifetime"):
+        HeraldConfig(modes=5, zeta=0.1, memory_lifetime_s=0.0)
+    # a negative, infinite or NaN zeta: no p in [0, 1) maps to one
+    for zeta in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="zeta must be >= 0"):
+            HeraldConfig(modes=5, zeta=zeta)
+    # a zeta so large that p = zeta / (1 + zeta) rounds to 1
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got 1.0"):
         HeraldConfig(modes=5, zeta=1e300)
-    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got 1.0"):
-        HeraldConfig(modes=5, zeta=1e300, p=1.0)
-    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\), got -1.0"):
-        HeraldConfig(modes=5, zeta=-0.5, p=-1.0)
 
 
 def test_herald_probability_closed_form():

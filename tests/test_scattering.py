@@ -476,9 +476,9 @@ def test_frames_independent_of_history(idx):
 # sha256 of the .rmns files the renderer wrote when these digests were pinned.
 # A renderer change that moves even one Poisson count changes a digest; such a
 # change is an output change and must be recorded as one, never re-seeded away.
-PINNED_DEFAULT_DIGEST = "dd81dbb5ea173c50b0b36c9a7cea4e1be3e215d6b44e96ba0791faa3e52d8c49"
-PINNED_SCHEDULE_DIGEST = "d4228575d1562da9890fc2efb71cae6d1126c45b2aa9e867aec1528d26c36b29"
-PINNED_BOTH_AXIS_DIGEST = "5b977a755c2b292f868bfb157db49e8b39afcd78acad0581c2e759aae6a057cd"
+PINNED_DEFAULT_DIGEST = "e944dbffdc358165403f06be83603e09761efc164a8f4924313b0300518576e9"
+PINNED_SCHEDULE_DIGEST = "e2435405a4187016903ca331067d848038d95008ff15702cbd54782601751f56"
+PINNED_BOTH_AXIS_DIGEST = "fc95e1fb452ddd6b59c29f70d537c4be936fd787bda1b9a74c33bf9076497f66"
 
 
 def _digest(path):
