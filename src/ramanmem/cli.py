@@ -39,8 +39,10 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, run=run)
 
 
-def _require_map_frames(count: int, source: str) -> None:
+def _require_map_frames(count: int, args) -> None:
+    """A map needs two frames; the error names what set the count: --stack, --frames or the config."""
     if count < 2:
+        source = getattr(args, "stack", None) or ("--frames" if args.frames is not None else args.config)
         raise ConfigError(f"a correlation map needs at least 2 frames, got {count}", path=source)
 
 
@@ -133,7 +135,7 @@ def cmd_correlate(args) -> int:
         cfg = _load_config(args)
         camera, count, seed, checksum = cfg.camera, cfg.run.n_frames, cfg.run.seed, cfg.checksum()
         blocks = _rendered_blocks(scattering.iter_simulated_frames(cfg))
-    _require_map_frames(count, args.stack or "--frames")
+    _require_map_frames(count, args)
     try:
         ref_angle = Angle2D(args.ref_x, args.ref_y)
         reference = analysis.Reference.place(camera, args.ref_pane, ref_angle, args.ref_radius)
@@ -189,7 +191,7 @@ def _fiber_grid(args, cfg: ExperimentConfig) -> list[Angle2D]:
 
 def cmd_steer(args) -> int:
     cfg = _load_config(args)
-    _require_map_frames(cfg.run.n_frames, "--frames")
+    _require_map_frames(cfg.run.n_frames, args)
     if args.fibers > cfg.camera.height_px:  # the fibers share one pixel column, one reference each
         raise ConfigError(f"more fibers than the {cfg.camera.height_px} pixels of a column", path="--fibers")
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)

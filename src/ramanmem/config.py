@@ -28,7 +28,6 @@ from .scattering import ModeGridParams, RetrievalModel, check_pixel_photons, mod
 
 __all__ = [
     "ConfigError",
-    "ModeGridParams",
     "RunParams",
     "ExperimentConfig",
     "default_config",

@@ -177,23 +177,14 @@ class HeraldConfig:
 
 @dataclass(frozen=True)
 class HeraldStats:
+    """Counts and rates of one `run_herald_protocol` run, which builds every HeraldStats."""
+
     shots: int
     heralds: int
     routed_successes: int
     multi_excitation_events: int
     success_prob: float
     multi_given_herald: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.heralds <= self.shots):
-            raise ValueError("herald count out of range")
-        if not (0 <= self.routed_successes <= self.heralds):
-            raise ValueError("success count out of range")
-        if not (0 <= self.multi_excitation_events <= self.heralds):
-            raise ValueError("multi-excitation count out of range")
-        for v in (self.success_prob, self.multi_given_herald):
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"probabilities must lie in [0, 1], got {v!r}")
 
 
 def herald_probability(modes: int, p: float) -> float:

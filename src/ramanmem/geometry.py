@@ -92,6 +92,9 @@ class OpticalChain:
     A drive tone detuned from ``base_freq_hz`` tilts the readout beam along the
     first entry of ``steer_axes``; the 4f pair (f1, f2) demagnifies that tilt
     onto the cell and f3 maps angle at the cell to position on the camera.
+    A second entry stands for a crossed AOD with the same law, whose tone no
+    command or report column lists: ``drive_freq_hz`` is always the first
+    axis's tone.
     """
 
     f1_m: float

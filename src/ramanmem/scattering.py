@@ -76,6 +76,11 @@ class ModeSet:
     is the predicted width of a correlation-map spot, which for this model is
     sqrt(1 + (lambda_read/lambda_write)^2) times the single-mode intensity
     FWHM (the covariance of two carrier-scaled Gaussian profiles).
+
+    The fields are not checked here: `build_mode_set`, the program's one
+    builder, guarantees non-empty, finite, read-only axes, a positive finite
+    sigma_urad, mean_photons in [0, PHOTON_SCALE_MAX] and a grid spacing of
+    at least sigma_urad.
     """
 
     x_urad: np.ndarray
@@ -87,28 +92,6 @@ class ModeSet:
     lambda_write_m: float
     lambda_read_m: float
     write_angle_urad: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        for name in ("x_urad", "y_urad"):
-            axis = np.array(getattr(self, name), dtype=float)
-            if axis.ndim != 1 or axis.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-d array")
-            if not np.all(np.isfinite(axis)):
-                raise ValueError(f"mode centres must be finite, {name} is not")
-            axis.setflags(write=False)
-            object.__setattr__(self, name, axis)
-        sigma, mean = float(self.sigma_urad), float(self.mean_photons)
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"the mode width must be positive and finite, got {sigma!r}")
-        if not 0.0 <= mean < math.inf:
-            raise ValueError(f"the mean photon number must be finite and >= 0, got {mean!r}")
-        if not self.grid_spacing_urad >= sigma:
-            raise ValueError(
-                "grid spacing below the mode width: modes would not be "
-                f"approximately orthogonal ({self.grid_spacing_urad:g} < {sigma:g})"
-            )
-        object.__setattr__(self, "sigma_urad", sigma)
-        object.__setattr__(self, "mean_photons", mean)
 
     @property
     def n_modes(self) -> int:
@@ -175,11 +158,13 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
             f"mode grid of {nx:g} x {ny:g} modes exceeds {MODE_COUNT_MAX} "
             f"(modes of {mode_fwhm_urad:g} urad FWHM over a {env.tolist()} urad envelope)"
         )
-    kx, ky = counts.astype(int).tolist()
+    x, y = (spacing * np.arange(-k, k + 1, dtype=float) for k in counts.astype(int).tolist())
+    x.setflags(write=False)
+    y.setflags(write=False)
     ratio = geom.lambda_read_m / geom.lambda_write_m
     return ModeSet(
-        x_urad=spacing * np.arange(-kx, kx + 1, dtype=float),
-        y_urad=spacing * np.arange(-ky, ky + 1, dtype=float),
+        x_urad=x,
+        y_urad=y,
         sigma_urad=sigma,
         mean_photons=float(mean_photons),
         grid_spacing_urad=spacing,
@@ -287,9 +272,9 @@ class RetrievalModel:
 
     eta_m = eta0 * exp(-d_diff |K_m|^2 tau_storage) * A(theta_read) with
     K_m the stored transverse wavevector of mode m and
-    A = exp(-|theta_read|^2 / (2 aberration_scale^2)); a non-positive or
-    infinite aberration scale disables the roll-off, and a positive one whose
-    square underflows is rejected.
+    A = exp(-|theta_read|^2 / (2 aberration_scale^2)).  The aberration scale
+    must be positive with a square that does not underflow to 0; inf
+    disables the roll-off, since the law then gives A = 1.0 exactly.
     """
 
     eta0: float
@@ -306,8 +291,11 @@ class RetrievalModel:
         if self.tau_storage_s < 0.0 or not math.isfinite(self.tau_storage_s):
             raise ValueError(f"tau_storage must be >= 0, got {self.tau_storage_s!r}")
         scale = self.aberration_scale_urad
-        if scale > 0.0 and 2.0 * scale * scale == 0.0:  # the roll-off would divide 0 by 0
-            raise ValueError(f"aberration_scale_urad {scale!r} is so small its square underflows to 0")
+        if not (scale > 0.0 and 2.0 * scale * scale > 0.0):  # else the roll-off divides by 0
+            raise ValueError(
+                "aberration_scale_urad must be positive and not so small that its square "
+                f"underflows to 0 (inf disables the roll-off), got {scale!r}"
+            )
         if not 0.0 <= self.noise_floor <= PHOTON_SCALE_MAX:
             raise ValueError(
                 f"noise_floor must lie in [0, {PHOTON_SCALE_MAX:g}], got {self.noise_floor!r}"
@@ -321,18 +309,15 @@ def retrieval_efficiencies(
 
     The one statement of the `RetrievalModel` law: eta0 times each mode's
     diffusion damping times the aberration roll-off A(theta_read), which is
-    1.0 when the roll-off is disabled.
+    1.0 at an infinite aberration scale.
     """
     k_mag = (
         np.linalg.norm(ms.centers_urad, axis=1)
         * (2.0 * math.pi * RAD_PER_URAD / ms.lambda_write_m)
     )
     scale = rm.aberration_scale_urad
-    if scale > 0.0 and math.isfinite(scale):
-        tr = np.asarray(theta_read_urad, dtype=float)
-        rolloff = math.exp(-float(tr @ tr) / (2.0 * scale * scale))
-    else:
-        rolloff = 1.0
+    tr = np.asarray(theta_read_urad, dtype=float)
+    rolloff = math.exp(-float(tr @ tr) / (2.0 * scale * scale))
     return rm.eta0 * np.exp(-rm.d_diff_m2_s * k_mag**2 * rm.tau_storage_s) * rolloff
 
 
@@ -343,8 +328,6 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     built directly from its spawn key, so it depends only on
     (seed, shot_index) and never on which shots were drawn before.
     """
-    if seed < 0 or shot_index < 0:
-        raise ValueError("seed and shot index must be non-negative")
     child = np.random.SeedSequence(seed, spawn_key=(shot_index,))
     return np.random.Generator(np.random.PCG64(child))
 

@@ -20,7 +20,7 @@ import ramanmem
 from ramanmem import analysis, cli, control, scattering, stackio
 from ramanmem.cli import main
 from ramanmem.config import RunParams, load_config
-from ramanmem.geometry import Angle2D, CameraGeometry
+from ramanmem.geometry import Angle2D, CameraGeometry, aod_chain_angle
 from ramanmem.scattering import Frame
 from ramanmem.stackio import StackWriter, read_stack
 
@@ -218,6 +218,27 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
     printed = re.findall(r"UNREACHABLE \((.*)\)$", out, re.MULTILINE)
     assert [r["note"] for r in rows if r["reachable"] == "0"] == printed
     assert all(", " in note for note in printed)
+
+
+@pytest.mark.parametrize("axes", ["x,y", "y,x"])
+def test_steer_report_tone_is_the_first_axis_tilt(tmp_path, axes):
+    """On a two-axis chain drive_freq_hz is the first axis's tone; no column lists the second's."""
+    config = tmp_path / "axes.ini"
+    config.write_text(SMALL_CFG + f"\n[chain]\nsteer_axes = {axes}\n")
+    chain = load_config(config).chain
+    first, second = chain.steer_axes
+    report = tmp_path / "steer.csv"
+    argv = ["steer", "--config", str(config), "--frames", "40", "--fibers", "2", "--fiber-x", "-40",
+            "--out", str(report)]
+    assert main(argv) == 0
+    with open(report, newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        tilt = aod_chain_angle(float(row["drive_freq_hz"]), chain)
+        assert getattr(tilt, f"theta_{first}") == pytest.approx(float(row[f"readout_{first}_urad"]), abs=1e-9)
+        assert getattr(tilt, f"theta_{second}") == 0.0 != float(row[f"readout_{second}_urad"])
 
 
 _PINNED_STEER_ARGS = ["steer", "--frames", "200", "--fibers", "2", "--seed", "50"]
@@ -460,6 +481,8 @@ def _exit_code(argv):
         ["simulate", "--frames", str(2**32), "--out", "{tmp}/x.rmns"],
         ["correlate", "--frames", "1", "--out", "{tmp}/one"],
         ["steer", "--frames", "1"],
+        ["correlate", "--config", "{one}", "--out", "{tmp}/one"],
+        ["steer", "--config", "{one}"],
         ["correlate", "--stack", "{stack}", "--seed", "9", "--out", "{tmp}/s"],
         ["correlate", "--stack", "{stack}", "--frames", "3", "--out", "{tmp}/s"],
         ["correlate", "--stack", "{stack}", "--out", "{tmp}/s"],
@@ -470,18 +493,25 @@ def _exit_code(argv):
         "herald-seed-2^64", "correlate-seed-2^64", "simulate-seed-2^64",
         "steer-fiber-seed-past-2^64", "ref-radius-neg", "ref-radius-nan",
         "fiber-radius-neg", "fiber-radius-nan", "frames-past-u32",
-        "correlate-one-frame", "steer-one-frame",
+        "correlate-one-frame", "steer-one-frame", "correlate-config-one-frame", "steer-config-one-frame",
         "correlate-stack-seed", "correlate-stack-frames", "correlate-stack-config",
     ],
 )
 def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
-    stack = tmp_path / "s.rmns"
+    stack, one = tmp_path / "s.rmns", tmp_path / "one.ini"
     if "{stack}" in argv:
         assert main(["simulate", "--config", cfg_path, "--frames", "3", "--out", str(stack)]) == 0
-    argv = [a.format(tmp=tmp_path, stack=stack) for a in argv] + ["--config", cfg_path]
+    if "{one}" in argv:
+        one.write_text(SMALL_CFG.replace("n_frames = 150", "n_frames = 1"))
+    else:
+        argv = [*argv, "--config", cfg_path]
+    argv = [a.format(tmp=tmp_path, stack=stack, one=one) for a in argv]
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    if "needs at least 2 frames" in err:  # named after what set the count: the flag, else the config
+        source = "--frames" if "--frames" in argv else str(one)
+        assert err == f"error: {source}: a correlation map needs at least 2 frames, got 1\n"
     assert not (tmp_path / "x.rmns").exists()
     if "--stack" in argv:  # one line, naming the first run flag a recorded stack cannot take
         flag = next(f for f in ("--seed", "--frames", "--config") if f in argv)
@@ -558,6 +588,8 @@ def _as_version_1(raw):
         ("config", b"[camera]\npane_width_px = 40000\npane_height_px = 40000\n"),
         ("config", b"[camera]\npane_width_px = 4294967296\npane_height_px = 2\n"),
         ("config", b"[retrieval]\naberration_scale_urad = 1e-300\n"),
+        ("config", b"[retrieval]\naberration_scale_urad = 0\n"),
+        ("config", b"[retrieval]\naberration_scale_urad = -5\n"),
         ("config", b"[geometry]\nlambda_read_m = 1e300\n"),
         ("config", b"[modes]\ngain_shrink = 5e-324\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = inf\n"),
@@ -576,7 +608,8 @@ def _as_version_1(raw):
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
         "config-pitch-past-paraxial", "config-pane-past-frame-record", "config-pane-width-past-u32",
-        "config-aberration-scale-underflows", "config-carrier-ratio-1e306",
+        "config-aberration-scale-underflows", "config-aberration-scale-0", "config-aberration-scale-neg",
+        "config-carrier-ratio-1e306",
         "config-gain-shrink-subnormal", "config-grid-spacing-inf",
         "config-f3-pixel-below-floor", "config-pitch-pixel-below-floor",
     ],

@@ -228,15 +228,6 @@ def test_retrieval_efficiency_lowers_success_not_heralds():
     assert 0 < stats.routed_successes < stats.heralds
 
 
-def test_herald_stats_validation():
-    with pytest.raises(ValueError):
-        HeraldStats(10, 11, 0, 0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        HeraldStats(10, 5, 6, 0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        HeraldStats(10, 5, 2, 1, 1.5, 0.0)
-
-
 def test_protocol_stream_is_pinned():
     # digest of the sampler's random stream: a change here is a stream change.
     # 70 000 shots are two full chunks and a partial one, so the chunk keying is pinned too
