@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
@@ -26,16 +26,23 @@ EXIT_UNREACHABLE = 3
 EXIT_FIT_FAILED = 4
 
 
+@contextmanager
+def _input(source: str, prefix: str = ""):
+    """The one exit-2 boundary: a ValueError raised while taking in `source` becomes a ConfigError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc), path=source) from None
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     run = cfg.run
-    try:
+    with _input("--seed/--frames"):
         if getattr(args, "seed", None) is not None:
             run = dataclasses.replace(run, seed=args.seed)
         if getattr(args, "frames", None) is not None:
             run = dataclasses.replace(run, n_frames=args.frames)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path="--seed/--frames") from None
     return dataclasses.replace(cfg, run=run)
 
 
@@ -82,16 +89,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     schedule = None
     if args.schedule:
-        try:
+        with _input(args.schedule):  # unknown columns, a bad cell, a tone outside the band or a row count
             schedule = control.load_schedule(args.schedule, cfg.chain)
-        except ValueError as exc:  # unknown columns, a bad cell or a tone outside the band
-            raise ConfigError(str(exc), path=args.schedule) from None
-        if len(schedule) != cfg.run.n_frames:
-            raise ConfigError(
-                f"schedule has {len(schedule)} rows but the run asks for "
-                f"{cfg.run.n_frames} frames",
-                path=args.schedule,
-            )
+            if len(schedule) != cfg.run.n_frames:
+                raise ValueError(
+                    f"schedule has {len(schedule)} rows but the run asks for {cfg.run.n_frames} frames"
+                )
     checksum = cfg.checksum()
     with stackio.StackWriter(
         args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, scattering.count_dtype(cfg)
@@ -111,16 +114,12 @@ def cmd_simulate(args) -> int:
 
 def _stack_blocks(path: str):
     """iter_stack_blocks with a bad header or body as a ConfigError."""
-    try:
+    with _input(path):  # bad magic or version, a truncated header, or a bad body length
         camera, count, seed, checksum, blocks = stackio.iter_stack_blocks(path)
-    except ValueError as exc:  # bad magic or version, a truncated header, or a bad body length
-        raise ConfigError(str(exc), path=path) from None
 
     def checked() -> Iterator[np.ndarray]:
-        try:
+        with _input(path):  # a body cut short after its header was read
             yield from blocks
-        except ValueError as exc:  # a body cut short after its header was read
-            raise ConfigError(str(exc), path=path) from None
 
     return camera, count, seed, checksum, checked()
 
@@ -136,11 +135,9 @@ def cmd_correlate(args) -> int:
         camera, count, seed, checksum = cfg.camera, cfg.run.n_frames, cfg.run.seed, cfg.checksum()
         blocks = _rendered_blocks(scattering.iter_simulated_frames(cfg))
     _require_map_frames(count, args)
-    try:
+    with _input("--ref-x/--ref-y"):  # past the paraxial bound, off the pane, or an empty disc
         ref_angle = Angle2D(args.ref_x, args.ref_y)
         reference = analysis.Reference.place(camera, args.ref_pane, ref_angle, args.ref_radius)
-    except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
-        raise ConfigError(str(exc), path="--ref-x/--ref-y") from None
     (cmap,) = _correlate_frames(blocks, [reference])
 
     prefix, stamp = args.out, analysis.provenance(seed, checksum)
@@ -195,16 +192,12 @@ def cmd_steer(args) -> int:
     if args.fibers > cfg.camera.height_px:  # the fibers share one pixel column, one reference each
         raise ConfigError(f"more fibers than the {cfg.camera.height_px} pixels of a column", path="--fibers")
     write_angle = Angle2D(*cfg.mode_set().write_angle_urad)
-    try:
+    with _input("--target-*/--fiber-*"):  # past the paraxial bound, off the pane, or an empty disc
         target = Angle2D(args.target_x, args.target_y)
         fibers = _fiber_grid(args, cfg)
         refs = [analysis.Reference.place(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers]
-    except ValueError as exc:  # past the paraxial bound, off the pane, or an empty disc
-        raise ConfigError(str(exc), path="--target-*/--fiber-*") from None
-    try:  # each compensated pass runs on its own seed
+    with _input("--seed", "per-fiber seed out of range: "):  # each compensated pass runs on its own seed
         run_cfgs = [cfg.with_seed(cfg.run.seed + 1000 * (i + 1)) for i in range(len(fibers))]
-    except ValueError as exc:
-        raise ConfigError(f"per-fiber seed out of range: {exc}", path="--seed") from None
 
     # baseline pass, no compensation: one run, every fiber as a reference
     baseline_fits = _twin_fits(cfg, refs)

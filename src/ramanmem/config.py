@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
 from .control import HeraldConfig
-from .geometry import BeamGeometry, CameraGeometry, OpticalChain
+from .geometry import BeamGeometry, CameraGeometry, OpticalChain, require_within
 from .scattering import ModeGridParams, RetrievalModel, check_pixel_photons, mode_set_from_config
 
 __all__ = [
@@ -59,10 +59,8 @@ class RunParams:
     n_frames: int = 10000
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= SEED_MAX:
-            raise ValueError(f"seed must lie in [0, 2**64 - 1], got {self.seed}")
-        if not 1 <= self.n_frames <= N_FRAMES_MAX:
-            raise ValueError(f"n_frames must lie in [1, 2**32 - 1], got {self.n_frames}")
+        require_within("seed", self.seed, 0, SEED_MAX)
+        require_within("n_frames", self.n_frames, 1, N_FRAMES_MAX)
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,8 @@ def _int(raw: str) -> int:
 
 
 def _axes(raw: str) -> tuple[str, ...]:
-    axes = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not axes or any(a not in ("x", "y") for a in axes):
-        raise ValueError(f"steer_axes must list 'x' and/or 'y', got {raw!r}")
-    return axes
+    """The comma-separated axis names; `OpticalChain` checks them."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 # field type -> parser of its value text

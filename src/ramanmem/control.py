@@ -25,6 +25,7 @@ from .geometry import (
     conjugate_angles,
     drive_frequency_for,
     phase_match,
+    require_within,
 )
 from .scattering import shot_rng
 
@@ -141,23 +142,17 @@ class HeraldConfig:
     memory_lifetime_s: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.modes!r}")
+        require_within("modes", self.modes, 1, math.inf)
         zeta = float(self.zeta)
-        if zeta < 0.0 or not math.isfinite(zeta):
-            raise ValueError(f"zeta must be >= 0, got {zeta!r}")
+        require_within("zeta", zeta, 0.0, math.inf, "[)")
         object.__setattr__(self, "zeta", zeta)
         # past zeta ~ 1e16, zeta / (1 + zeta) rounds to 1
         if not self.p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {self.p!r} (zeta={zeta!r})")
-        for name in ("eta_retrieve", "eta_detect"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.switch_latency_s < 0.0:
-            raise ValueError("switch latency must be >= 0")
-        if self.memory_lifetime_s <= 0.0:
-            raise ValueError("memory lifetime must be positive")
+        require_within("eta_retrieve", self.eta_retrieve, 0.0, 1.0)
+        require_within("eta_detect", self.eta_detect, 0.0, 1.0)
+        require_within("switch_latency_s", self.switch_latency_s, 0.0, math.inf)
+        require_within("memory_lifetime_s", self.memory_lifetime_s, 0.0, math.inf, "(]")
 
     @property
     def p(self) -> float:

@@ -28,10 +28,22 @@ PANE_PIXELS_MAX = (2**31 - 1 - 16) // 8
 CARRIER_RATIO_MAX = 2.0
 
 
-def _require_finite(label: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{label} must be finite, got {v!r}")
+def _bound(b) -> str:
+    return str(b) if isinstance(b, int) else f"{b:g}"
+
+
+def require_within(name: str, value, low, high, bounds: str = "[]") -> None:
+    """Reject a value outside the interval from low to high: the one range check of a single field.
+
+    `bounds` is "[]", "[)", "(]" or "()", a bracket for a closed end and a
+    parenthesis for an open one.  NaN lies in no interval, and an infinite
+    value lies only in one whose end at it is infinite and closed.  The
+    message is always "<name> must lie in <interval>, got <value>", with
+    integer bounds printed exactly.
+    """
+    left, right = bounds
+    if not ((value > low if left == "(" else value >= low) and (value < high if right == ")" else value <= high)):
+        raise ValueError(f"{name} must lie in {left}{_bound(low)}, {_bound(high)}{right}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +54,8 @@ class Angle2D:
     theta_y: float
 
     def __post_init__(self) -> None:
-        _require_finite("angle component", self.theta_x, self.theta_y)
-        if max(abs(self.theta_x), abs(self.theta_y)) >= PARAXIAL_LIMIT_URAD:
-            raise ValueError(
-                "paraxial bound exceeded: |theta| must stay below "
-                f"{PARAXIAL_LIMIT_URAD:g} urad, got ({self.theta_x}, {self.theta_y})"
-            )
+        require_within("theta_x", self.theta_x, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
+        require_within("theta_y", self.theta_y, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
 
     @classmethod
     def from_array(cls, arr) -> "Angle2D":
@@ -77,9 +85,7 @@ class BeamGeometry:
             "lambda_write_m",
             "lambda_read_m",
         ):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            require_within(name, getattr(self, name), 0.0, math.inf, "()")
         ratio = self.lambda_read_m / self.lambda_write_m
         if not 1.0 / CARRIER_RATIO_MAX <= ratio <= CARRIER_RATIO_MAX:
             raise ValueError(f"lambda_read_m / lambda_write_m = {ratio:g} is not within {CARRIER_RATIO_MAX:g}x of 1")
@@ -108,16 +114,14 @@ class OpticalChain:
 
     def __post_init__(self) -> None:
         for name in ("f1_m", "f2_m", "f3_m", "aod_slope_rad_per_hz"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            require_within(name, getattr(self, name), 0.0, math.inf, "()")
         if not (self.freq_min_hz <= self.base_freq_hz <= self.freq_max_hz):
             raise ValueError(
                 "AOD band must contain the base frequency: "
                 f"{self.freq_min_hz!r} <= {self.base_freq_hz!r} <= {self.freq_max_hz!r}"
             )
-        if not self.steer_axes or any(a not in ("x", "y") for a in self.steer_axes):
-            raise ValueError(f"steer_axes must name 'x' and/or 'y', got {self.steer_axes!r}")
+        if sorted(self.steer_axes) not in (["x"], ["y"], ["x", "y"]):
+            raise ValueError(f"steer_axes must name 'x' and/or 'y', each once, got {self.steer_axes!r}")
 
     @property
     def cell_slope_rad_per_hz(self) -> float:
@@ -147,22 +151,19 @@ class CameraGeometry:
     f3_m: float
 
     def __post_init__(self) -> None:
-        if self.width_px < 2 or self.height_px < 2:
-            raise ValueError("pane must be at least 2x2 pixels")
+        require_within("pane_width_px", self.width_px, 2, math.inf)
+        require_within("pane_height_px", self.height_px, 2, math.inf)
         if self.width_px * self.height_px > PANE_PIXELS_MAX:
             raise ValueError(
                 f"a {self.width_px}x{self.height_px} pane is too large to store "
                 f"(more than {PANE_PIXELS_MAX} pixels)"
             )
         for name in ("pixel_pitch_m", "f3_m"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            require_within(name, getattr(self, name), 0.0, math.inf, "()")
         # one check for every source of the two lengths, a config or a stack header; the
         # floor keeps every paraxial angle within 2**31 pixels of the origin (a C long)
-        if not PARAXIAL_LIMIT_URAD / 2**31 < self.pitch_urad <= PARAXIAL_LIMIT_URAD:
-            raise ValueError(f"a pixel of {self.pitch_urad:g} urad (pitch / f3) is not within "
-                             f"({PARAXIAL_LIMIT_URAD / 2**31:g}, {PARAXIAL_LIMIT_URAD:g}]")
+        require_within("a pixel in urad (pixel_pitch_m / f3_m)", self.pitch_urad,
+                       PARAXIAL_LIMIT_URAD / 2**31, PARAXIAL_LIMIT_URAD, "(]")
 
     @property
     def origin_px(self) -> tuple[int, int]:
@@ -245,7 +246,7 @@ def aod_chain_angle(drive_freq_hz: float, chain: OpticalChain) -> Angle2D:
     Raises ValueError for frequencies outside the configured band (a relative
     guard of 1e-9 of the band width absorbs float rounding at the edges).
     """
-    _require_finite("drive frequency", drive_freq_hz)
+    require_within("drive frequency", drive_freq_hz, -math.inf, math.inf, "()")
     band = chain.freq_max_hz - chain.freq_min_hz
     slack = 1e-9 * band if math.isfinite(band) else 0.0
     if not (chain.freq_min_hz - slack <= drive_freq_hz <= chain.freq_max_hz + slack):
@@ -265,5 +266,5 @@ def drive_frequency_for(deflection_urad: float, chain: OpticalChain) -> float:
     Exact inverse of :func:`aod_chain_angle`; no band clamp is applied here so
     callers can detect and report out-of-span requests themselves.
     """
-    _require_finite("deflection", deflection_urad)
+    require_within("deflection", deflection_urad, -math.inf, math.inf, "()")
     return chain.base_freq_hz + deflection_urad * RAD_PER_URAD / chain.cell_slope_rad_per_hz

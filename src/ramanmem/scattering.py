@@ -35,6 +35,7 @@ from .geometry import (
     BeamGeometry,
     CameraGeometry,
     conjugate_angles,
+    require_within,
 )
 
 __all__ = [
@@ -122,23 +123,16 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
     envelope see a statistically uniform neighbourhood.  Mean photon number is
     uniform across the grid.
     """
-    env = np.broadcast_to(np.asarray(modes.envelope_fwhm_urad, dtype=float), (2,)).copy()
-    if np.any(~np.isfinite(env)) or np.any(env <= 0.0):
-        raise ValueError(f"envelope FWHM must be positive, got {modes.envelope_fwhm_urad!r}")
-    mean_photons = modes.mean_photons_per_mode
-    if not 0.0 <= mean_photons <= PHOTON_SCALE_MAX:
-        raise ValueError(
-            f"mean photons per mode must lie in [0, {PHOTON_SCALE_MAX:g}], got {mean_photons!r}"
-        )
-    if not (modes.spot_constant > 0.0 and math.isfinite(modes.spot_constant)):
-        raise ValueError(f"spot_constant must be positive, got {modes.spot_constant!r}")
-    if modes.grid_spacing_sigma < 1.0:
-        raise ValueError("grid_spacing_sigma below 1 breaks mode orthogonality")
-    if modes.grid_margin_sigma < 0.0:
-        raise ValueError("grid_margin_sigma must be >= 0")
-    if not (modes.gain_shrink > 0.0 and math.isfinite(modes.gain_shrink)):
-        raise ValueError(f"gain_shrink must be positive, got {modes.gain_shrink!r}")
+    require_within("envelope_fwhm_urad", modes.envelope_fwhm_urad, 0.0, math.inf, "()")
+    require_within("readout_envelope_fwhm_urad", modes.readout_envelope_fwhm_urad, 0.0, math.inf, "()")
+    require_within("mean_photons_per_mode", modes.mean_photons_per_mode, 0.0, PHOTON_SCALE_MAX)
+    require_within("spot_constant", modes.spot_constant, 0.0, math.inf, "()")
+    require_within("gain_shrink", modes.gain_shrink, 0.0, math.inf, "()")
+    # a spacing below one sigma breaks mode orthogonality
+    require_within("grid_spacing_sigma", modes.grid_spacing_sigma, 1.0, math.inf)
+    require_within("grid_margin_sigma", modes.grid_margin_sigma, 0.0, math.inf)
 
+    env = np.broadcast_to(np.asarray(modes.envelope_fwhm_urad, dtype=float), (2,)).copy()
     d_eff = 2.0 * geom.w0_write_m / modes.gain_shrink  # the emitting region: the write beam shrunk by gain
     mode_fwhm_urad = modes.spot_constant * geom.lambda_write_m / d_eff / RAD_PER_URAD
     if np.any(env < mode_fwhm_urad):
@@ -166,7 +160,7 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
         x_urad=x,
         y_urad=y,
         sigma_urad=sigma,
-        mean_photons=float(mean_photons),
+        mean_photons=float(modes.mean_photons_per_mode),
         grid_spacing_urad=spacing,
         spot_fwhm_urad=math.sqrt(1.0 + ratio * ratio) * mode_fwhm_urad,
         lambda_write_m=geom.lambda_write_m,
@@ -284,22 +278,16 @@ class RetrievalModel:
     noise_floor: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eta0 <= 1.0):
-            raise ValueError(f"eta0 must lie in [0, 1], got {self.eta0!r}")
-        if self.d_diff_m2_s < 0.0 or not math.isfinite(self.d_diff_m2_s):
-            raise ValueError(f"d_diff must be >= 0, got {self.d_diff_m2_s!r}")
-        if self.tau_storage_s < 0.0 or not math.isfinite(self.tau_storage_s):
-            raise ValueError(f"tau_storage must be >= 0, got {self.tau_storage_s!r}")
+        require_within("eta0", self.eta0, 0.0, 1.0)
+        require_within("d_diff_m2_s", self.d_diff_m2_s, 0.0, math.inf, "[)")
+        require_within("tau_storage_s", self.tau_storage_s, 0.0, math.inf, "[)")
         scale = self.aberration_scale_urad
         if not (scale > 0.0 and 2.0 * scale * scale > 0.0):  # else the roll-off divides by 0
             raise ValueError(
                 "aberration_scale_urad must be positive and not so small that its square "
                 f"underflows to 0 (inf disables the roll-off), got {scale!r}"
             )
-        if not 0.0 <= self.noise_floor <= PHOTON_SCALE_MAX:
-            raise ValueError(
-                f"noise_floor must lie in [0, {PHOTON_SCALE_MAX:g}], got {self.noise_floor!r}"
-            )
+        require_within("noise_floor", self.noise_floor, 0.0, PHOTON_SCALE_MAX)
 
 
 def retrieval_efficiencies(

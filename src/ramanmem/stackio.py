@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import struct
-from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -195,21 +194,6 @@ def read_stack(path) -> FrameStack:
     )
 
 
-def _iter_records(path):
-    """Header plus a lazy iterator over (angles, counts) blocks of `_BLOCK` frames."""
-    with open(path, "rb") as fh:
-        camera, count, seed, checksum, record = _read_header(fh)
-        body = fh.tell()
-
-    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        with open(path, "rb") as fh:
-            fh.seek(body)
-            for start in range(0, count, _BLOCK):
-                yield _read_frames(fh, record, start, min(_BLOCK, count - start))
-
-    return camera, count, seed, checksum, blocks()
-
-
 def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.ndarray]]:
     """Header plus a lazy iterator over (n, 2, H, W) blocks of frame counts.
 
@@ -222,9 +206,18 @@ def iter_stack_blocks(path) -> tuple[CameraGeometry, int, int, int, Iterator[np.
     The iterator opens the file only when iteration starts, so a caller
     that never iterates holds no open handle.
     """
-    camera, count, seed, checksum, records = _iter_records(path)
-    # map, not a generator expression, whose frame would hold the last block
-    return camera, count, seed, checksum, map(itemgetter(1), records)
+    with open(path, "rb") as fh:
+        camera, count, seed, checksum, record = _read_header(fh)
+        body = fh.tell()
+
+    def blocks() -> Iterator[np.ndarray]:
+        with open(path, "rb") as fh:
+            fh.seek(body)
+            for start in range(0, count, _BLOCK):
+                # yielded unbound, so the generator holds no block while the caller folds it
+                yield _read_frames(fh, record, start, min(_BLOCK, count - start))[1]
+
+    return camera, count, seed, checksum, blocks()
 
 
 # a name perfbench/tracing.py still wraps; no program path calls it (ROADMAP item 1 removes it)

@@ -595,6 +595,10 @@ def _as_version_1(raw):
         ("config", b"[modes]\ngrid_spacing_sigma = inf\n"),
         ("config", b"[chain]\nf3_m = 1e300\n"),
         ("config", b"[camera]\npixel_pitch_m = 5e-324\n"),
+        ("config", b"[modes]\nreadout_envelope_fwhm_urad = -5\n"),
+        ("config", b"[chain]\nsteer_axes = y,y\n"),
+        ("config", b"[herald]\nswitch_latency_s = -1\n"),
+        ("config", b"[herald]\nmemory_lifetime_s = 0\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
@@ -612,6 +616,8 @@ def _as_version_1(raw):
         "config-carrier-ratio-1e306",
         "config-gain-shrink-subnormal", "config-grid-spacing-inf",
         "config-f3-pixel-below-floor", "config-pitch-pixel-below-floor",
+        "config-readout-envelope-neg", "config-steer-axis-twice", "config-switch-latency-neg",
+        "config-memory-lifetime-0",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):

@@ -1,6 +1,7 @@
 """Geometry layer: the conjugate law, the AOD chain and camera projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ramanmem.geometry import (
     conjugate_angles,
     drive_frequency_for,
     phase_match,
+    require_within,
 )
 
 GEOM = BeamGeometry(
@@ -198,3 +200,33 @@ def test_pixel_angle_axes():
 def test_fwhm_sigma_constant():
     assert FWHM_PER_SIGMA == pytest.approx(2.3548200450309493, rel=1e-15)
     assert FWHM_PER_SIGMA == pytest.approx(2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+@pytest.mark.parametrize("bounds", ["[]", "[)", "(]", "()"])
+def test_require_within_each_bounds_form(bounds):
+    """A closed end takes its bound, an open end rejects it; one step past either end, and NaN, are rejected."""
+    low_closed, high_closed = bounds[0] == "[", bounds[1] == "]"
+    cases = [
+        (0.5, True), (-1.0, low_closed), (2.0, high_closed),
+        (math.nextafter(-1.0, -math.inf), False), (math.nextafter(2.0, math.inf), False),
+        (math.nan, False), (math.inf, False), (-math.inf, False),
+    ]
+    for value, inside in cases:
+        if inside:
+            require_within("v", value, -1.0, 2.0, bounds)
+        else:
+            message = f"v must lie in {bounds[0]}-1, 2{bounds[1]}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                require_within("v", value, -1.0, 2.0, bounds)
+    # an infinite value lies only in an interval whose end at it is infinite and closed
+    for value, low, high, closed in ((math.inf, 0.0, math.inf, high_closed), (-math.inf, -math.inf, 0.0, low_closed)):
+        if closed:
+            require_within("v", value, low, high, bounds)
+        else:
+            with pytest.raises(ValueError):
+                require_within("v", value, low, high, bounds)
+
+
+def test_require_within_prints_integer_bounds_exactly():
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, 18446744073709551615\], got 18446744073709551616$"):
+        require_within("seed", 2**64, 0, 2**64 - 1)
