@@ -38,11 +38,10 @@ def _input(source: str, prefix: str = ""):
 def _load_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     run = cfg.run
-    with _input("--seed/--frames"):
-        if getattr(args, "seed", None) is not None:
-            run = dataclasses.replace(run, seed=args.seed)
-        if getattr(args, "frames", None) is not None:
-            run = dataclasses.replace(run, n_frames=args.frames)
+    for flag, name in (("seed", "seed"), ("frames", "n_frames")):
+        if getattr(args, flag, None) is not None:
+            with _input(f"--{flag}"):
+                run = dataclasses.replace(run, **{name: getattr(args, flag)})
     return dataclasses.replace(cfg, run=run)
 
 
@@ -196,7 +195,8 @@ def cmd_steer(args) -> int:
         target = Angle2D(args.target_x, args.target_y)
         fibers = _fiber_grid(args, cfg)
         refs = [analysis.Reference.place(cfg.camera, "stokes", f, args.fiber_radius) for f in fibers]
-    with _input("--seed", "per-fiber seed out of range: "):  # each compensated pass runs on its own seed
+    # each compensated pass runs on its own seed, set by --seed or else the config
+    with _input("--seed" if args.seed is not None else args.config, "per-fiber seed out of range: "):
         run_cfgs = [cfg.with_seed(cfg.run.seed + 1000 * (i + 1)) for i in range(len(fibers))]
 
     # baseline pass, no compensation: one run, every fiber as a reference

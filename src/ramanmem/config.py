@@ -11,7 +11,8 @@ Grammar (documented here and in the README):
 * [metadata] is free-form UTF-8 text; it never influences the simulation and
   is written to no output, but it enters the config checksum
 
-Every value has a default, so a config file only needs the keys it overrides.
+Every value has a default, stated once on its section's field, so a config
+file only needs the keys it overrides.
 The checksum of the normalized dump travels in every output file header.
 """
 
@@ -63,29 +64,6 @@ class RunParams:
         require_within("n_frames", self.n_frames, 1, N_FRAMES_MAX)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    geometry: BeamGeometry
-    chain: OpticalChain
-    modes: ModeGridParams
-    retrieval: RetrievalModel
-    camera: CameraGeometry
-    run: RunParams
-    herald: HeraldConfig
-    metadata: dict = field(default_factory=dict)
-
-    def checksum(self) -> int:
-        """64-bit checksum of the normalized config text."""
-        digest = hashlib.sha256(dump_config(self).encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
-
-    def mode_set(self):
-        return mode_set_from_config(self)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, run=replace(self.run, seed=seed))
-
-
 _DEFAULT_METADATA = {
     "detuning_write_ghz": "1.0",
     "detuning_read_ghz": "1.0",
@@ -100,51 +78,33 @@ _DEFAULT_METADATA = {
 }
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The whole setup; each section's defaults are its fields' defaults."""
+
+    geometry: BeamGeometry = BeamGeometry()
+    chain: OpticalChain = OpticalChain()
+    modes: ModeGridParams = ModeGridParams()
+    retrieval: RetrievalModel = RetrievalModel()
+    camera: CameraGeometry = CameraGeometry()
+    run: RunParams = RunParams()
+    herald: HeraldConfig = HeraldConfig()
+    metadata: dict = field(default_factory=_DEFAULT_METADATA.copy)
+
+    def checksum(self) -> int:
+        """64-bit checksum of the normalized config text."""
+        digest = hashlib.sha256(dump_config(self).encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "little")
+
+    def mode_set(self):
+        return mode_set_from_config(self)
+
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        return replace(self, run=replace(self.run, seed=seed))
+
+
 def default_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        geometry=BeamGeometry(
-            w0_write_m=3.5e-3,
-            w0_read_m=3.5e-3,
-            w0_pump_m=6.0e-3,
-            cell_length_m=0.1,
-            lambda_write_m=795e-9,
-            lambda_read_m=780e-9,
-        ),
-        chain=OpticalChain(
-            f1_m=0.05,
-            f2_m=0.75,
-            f3_m=0.5,
-            base_freq_hz=80e6,
-            aod_slope_rad_per_hz=3e-10,
-            freq_min_hz=70e6,
-            freq_max_hz=90e6,
-            steer_axes=("y",),
-        ),
-        modes=ModeGridParams(),
-        retrieval=RetrievalModel(
-            eta0=0.85,
-            d_diff_m2_s=0.12,
-            tau_storage_s=1.0e-6,
-            aberration_scale_urad=600.0,
-            noise_floor=2.0,
-        ),
-        camera=CameraGeometry(
-            width_px=128,
-            height_px=64,
-            pixel_pitch_m=7.5e-6,
-            f3_m=0.5,
-        ),
-        run=RunParams(),
-        herald=HeraldConfig(
-            modes=20,
-            zeta=0.01,
-            eta_retrieve=0.6,
-            eta_detect=0.55,
-            switch_latency_s=1.0e-7,
-            memory_lifetime_s=1.0e-6,
-        ),
-        metadata=dict(_DEFAULT_METADATA),
-    )
+    return ExperimentConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +135,18 @@ _KEYS = {("camera", "width_px"): "pane_width_px", ("camera", "height_px"): "pane
 _KEYLESS = {("camera", "f3_m")}
 
 
-# section -> key -> (field name, parser): each section of ExperimentConfig is
-# filled from the section of its name, and each field of it from the key of its
-# name unless _KEYS renames it, in field order
+# section -> its dataclass: each section of ExperimentConfig but metadata
+_SECTIONS = {s: cls for s, cls in get_type_hints(ExperimentConfig).items() if s != "metadata"}
+# section -> key -> (field name, parser): each section is filled from the section
+# of its name, and each field of it from the key of its name unless _KEYS renames
+# it, in field order
 _SCHEMA = {
     section: {
         _KEYS.get((section, name), name): (name, _PARSERS[kind])
         for name, kind in get_type_hints(cls).items()
         if (section, name) not in _KEYLESS
     }
-    for section, cls in get_type_hints(ExperimentConfig).items()
-    if section != "metadata"
+    for section, cls in _SECTIONS.items()
 }
 
 
@@ -234,11 +195,10 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for '{key}': {exc}", path, line_no) from None
 
-    base = default_config()
-    values["camera"]["f3_m"] = values["chain"].get("f3_m", base.chain.f3_m)
+    values["camera"]["f3_m"] = values["chain"].get("f3_m", OpticalChain.f3_m)
     try:
         cfg = ExperimentConfig(
-            **{s: replace(getattr(base, s), **values[s]) for s in _SCHEMA}, metadata=metadata
+            **{s: cls(**values[s]) for s, cls in _SECTIONS.items()}, metadata=metadata
         )
         # values the mode grid rejects, and pixels too coarse for its modes
         check_pixel_photons(mode_set_from_config(cfg), cfg.camera)

@@ -134,12 +134,12 @@ class HeraldConfig:
     from it.
     """
 
-    modes: int
-    zeta: float
-    eta_retrieve: float = 1.0
-    eta_detect: float = 1.0
-    switch_latency_s: float = 0.0
-    memory_lifetime_s: float = math.inf
+    modes: int = 20
+    zeta: float = 0.01
+    eta_retrieve: float = 0.6
+    eta_detect: float = 0.55
+    switch_latency_s: float = 1.0e-7
+    memory_lifetime_s: float = 1.0e-6
 
     def __post_init__(self) -> None:
         require_within("modes", self.modes, 1, math.inf)

@@ -69,12 +69,12 @@ class Angle2D:
 class BeamGeometry:
     """Beam waists, cell length and the two optical carriers."""
 
-    w0_write_m: float
-    w0_read_m: float
-    w0_pump_m: float
-    cell_length_m: float
-    lambda_write_m: float
-    lambda_read_m: float
+    w0_write_m: float = 3.5e-3
+    w0_read_m: float = 3.5e-3
+    w0_pump_m: float = 6.0e-3
+    cell_length_m: float = 0.1
+    lambda_write_m: float = 795e-9
+    lambda_read_m: float = 780e-9
 
     def __post_init__(self) -> None:
         for name in (
@@ -103,13 +103,13 @@ class OpticalChain:
     axis's tone.
     """
 
-    f1_m: float
-    f2_m: float
-    f3_m: float
-    base_freq_hz: float
-    aod_slope_rad_per_hz: float
-    freq_min_hz: float
-    freq_max_hz: float
+    f1_m: float = 0.05
+    f2_m: float = 0.75
+    f3_m: float = 0.5
+    base_freq_hz: float = 80e6
+    aod_slope_rad_per_hz: float = 3e-10
+    freq_min_hz: float = 70e6
+    freq_max_hz: float = 90e6
     steer_axes: tuple[str, ...] = ("y",)
 
     def __post_init__(self) -> None:
@@ -145,10 +145,10 @@ class CameraGeometry:
     ((ix - origin_x) * pitch / f3, (iy - origin_y) * pitch / f3).
     """
 
-    width_px: int
-    height_px: int
-    pixel_pitch_m: float
-    f3_m: float
+    width_px: int = 128
+    height_px: int = 64
+    pixel_pitch_m: float = 7.5e-6
+    f3_m: float = OpticalChain.f3_m  # the chain's far-field lens
 
     def __post_init__(self) -> None:
         require_within("pane_width_px", self.width_px, 2, math.inf)

@@ -271,11 +271,11 @@ class RetrievalModel:
     disables the roll-off, since the law then gives A = 1.0 exactly.
     """
 
-    eta0: float
-    d_diff_m2_s: float
-    tau_storage_s: float
-    aberration_scale_urad: float
-    noise_floor: float
+    eta0: float = 0.85
+    d_diff_m2_s: float = 0.12
+    tau_storage_s: float = 1.0e-6
+    aberration_scale_urad: float = 600.0
+    noise_floor: float = 2.0
 
     def __post_init__(self) -> None:
         require_within("eta0", self.eta0, 0.0, 1.0)

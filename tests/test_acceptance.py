@@ -367,12 +367,15 @@ def test_criterion_7_statistics_oracles():
 
 
 def test_criterion_8_herald_protocol():
+    # the laws below are those of a unit-efficiency detector and memory with an instant
+    # switch and no decay; the latency-gated run replaces the switch and memory times
+    ideal = dict(eta_retrieve=1.0, eta_detect=1.0, switch_latency_s=0.0, memory_lifetime_s=math.inf)
     cases = [(10, 0.01, 81), (100, 0.01, 82), (1000, 0.004, 83)]
     shots = 120_000
     rate_lines = []
     ok_rates = True
     for modes, p, seed in cases:
-        hc = control.HeraldConfig(modes=modes, zeta=p / (1.0 - p))
+        hc = control.HeraldConfig(modes=modes, zeta=p / (1.0 - p), **ideal)
         stats = control.run_herald_protocol(hc, shots, seed=seed)
         expect = control.herald_probability(modes, p)
         se = math.sqrt(expect * (1.0 - expect) / shots)
@@ -380,7 +383,7 @@ def test_criterion_8_herald_protocol():
         ok_rates = ok_rates and abs(rate - expect) < 3.0 * se
         rate_lines.append(f"M={modes}: {rate:.5f} vs {expect:.5f} (3SE {3 * se:.5f})")
 
-    hc = control.HeraldConfig(modes=20, zeta=0.01)
+    hc = control.HeraldConfig(modes=20, zeta=0.01, **ideal)
     stats = control.run_herald_protocol(hc, 200_000, seed=84)
     exact = control.multi_given_herald_exact(hc.zeta)
     se_multi = math.sqrt(exact * (1.0 - exact) / stats.heralds)
@@ -388,7 +391,7 @@ def test_criterion_8_herald_protocol():
 
     gated = control.run_herald_protocol(
         control.HeraldConfig(
-            modes=20, zeta=0.05, switch_latency_s=2e-6, memory_lifetime_s=1e-6
+            modes=20, zeta=0.05, **{**ideal, "switch_latency_s": 2e-6, "memory_lifetime_s": 1e-6}
         ),
         5_000,
         seed=85,

@@ -512,6 +512,9 @@ def test_bad_input_exits_2(tmp_path, cfg_path, capsys, argv):
     if "needs at least 2 frames" in err:  # named after what set the count: the flag, else the config
         source = "--frames" if "--frames" in argv else str(one)
         assert err == f"error: {source}: a correlation map needs at least 2 frames, got 1\n"
+    for flag, name in (("--seed", "seed"), ("--frames", "n_frames")):
+        if f" {name} must lie in" in err:  # a run value out of range names the one flag that set it
+            assert err.startswith(f"error: {flag}: ")
     assert not (tmp_path / "x.rmns").exists()
     if "--stack" in argv:  # one line, naming the first run flag a recorded stack cannot take
         flag = next(f for f in ("--seed", "--frames", "--config") if f in argv)
@@ -599,6 +602,9 @@ def _as_version_1(raw):
         ("config", b"[chain]\nsteer_axes = y,y\n"),
         ("config", b"[herald]\nswitch_latency_s = -1\n"),
         ("config", b"[herald]\nmemory_lifetime_s = 0\n"),
+        ("config", b"[run]\nseed = 18446744073709551616\n"),
+        ("config", b"[run]\nn_frames = 4294967296\n"),
+        ("steer-config", b"[run]\nseed = 18446744073709551000\n"),
     ],
     ids=[
         "stack-bad-magic", "stack-truncated-header", "stack-truncated-body", "stack-one-frame",
@@ -617,7 +623,8 @@ def _as_version_1(raw):
         "config-gain-shrink-subnormal", "config-grid-spacing-inf",
         "config-f3-pixel-below-floor", "config-pitch-pixel-below-floor",
         "config-readout-envelope-neg", "config-steer-axis-twice", "config-switch-latency-neg",
-        "config-memory-lifetime-0",
+        "config-memory-lifetime-0", "config-seed-past-u64", "config-frames-past-u32",
+        "steer-config-fiber-seed-past-u64",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
@@ -631,6 +638,9 @@ def test_bad_input_file_exits_2(tmp_path, cfg_path, capsys, kind, make):
     elif kind == "config":
         bad.write_bytes(make)
         argv = ["simulate", "--config", str(bad), "--frames", "1", "--out", str(tmp_path / "x.rmns")]
+    elif kind == "steer-config":  # a valid config whose seed steer's per-fiber passes push past u64
+        bad.write_bytes(make)
+        argv = ["steer", "--config", str(bad), "--frames", "5", "--out", str(tmp_path / "x.rmns")]
     else:
         bad.write_text(make, encoding="utf-8")
         argv = ["simulate", "--config", cfg_path, "--frames", "1", "--schedule", str(bad),

@@ -8,12 +8,15 @@ import pytest
 
 from ramanmem.config import (
     ConfigError,
+    RunParams,
     default_config,
     dump_config,
     load_config,
     parse_config,
 )
-from ramanmem.geometry import PANE_PIXELS_MAX
+from ramanmem.control import HeraldConfig
+from ramanmem.geometry import PANE_PIXELS_MAX, BeamGeometry, CameraGeometry, OpticalChain
+from ramanmem.scattering import ModeGridParams, RetrievalModel
 from ramanmem.stackio import _record_dtype
 
 
@@ -24,6 +27,27 @@ def test_dump_parse_round_trip():
 
 def test_empty_text_gives_defaults():
     assert parse_config("") == default_config()
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        ("geometry", BeamGeometry),
+        ("chain", OpticalChain),
+        ("modes", ModeGridParams),
+        ("retrieval", RetrievalModel),
+        ("camera", CameraGeometry),
+        ("run", RunParams),
+        ("herald", HeraldConfig),
+    ],
+)
+def test_each_section_defaults_to_its_fields_defaults(section, cls):
+    """A section built with no arguments is that section of the default config."""
+    assert cls() == getattr(default_config(), section)
+
+
+def test_camera_focal_length_defaults_to_the_chains():
+    assert CameraGeometry().f3_m == OpticalChain().f3_m
 
 
 def test_partial_override_keeps_other_defaults():

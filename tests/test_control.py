@@ -114,17 +114,25 @@ def test_two_axis_chain_reaches_diagonal_targets():
 
 # --- herald config and closed forms ------------------------------------------------
 
+# a unit-efficiency detector and memory with an instant switch and no decay; the
+# protocol tests below state it, since HeraldConfig defaults to the config's values
+IDEAL = dict(eta_retrieve=1.0, eta_detect=1.0, switch_latency_s=0.0, memory_lifetime_s=math.inf)
+
+
+def ideal_herald(**kwargs) -> HeraldConfig:
+    """A HeraldConfig over IDEAL, with `kwargs` replacing any of its values."""
+    return HeraldConfig(**{**IDEAL, **kwargs})
+
+
 
 def test_zeta_p_mapping():
     """p = zeta / (1 + zeta) follows from zeta, the one input."""
     assert HeraldConfig(modes=10, zeta=0.25).p == pytest.approx(0.2, rel=1e-12, abs=0.0)
     assert HeraldConfig(modes=10, zeta=0.010101010101010102).p == pytest.approx(0.01, rel=1e-12, abs=0.0)
     assert HeraldConfig(modes=10, zeta=0.0).p == 0.0
-    # p is not an input, and zeta has no default
+    # p is not an input
     with pytest.raises(TypeError):
         HeraldConfig(modes=3, zeta=0.25, p=0.2)
-    with pytest.raises(TypeError):
-        HeraldConfig(modes=3)
 
 
 def test_herald_config_validation():
@@ -182,7 +190,7 @@ def test_multi_given_herald_against_series(zeta, eta):
 
 
 def test_protocol_is_deterministic():
-    hc = HeraldConfig(modes=10, zeta=0.02)
+    hc = ideal_herald(modes=10, zeta=0.02)
     a = run_herald_protocol(hc, 20_000, seed=5)
     b = run_herald_protocol(hc, 20_000, seed=5)
     assert a == b
@@ -191,7 +199,7 @@ def test_protocol_is_deterministic():
 
 
 def test_latency_gate_kills_success_not_heralds():
-    hc = HeraldConfig(
+    hc = ideal_herald(
         modes=10, zeta=0.05, switch_latency_s=2e-6, memory_lifetime_s=1e-6
     )
     stats = run_herald_protocol(hc, 30_000, seed=1)
@@ -204,7 +212,7 @@ def test_latency_gate_kills_success_not_heralds():
 def test_single_mode_low_gain_success_rate():
     # M=1, eta=1: success per shot is P(n >= 1) = zeta / (1 + zeta)
     zeta = 0.002
-    hc = HeraldConfig(modes=1, zeta=zeta)
+    hc = ideal_herald(modes=1, zeta=zeta)
     shots = 100_000
     stats = run_herald_protocol(hc, shots, seed=7)
     expect = zeta / (1 + zeta)
@@ -215,15 +223,15 @@ def test_single_mode_low_gain_success_rate():
 
 
 def test_detection_thinning_lowers_herald_rate():
-    hc_full = HeraldConfig(modes=50, zeta=0.01)
-    hc_thin = HeraldConfig(modes=50, zeta=0.01, eta_detect=0.3)
+    hc_full = ideal_herald(modes=50, zeta=0.01)
+    hc_thin = ideal_herald(modes=50, zeta=0.01, eta_detect=0.3)
     full = run_herald_protocol(hc_full, 40_000, seed=2)
     thin = run_herald_protocol(hc_thin, 40_000, seed=2)
     assert thin.heralds < full.heralds
 
 
 def test_retrieval_efficiency_lowers_success_not_heralds():
-    hc = HeraldConfig(modes=20, zeta=0.02, eta_retrieve=0.4)
+    hc = ideal_herald(modes=20, zeta=0.02, eta_retrieve=0.4)
     stats = run_herald_protocol(hc, 40_000, seed=3)
     assert 0 < stats.routed_successes < stats.heralds
 
@@ -232,7 +240,7 @@ def test_protocol_stream_is_pinned():
     # digest of the sampler's random stream: a change here is a stream change.
     # 70 000 shots are two full chunks and a partial one, so the chunk keying is pinned too
     assert 2 * control.HERALD_CHUNK < 70_000 < 3 * control.HERALD_CHUNK
-    hc = HeraldConfig(modes=20, zeta=0.05, eta_detect=0.55, eta_retrieve=0.6)
+    hc = ideal_herald(modes=20, zeta=0.05, eta_detect=0.55, eta_retrieve=0.6)
     stats = run_herald_protocol(hc, 70_000, seed=11)
     assert stats == HeraldStats(
         shots=70_000,
@@ -246,7 +254,7 @@ def test_protocol_stream_is_pinned():
 
 @pytest.mark.parametrize("kwargs", [{"zeta": 0.0}, {"zeta": 0.5, "eta_detect": 0.0}])
 def test_protocol_without_detections_never_heralds(kwargs):
-    stats = run_herald_protocol(HeraldConfig(modes=10, **kwargs), 1_000, seed=1)
+    stats = run_herald_protocol(ideal_herald(modes=10, **kwargs), 1_000, seed=1)
     assert (stats.heralds, stats.routed_successes, stats.multi_excitation_events) == (0, 0, 0)
     assert stats.success_prob == 0.0 and stats.multi_given_herald == 0.0
 
@@ -280,7 +288,7 @@ def test_unit_detection_skips_undetected_draw(monkeypatch):
     # D >= 2, and their D, and nothing else: a draw of U, by any sampler, is one more call
     chunks = _record_chunk_draws(monkeypatch)
     zeta, shots = 0.3, 60_000
-    stats = run_herald_protocol(HeraldConfig(modes=5, zeta=zeta), shots, seed=21)
+    stats = run_herald_protocol(ideal_herald(modes=5, zeta=zeta), shots, seed=21)
     assert chunks == [["binomial", "binomial", "geometric"]] * 2
     exact = multi_given_herald_exact(zeta)
     se = math.sqrt(exact * (1 - exact) / stats.heralds)
@@ -293,7 +301,7 @@ def test_unit_detection_skips_undetected_draw(monkeypatch):
     single = ["binomial", "random", "geometric", "geometric"]
     for zeta, more in ((0.3, ["negative_binomial"]), (0.02, [])):
         chunks.clear()
-        run_herald_protocol(HeraldConfig(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
+        run_herald_protocol(ideal_herald(modes=5, zeta=zeta, eta_detect=0.9), 100, seed=21)
         assert chunks == [["binomial", "binomial", "geometric", "negative_binomial", *more, *single]]
 
 
@@ -303,8 +311,8 @@ def test_edge_retrieval_efficiencies(eta_retrieve):
     # eta_r = 1 retrieves from every heralded shot.  The retrieval is a chunk's last
     # draw, so the herald and multi-excitation counts match those at eta_r = 0.6
     base = dict(modes=20, zeta=0.05, eta_detect=0.55)
-    stats = run_herald_protocol(HeraldConfig(eta_retrieve=eta_retrieve, **base), 70_000, seed=13)
-    mid = run_herald_protocol(HeraldConfig(eta_retrieve=0.6, **base), 70_000, seed=13)
+    stats = run_herald_protocol(ideal_herald(eta_retrieve=eta_retrieve, **base), 70_000, seed=13)
+    mid = run_herald_protocol(ideal_herald(eta_retrieve=0.6, **base), 70_000, seed=13)
     assert stats.heralds == mid.heralds > 0
     assert stats.multi_excitation_events == mid.multi_excitation_events
     assert stats.routed_successes == (stats.heralds if eta_retrieve else 0)
@@ -320,7 +328,7 @@ def _success_given_herald_series(zeta, eta_detect, eta_retrieve, terms=400):
 
 def test_protocol_laws_at_imperfect_efficiencies():
     zeta, eta_d, eta_r, modes, shots = 0.2, 0.55, 0.6, 8, 200_000
-    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
+    hc = ideal_herald(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
     stats = run_herald_protocol(hc, shots, seed=31)
     h = stats.heralds
 
@@ -341,7 +349,7 @@ def test_protocol_laws_at_low_undetected_probability():
     # excitations, and G0 >= 1 has probability 1 / (1 + u) = 0.65 among those, so a
     # sampler that drew that split at even odds would retrieve too rarely
     zeta, eta_d, eta_r, modes, shots = 2.0, 0.3, 0.5, 3, 1_000_000
-    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
+    hc = ideal_herald(modes=modes, zeta=zeta, eta_detect=eta_d, eta_retrieve=eta_r)
     stats = run_herald_protocol(hc, shots, seed=61)
     h = stats.heralds
 
@@ -364,7 +372,7 @@ def test_chunk_herald_count_is_binomial():
     # rate of 1e-6, by the Wilson-Hilferty quantile for the variance.
     size, modes, zeta, alpha = control.HERALD_CHUNK, 10, 0.05, 1e-6
     counts = [
-        run_herald_protocol(HeraldConfig(modes=modes, zeta=zeta), size, seed=seed).heralds
+        run_herald_protocol(ideal_herald(modes=modes, zeta=zeta), size, seed=seed).heralds
         for seed in range(5_000, 5_400)
     ]
     rate = herald_probability(modes, zeta / (1 + zeta))
@@ -386,7 +394,7 @@ def test_chunk_multi_excitation_count_is_binomial():
     # and undetected excitations: a count of them fixed at its mean would keep every
     # rate right and shrink the spread.  The bounds are those of the herald count test.
     size, modes, zeta, eta_d, alpha = control.HERALD_CHUNK, 10, 0.05, 0.1, 1e-6
-    hc = HeraldConfig(modes=modes, zeta=zeta, eta_detect=eta_d)
+    hc = ideal_herald(modes=modes, zeta=zeta, eta_detect=eta_d)
     counts = [
         run_herald_protocol(hc, size, seed=seed).multi_excitation_events
         for seed in range(6_000, 6_400)
@@ -407,7 +415,7 @@ def test_chunk_multi_excitation_count_is_binomial():
 
 def test_saturated_herald_probability_heralds_every_shot():
     # P rounds to 1 at M = 1e9: every shot heralds, over several chunks
-    hc = HeraldConfig(modes=10**9, zeta=0.01)
+    hc = ideal_herald(modes=10**9, zeta=0.01)
     assert herald_probability(hc.modes, hc.p) == 1.0
     stats = run_herald_protocol(hc, 70_000, seed=51)
     assert stats.heralds == stats.shots == 70_000
@@ -415,7 +423,7 @@ def test_saturated_herald_probability_heralds_every_shot():
 
 def test_protocol_memory_does_not_grow_with_modes():
     modes, shots = 10**6, 20_000
-    hc = HeraldConfig(modes=modes, zeta=1e-6, eta_detect=0.5, eta_retrieve=0.5)
+    hc = ideal_herald(modes=modes, zeta=1e-6, eta_detect=0.5, eta_retrieve=0.5)
     tracemalloc.start()
     try:
         stats = run_herald_protocol(hc, shots, seed=41)
@@ -430,7 +438,7 @@ def test_protocol_memory_does_not_grow_with_modes():
 def test_dense_regime_stays_in_chunk_memory():
     # at zeta = 1e9 a routed mode holds ~1e9 excitations, so every heralded shot is a
     # multi-excitation shot and D is too large to draw U as D + 1 geometric counts
-    hc = HeraldConfig(modes=20, zeta=1e9, eta_detect=0.5, eta_retrieve=0.5)
+    hc = ideal_herald(modes=20, zeta=1e9, eta_detect=0.5, eta_retrieve=0.5)
     tracemalloc.start()
     try:
         stats = run_herald_protocol(hc, 70_000, seed=71)
@@ -442,7 +450,7 @@ def test_dense_regime_stays_in_chunk_memory():
 
 
 def test_protocol_argument_validation():
-    hc = HeraldConfig(modes=2, zeta=0.1)
+    hc = ideal_herald(modes=2, zeta=0.1)
     with pytest.raises(ValueError):
         run_herald_protocol(hc, 0, seed=1)
 
