@@ -281,11 +281,20 @@ def _gauss_model(p: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 def _initial_guess(
     gx: np.ndarray, gy: np.ndarray, z: np.ndarray, pitch: float
 ) -> np.ndarray:
-    """Centroid of the brightest 5% of pixels seeds the fit."""
+    """One sort of the window seeds the fit: the centroid of its brightest 5%
+    above the window's median, read off the same sort bit for bit as
+    np.median gives it (np.median would load numpy.ma, which no command loads).
+    """
     k = max(1, int(math.ceil(0.05 * z.size)))
     order = np.argsort(z)
     top = order[-k:]
-    floor = float(np.median(z))
+    # the middle value or two summed from +0.0 over their count, as np.median
+    # does: a median of zeros is +0.0 whichever signs the sort leaves there
+    mid = z.size // 2
+    if z.size % 2:
+        floor = 0.0 + float(z[order[mid]])
+    else:
+        floor = (0.0 + float(z[order[mid - 1]]) + float(z[order[mid]])) / 2.0
     w = np.clip(z[top] - floor, 1e-12, None)
     x0 = float(np.sum(gx[top] * w) / np.sum(w))
     y0 = float(np.sum(gy[top] * w) / np.sum(w))

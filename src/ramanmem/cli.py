@@ -206,7 +206,8 @@ def cmd_steer(args) -> int:
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
     ys = np.array([fibers[i].theta_y for i in good])
     slope = intercept = float("nan")
-    if len(np.unique(ys)) >= 2:  # a line needs converged fibers at two heights
+    # a line needs converged fibers at two heights (a set, as np.unique would load numpy.ma)
+    if len(set(ys.tolist())) >= 2:
         ts = np.array([baseline_fits[i].center_y_urad for i in good])
         coeffs = np.polyfit(ys, ts, 1)
         slope, intercept = float(coeffs[0]), float(coeffs[1])

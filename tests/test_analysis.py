@@ -343,6 +343,30 @@ def test_fit_reports_failure_on_empty_window():
     assert not fit.converged
 
 
+def _floor(z):
+    """The median floor _initial_guess seeds the fit's offset with (its last element)."""
+    z = np.asarray(z, dtype=float).ravel()
+    return float(an._initial_guess(np.zeros_like(z), np.zeros_like(z), z, 1.0)[-1])
+
+
+def _median_windows():
+    rng = np.random.default_rng(35)
+    for n in (*range(7, 42), 40 * 41, 41 * 41):
+        yield rng.normal(size=n)  # distinct values
+        yield rng.integers(-3, 4, size=n).astype(float)  # ties at the middle
+        yield np.full(n, 0.25)  # one repeated value
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        yield np.concatenate([zeros[: n // 3], 1.0 + rng.random(n - n // 3)])  # both zeros, off the middle
+        yield np.concatenate([np.full(n - n // 3, -0.0), rng.normal(size=n // 3)])  # -0.0 at the middle
+        yield np.concatenate([np.full(n // 2, -0.0), 1.0 + rng.random(n - n // 2)])  # -0.0 beside a value
+        yield zeros  # a tie of both zeros: +0.0, as np.median gives
+
+
+def test_initial_floor_is_the_median_bit_for_bit():
+    for z in _median_windows():
+        assert struct.pack("<d", _floor(z)) == struct.pack("<d", float(np.median(z))), z
+
+
 @given(
     st.floats(min_value=-80.0, max_value=80.0),
     st.floats(min_value=30.0, max_value=90.0),
