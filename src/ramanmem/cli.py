@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import __version__, analysis, control, scattering, stackio
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import Angle2D
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ def _input(source: str, prefix: str = ""):
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     run = cfg.run
     for flag, name in (("seed", "seed"), ("frames", "n_frames")):
         if getattr(args, flag, None) is not None:

@@ -8,6 +8,9 @@ Grammar (documented here and in the README):
 * each section but [metadata] is one field of ExperimentConfig, and its keys
   are the fields of that section's dataclass, parsed by their annotated
   types; unknown keys are rejected with a file:line anchored error
+* a field's "key" metadata, where it has one, renames its key or (None)
+  leaves it without one; its "within" metadata is the interval its section
+  checks it against (`geometry.require_fields_within`), naming it by its key
 * [metadata] is free-form UTF-8 text; it never influences the simulation and
   is written to no output, but it enters the config checksum
 
@@ -20,18 +23,18 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
 from .control import HeraldConfig
-from .geometry import BeamGeometry, CameraGeometry, OpticalChain, require_within
+from .geometry import BeamGeometry, CameraGeometry, OpticalChain, bounded, require_fields_within
 from .scattering import ModeGridParams, RetrievalModel, check_pixel_photons, mode_set_from_config
+from .stackio import N_FRAMES_MAX, SEED_MAX
 
 __all__ = [
     "ConfigError",
     "RunParams",
     "ExperimentConfig",
-    "default_config",
     "parse_config",
     "load_config",
     "dump_config",
@@ -47,21 +50,13 @@ class ConfigError(Exception):
         super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
 
 
-# seeds are the entropy of each run's SeedSequence (one PCG64 child per shot)
-# and are stored as u64 in stack headers
-SEED_MAX = 2**64 - 1
-# stack headers store the frame count as u32
-N_FRAMES_MAX = 2**32 - 1
-
-
 @dataclass(frozen=True)
 class RunParams:
-    seed: int = 12345
-    n_frames: int = 10000
+    seed: int = bounded(12345, 0, SEED_MAX)
+    n_frames: int = bounded(10000, 1, N_FRAMES_MAX)
 
     def __post_init__(self) -> None:
-        require_within("seed", self.seed, 0, SEED_MAX)
-        require_within("n_frames", self.n_frames, 1, N_FRAMES_MAX)
+        require_fields_within(self)
 
 
 _DEFAULT_METADATA = {
@@ -103,10 +98,6 @@ class ExperimentConfig:
         return replace(self, run=replace(self.run, seed=seed))
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 # ---------------------------------------------------------------------------
 # schema
 
@@ -129,25 +120,22 @@ def _axes(raw: str) -> tuple[str, ...]:
 
 # field type -> parser of its value text
 _PARSERS = {float: _float, int: _int, tuple[str, ...]: _axes}
-# a pane key names the pane it sizes; CameraGeometry describes one pane
-_KEYS = {("camera", "width_px"): "pane_width_px", ("camera", "height_px"): "pane_height_px"}
-# the camera's far-field lens is the chain's last lens, so it has no key of its own
-_KEYLESS = {("camera", "f3_m")}
 
 
 # section -> its dataclass: each section of ExperimentConfig but metadata
 _SECTIONS = {s: cls for s, cls in get_type_hints(ExperimentConfig).items() if s != "metadata"}
+
+
+def _keys(cls) -> dict:
+    """key -> (field name, parser) of each field of cls with a key: its "key" metadata, else its name."""
+    hints = get_type_hints(cls)
+    keyed = ((f.metadata.get("key", f.name), f.name) for f in fields(cls))
+    return {key: (name, _PARSERS[hints[name]]) for key, name in keyed if key is not None}
+
+
 # section -> key -> (field name, parser): each section is filled from the section
-# of its name, and each field of it from the key of its name unless _KEYS renames
-# it, in field order
-_SCHEMA = {
-    section: {
-        _KEYS.get((section, name), name): (name, _PARSERS[kind])
-        for name, kind in get_type_hints(cls).items()
-        if (section, name) not in _KEYLESS
-    }
-    for section, cls in _SECTIONS.items()
-}
+# of its name, and each field of it from its key, in field order
+_SCHEMA = {section: _keys(cls) for section, cls in _SECTIONS.items()}
 
 
 def _tokenize(text: str, path: str):

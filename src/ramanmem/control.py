@@ -22,10 +22,11 @@ from .geometry import (
     BeamGeometry,
     OpticalChain,
     aod_chain_angle,
+    bounded,
     conjugate_angles,
     drive_frequency_for,
     phase_match,
-    require_within,
+    require_fields_within,
 )
 from .scattering import shot_rng
 
@@ -134,25 +135,19 @@ class HeraldConfig:
     from it.
     """
 
-    modes: int = 20
-    zeta: float = 0.01
-    eta_retrieve: float = 0.6
-    eta_detect: float = 0.55
-    switch_latency_s: float = 1.0e-7
-    memory_lifetime_s: float = 1.0e-6
+    modes: int = bounded(20, 1, math.inf)
+    zeta: float = bounded(0.01, 0.0, math.inf, "[)")
+    eta_retrieve: float = bounded(0.6, 0.0, 1.0)
+    eta_detect: float = bounded(0.55, 0.0, 1.0)
+    switch_latency_s: float = bounded(1.0e-7, 0.0, math.inf)
+    memory_lifetime_s: float = bounded(1.0e-6, 0.0, math.inf, "(]")
 
     def __post_init__(self) -> None:
-        require_within("modes", self.modes, 1, math.inf)
-        zeta = float(self.zeta)
-        require_within("zeta", zeta, 0.0, math.inf, "[)")
-        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "zeta", float(self.zeta))
+        require_fields_within(self)
         # past zeta ~ 1e16, zeta / (1 + zeta) rounds to 1
         if not self.p < 1.0:
-            raise ValueError(f"p must lie in [0, 1), got {self.p!r} (zeta={zeta!r})")
-        require_within("eta_retrieve", self.eta_retrieve, 0.0, 1.0)
-        require_within("eta_detect", self.eta_detect, 0.0, 1.0)
-        require_within("switch_latency_s", self.switch_latency_s, 0.0, math.inf)
-        require_within("memory_lifetime_s", self.memory_lifetime_s, 0.0, math.inf, "(]")
+            raise ValueError(f"p must lie in [0, 1), got {self.p!r} (zeta={self.zeta!r})")
 
     @property
     def p(self) -> float:

@@ -12,7 +12,8 @@ safe to call from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -28,12 +29,14 @@ PANE_PIXELS_MAX = (2**31 - 1 - 16) // 8
 CARRIER_RATIO_MAX = 2.0
 
 
-def _bound(b) -> str:
-    return str(b) if isinstance(b, int) else f"{b:g}"
+def _interval(low, high, bounds: str) -> str:
+    """The interval as `require_within` prints it, integer bounds exactly: "(0, inf)", "[1, 4294967295]"."""
+    low, high = (str(b) if isinstance(b, int) else f"{b:g}" for b in (low, high))
+    return f"{bounds[0]}{low}, {high}{bounds[1]}"
 
 
 def require_within(name: str, value, low, high, bounds: str = "[]") -> None:
-    """Reject a value outside the interval from low to high: the one range check of a single field.
+    """Reject a value outside the interval from low to high: the one range check of a single value.
 
     `bounds` is "[]", "[)", "(]" or "()", a bracket for a closed end and a
     parenthesis for an open one.  NaN lies in no interval, and an infinite
@@ -43,19 +46,41 @@ def require_within(name: str, value, low, high, bounds: str = "[]") -> None:
     """
     left, right = bounds
     if not ((value > low if left == "(" else value >= low) and (value < high if right == ")" else value <= high)):
-        raise ValueError(f"{name} must lie in {left}{_bound(low)}, {_bound(high)}{right}, got {value!r}")
+        raise ValueError(f"{name} must lie in {_interval(low, high, bounds)}, got {value!r}")
+
+
+def bounded(default, low, high, bounds: str = "[]", **metadata):
+    """A dataclass field whose "within" metadata is the interval `require_fields_within` keeps it in.
+
+    A "key" names its config key and its message in place of the field's name (None: no config key).
+    """
+    return field(default=default, metadata={"within": (low, high, bounds), **metadata})
+
+
+@cache
+def _intervals(cls) -> tuple:
+    """(field, message name, low, high, bounds) of each field of cls that declares an interval."""
+    return tuple(
+        (f.name, f.metadata.get("key") or f.name, *f.metadata["within"])
+        for f in fields(cls) if "within" in f.metadata
+    )
+
+
+def require_fields_within(obj) -> None:
+    """Check each field of a dataclass instance against the interval its metadata declares: the one validator."""
+    for attr, name, low, high, bounds in _intervals(type(obj)):
+        require_within(name, getattr(obj, attr), low, high, bounds)
 
 
 @dataclass(frozen=True)
 class Angle2D:
     """Far-field propagation direction, components in microradians."""
 
-    theta_x: float
-    theta_y: float
+    theta_x: float = bounded(MISSING, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
+    theta_y: float = bounded(MISSING, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
 
     def __post_init__(self) -> None:
-        require_within("theta_x", self.theta_x, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
-        require_within("theta_y", self.theta_y, -PARAXIAL_LIMIT_URAD, PARAXIAL_LIMIT_URAD, "()")
+        require_fields_within(self)
 
     @classmethod
     def from_array(cls, arr) -> "Angle2D":
@@ -69,23 +94,15 @@ class Angle2D:
 class BeamGeometry:
     """Beam waists, cell length and the two optical carriers."""
 
-    w0_write_m: float = 3.5e-3
-    w0_read_m: float = 3.5e-3
-    w0_pump_m: float = 6.0e-3
-    cell_length_m: float = 0.1
-    lambda_write_m: float = 795e-9
-    lambda_read_m: float = 780e-9
+    w0_write_m: float = bounded(3.5e-3, 0.0, math.inf, "()")
+    w0_read_m: float = bounded(3.5e-3, 0.0, math.inf, "()")
+    w0_pump_m: float = bounded(6.0e-3, 0.0, math.inf, "()")
+    cell_length_m: float = bounded(0.1, 0.0, math.inf, "()")
+    lambda_write_m: float = bounded(795e-9, 0.0, math.inf, "()")
+    lambda_read_m: float = bounded(780e-9, 0.0, math.inf, "()")
 
     def __post_init__(self) -> None:
-        for name in (
-            "w0_write_m",
-            "w0_read_m",
-            "w0_pump_m",
-            "cell_length_m",
-            "lambda_write_m",
-            "lambda_read_m",
-        ):
-            require_within(name, getattr(self, name), 0.0, math.inf, "()")
+        require_fields_within(self)
         ratio = self.lambda_read_m / self.lambda_write_m
         if not 1.0 / CARRIER_RATIO_MAX <= ratio <= CARRIER_RATIO_MAX:
             raise ValueError(f"lambda_read_m / lambda_write_m = {ratio:g} is not within {CARRIER_RATIO_MAX:g}x of 1")
@@ -103,18 +120,17 @@ class OpticalChain:
     axis's tone.
     """
 
-    f1_m: float = 0.05
-    f2_m: float = 0.75
-    f3_m: float = 0.5
+    f1_m: float = bounded(0.05, 0.0, math.inf, "()")
+    f2_m: float = bounded(0.75, 0.0, math.inf, "()")
+    f3_m: float = bounded(0.5, 0.0, math.inf, "()")
     base_freq_hz: float = 80e6
-    aod_slope_rad_per_hz: float = 3e-10
+    aod_slope_rad_per_hz: float = bounded(3e-10, 0.0, math.inf, "()")
     freq_min_hz: float = 70e6
     freq_max_hz: float = 90e6
     steer_axes: tuple[str, ...] = ("y",)
 
     def __post_init__(self) -> None:
-        for name in ("f1_m", "f2_m", "f3_m", "aod_slope_rad_per_hz"):
-            require_within(name, getattr(self, name), 0.0, math.inf, "()")
+        require_fields_within(self)
         if not (self.freq_min_hz <= self.base_freq_hz <= self.freq_max_hz):
             raise ValueError(
                 "AOD band must contain the base frequency: "
@@ -145,21 +161,19 @@ class CameraGeometry:
     ((ix - origin_x) * pitch / f3, (iy - origin_y) * pitch / f3).
     """
 
-    width_px: int = 128
-    height_px: int = 64
-    pixel_pitch_m: float = 7.5e-6
-    f3_m: float = OpticalChain.f3_m  # the chain's far-field lens
+    # a pane key names the pane it sizes; the far-field lens is the chain's last, so it has no key
+    width_px: int = bounded(128, 2, math.inf, key="pane_width_px")
+    height_px: int = bounded(64, 2, math.inf, key="pane_height_px")
+    pixel_pitch_m: float = bounded(7.5e-6, 0.0, math.inf, "()")
+    f3_m: float = bounded(OpticalChain.f3_m, 0.0, math.inf, "()", key=None)
 
     def __post_init__(self) -> None:
-        require_within("pane_width_px", self.width_px, 2, math.inf)
-        require_within("pane_height_px", self.height_px, 2, math.inf)
+        require_fields_within(self)
         if self.width_px * self.height_px > PANE_PIXELS_MAX:
             raise ValueError(
                 f"a {self.width_px}x{self.height_px} pane is too large to store "
                 f"(more than {PANE_PIXELS_MAX} pixels)"
             )
-        for name in ("pixel_pitch_m", "f3_m"):
-            require_within(name, getattr(self, name), 0.0, math.inf, "()")
         # one check for every source of the two lengths, a config or a stack header; the
         # floor keeps every paraxial angle within 2**31 pixels of the origin (a C long)
         require_within("a pixel in urad (pixel_pitch_m / f3_m)", self.pitch_urad,

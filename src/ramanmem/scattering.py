@@ -34,8 +34,9 @@ from .geometry import (
     Angle2D,
     BeamGeometry,
     CameraGeometry,
+    bounded,
     conjugate_angles,
-    require_within,
+    require_fields_within,
 )
 
 __all__ = [
@@ -79,9 +80,10 @@ class ModeSet:
     FWHM (the covariance of two carrier-scaled Gaussian profiles).
 
     The fields are not checked here: `build_mode_set`, the program's one
-    builder, guarantees non-empty, finite, read-only axes, a positive finite
-    sigma_urad, mean_photons in [0, PHOTON_SCALE_MAX] and a grid spacing of
-    at least sigma_urad.
+    builder, guarantees non-empty, finite, read-only axes and a positive
+    finite sigma_urad.  The intervals of its `ModeGridParams` section give the
+    rest: mean_photons in [0, PHOTON_SCALE_MAX] and a grid spacing of at least
+    sigma_urad.
     """
 
     x_urad: np.ndarray
@@ -121,17 +123,9 @@ def build_mode_set(geom: BeamGeometry, modes: ModeGridParams) -> ModeSet:
     grid_spacing_sigma * sigma covering the envelope plus grid_margin_sigma
     extra sigmas per side, so correlation spots referenced anywhere inside the
     envelope see a statistically uniform neighbourhood.  Mean photon number is
-    uniform across the grid.
+    uniform across the grid.  The section checks each of its values against its
+    interval as it is built; this checks only what the values derive together.
     """
-    require_within("envelope_fwhm_urad", modes.envelope_fwhm_urad, 0.0, math.inf, "()")
-    require_within("readout_envelope_fwhm_urad", modes.readout_envelope_fwhm_urad, 0.0, math.inf, "()")
-    require_within("mean_photons_per_mode", modes.mean_photons_per_mode, 0.0, PHOTON_SCALE_MAX)
-    require_within("spot_constant", modes.spot_constant, 0.0, math.inf, "()")
-    require_within("gain_shrink", modes.gain_shrink, 0.0, math.inf, "()")
-    # a spacing below one sigma breaks mode orthogonality
-    require_within("grid_spacing_sigma", modes.grid_spacing_sigma, 1.0, math.inf)
-    require_within("grid_margin_sigma", modes.grid_margin_sigma, 0.0, math.inf)
-
     env = np.broadcast_to(np.asarray(modes.envelope_fwhm_urad, dtype=float), (2,)).copy()
     d_eff = 2.0 * geom.w0_write_m / modes.gain_shrink  # the emitting region: the write beam shrunk by gain
     mode_fwhm_urad = modes.spot_constant * geom.lambda_write_m / d_eff / RAD_PER_URAD
@@ -249,15 +243,19 @@ def count_dtype(cfg) -> np.dtype:
 
 @dataclass(frozen=True)
 class ModeGridParams:
-    """The [modes] section: the mode grid `build_mode_set` lays out."""
+    """The [modes] section: the mode grid `build_mode_set` lays out, each value in its interval."""
 
-    gain_shrink: float = 2.0
-    envelope_fwhm_urad: float = 758.946695
-    readout_envelope_fwhm_urad: float = 536.656315
-    mean_photons_per_mode: float = 1000.0
-    spot_constant: float = 0.754212
-    grid_spacing_sigma: float = 1.5
-    grid_margin_sigma: float = 3.0
+    gain_shrink: float = bounded(2.0, 0.0, math.inf, "()")
+    envelope_fwhm_urad: float = bounded(758.946695, 0.0, math.inf, "()")
+    readout_envelope_fwhm_urad: float = bounded(536.656315, 0.0, math.inf, "()")
+    mean_photons_per_mode: float = bounded(1000.0, 0.0, PHOTON_SCALE_MAX)
+    spot_constant: float = bounded(0.754212, 0.0, math.inf, "()")
+    # a spacing below one sigma breaks mode orthogonality
+    grid_spacing_sigma: float = bounded(1.5, 1.0, math.inf)
+    grid_margin_sigma: float = bounded(3.0, 0.0, math.inf)
+
+    def __post_init__(self) -> None:
+        require_fields_within(self)
 
 
 @dataclass(frozen=True)
@@ -271,23 +269,20 @@ class RetrievalModel:
     disables the roll-off, since the law then gives A = 1.0 exactly.
     """
 
-    eta0: float = 0.85
-    d_diff_m2_s: float = 0.12
-    tau_storage_s: float = 1.0e-6
+    eta0: float = bounded(0.85, 0.0, 1.0)
+    d_diff_m2_s: float = bounded(0.12, 0.0, math.inf, "[)")
+    tau_storage_s: float = bounded(1.0e-6, 0.0, math.inf, "[)")
     aberration_scale_urad: float = 600.0
-    noise_floor: float = 2.0
+    noise_floor: float = bounded(2.0, 0.0, PHOTON_SCALE_MAX)
 
     def __post_init__(self) -> None:
-        require_within("eta0", self.eta0, 0.0, 1.0)
-        require_within("d_diff_m2_s", self.d_diff_m2_s, 0.0, math.inf, "[)")
-        require_within("tau_storage_s", self.tau_storage_s, 0.0, math.inf, "[)")
+        require_fields_within(self)
         scale = self.aberration_scale_urad
         if not (scale > 0.0 and 2.0 * scale * scale > 0.0):  # else the roll-off divides by 0
             raise ValueError(
                 "aberration_scale_urad must be positive and not so small that its square "
                 f"underflows to 0 (inf disables the roll-off), got {scale!r}"
             )
-        require_within("noise_floor", self.noise_floor, 0.0, PHOTON_SCALE_MAX)
 
 
 def retrieval_efficiencies(

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geometry import CameraGeometry
+from .geometry import CameraGeometry, require_within
 from .scattering import COUNT_DTYPES, Frame, FrameStack
 
 __all__ = ["MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks"]
@@ -43,6 +43,10 @@ __all__ = ["MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks"]
 MAGIC = b"RMNS"
 VERSION = 2
 _HEADER = struct.Struct("<4sHIIIddQQH")
+# the header's frame count is a u32 and its seed a u64; a seed is the entropy of
+# its run's SeedSequence (one PCG64 child per shot)
+N_FRAMES_MAX = 2**32 - 1
+SEED_MAX = 2**64 - 1
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
@@ -70,8 +74,8 @@ class StackWriter:
         self, path, camera: CameraGeometry, n_frames: int, seed: int, config_checksum: int,
         count_dtype,
     ):
-        if n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
+        require_within("n_frames", n_frames, 1, N_FRAMES_MAX)
+        require_within("seed", seed, 0, SEED_MAX)
         counts = np.dtype(count_dtype).newbyteorder("<")
         if counts not in COUNT_DTYPES:
             raise ValueError(f"stack counts must be u16 or u32, got {counts}")

@@ -13,7 +13,7 @@ import numpy as np
 from ramanmem import analysis, control, scattering
 from ramanmem.cli import _rendered_blocks
 from ramanmem.cli import main as cli_main
-from ramanmem.config import RunParams, default_config
+from ramanmem.config import ExperimentConfig, RunParams
 from ramanmem.geometry import Angle2D
 
 CARRIER_RATIO = 780.0 / 795.0  # anti-Stokes vs Stokes carrier wavelengths
@@ -65,7 +65,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_conjugate_spot_law():
     t0 = time.perf_counter()
-    cfg = _no_diffusion(default_config())
+    cfg = _no_diffusion(ExperimentConfig())
     ref_ys = np.array([-300.0, -150.0, 0.0, 150.0, 300.0])
     _, fits, _ = _multi_reference_run(cfg, ref_ys, n_frames=2000, seed=11)
     elapsed = time.perf_counter() - t0
@@ -97,7 +97,7 @@ def test_criterion_1_conjugate_spot_law():
 
 
 def test_criterion_2_twin_spot_width():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     widths = []
     for seed in (101, 102, 103):
         _, fits, _ = _multi_reference_run(cfg, [0.0], n_frames=1500, seed=seed)
@@ -115,7 +115,7 @@ def test_criterion_2_twin_spot_width():
 
 
 def test_criterion_3_steering(tmp_path):
-    cfg = default_config()
+    cfg = ExperimentConfig()
     ref = analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
     deltas = (-200.0, 0.0, 200.0)
     self_centers, twin_ys, twin_fwhms = [], [], []
@@ -159,7 +159,7 @@ def test_criterion_3_steering(tmp_path):
 
 
 def test_criterion_4_mode_counting():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     ms = cfg.mode_set()
     spot = ms.spot_fwhm_urad
     write_env = cfg.modes.envelope_fwhm_urad
@@ -195,14 +195,14 @@ def test_criterion_5_diffusion_droop():
             [values[2], (values[1] + values[3]) / 2.0, (values[0] + values[4]) / 2.0]
         )
 
-    droop = peaks_for(default_config(), seed=21)
+    droop = peaks_for(ExperimentConfig(), seed=21)
     # group-wise non-increasing in |angle|: each outer group's max stays at or
     # below the inner group's min
     ok_droop = max(droop[1], droop[3]) <= droop[2] and max(droop[0], droop[4]) <= min(
         droop[1], droop[3]
     )
 
-    flat = peaks_for(_no_diffusion(default_config()), seed=31)
+    flat = peaks_for(_no_diffusion(ExperimentConfig()), seed=31)
     se = (1.0 - flat**2) / math.sqrt(n)
     flat_fold, se_fold = fold(flat), np.array(
         [se[2], math.hypot(se[1], se[3]) / 2.0, math.hypot(se[0], se[4]) / 2.0]
@@ -230,7 +230,7 @@ def test_criterion_5_diffusion_droop():
 
 
 def test_criterion_6_estimator_correctness():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = list(scattering.iter_simulated_frames(_run_of(cfg, 100, 61)))
     ref = analysis.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
     streamed = analysis.correlation_map(_fold(analysis.MomentSet.empty([ref]), frames), 0)
@@ -319,7 +319,7 @@ def test_criterion_7_statistics_oracles():
     ok_exp = mean_err < mean_gate and var_err < var_gate
 
     # (b) measured map value at the twin centre vs the analytic Pearson value
-    cfg = default_config()
+    cfg = ExperimentConfig()
     cam = dataclasses.replace(cfg.camera, width_px=32, height_px=32)
     cfg = dataclasses.replace(cfg, camera=cam)
     n_frames = 20_000

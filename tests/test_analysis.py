@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanmem import analysis as an
-from ramanmem.config import RunParams, default_config
+from ramanmem.config import ExperimentConfig, RunParams
 from ramanmem.geometry import Angle2D, CameraGeometry
 from ramanmem.scattering import Frame, iter_simulated_frames
 
@@ -28,7 +28,7 @@ def make_frame(stokes, anti, i=0):
 
 def simulated_frames(n_frames, seed):
     """The default config's first n_frames frames of the run seeded with seed."""
-    cfg = dataclasses.replace(default_config(), run=RunParams(seed=seed, n_frames=n_frames))
+    cfg = dataclasses.replace(ExperimentConfig(), run=RunParams(seed=seed, n_frames=n_frames))
     return list(iter_simulated_frames(cfg))
 
 
@@ -99,7 +99,7 @@ def test_reference_disc_membership_is_strict():
 
 def test_references_compare_and_hash_by_identity():
     """Two discs placed alike compare, hash and collect without error; their sets still merge."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     a, b = (an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 20.0) for _ in "ab")
     assert a.pixel_rows.size == 5
     assert a == a and a != b
@@ -144,7 +144,7 @@ def test_constant_reference_gives_all_nan():
 
 
 def test_correlation_bound_on_simulated_data():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = simulated_frames(120, seed=77)
     ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 150.0), 0.0)
     cmap = an.correlation_map(accumulate_all(ref, frames), 0)
@@ -154,7 +154,7 @@ def test_correlation_bound_on_simulated_data():
 
 
 def test_streaming_equals_two_pass():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = simulated_frames(60, seed=13)
     ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
     cmap = an.correlation_map(accumulate_all(ref, frames), 0)
@@ -172,7 +172,7 @@ def test_streaming_equals_two_pass():
 
 
 def test_merge_is_bit_stable_under_partitioning():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = simulated_frames(30, seed=55)
     ref = an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, 0.0), 0.0)
 
@@ -239,7 +239,7 @@ def test_one_camera_per_moment_set(tmp_path):
 
 def test_k_reference_set_equals_k_one_reference_sets():
     """A 2-reference set equals two 1-reference sets bit for bit, field by field."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = simulated_frames(8, seed=70)
     refs = [
         an.Reference.place(cfg.camera, "stokes", Angle2D(0.0, y), 0.0) for y in (0.0, 150.0)

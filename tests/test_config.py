@@ -1,32 +1,38 @@
 """Config parsing, normalization round trip and checksum behaviour."""
 
+import dataclasses
 import hashlib
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ramanmem.config import (
+    _SCHEMA,
+    _SECTIONS,
     ConfigError,
+    ExperimentConfig,
     RunParams,
-    default_config,
+    _int,
     dump_config,
     load_config,
     parse_config,
 )
 from ramanmem.control import HeraldConfig
-from ramanmem.geometry import PANE_PIXELS_MAX, BeamGeometry, CameraGeometry, OpticalChain
+from ramanmem.geometry import PANE_PIXELS_MAX, BeamGeometry, CameraGeometry, OpticalChain, _interval
 from ramanmem.scattering import ModeGridParams, RetrievalModel
 from ramanmem.stackio import _record_dtype
 
 
 def test_dump_parse_round_trip():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     assert parse_config(dump_config(cfg)) == cfg
 
 
 def test_empty_text_gives_defaults():
-    assert parse_config("") == default_config()
+    assert parse_config("") == ExperimentConfig()
 
 
 @pytest.mark.parametrize(
@@ -43,7 +49,7 @@ def test_empty_text_gives_defaults():
 )
 def test_each_section_defaults_to_its_fields_defaults(section, cls):
     """A section built with no arguments is that section of the default config."""
-    assert cls() == getattr(default_config(), section)
+    assert cls() == getattr(ExperimentConfig(), section)
 
 
 def test_camera_focal_length_defaults_to_the_chains():
@@ -52,7 +58,7 @@ def test_camera_focal_length_defaults_to_the_chains():
 
 def test_partial_override_keeps_other_defaults():
     cfg = parse_config("[run]\nseed = 7\n")
-    base = default_config()
+    base = ExperimentConfig()
     assert cfg.run.seed == 7
     assert cfg.run.n_frames == base.run.n_frames
     assert cfg.geometry == base.geometry
@@ -87,7 +93,7 @@ def test_camera_focal_length_follows_chain():
     cfg = parse_config("[chain]\nf3_m = 0.25\n")
     assert cfg.camera.f3_m == 0.25
     # halving f3 doubles the angular pitch of a pixel
-    assert cfg.camera.pitch_urad == pytest.approx(2 * default_config().camera.pitch_urad)
+    assert cfg.camera.pitch_urad == pytest.approx(2 * ExperimentConfig().camera.pitch_urad)
 
 
 def test_steer_axes_list():
@@ -170,7 +176,7 @@ def test_seed_must_fit_in_64_bits():
         with pytest.raises(ConfigError, match="seed must lie in"):
             parse_config(f"[run]\nseed = {bad}\n")
     with pytest.raises(ValueError, match="seed must lie in"):
-        default_config().with_seed(2**64)
+        ExperimentConfig().with_seed(2**64)
 
 
 def test_frame_count_must_fit_in_32_bits():
@@ -190,7 +196,7 @@ def test_herald_zeta_override_recomputes_p():
 
 
 def test_checksum_is_stable_and_sensitive():
-    base = default_config()
+    base = ExperimentConfig()
     again = parse_config(dump_config(base))
     assert base.checksum() == again.checksum()
     assert base.checksum() != base.with_seed(54321).checksum()
@@ -199,14 +205,14 @@ def test_checksum_is_stable_and_sensitive():
 
 
 def test_with_seed_only_touches_run():
-    cfg = default_config().with_seed(99)
+    cfg = ExperimentConfig().with_seed(99)
     assert cfg.run.seed == 99
-    assert cfg.run.n_frames == default_config().run.n_frames
-    assert cfg.geometry == default_config().geometry
+    assert cfg.run.n_frames == ExperimentConfig().run.n_frames
+    assert cfg.geometry == ExperimentConfig().geometry
 
 
 def test_default_mode_grid_size():
-    assert len(default_config().mode_set().centers_urad) == 121
+    assert len(ExperimentConfig().mode_set().centers_urad) == 121
 
 
 def test_load_config_missing_file(tmp_path):
@@ -234,7 +240,7 @@ def test_load_config_skips_a_byte_order_mark(tmp_path):
 
 def test_shipped_default_config_is_the_dump_of_the_defaults():
     shipped = Path(__file__).parents[1] / "configs" / "default.ini"
-    assert shipped.read_bytes() == dump_config(default_config()).encode("utf-8")
+    assert shipped.read_bytes() == dump_config(ExperimentConfig()).encode("utf-8")
 
 
 # overrides at least one key in every section, both renamed camera keys, a
@@ -287,3 +293,54 @@ def test_config_dump_and_checksum_are_pinned(text, dump_sha256, checksum):
     assert hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest() == dump_sha256
     assert cfg.checksum() == checksum
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def _bounded_keys():
+    """(section, key, is_int, low, high, bounds) of each config key whose field declares an interval."""
+    for section, keys in _SCHEMA.items():
+        by_name = {f.name: f for f in dataclasses.fields(_SECTIONS[section])}
+        for key, (name, parse) in keys.items():
+            if "within" in by_name[name].metadata:
+                yield (section, key, parse is _int, *by_name[name].metadata["within"])
+
+
+def _interval_edges():
+    """A one-key config at each finite end of each key's interval, inside when closed, and one step past it."""
+    for section, key, is_int, low, high, bounds in _bounded_keys():
+        message = f"{key} must lie in {_interval(low, high, bounds)}, got "
+        for end, closed, outward in ((low, bounds[0] == "[", -1), (high, bounds[1] == "]", 1)):
+            if math.isinf(end):
+                continue
+            past = end + outward if is_int else math.nextafter(float(end), outward * math.inf)
+            for value, inside in ((end if is_int else float(end), closed), (past, False)):
+                yield pytest.param(f"[{section}]\n{key} = {value!r}\n", message, inside, id=f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("text, message, inside", list(_interval_edges()))
+def test_each_interval_end_and_one_step_past_it(text, message, inside):
+    """A value past its key's interval is rejected naming the key; a closed end is not (another rule may still)."""
+    if inside:
+        try:
+            parse_config(text)
+        except ConfigError as exc:
+            assert message not in str(exc)
+    else:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+
+
+def _readme_interval_rows():
+    """(section, key, interval) of each key of each row of the README's config interval table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Section | Keys | Interval |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    for row in table.splitlines():
+        section, keys, interval = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        for key in re.findall(r"`(\w+)`", keys):
+            yield section.strip("`[]"), key, interval
+
+
+def test_readme_interval_table_is_the_fields_metadata():
+    """Every row of the README's interval table is a field's interval, printed as `require_within` prints it, and
+    every field's interval has its row."""
+    expected = [(s, k, _interval(low, high, bounds)) for s, k, _, low, high, bounds in _bounded_keys()]
+    assert sorted(_readme_interval_rows()) == sorted(expected)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ramanmem import scattering
 from ramanmem.cli import main
-from ramanmem.config import N_FRAMES_MAX, SEED_MAX, RunParams, default_config
+from ramanmem.config import ExperimentConfig, RunParams
 from ramanmem.geometry import FWHM_PER_SIGMA, Angle2D, BeamGeometry, CameraGeometry
 from ramanmem.scattering import (
     Frame,
@@ -32,6 +32,7 @@ from ramanmem.scattering import (
     shot_rng,
     stokes_basis,
 )
+from ramanmem.stackio import N_FRAMES_MAX, SEED_MAX
 
 GEOM = BeamGeometry(3.5e-3, 3.5e-3, 6.0e-3, 0.1, 795e-9, 780e-9)
 
@@ -82,7 +83,7 @@ def test_effective_source_diameter():
 
 
 def test_default_mode_set_layout():
-    ms = mode_set_from_config(default_config())
+    ms = mode_set_from_config(ExperimentConfig())
     assert ms.n_modes == 121  # 11 x 11 grid
     assert ms.sigma_urad * FWHM_PER_SIGMA == pytest.approx(171.31386857142857, rel=1e-9)
     assert ms.grid_spacing_urad == pytest.approx(109.1254524520431, rel=1e-9)
@@ -94,7 +95,7 @@ def test_default_mode_set_layout():
 
 
 def test_spot_width_combines_both_carriers():
-    ms = mode_set_from_config(default_config())
+    ms = mode_set_from_config(ExperimentConfig())
     ratio = 780.0 / 795.0
     assert ms.spot_fwhm_urad == pytest.approx(
         math.sqrt(1.0 + ratio**2) * ms.sigma_urad * FWHM_PER_SIGMA, rel=1e-12
@@ -104,6 +105,12 @@ def test_spot_width_combines_both_carriers():
 def test_mode_set_rejects_tiny_envelope():
     with pytest.raises(ValueError, match="smaller than one mode"):
         build_mode_set(GEOM, grid(50.0))
+
+
+def test_mode_grid_checks_its_intervals_as_it_is_built():
+    """A [modes] value outside its interval fails where the section is built, before any mode set."""
+    with pytest.raises(ValueError, match=r"^envelope_fwhm_urad must lie in \(0, inf\), got -1.0$"):
+        ModeGridParams(envelope_fwhm_urad=-1.0)
 
 
 def test_mode_set_rejects_overlapping_grid():
@@ -122,7 +129,7 @@ def test_anti_stokes_centers_conjugate_and_shift():
 
 
 def test_mode_set_arrays_are_read_only():
-    ms = mode_set_from_config(default_config())
+    ms = mode_set_from_config(ExperimentConfig())
     for axis in (ms.centers_urad, ms.x_urad, ms.y_urad):
         with pytest.raises(ValueError):
             axis[0, ...] = 1.0
@@ -291,7 +298,7 @@ def test_factored_mean_matches_per_mode_gaussians(ms):
 
 def test_factors_at_every_tilt_keep_the_bits():
     """The per-axis rows equal a one-row-per-mode build bit for bit, modes centred off the pane included."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     ms, cam = mode_set_from_config(cfg), cfg.camera
     ax, ay = cam.pixel_angle_axes()
     nx = ms.x_urad.size
@@ -317,7 +324,7 @@ def test_render_dark_frame():
 
 def test_rendered_counts_are_integers():
     """Frames render in the width of their stack: u16 at the default config."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     fr = next(iter_simulated_frames(run_of(cfg, 1, 3)))
     assert fr.counts.dtype == scattering.count_dtype(cfg) == np.uint16
     assert fr.stokes.any() and fr.anti_stokes.any()
@@ -393,7 +400,7 @@ def test_frame_panes_view_a_u32_count_of_2_24():
 
 
 def test_same_seed_reproduces_bit_for_bit():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     a = list(iter_simulated_frames(run_of(cfg, 3, 12)))
     b = list(iter_simulated_frames(run_of(cfg, 3, 12)))
     assert [f.shot_index for f in a] == [f.shot_index for f in b] == [0, 1, 2]
@@ -402,7 +409,7 @@ def test_same_seed_reproduces_bit_for_bit():
 
 
 def test_schedule_is_honored_per_frame():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     sched = np.array([[0.0, -200.0], [0.0, 0.0], [0.0, 200.0]])
     frames = list(iter_simulated_frames(run_of(cfg, 3, 5), schedule=sched))
     for fr, row in zip(frames, sched):
@@ -410,19 +417,19 @@ def test_schedule_is_honored_per_frame():
 
 
 def test_constant_schedule_broadcasts():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     frames = list(iter_simulated_frames(run_of(cfg, 2, 5), schedule=Angle2D(0.0, 150.0)))
     assert all(fr.readout_angle_urad == (0.0, 150.0) for fr in frames)
 
 
 def test_schedule_shape_mismatch_raises():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     with pytest.raises(ValueError, match="schedule"):
         list(iter_simulated_frames(run_of(cfg, 3, 5), schedule=np.zeros((2, 2))))
 
 
 def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     n = 200
     sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
     tracemalloc.start()
@@ -439,7 +446,7 @@ def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
 @settings(max_examples=10, deadline=None)
 def test_frames_independent_of_history(idx):
     """Frame idx is a pure function of (seed, idx), not of preceding frames."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     ms = mode_set_from_config(cfg)
     rng = shot_rng(cfg.run.seed, idx)
     i_s, i_as = sample_shot(ms, retrieval_efficiencies(ms, cfg.retrieval, (0.0, 0.0)), rng)
@@ -545,7 +552,7 @@ def test_stack_digests_do_not_depend_on_thread_count(tmp_path, monkeypatch, thre
 @pytest.mark.parametrize(("cores", "frames", "started"), [(1, 5, 1), (3, 5, 3), (3, 2, 2)])
 def test_one_render_thread_per_core_capped_at_frame_count(monkeypatch, cores, frames, started):
     _use_threads(monkeypatch, cores)
-    it = iter_simulated_frames(run_of(default_config(), frames, 1))
+    it = iter_simulated_frames(run_of(ExperimentConfig(), frames, 1))
     next(it)
     assert _render_threads() == started
     it.close()
@@ -555,7 +562,7 @@ def test_one_render_thread_per_core_capped_at_frame_count(monkeypatch, cores, fr
 @pytest.mark.parametrize("threads", [2, 3])
 def test_render_threads_stop_when_the_run_ends_or_is_closed(monkeypatch, threads):
     _use_threads(monkeypatch, threads)
-    cfg = default_config()
+    cfg = ExperimentConfig()
     start = threading.active_count()
     frames = list(iter_simulated_frames(run_of(cfg, 8, 1)))
     assert [fr.shot_index for fr in frames] == list(range(8))
@@ -582,7 +589,7 @@ def test_render_error_reaches_the_caller_at_its_frame(monkeypatch, threads):
     start = threading.active_count()
     got = []
     with pytest.raises(RuntimeError, match="frame 4"):
-        for fr in iter_simulated_frames(run_of(default_config(), 10, 1)):
+        for fr in iter_simulated_frames(run_of(ExperimentConfig(), 10, 1)):
             got.append(fr.shot_index)
     assert got == [0, 1, 2, 3]
     assert threading.active_count() == start
@@ -590,7 +597,7 @@ def test_render_error_reaches_the_caller_at_its_frame(monkeypatch, threads):
 
 def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
     """More render threads than cores and a 1 us switch interval: the serial frames, in order."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     n = 24
     sched = np.column_stack([np.zeros(n), np.linspace(-100.0, 100.0, n)])
     _use_threads(monkeypatch, 1)
@@ -618,11 +625,11 @@ def test_many_threads_and_fast_switching_keep_the_frames(monkeypatch):
 _UNCLOSED_RENDER = """\
 import dataclasses
 from ramanmem import scattering
-from ramanmem.config import RunParams, default_config
+from ramanmem.config import ExperimentConfig, RunParams
 
 scattering._usable_cores = lambda: 2
 frames = scattering.iter_simulated_frames(
-    dataclasses.replace(default_config(), run=RunParams(seed=1, n_frames=100_000))
+    dataclasses.replace(ExperimentConfig(), run=RunParams(seed=1, n_frames=100_000))
 )
 next(frames)
 """
@@ -648,7 +655,7 @@ def test_threaded_memory_does_not_grow_with_frames(monkeypatch):
     by tens of MB.
     """
     _use_threads(monkeypatch, 2)
-    cfg = default_config()
+    cfg = ExperimentConfig()
 
     def peak(n):
         sched = np.column_stack([np.zeros(n), np.linspace(-250.0, 250.0, n)])
@@ -701,7 +708,7 @@ REVISITED_TILTS = [(0.0, -150.0), (0.0, 0.0), (80.0, 150.0), (0.0, 0.0),
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_revisited_tilts_build_once_and_keep_the_frames(monkeypatch, threads):
-    cfg = default_config()
+    cfg = ExperimentConfig()
     _use_threads(monkeypatch, threads)
     built = _count_builds(monkeypatch)
     got = _frames(cfg, REVISITED_TILTS)
@@ -718,7 +725,7 @@ def test_revisited_tilts_build_once_and_keep_the_frames(monkeypatch, threads):
 @pytest.mark.parametrize(("distinct", "builds"), [(3, 3), (4, 8)])
 def test_tilt_cache_holds_its_byte_budget(monkeypatch, distinct, builds):
     """A 3-tilt budget: two cycles of 3 tilts build 3 times, of 4 tilts (least recently used out) 8."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     _cache_tilts(monkeypatch, cfg, 3)
     built = _count_builds(monkeypatch)
     _frames(cfg, [(0.0, 50.0 * k) for k in range(distinct)] * 2)
@@ -726,7 +733,7 @@ def test_tilt_cache_holds_its_byte_budget(monkeypatch, distinct, builds):
 
 
 def test_negative_zero_tilt_reuses_the_zero_tilt(monkeypatch):
-    cfg = default_config()
+    cfg = ExperimentConfig()
     built = _count_builds(monkeypatch)
     tilts = [(0.0, 0.0), (0.0, -0.0)]
     frames = _frames(cfg, tilts, seed=6)

@@ -7,13 +7,15 @@ import struct
 import numpy as np
 import pytest
 
-from ramanmem.config import default_config
+from ramanmem.config import ExperimentConfig
 from ramanmem.geometry import CameraGeometry
 from ramanmem.scattering import Frame, iter_simulated_frames
 from ramanmem.stackio import (
     _BLOCK,
     _HEADER,
     MAGIC,
+    N_FRAMES_MAX,
+    SEED_MAX,
     VERSION,
     StackWriter,
     _record_dtype,
@@ -25,7 +27,7 @@ CAM = CameraGeometry(width_px=16, height_px=8, pixel_pitch_m=7.5e-6, f3_m=0.5)
 BODY = _HEADER.size  # where the body starts
 
 
-SMALL_CFG = dataclasses.replace(default_config(), camera=CAM).with_seed(3)
+SMALL_CFG = dataclasses.replace(ExperimentConfig(), camera=CAM).with_seed(3)
 
 
 def small_frames(n=6, tilts=None):
@@ -174,17 +176,17 @@ def test_writer_close_checks_count(tmp_path):
 
 
 def test_writer_requires_at_least_one_frame(tmp_path):
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match=r"n_frames must lie in \[1, 4294967295\], got 0"):
         StackWriter(tmp_path / "x.rmns", CAM, 0, seed=0, config_checksum=0, count_dtype=np.uint16)
 
 
 def test_header_the_format_cannot_hold_leaves_no_file(tmp_path):
-    # the frame count is a u32 in the header
-    with pytest.raises(struct.error):
-        StackWriter(
-            tmp_path / "x.rmns", CAM, 2**32, seed=0, config_checksum=0, count_dtype=np.uint16
-        )
-    assert not (tmp_path / "x.rmns").exists()
+    """A frame count past the header's u32 or a seed outside its u64 is a ValueError naming it, and no file."""
+    path = tmp_path / "x.rmns"
+    for name, n_frames, seed in (("n_frames", N_FRAMES_MAX + 1, 0), ("seed", 1, -1), ("seed", 1, SEED_MAX + 1)):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            StackWriter(path, CAM, n_frames, seed=seed, config_checksum=0, count_dtype=np.uint16)
+        assert not path.exists()
 
 
 def test_truncated_header(tmp_path):
