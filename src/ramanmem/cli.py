@@ -205,7 +205,8 @@ def cmd_steer(args) -> int:
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
     ys = np.array([fibers[i].theta_y for i in good])
-    slope = intercept = float("nan")
+    nan = float("nan")
+    slope = intercept = nan
     # a line needs converged fibers at two heights (a set, as np.unique would load numpy.ma)
     if len(set(ys.tolist())) >= 2:
         ts = np.array([baseline_fits[i].center_y_urad for i in good])
@@ -216,7 +217,14 @@ def cmd_steer(args) -> int:
     rows = []
     for i, fiber in enumerate(fibers):
         cmd = control.compensating_readout(fiber, write_angle, target, cfg.chain, cfg.geometry)
-        row = {
+        fit = _twin_fits(run_cfgs[i], [refs[i]], cmd.theta_read)[0] if cmd.reachable else None
+        landed = fit is not None and fit.converged
+        fit_failed |= cmd.reachable and not landed
+        twin_x, twin_y, fwhm_x, fwhm_y = (
+            (fit.center_x_urad, fit.center_y_urad, fit.fwhm_x_urad, fit.fwhm_y_urad) if landed else (nan,) * 4
+        )
+        dist = float(np.hypot(twin_x - target.theta_x, twin_y - target.theta_y))  # NaN without a landed twin
+        rows.append({
             "fiber": i,
             "stokes_x_urad": fiber.theta_x,
             "stokes_y_urad": fiber.theta_y,
@@ -224,34 +232,15 @@ def cmd_steer(args) -> int:
             "drive_freq_hz": cmd.drive_freq_hz,
             "readout_x_urad": cmd.theta_read.theta_x,
             "readout_y_urad": cmd.theta_read.theta_y,
-            "baseline_twin_y_urad": baseline_fits[i].center_y_urad
-            if baseline_fits[i].converged
-            else float("nan"),
-            "twin_x_urad": float("nan"),
-            "twin_y_urad": float("nan"),
-            "fwhm_x_urad": float("nan"),
-            "fwhm_y_urad": float("nan"),
-            "target_dist_urad": float("nan"),
-            "within_quarter_fwhm": False,
+            "baseline_twin_y_urad": baseline_fits[i].center_y_urad if baseline_fits[i].converged else nan,
+            "twin_x_urad": twin_x,
+            "twin_y_urad": twin_y,
+            "fwhm_x_urad": fwhm_x,
+            "fwhm_y_urad": fwhm_y,
+            "target_dist_urad": dist,
+            "within_quarter_fwhm": bool(dist < 0.5 * (fwhm_x + fwhm_y) / 4.0),  # False for NaN
             "note": cmd.note,
-        }
-        rows.append(row)
-        if not cmd.reachable:
-            continue
-        (fit,) = _twin_fits(run_cfgs[i], [refs[i]], cmd.theta_read)
-        if not fit.converged:
-            fit_failed = True
-            continue
-        dist = float(np.hypot(fit.center_x_urad - target.theta_x, fit.center_y_urad - target.theta_y))
-        fwhm = 0.5 * (fit.fwhm_x_urad + fit.fwhm_y_urad)
-        row.update(
-            twin_x_urad=fit.center_x_urad,
-            twin_y_urad=fit.center_y_urad,
-            fwhm_x_urad=fit.fwhm_x_urad,
-            fwhm_y_urad=fit.fwhm_y_urad,
-            target_dist_urad=dist,
-            within_quarter_fwhm=bool(dist < fwhm / 4.0),
-        )
+        })
 
     if args.out:
         analysis.write_table(

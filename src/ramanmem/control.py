@@ -2,9 +2,9 @@
 
 Steering: given a Stokes reference direction and a wanted anti-Stokes target,
 solve the wavevector balance for the readout tilt and translate it into an
-AOD drive tone.  Requests outside the drive band come back flagged (with the
-best clamped command) instead of raising, so batch runs can report them row
-by row.
+AOD drive tone.  Requests outside the drive band or the paraxial range come
+back flagged (with the best clamped command) instead of raising, so batch runs
+can report them row by row.
 
 Herald: Monte Carlo of the thermally seeded multimode source with a feedback
 switch, against closed-form checks.
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    PARAXIAL_LIMIT_URAD,
     Angle2D,
     BeamGeometry,
     OpticalChain,
@@ -25,7 +26,7 @@ from .geometry import (
     bounded,
     conjugate_angles,
     drive_frequency_for,
-    phase_match,
+    phase_match,  # a name perfbench/tracing.py still wraps here; no program path calls it
     require_fields_within,
 )
 from .scattering import shot_rng
@@ -48,32 +49,12 @@ OFF_AXIS_TOL_URAD = 1e-3
 
 @dataclass(frozen=True)
 class SteeringCommand:
-    """One solved readout setting.
-
-    theta_read is the tilt the command actually realises (after any band
-    clamp), expected_theta_as is where the twin spot will land under it.  For
-    a reachable command expected_theta_as equals the requested target exactly.
-    """
+    """One solved readout setting: theta_read is the tilt the command realises (after any clamp)."""
 
     theta_read: Angle2D
     drive_freq_hz: float
-    expected_theta_as: Angle2D
     reachable: bool
     note: str = ""
-
-
-def _required_readout(
-    theta_s: Angle2D, theta_w: Angle2D, target_as: Angle2D, geom: BeamGeometry
-) -> Angle2D:
-    """Readout tilt (urad) whose conjugate of theta_s lands on target_as.
-
-    The conjugate law is theta_r plus a term free of theta_r, so the tilt is
-    the target minus the law evaluated at zero readout.
-    """
-    shift = conjugate_angles(
-        theta_w.as_array(), theta_s.as_array(), np.zeros(2), geom.lambda_write_m, geom.lambda_read_m
-    )
-    return Angle2D.from_array(target_as.as_array() - shift)
 
 
 def compensating_readout(
@@ -87,16 +68,25 @@ def compensating_readout(
 
     The drive tone encodes the component along the chain's primary steering
     axis.  A command is unreachable when the required tilt leaves the AOD band
-    on a steered axis, or needs a component the chain cannot actuate at all;
-    in both cases the returned command carries the clamped best effort.
+    or the paraxial range on a steered axis, or needs a component the chain
+    cannot actuate at all; in each case the returned command carries the
+    clamped best effort.
     """
-    required = _required_readout(theta_s, theta_w, target_as, geom)
     # the reachable tilts are the tone law at the band-edge tones: an edge is the tilt its
-    # own tone produces, bit for bit, so a clamped command is realised by its drive tone
-    lo, hi = chain.deflection_urad(chain.freq_min_hz), chain.deflection_urad(chain.freq_max_hz)
+    # own tone produces, bit for bit, so a clamped command is realised by its drive tone.
+    # An edge past the paraxial bound (an unbounded band) is pulled inside it instead.
+    edge = math.nextafter(PARAXIAL_LIMIT_URAD, 0.0)
+    lo = max(chain.deflection_urad(chain.freq_min_hz), -edge)
+    hi = min(chain.deflection_urad(chain.freq_max_hz), edge)
     realized = {}
     notes = []
-    for axis, want in zip("xy", (required.theta_x, required.theta_y)):
+    for axis in "xy":
+        attr = f"theta_{axis}"
+        # the conjugate law is theta_r plus a term free of theta_r, so the tilt is
+        # the target minus the law evaluated at zero readout
+        want = getattr(target_as, attr) - conjugate_angles(
+            getattr(theta_w, attr), getattr(theta_s, attr), 0.0, geom.lambda_write_m, geom.lambda_read_m
+        )
         if axis in chain.steer_axes:
             realized[axis] = min(max(want, lo), hi)
             if realized[axis] != want:
@@ -106,11 +96,9 @@ def compensating_readout(
             if abs(want) > OFF_AXIS_TOL_URAD:
                 notes.append(f"{axis} component {want:.3f} urad not steerable by this chain")
 
-    theta_read = Angle2D(realized["x"], realized["y"])
     return SteeringCommand(
-        theta_read=theta_read,
+        theta_read=Angle2D(realized["x"], realized["y"]),
         drive_freq_hz=drive_frequency_for(realized[chain.steer_axes[0]], chain),
-        expected_theta_as=phase_match(theta_w, theta_s, theta_read, geom),
         reachable=not notes,
         note="; ".join(notes),
     )

@@ -43,10 +43,11 @@ __all__ = ["MAGIC", "VERSION", "StackWriter", "read_stack", "iter_stack_blocks"]
 MAGIC = b"RMNS"
 VERSION = 2
 _HEADER = struct.Struct("<4sHIIIddQQH")
-# the header's frame count is a u32 and its seed a u64; a seed is the entropy of
-# its run's SeedSequence (one PCG64 child per shot)
+# the header's frame count is a u32, its seed and config checksum u64s; a seed is
+# the entropy of its run's SeedSequence (one PCG64 child per shot)
 N_FRAMES_MAX = 2**32 - 1
 SEED_MAX = 2**64 - 1
+CHECKSUM_MAX = 2**64 - 1
 
 
 def _record_dtype(camera: CameraGeometry, counts) -> np.dtype:
@@ -76,6 +77,7 @@ class StackWriter:
     ):
         require_within("n_frames", n_frames, 1, N_FRAMES_MAX)
         require_within("seed", seed, 0, SEED_MAX)
+        require_within("config_checksum", config_checksum, 0, CHECKSUM_MAX)
         counts = np.dtype(count_dtype).newbyteorder("<")
         if counts not in COUNT_DTYPES:
             raise ValueError(f"stack counts must be u16 or u32, got {counts}")

@@ -220,6 +220,37 @@ def test_steer_reports_unreachable_fibers(tmp_path, cfg_path, capsys):
     assert all(", " in note for note in printed)
 
 
+@pytest.mark.parametrize(
+    "band, target_y, span",
+    [
+        ("", "9999", "[-200.000, 200.000]"),
+        ("", "-9999", "[-200.000, 200.000]"),
+        ("[chain]\nfreq_min_hz = -inf\nfreq_max_hz = inf\n", "9999", "[-10000.000, 10000.000]"),
+    ],
+    ids=["past-paraxial", "past-paraxial-neg", "unbounded-band"],
+)
+def test_steer_past_the_paraxial_bound_exits_3(tmp_path, capsys, band, target_y, span):
+    """A valid target whose readout tilt lies past the paraxial bound is clamped and reported UNREACHABLE."""
+    config = tmp_path / "band.ini"
+    config.write_text(SMALL_CFG + "\n" + band)
+    report = tmp_path / "steer.csv"
+    assert main(["steer", "--config", str(config), "--frames", "4", "--target-y", target_y,
+                 "--out", str(report)]) == 3
+    fibers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fiber ")]
+    with open(report, newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    assert len(fibers) == len(rows) == 5  # one line per fiber
+    far = [r for r in rows if r["reachable"] == "0"]
+    assert len(far) == (2 if band else 5)  # an unbounded band reaches the three lower fibers
+    # one UNREACHABLE line per unreachable fiber, quoting its note
+    assert [line.partition("UNREACHABLE ")[2] for line in fibers if "UNREACHABLE" in line] == [
+        f"({r['note']})" for r in far
+    ]
+    assert all(r["note"].endswith(f"outside span {span}") for r in far)
+    assert all(abs(float(r["readout_y_urad"])) < 1e4 for r in rows)
+
+
 @pytest.mark.parametrize("axes", ["x,y", "y,x"])
 def test_steer_report_tone_is_the_first_axis_tilt(tmp_path, axes):
     """On a two-axis chain drive_freq_hz is the first axis's tone; no column lists the second's."""

@@ -36,7 +36,6 @@ def test_axial_everything_is_trivial():
     assert cmd.reachable
     assert cmd.theta_read == Angle2D(0.0, 0.0)
     assert cmd.drive_freq_hz == 80e6
-    assert cmd.expected_theta_as == Angle2D(0.0, 0.0)
     assert cmd.note == ""
 
 
@@ -81,7 +80,6 @@ def test_unreachable_is_clamped_to_band_edge():
     assert "outside span" in cmd.note
     assert cmd.drive_freq_hz == pytest.approx(90e6)
     assert cmd.theta_read.theta_y == pytest.approx(200.0)
-    assert cmd.expected_theta_as.theta_y == pytest.approx(200.0)
 
 
 @pytest.mark.parametrize("target_y", [250.0, -250.0])

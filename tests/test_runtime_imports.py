@@ -8,7 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ramanmem
+from ramanmem.geometry import CameraGeometry
+from ramanmem.scattering import Frame
+from ramanmem.stackio import StackWriter
 
 _ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ramanmem"}
 
@@ -72,6 +77,31 @@ def test_no_subcommand_loads_numpy_ma(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(ramanmem.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _EVERY_SUBCOMMAND, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_CORRELATE_STACK = """\
+import sys
+from ramanmem import cli
+
+assert cli.main(["correlate", "--stack", sys.argv[1], "--out", sys.argv[2]]) in (cli.EXIT_OK, cli.EXIT_FIT_FAILED)
+assert "numpy.random" not in sys.modules, "correlate --stack loaded numpy.random"
+"""
+
+
+def test_correlate_stack_does_not_load_numpy_random(tmp_path):
+    """A recorded stack is read, folded and fitted without the random package (about 2.3 MB of peak RSS)."""
+    camera = CameraGeometry(width_px=16, height_px=8)
+    stack = tmp_path / "run.rmns"
+    counts = np.arange(2 * 8 * 16, dtype=np.uint16).reshape(2, 8, 16)
+    with StackWriter(stack, camera, 3, seed=1, config_checksum=2, count_dtype=np.uint16) as writer:
+        for i in range(3):
+            writer.append(Frame((counts + i) % 7, shot_index=i, readout_angle_urad=(0.0, 0.0)))
+    env = dict(os.environ, PYTHONPATH=str(Path(ramanmem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CORRELATE_STACK, str(stack), str(tmp_path / "map")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from ramanmem.scattering import Frame, iter_simulated_frames
 from ramanmem.stackio import (
     _BLOCK,
     _HEADER,
+    CHECKSUM_MAX,
     MAGIC,
     N_FRAMES_MAX,
     SEED_MAX,
@@ -181,11 +182,17 @@ def test_writer_requires_at_least_one_frame(tmp_path):
 
 
 def test_header_the_format_cannot_hold_leaves_no_file(tmp_path):
-    """A frame count past the header's u32 or a seed outside its u64 is a ValueError naming it, and no file."""
+    """A frame count past the header's u32, or a seed or checksum outside its u64, is a ValueError naming it, and no file."""
     path = tmp_path / "x.rmns"
-    for name, n_frames, seed in (("n_frames", N_FRAMES_MAX + 1, 0), ("seed", 1, -1), ("seed", 1, SEED_MAX + 1)):
+    for name, n_frames, seed, checksum in (
+        ("n_frames", N_FRAMES_MAX + 1, 0, 0),
+        ("seed", 1, -1, 0),
+        ("seed", 1, SEED_MAX + 1, 0),
+        ("config_checksum", 1, 0, -1),
+        ("config_checksum", 1, 0, CHECKSUM_MAX + 1),
+    ):
         with pytest.raises(ValueError, match=f"{name} must lie in"):
-            StackWriter(path, CAM, n_frames, seed=seed, config_checksum=0, count_dtype=np.uint16)
+            StackWriter(path, CAM, n_frames, seed=seed, config_checksum=checksum, count_dtype=np.uint16)
         assert not path.exists()
 
 
