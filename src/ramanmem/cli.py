@@ -86,19 +86,14 @@ def _twin_fits(
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    schedule = None
-    if args.schedule:
-        with _input(args.schedule):  # unknown columns, a bad cell, a tone outside the band or a row count
-            schedule = control.load_schedule(args.schedule, cfg.chain)
-            if len(schedule) != cfg.run.n_frames:
-                raise ValueError(
-                    f"schedule has {len(schedule)} rows but the run asks for {cfg.run.n_frames} frames"
-                )
+    with _input(args.schedule):  # unknown columns, a bad cell, a tone outside the band or a row count
+        schedule = control.load_schedule(args.schedule, cfg.chain) if args.schedule else None
+        frames = scattering.iter_simulated_frames(cfg, schedule=schedule)
     checksum = cfg.checksum()
     with stackio.StackWriter(
         args.out, cfg.camera, cfg.run.n_frames, cfg.run.seed, checksum, scattering.count_dtype(cfg)
     ) as writer:
-        for frame in scattering.iter_simulated_frames(cfg, schedule=schedule):
+        for frame in frames:
             writer.append(frame)
     print(
         f"wrote {args.out}: {cfg.run.n_frames} frames, seed={cfg.run.seed}, "
@@ -204,20 +199,23 @@ def cmd_steer(args) -> int:
     fit_failed = any(not f.converged for f in baseline_fits)
 
     good = [i for i, f in enumerate(baseline_fits) if f.converged]
-    ys = np.array([fibers[i].theta_y for i in good])
     nan = float("nan")
     slope = intercept = nan
-    # a line needs converged fibers at two heights (a set, as np.unique would load numpy.ma)
-    if len(set(ys.tolist())) >= 2:
-        ts = np.array([baseline_fits[i].center_y_urad for i in good])
-        coeffs = np.polyfit(ys, ts, 1)
-        slope, intercept = float(coeffs[0]), float(coeffs[1])
+    # a line needs converged fibers that fold two different sets of pixel rows: fibers
+    # closer than a pixel fold the same rows (a set, as np.unique would load numpy.ma)
+    if len({tuple(refs[i].pixel_rows.tolist()) for i in good}) >= 2:
+        ys = [fibers[i].theta_y for i in good]
+        ts = [baseline_fits[i].center_y_urad for i in good]
+        slope, intercept = map(float, np.polyfit(ys, ts, 1))
 
-    # compensated passes: one run per fiber at its solved readout tilt
+    # compensated passes: one run per fiber at its solved readout tilt, none when no twin
+    # can land on the target because it lies off the anti-Stokes pane
+    on_pane = cfg.camera.contains(*cfg.camera.angle_to_pixel(target))
     rows = []
     for i, fiber in enumerate(fibers):
         cmd = control.compensating_readout(fiber, write_angle, target, cfg.chain, cfg.geometry)
-        fit = _twin_fits(run_cfgs[i], [refs[i]], cmd.theta_read)[0] if cmd.reachable else None
+        note = cmd.note if on_pane or not cmd.reachable else "target off the anti-Stokes pane"
+        fit = _twin_fits(run_cfgs[i], [refs[i]], cmd.theta_read)[0] if cmd.reachable and on_pane else None
         landed = fit is not None and fit.converged
         fit_failed |= cmd.reachable and not landed
         twin_x, twin_y, fwhm_x, fwhm_y = (
@@ -239,7 +237,7 @@ def cmd_steer(args) -> int:
             "fwhm_y_urad": fwhm_y,
             "target_dist_urad": dist,
             "within_quarter_fwhm": bool(dist < 0.5 * (fwhm_x + fwhm_y) / 4.0),  # False for NaN
-            "note": cmd.note,
+            "note": note,
         })
 
     if args.out:
@@ -258,7 +256,7 @@ def cmd_steer(args) -> int:
                 f"{row['stokes_y_urad']:.2f}) urad: UNREACHABLE ({row['note']})"
             )
         elif np.isnan(row["twin_y_urad"]):
-            print(f"fiber {row['fiber']}: fit failed")
+            print(f"fiber {row['fiber']}: {row['note'] or 'fit failed'}")
         else:
             verdict = "ok" if row["within_quarter_fwhm"] else "MISSED"
             print(

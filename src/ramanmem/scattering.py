@@ -24,6 +24,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -406,7 +407,7 @@ def _render_with_bases(
     stokes: PaneFactors,
     anti_stokes: PaneFactors,
     shot_index: int,
-    theta_read_urad: Sequence[float],
+    theta_read_urad: tuple[float, float],
     rng: np.random.Generator,
     noise_floor: float,
     counts_dtype: np.dtype,
@@ -426,7 +427,7 @@ def _render_with_bases(
     return Frame(
         counts=counts.astype(counts_dtype),
         shot_index=shot_index,
-        readout_angle_urad=tuple(map(float, theta_read_urad)),
+        readout_angle_urad=theta_read_urad,
     )
 
 
@@ -447,20 +448,6 @@ class FrameStack(_Panes):
     @property
     def n_frames(self) -> int:
         return self.counts.shape[0]
-
-
-def _normalize_schedule(schedule, n_frames: int) -> np.ndarray:
-    """None (no tilt), one Angle2D for every frame, or an (n_frames, 2) array."""
-    if schedule is None:
-        return np.zeros((n_frames, 2), dtype=float)
-    if isinstance(schedule, Angle2D):
-        return np.tile(schedule.as_array(), (n_frames, 1))
-    arr = np.asarray(schedule, dtype=float)
-    if arr.shape != (n_frames, 2):
-        raise ValueError(
-            f"schedule must be one angle or an (n_frames, 2) array, got shape {arr.shape}"
-        )
-    return arr.copy()
 
 
 def _usable_cores() -> int:
@@ -534,6 +521,11 @@ def _in_order(render: Callable, jobs: Iterable[tuple], threads: int) -> Iterator
 def iter_simulated_frames(cfg, schedule=None) -> Iterator[Frame]:
     """Generate cfg.run's frames one at a time, in frame order, without holding the stack in memory.
 
+    `schedule` gives the readout tilts: None (no tilt) or one Angle2D, held as
+    one (x, y) float pair for every frame, else one (x, y) row per frame,
+    checked against cfg.run.n_frames here, before the first frame renders,
+    and turned into a float pair as its frame is drawn.
+
     The calling thread draws every shot in frame order (tilt factors, shot
     stream, per-mode intensities); the two gemms of each pane's mean,
     wy.T @ grid @ wx with grid the intensities as the (ny, nx) lattice, and
@@ -550,10 +542,19 @@ def iter_simulated_frames(cfg, schedule=None) -> Iterator[Frame]:
     as long as the generator.
     """
     n, s = cfg.run.n_frames, cfg.run.seed
+    if schedule is None or isinstance(schedule, Angle2D):
+        x, y = (0.0, 0.0) if schedule is None else (schedule.theta_x, schedule.theta_y)
+        tilts = repeat((float(x), float(y)), n)
+    else:
+        if len(schedule) != n:
+            raise ValueError(f"schedule has {len(schedule)} rows but the run asks for {n} frames")
+        rows = np.array(schedule, dtype=float)  # a copy: the caller cannot move a tilt mid-run
+        if rows.shape != (n, 2):
+            raise ValueError(f"schedule rows must be (x, y) pairs, got an array of shape {rows.shape}")
+        tilts = (tuple(row.tolist()) for row in rows)  # a pair as each frame is drawn: no tuple per row held
     ms = mode_set_from_config(cfg)
     rm = cfg.retrieval
     camera = cfg.camera
-    sched = _normalize_schedule(schedule, n)
 
     stokes = stokes_basis(ms, camera)
     counts_dtype = count_dtype(cfg)
@@ -567,11 +568,11 @@ def iter_simulated_frames(cfg, schedule=None) -> Iterator[Frame]:
         return anti_stokes_basis(ms, tr, camera), retrieval_efficiencies(ms, rm, tr)
 
     def jobs() -> Iterator[tuple]:
-        # a revisited tilt reuses its factors; a miss builds them here, on the calling thread
-        for i, row in enumerate(sched):
-            tr = tuple(row.tolist())  # Python floats: -0.0 and 0.0 compare equal, so they share a key
+        # a revisited tilt reuses its factors; a miss builds them here, on the calling thread.
+        # The tilts are Python floats: -0.0 and 0.0 compare equal, so they share a key
+        for i, tr in enumerate(tilts):
             anti, eta = tilt_factors(tr)
             rng = shot_rng(s, i)
             yield sample_shot(ms, eta, rng), stokes, anti, i, tr, rng, rm.noise_floor, counts_dtype
 
-    yield from _in_order(_render_with_bases, jobs(), min(_usable_cores(), n))
+    return _in_order(_render_with_bases, jobs(), min(_usable_cores(), n))

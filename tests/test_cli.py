@@ -251,6 +251,52 @@ def test_steer_past_the_paraxial_bound_exits_3(tmp_path, capsys, band, target_y,
     assert all(abs(float(r["readout_y_urad"])) < 1e4 for r in rows)
 
 
+_UNBOUNDED_BAND = "[chain]\nfreq_min_hz = -inf\nfreq_max_hz = inf\n"
+
+
+@pytest.mark.parametrize(
+    "band, target_y, rc, reachable",
+    [("", "300", 3, 1), (_UNBOUNDED_BAND, "9999", 3, 3), (_UNBOUNDED_BAND, "300", 4, 5)],
+    ids=["in-band-fiber", "unbounded-band", "every-fiber-reachable"],
+)
+def test_steer_target_off_the_anti_stokes_pane_renders_the_baseline_alone(
+    tmp_path, capsys, monkeypatch, band, target_y, rc, reachable
+):
+    """No twin can land off the 32-pixel pane (y within +-240 urad): no compensated pass is rendered.
+
+    Each reachable fiber reports NaN twin cells and the off-pane note; an
+    unreachable one keeps its band note.  The baseline pass and its slope stay.
+    """
+    renders = []
+    render = scattering.iter_simulated_frames
+
+    def counted(cfg, **kwargs):
+        renders.append(cfg.run.seed)
+        return render(cfg, **kwargs)
+
+    monkeypatch.setattr(scattering, "iter_simulated_frames", counted)
+    config = tmp_path / "band.ini"
+    config.write_text(SMALL_CFG + "\n" + band)
+    report = tmp_path / "steer.csv"
+    assert main(["steer", "--config", str(config), "--frames", "40", "--target-y", target_y,
+                 "--out", str(report)]) == rc
+    assert renders == [7]  # the baseline pass, at the run's own seed
+    out = capsys.readouterr().out
+    assert np.isfinite(float(re.search(r"slope along y: (\S+)", out).group(1)))
+    with open(report, newline="") as fh:
+        fh.readline()
+        rows = list(csv.DictReader(fh))
+    near = [r for r in rows if r["reachable"] == "1"]
+    assert len(near) == reachable
+    for r in near:
+        assert r["note"] == "target off the anti-Stokes pane"
+        assert r["within_quarter_fwhm"] == "0"
+        twin = ("twin_x_urad", "twin_y_urad", "fwhm_x_urad", "fwhm_y_urad", "target_dist_urad")
+        assert {r[c] for c in twin} == {"nan"}
+        assert f"fiber {r['fiber']}: target off the anti-Stokes pane\n" in out
+    assert all("outside span" in r["note"] for r in rows if r["reachable"] == "0")
+
+
 @pytest.mark.parametrize("axes", ["x,y", "y,x"])
 def test_steer_report_tone_is_the_first_axis_tilt(tmp_path, axes):
     """On a two-axis chain drive_freq_hz is the first axis's tone; no column lists the second's."""
@@ -425,19 +471,26 @@ def test_extra_references_add_only_their_cross_moments():
 
 
 def test_steer_fibers_at_one_height_report_no_slope(tmp_path, capsys):
-    """Converged fibers that share one y give no baseline line: NaN, not a polyfit crash.
+    """Converged fibers that fold one pixel row give no baseline line: NaN, not a polyfit crash.
 
     Two fibers over a zero span sit at y = 0, and so does a lone fiber over any span.
+    Fibers over a sub-pixel span sit at distinct y but fold the one row at y = 0.
     """
     report = tmp_path / "steer.csv"
-    for n, span in ((2, "0"), (1, "300")):
+    cases = ((2, "0"), (1, "300"), (3, "1e-300"), (2, "1e-300"), (2, "1e-10"))
+    for n, span in cases:
         argv = ["steer", "--frames", "60", "--fibers", str(n), "--fiber-span", span, "--out", str(report)]
         assert main(argv) == 0
-        assert "baseline conjugate slope along y: nan (intercept nan urad)" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "baseline conjugate slope along y: nan (intercept nan urad)" in out
+        assert err == ""  # no RuntimeWarning and no LAPACK message
         header = report.read_text().splitlines()[0]
         assert header.endswith("baseline_slope=nan baseline_intercept=nan")
         rows = [ln.split(",") for ln in report.read_text().splitlines()[2:]]
-        assert [r[2] for r in rows] == ["0.0"] * n  # every fiber at y = 0
+        if float(span) == 0.0 or n == 1:
+            assert [r[2] for r in rows] == ["0.0"] * n  # every fiber at y = 0
+        else:
+            assert len({r[2] for r in rows}) == n  # n distinct heights, all on one pixel row
         assert all(r[7] != "nan" for r in rows)  # every baseline fit converged
 
 
@@ -609,6 +662,8 @@ def _as_version_1(raw):
         ("schedule", "shot,drive_freq_hz,foo\n0,80e6,1\n"),
         ("schedule", "theta_read_x_urad,theta_read_y_urad,drive_freq_hz\n0,10,95e6\n"),
         ("schedule", "theta_read_x_urad,drive_freq_hz\n5,80e6\n"),
+        ("schedule", _SCHEDULE_HEAD + "0,0.0,10.0\n1,0.0,20.0\n"),
+        ("schedule", _SCHEDULE_HEAD),
         ("config", b"[modes]\ngain_shrink = -1\n"),
         ("config", b"[modes]\nenvelope_fwhm_urad = 1\n"),
         ("config", b"[modes]\ngrid_spacing_sigma = 0.5\n"),
@@ -644,7 +699,7 @@ def _as_version_1(raw):
         "schedule-unknown-columns", "schedule-not-a-number", "schedule-short-row", "schedule-nan-tilt",
         "schedule-tone-outside-band", "schedule-shots-out-of-order", "schedule-bom-shot-out-of-order",
         "schedule-column-named-twice", "schedule-extra-column", "schedule-tilts-and-tone",
-        "schedule-one-tilt-and-tone",
+        "schedule-one-tilt-and-tone", "schedule-more-rows-than-frames", "schedule-no-rows",
         "config-gain-shrink-neg", "config-envelope-below-one-mode", "config-grid-spacing-below-1",
         "config-not-utf8", "config-photons-past-poisson", "config-noise-floor-past-poisson",
         "config-zeta-p-rounds-to-1", "config-mode-grid-too-large", "config-pixel-past-poisson",
@@ -753,6 +808,29 @@ def test_failed_simulate_leaves_no_stack(tmp_path, cfg_path, monkeypatch):
     with pytest.raises(RuntimeError, match="frame 4"):
         main(["simulate", "--config", cfg_path, "--frames", "10", "--out", str(out)])
     assert not out.exists()
+
+
+class _ReachedShot1(Exception):
+    """Raised by a patched renderer at shot 1: the run got past its set-up and its first frame."""
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["correlate"], ["steer", "--fibers", "1"]], ids=lambda c: c[0]
+)
+def test_every_render_reaches_its_first_frame_at_the_frame_bound(tmp_path, cfg_path, monkeypatch, command):
+    """A run of 2**32 - 1 frames (the stack header's bound) renders, never allocating per frame up front."""
+    render = scattering._render_with_bases
+
+    def stop_at_shot_1(*job):
+        if job[3] == 1:  # the shot index
+            raise _ReachedShot1
+        return render(*job)
+
+    monkeypatch.setattr(scattering, "_render_with_bases", stop_at_shot_1)
+    out = tmp_path / "bound"
+    with pytest.raises(_ReachedShot1):
+        main([*command, "--config", cfg_path, "--frames", str(stackio.N_FRAMES_MAX), "--out", str(out)])
+    assert not out.exists()  # simulate deletes the stack it started; the others wrote nothing yet
 
 
 def _bright_config(tmp_path, photons):

@@ -428,6 +428,46 @@ def test_schedule_shape_mismatch_raises():
         list(iter_simulated_frames(run_of(cfg, 3, 5), schedule=np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_schedule_row_count_is_checked_at_the_call(rows):
+    """A schedule of the wrong length fails when the run is asked for, before any frame renders."""
+    with pytest.raises(ValueError, match=f"^schedule has {rows} rows but the run asks for 3 frames$"):
+        iter_simulated_frames(run_of(ExperimentConfig(), 3, 5), schedule=np.zeros((rows, 2)))
+
+
+@pytest.mark.parametrize("sched", [np.zeros((3, 3)), np.zeros(3), [(0.0, 0.0, 0.0)] * 3])
+def test_schedule_rows_must_be_pairs(sched):
+    with pytest.raises(ValueError, match=r"^schedule rows must be \(x, y\) pairs"):
+        iter_simulated_frames(run_of(ExperimentConfig(), 3, 5), schedule=sched)
+
+
+@pytest.mark.parametrize("sched", [None, Angle2D(0.0, 150.0)], ids=["no-schedule", "one-angle"])
+def test_first_frame_memory_does_not_depend_on_the_frame_count(monkeypatch, sched):
+    """A run at the frame bound reaches its first frame at the peak of a 64-frame run.
+
+    With no schedule, or one angle for every frame, a run holds one tilt
+    whatever its length: no per-frame tilt array (64 GiB of float64 pairs at
+    2**32 - 1 frames).  "The same" allows 1 MiB for thread timing.
+    """
+    _use_threads(monkeypatch, 2)
+    cfg = ExperimentConfig()
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            frames = iter_simulated_frames(run_of(cfg, n, 3), schedule=sched)
+            assert next(frames).readout_angle_urad == ((0.0, 0.0) if sched is None else (0.0, 150.0))
+            frames.close()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # one-off allocations of the first run stay out of the comparison
+    peaks = [peak(64), peak(N_FRAMES_MAX)]
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+    assert _render_threads() == 0
+
+
 def test_memory_stays_bounded_when_every_frame_has_its_own_tilt():
     cfg = ExperimentConfig()
     n = 200
