@@ -13,6 +13,7 @@ switch, against closed-form checks.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,46 +292,51 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
 # ---------------------------------------------------------------------------
 # file formats
 
+_PAIR = struct.Struct("<dd")  # one schedule row as it is held: its readout tilt (x, y) in urad
+
 
 def load_schedule(path, chain: OpticalChain) -> np.ndarray:
-    """Read a schedule CSV; drive_freq_hz rows are converted through the chain.
+    """Read a schedule CSV into (n, 2) readout tilts, in one pass holding 16 bytes per row.
 
     The file is UTF-8 text, with or without a byte-order mark.  Blank lines
-    and lines starting with '#' are skipped, before the header and between
-    rows.  The header names each column once: the two theta_read_{x,y}_urad
-    columns or the one drive_freq_hz column, and optionally a shot column,
-    which must read 0..n-1 in file order: row i is frame i.
+    and lines starting with '#' are skipped, and every cell, header included,
+    is stripped.  The header names each column once: the two
+    theta_read_{x,y}_urad columns or the one drive_freq_hz column (converted
+    through the chain), and optionally a shot column, which must read 0..n-1
+    in file order: row i is frame i.  A row's error starts with its file line.
     """
+    pairs = bytearray()
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [s for s in (line.strip() for line in fh) if s and not s.startswith("#")]
-    header = lines[0].split(",") if lines else []
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(r) != len(header) for r in rows):
-        raise ValueError(f"every schedule row needs {len(header)} cells, one per header column")
-    cols = {name: idx for idx, name in enumerate(header)}
-    if len(cols) != len(header):
-        twice = sorted({name for name in header if header.count(name) > 1})
-        raise ValueError(f"the schedule header names {', '.join(twice)} more than once")
-    found = [name for name in header if name != "shot"]
-    if set(found) not in ({"theta_read_x_urad", "theta_read_y_urad"}, {"drive_freq_hz"}):
-        raise ValueError(
-            "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column "
-            f"beside an optional shot column, got {', '.join(found) or 'none'}"
-        )
-    if "shot" in cols:
-        for i, r in enumerate(rows):
-            shot = r[cols["shot"]].strip()
-            if shot != str(i):
-                raise ValueError(
-                    f"the shot column must read 0..{len(rows) - 1} in file order; "
-                    f"row {i + 1} reads {shot!r}"
-                )
-    if "drive_freq_hz" in cols:
-        angles = [aod_chain_angle(float(r[cols["drive_freq_hz"]]), chain) for r in rows]
-    else:
-        # Angle2D rejects NaN, infinite and super-paraxial tilts
-        angles = [
-            Angle2D(float(r[cols["theta_read_x_urad"]]), float(r[cols["theta_read_y_urad"]]))
-            for r in rows
-        ]
-    return np.array([[a.theta_x, a.theta_y] for a in angles])
+        lines = ((n, s) for n, s in enumerate((line.strip() for line in fh), 1) if s and not s.startswith("#"))
+        _, first = next(lines, (0, ""))
+        header = [name.strip() for name in first.split(",")] if first else []
+        cols = {name: idx for idx, name in enumerate(header)}
+        if len(cols) != len(header):
+            twice = sorted({name for name in header if header.count(name) > 1})
+            raise ValueError(f"the schedule header names {', '.join(twice)} more than once")
+        found = [name for name in header if name != "shot"]
+        if set(found) not in ({"theta_read_x_urad", "theta_read_y_urad"}, {"drive_freq_hz"}):
+            raise ValueError(
+                "schedule needs either theta_read_{x,y}_urad columns or a drive_freq_hz column "
+                f"beside an optional shot column, got {', '.join(found) or 'none'}"
+            )
+        shot, tone = cols.get("shot"), cols.get("drive_freq_hz")
+        tilt_x, tilt_y = cols.get("theta_read_x_urad"), cols.get("theta_read_y_urad")
+        for i, (lineno, line) in enumerate(lines):
+            try:
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"every schedule row needs {len(header)} cells, one per header column")
+                if shot is not None and cells[shot].strip() != str(i):
+                    raise ValueError(f"the shot column must read each row's index in file order, {i} here, "
+                                     f"got {cells[shot].strip()!r}")
+                # geometry states the band and paraxial rules: aod_chain_angle and Angle2D
+                # reject NaN, infinite, out-of-band and super-paraxial rows
+                if tone is not None:
+                    angle = aod_chain_angle(float(cells[tone]), chain)
+                else:
+                    angle = Angle2D(float(cells[tilt_x]), float(cells[tilt_y]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            pairs += _PAIR.pack(angle.theta_x, angle.theta_y)
+    return np.frombuffer(pairs, dtype="<f8").reshape(-1, 2)

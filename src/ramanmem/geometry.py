@@ -82,13 +82,6 @@ class Angle2D:
     def __post_init__(self) -> None:
         require_fields_within(self)
 
-    @classmethod
-    def from_array(cls, arr) -> "Angle2D":
-        return cls(float(arr[0]), float(arr[1]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta_x, self.theta_y], dtype=float)
-
 
 @dataclass(frozen=True)
 class BeamGeometry:
@@ -238,16 +231,12 @@ def conjugate_angles(
 def phase_match(
     theta_w: Angle2D, theta_s: Angle2D, theta_r: Angle2D, geom: BeamGeometry
 ) -> Angle2D:
-    """:func:`conjugate_angles` for one Stokes direction."""
-    return Angle2D.from_array(
-        conjugate_angles(
-            theta_w.as_array(),
-            theta_s.as_array(),
-            theta_r.as_array(),
-            geom.lambda_write_m,
-            geom.lambda_read_m,
-        )
-    )
+    """:func:`conjugate_angles` for one Stokes direction, evaluated per axis in floats."""
+    return Angle2D(*(
+        conjugate_angles(getattr(theta_w, a), getattr(theta_s, a), getattr(theta_r, a),
+                         geom.lambda_write_m, geom.lambda_read_m)
+        for a in ("theta_x", "theta_y")
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -529,3 +529,97 @@ def test_schedule_rejects_a_column_named_twice(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match="more than once"):
         load_schedule(path, CHAIN)
+
+
+def test_schedule_header_cells_are_stripped(tmp_path):
+    """Every cell is stripped, header names too; a name repeated after stripping is still rejected."""
+    path = tmp_path / "spaced.csv"
+    path.write_text("shot, drive_freq_hz\n0, 80e6\n 1 ,80.25e6 \n")
+    np.testing.assert_array_equal(load_schedule(path, CHAIN), [[0.0, 0.0], [0.0, 5.0]])
+    path.write_text("drive_freq_hz , drive_freq_hz\n80e6,80e6\n")
+    with pytest.raises(ValueError, match="^the schedule header names drive_freq_hz more than once$"):
+        load_schedule(path, CHAIN)
+
+
+def _write_rows(path, header, rows):
+    path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("columns", ["tone", "tilt"])
+def test_schedule_heap_stays_near_its_result(tmp_path, columns):
+    """Reading 2e4 rows holds the (n, 2) result and little more: no per-row list or angle lives on."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    path = tmp_path / "long.csv"
+    if columns == "tone":
+        tones = rng.uniform(70e6, 90e6, n)
+        _write_rows(path, "shot,drive_freq_hz", ([str(i), repr(float(t))] for i, t in enumerate(tones)))
+    else:
+        xy = rng.uniform(-9999.0, 9999.0, (n, 2)).tolist()
+        _write_rows(path, "shot,theta_read_x_urad,theta_read_y_urad",
+                    ([str(i), repr(x), repr(y)] for i, (x, y) in enumerate(xy)))
+    tracemalloc.start()
+    try:
+        got = load_schedule(path, CHAIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (n, 2)
+    assert peak <= 2 * got.nbytes
+
+
+@pytest.mark.parametrize("chain", [CHAIN, chain_xy, OpticalChain(steer_axes=("x",))], ids=["y", "xy", "x"])
+def test_schedule_tones_equal_the_tone_law_bit_for_bit(tmp_path, chain):
+    """Each tone row is chain.deflection_urad of its tone on the steered axis and 0.0 on the other."""
+    rng = np.random.default_rng(6)
+    tones = [*rng.uniform(70e6, 90e6, 200).tolist(), 70e6, 90e6, 80e6, 80.0e6 + 1e-3]
+    path = tmp_path / "tones.csv"
+    _write_rows(path, "drive_freq_hz", ([repr(t)] for t in tones))
+    want = np.zeros((len(tones), 2))
+    want[:, "xy".index(chain.steer_axes[0])] = [chain.deflection_urad(t) for t in tones]
+    assert load_schedule(path, chain).tobytes() == want.tobytes()
+
+
+def test_schedule_tilts_equal_loadtxt_bit_for_bit(tmp_path):
+    """Tilt rows parse as numpy's own reader parses them, -0.0 and repr-written floats included."""
+    rng = np.random.default_rng(7)
+    cells = [[repr(x), repr(y)] for x, y in rng.uniform(-9999.0, 9999.0, (200, 2)).tolist()]
+    cells += [["-0.0", "0.0"], ["0", "-0"], ["5e-324", "-1e-300"], [" 1.5 ", "2.5e+3 "], ["1", "-7"]]
+    path = tmp_path / "tilts.csv"
+    _write_rows(path, "theta_read_x_urad,theta_read_y_urad", cells)
+    want = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64)
+    got = load_schedule(path, CHAIN)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, got[200, 0]) == -1.0
+
+
+_TONE_HEAD = "# plan\n\nshot,drive_freq_hz\n0,80e6\n"
+_TILT_HEAD = "# plan\n\nshot,theta_read_x_urad,theta_read_y_urad\n0,0.0,0.0\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (_TONE_HEAD + "1,80e6,5\n", "every schedule row needs 2 cells"),
+        (_TILT_HEAD + "1,0.0\n", "every schedule row needs 3 cells"),
+        (_TONE_HEAD + "1,abc\n", "could not convert string to float: 'abc'"),
+        (_TILT_HEAD + "1,nan,0.0\n", "theta_x must lie in"),
+        (_TONE_HEAD + "1,nan\n", "drive frequency must lie in"),
+        (_TONE_HEAD + "1,inf\n", "drive frequency must lie in"),
+        (_TILT_HEAD + "1,0.0,-inf\n", "theta_y must lie in"),
+        (_TONE_HEAD + "1,95e6\n", "drive frequency 9.5e+07 Hz outside AOD band"),
+        (_TILT_HEAD + "1,0.0,1e4\n", "theta_y must lie in (-10000, 10000), got 10000.0"),
+        (_TONE_HEAD + "2,80e6\n", "the shot column must read each row's index in file order, 1 here, got '2'"),
+        (_TILT_HEAD + " 0 ,0.0,0.0\n", "the shot column must read each row's index in file order, 1 here, got '0'"),
+    ],
+    ids=["ragged-tone", "ragged-tilt", "not-a-number", "nan-tilt", "nan-tone", "inf-tone", "inf-tilt",
+         "tone-outside-band", "super-paraxial-tilt", "shot-skipped", "shot-repeated"],
+)
+def test_schedule_row_error_names_its_file_line(tmp_path, text, message):
+    """The bad row is on file line 5, after a comment, a blank line, the header and one good row."""
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_schedule(path, CHAIN)
+    assert str(info.value).startswith(f"line 5: {message}")
