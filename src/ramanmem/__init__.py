@@ -10,4 +10,4 @@ The API is the modules (`geometry`, `scattering`, `analysis`, `control`,
 `config`, `stackio`, `cli`); the package itself exports only `__version__`.
 """
 
-__version__ = "0.7.7"
+__version__ = "0.7.8"

@@ -6,8 +6,9 @@ The map follows the intensity-correlation estimator
 
 computed from streaming raw moments held in float64, one `MomentSet` per
 pass: the sums of I_p and I_p^2 are held once for every reference, the cross
-moment and the reference sums once per reference.  `accumulate_block` is the
-one fold: it takes an (n, 2, H, W) block of counts, as `stackio` reads them.
+moment and the reference sums once per reference.  `accumulate_blocks` is the
+one fold: it takes a stream of (n, 2, H, W) blocks of counts, as `stackio`
+reads them, and `accumulate_block` folds one such block.
 Rendered panes are integer photon counts, so the moment sums stay exact
 (every partial sum is an integer below 2**53, which each fold and merge
 checks) and chunk merging is bit-stable in any order.
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "MomentSet",
     "CorrelationMap",
     "GaussianSpotFit",
+    "accumulate_blocks",
     "accumulate_block",
     "merge",
     "correlation_map",
@@ -157,33 +160,62 @@ def _check_exact(moments: MomentSet) -> None:
         )
 
 
-def accumulate_block(moments: MomentSet, block: np.ndarray) -> None:
-    """The moment update: fold n frames, a (n, 2, H, W) block of counts, into the set.
+def accumulate_blocks(moments: MomentSet, blocks: Iterable[np.ndarray]) -> None:
+    """The moment update: fold each (n, 2, H, W) block of counts into the set, in stream order.
 
-    The block holds unsigned counts (u16 or u32, each exact in float64); it
-    is converted to float64 once.  With X the block as n rows, one gemm [1; r_1 ... r_K] @ X
-    gives the intensity sum and every reference's cross moment, and one
-    einsum the squared sum; each field is then added once, whatever K is.
-    Photon counts are integers, so while every partial sum stays below 2**53
-    the sums do not depend on how frames are grouped into blocks; a fold
-    that reaches 2**53 raises OverflowError.
+    A block holds unsigned counts (u16 or u32, each exact in float64).  The
+    K reference signals r_k are summed from it in float64, and then each pane
+    in turn is cast to float64, as X, its n rows of H*W counts: one gemm
+    [1; r_1 ... r_K] @ X gives the pane's intensity sum and every reference's
+    cross moment, and one einsum its squared sum.  Only one pane is held in
+    float64 at a time, in buffers allocated once for the whole stream: a
+    fold after the first allocates none.  Photon counts are integers, so while
+    every partial sum stays below 2**53 the sums do not depend on how frames
+    are grouped into blocks or pixels into panes; a fold that reaches 2**53
+    raises OverflowError.
     """
-    block = np.asarray(block, dtype=np.float64)
+    blocks, work = iter(blocks), None
+    with suppress(StopIteration):
+        while True:  # passed unbound, so each block is freed before the next one is read
+            work = _fold(moments, next(blocks), work)
+
+
+def accumulate_block(moments: MomentSet, block: np.ndarray) -> None:
+    """Fold one (n, 2, H, W) block of counts into the set (see accumulate_blocks)."""
+    _fold(moments, block, None)
+
+
+def _fold(
+    moments: MomentSet, block: np.ndarray, work: tuple[np.ndarray, ...] | None
+) -> tuple[np.ndarray, ...]:
+    """Fold one block in the float64 buffers `work` (pane slab, gemm rows, squares), when large enough.
+
+    Returns the buffers it used, made here for a block of more frames than `work` holds.
+    """
     n = block.shape[0]
-    x = block.reshape(n, -1)
+    if work is None or len(work[0]) < n:
+        pane_px = moments.sum_i[0].size
+        work = (np.empty((n, pane_px)), np.empty((len(moments.references) + 1, pane_px)), np.empty(pane_px))
+    slab, sums, squares = work[0][:n], work[1], work[2]
     weights = np.empty((len(moments.references) + 1, n))
     weights[0] = 1.0
     for k, ref in enumerate(moments.references, 1):
-        weights[k] = block[:, _pane_index(ref.pane), ref.pixel_rows, ref.pixel_cols].sum(axis=1)
-    sums = (weights @ x).reshape(-1, *block.shape[1:])
+        signal = block[:, _pane_index(ref.pane), ref.pixel_rows, ref.pixel_cols]
+        weights[k] = signal.sum(axis=1, dtype=np.float64)
+    shape = moments.sum_i.shape[1:]
+    for pane in range(len(PANES)):
+        np.copyto(slab, block[:, pane].reshape(n, -1))
+        np.matmul(weights, slab, out=sums)
+        np.einsum("ij,ij->j", slab, slab, out=squares)
+        moments.sum_i[pane] += sums[0].reshape(shape)
+        moments.sum_i2[pane] += squares.reshape(shape)
+        moments.sum_ii_ref[:, pane] += sums[1:].reshape(-1, *shape)
     r = weights[1:]
-    moments.sum_i += sums[0]
-    moments.sum_i2 += np.einsum("ij,ij->j", x, x).reshape(block.shape[1:])
-    moments.sum_ii_ref += sums[1:]
     moments.sum_ref += r.sum(axis=1)
     moments.sum_ref2 += np.einsum("ij,ij->i", r, r)
     moments.n += n
     _check_exact(moments)
+    return work
 
 
 # names perfbench/tracing.py still wraps; no program path calls them (ROADMAP item 1 removes them)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
@@ -64,10 +64,7 @@ def _correlate_frames(
 ) -> list[analysis.CorrelationMap]:
     """One pass over the count blocks, on the references' camera, into one map per reference."""
     moments = analysis.MomentSet.empty(references)
-    blocks = iter(blocks)
-    with suppress(StopIteration):
-        while True:  # passed unbound, so accumulate_block's float64 copy frees the block
-            analysis.accumulate_block(moments, next(blocks))
+    analysis.accumulate_blocks(moments, blocks)
     return [analysis.correlation_map(moments, k) for k in range(len(references))]
 
 

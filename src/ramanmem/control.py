@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -295,19 +296,35 @@ def run_herald_protocol(cfg: HeraldConfig, shots: int, seed: int) -> HeraldStats
 _PAIR = struct.Struct("<dd")  # one schedule row as it is held: its readout tilt (x, y) in urad
 
 
+def _content_lines(fh) -> Iterator[tuple[int, str]]:
+    """(file line, stripped text) of each line of a binary file that is neither blank nor a '#' comment.
+
+    Each line is decoded as UTF-8 on its own, so a byte that is not UTF-8
+    fails as its line; a byte-order mark may open the first line.
+    """
+    for lineno, raw in enumerate(fh, 1):
+        try:
+            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {lineno}: byte {exc.start + 1} is not UTF-8 text ({exc.reason})") from None
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_schedule(path, chain: OpticalChain) -> np.ndarray:
     """Read a schedule CSV into (n, 2) readout tilts, in one pass holding 16 bytes per row.
 
-    The file is UTF-8 text, with or without a byte-order mark.  Blank lines
-    and lines starting with '#' are skipped, and every cell, header included,
-    is stripped.  The header names each column once: the two
-    theta_read_{x,y}_urad columns or the one drive_freq_hz column (converted
-    through the chain), and optionally a shot column, which must read 0..n-1
-    in file order: row i is frame i.  A row's error starts with its file line.
+    The file is UTF-8 text, with or without a byte-order mark, and each line
+    ends at a newline byte.  Blank lines and lines starting with '#' are
+    skipped, and every cell, header included, is stripped.  The header names
+    each column once: the two theta_read_{x,y}_urad columns or the one
+    drive_freq_hz column (converted through the chain), and optionally a shot
+    column, which must read 0..n-1 in file order: row i is frame i.  A line
+    that is not UTF-8, and a row's error, start with the file line.
     """
     pairs = bytearray()
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = ((n, s) for n, s in enumerate((line.strip() for line in fh), 1) if s and not s.startswith("#"))
+    with open(path, "rb") as fh:
+        lines = _content_lines(fh)
         _, first = next(lines, (0, ""))
         header = [name.strip() for name in first.split(",")] if first else []
         cols = {name: idx for idx, name in enumerate(header)}

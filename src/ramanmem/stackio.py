@@ -174,7 +174,7 @@ def _read_header(fh):
 
 # frames per body read: the unit `iter_stack_blocks` hands out and the CLI folds.
 # 8 frames halve the per-block Python and accumulator-add overhead of 4; 16 gain
-# little more for twice the buffer (0.25 MB u16 read, 1 MB float64 fold at 64x128)
+# little more for twice the buffer (0.25 MB u16 read, a 0.5 MB float64 fold per pane at 64x128)
 _BLOCK = 8
 
 

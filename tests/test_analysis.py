@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -510,3 +511,69 @@ def test_fit_to_csv(tmp_path):
     assert row[0] == "twin"
     assert row[1] == "1"
     assert float(row[3]) == pytest.approx(12.0, abs=1e-3)
+
+
+def _default_camera_refs(k: int) -> list[an.Reference]:
+    """A pixel, a disc and an anti-Stokes pixel reference on the default camera, the first k of them."""
+    cam = CameraGeometry()
+    return [
+        an.Reference.place(cam, "stokes", Angle2D(0.0, 0.0), 0.0),
+        an.Reference.place(cam, "stokes", Angle2D(45.0, -30.0), 40.0),
+        an.Reference.place(cam, "anti_stokes", Angle2D(-60.0, 15.0), 0.0),
+    ][:k]
+
+
+def test_fold_holds_one_pane_in_float64():
+    """One 8-frame u16 block at K = 1 allocates one pane's float64 slab, its gemm rows and squares, no more."""
+    (ref,) = refs = _default_camera_refs(1)
+    h, w = ref.camera.height_px, ref.camera.width_px
+    block = np.random.default_rng(3).poisson(12.0, (8, 2, h, w)).astype(np.uint16)
+    moments = an.MomentSet.empty(refs)
+    an.accumulate_block(moments, block)  # any one-time allocation happens outside the measurement
+    tracemalloc.start()
+    try:
+        an.accumulate_block(moments, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pane = h * w * 8
+    slab, rows, squares = 8 * pane, (len(refs) + 1) * pane, pane
+    assert peak <= slab + rows + squares + 16 * 1024  # the whole-block cast alone is 2 * slab
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+def test_fold_equals_a_whole_block_float64_fold_bit_for_bit(dtype):
+    """A stream folded pane by pane at K = 3 gives the sums of one float64 cast of all its frames, to the bit."""
+    refs = _default_camera_refs(3)
+    cam = refs[0].camera
+    peak = 60_000 if dtype == np.uint16 else 300_000  # u32 counts past the u16 range
+    rng = np.random.default_rng(4)
+    # a stream of 3 frames, then 8: the float64 buffers grow once
+    blocks = [rng.integers(0, peak, (n, 2, cam.height_px, cam.width_px)).astype(dtype) for n in (3, 8, 8, 5)]
+    moments = an.MomentSet.empty(refs)
+    an.accumulate_blocks(moments, blocks)
+    x = np.concatenate(blocks).astype(np.float64)
+    r = np.stack([x[:, an.PANES.index(ref.pane), ref.pixel_rows, ref.pixel_cols].sum(axis=1) for ref in refs])
+    assert moments.n == len(x)
+    assert moments.sum_i.tobytes() == x.sum(axis=0).tobytes()
+    assert moments.sum_i2.tobytes() == (x * x).sum(axis=0).tobytes()
+    assert moments.sum_ii_ref.tobytes() == np.einsum("kn,nphw->kphw", r, x).tobytes()
+    assert moments.sum_ref.tobytes() == r.sum(axis=1).tobytes()
+    assert moments.sum_ref2.tobytes() == (r * r).sum(axis=1).tobytes()
+
+
+def test_stream_fold_holds_one_block_and_one_set_of_buffers():
+    """Folding a lazily read stream holds its float64 buffers once, and no block past the one it folds."""
+    (ref,) = refs = _default_camera_refs(1)
+    h, w = ref.camera.height_px, ref.camera.width_px
+    block = np.random.default_rng(5).poisson(12.0, (8, 2, h, w)).astype(np.uint16)
+    moments = an.MomentSet.empty(refs)
+    tracemalloc.start()
+    try:
+        an.accumulate_blocks(moments, (block.copy() for _ in range(6)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pane = h * w * 8
+    assert moments.n == 48
+    assert peak <= (8 + len(refs) + 2) * pane + block.nbytes + 16 * 1024

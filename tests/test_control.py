@@ -623,3 +623,21 @@ def test_schedule_row_error_names_its_file_line(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         load_schedule(path, CHAIN)
     assert str(info.value).startswith(f"line 5: {message}")
+
+
+def test_schedule_byte_that_is_not_utf8_names_its_file_line(tmp_path):
+    """A row holding a byte that is not UTF-8 fails as its file line, not as a decoder chunk offset."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xef\xbb\xbf# plan\ndrive_freq_hz\n80e6\ncaf\xe9\n80e6\n")
+    with pytest.raises(ValueError, match=r"^line 4: byte 4 is not UTF-8 text"):
+        load_schedule(path, CHAIN)
+
+
+def test_schedule_bom_opens_only_the_first_line(tmp_path):
+    """The byte-order mark is stripped from the first line alone; CRLF line ends read as LF."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfshot,drive_freq_hz\r\n0,80e6\r\n1,80e6\r\n")
+    np.testing.assert_array_equal(load_schedule(path, CHAIN), np.zeros((2, 2)))
+    path.write_bytes(b"shot,drive_freq_hz\n\xef\xbb\xbf0,80e6\n")
+    with pytest.raises(ValueError, match=r"^line 2: the shot column"):
+        load_schedule(path, CHAIN)
